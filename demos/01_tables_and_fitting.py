@@ -36,17 +36,22 @@ xy_given_z1 = margin(joint, ("X", "Y"), condition=("Z", 1))
 print("P(X=1, Y=1)        =", round(xy_margin.prob(1, 1), 4))
 print("P(X=1, Y=1 | Z=1)  =", round(xy_given_z1.prob(1, 1), 4))
 
-# Fit the model with all two-way associations (no three-way term)...
+# Fit the model with all two-way associations (no three-way term).  It
+# fits the XZ margin exactly, so its Y-block is a logistic regression of Y
+# on X and Z, fitted by Newton's method...
 fit2 = fit_poisson(table, two_way_spec())
 print("\ntwo-way fit: deviance", round(fit2.deviance, 4),
-      "in", fit2.iterations, "iterations")
+      "in", fit2.iterations, "Newton steps")
 for term, value in fit2.params.multiplicative.items():
     print(f"  {term:<4} {value:.4f}")
 
-# ...and the saturated model, which reproduces the counts exactly and
-# has a closed-form solution we can cross-check against IRLS.
+# ...and the saturated model, which reproduces the counts exactly: its
+# parameters are ratios of cell ratios, and the three-way term is the ratio
+# of the two conditional XY odds ratios.
 fit3 = fit_poisson(table, saturated_spec())
 closed = saturated_closed_form(table)
+n = table.counts
 print("\nsaturated deviance:", round(fit3.deviance, 12))
-print("IRLS three-way term:  ", round(fit3.params.xzy, 6))
-print("closed-form three-way:", round(closed.xzy, 6))
+print("three-way term:          ", round(closed.xzy, 6))
+print("XY odds ratio z=1 / z=0: ",
+      round((n[7] * n[2] / (n[6] * n[3])) / (n[5] * n[0] / (n[4] * n[1])), 6))

@@ -12,12 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .fitting import (
-    NoCausalParams,
-    fit_poisson,
-    saturated_closed_form,
-    two_way_spec,
-)
+from .fitting import NoCausalParams, fit_poisson, saturated_closed_form
 from .tables import CELLS, ContingencyTable, JointProbabilityTable, cell_index
 
 
@@ -151,7 +146,7 @@ def fit_causal(table: ContingencyTable, with_interaction: bool = False) -> Causa
     The X margin and XZ margin blocks are closed-form count ratios.  The
     Y-block is the saturated conditional odds ratios when the three-way
     term is requested, otherwise the Y-involving terms of the two-way
-    Poisson MLE.
+    MLE, the logistic regression of Y on X and Z.
     """
     n = {cell: table.count(*cell) for cell in CELLS}
     n_x = [sum(v for c, v in n.items() if c[0] == x) for x in (0, 1)]
@@ -165,14 +160,13 @@ def fit_causal(table: ContingencyTable, with_interaction: bool = False) -> Causa
 
     xc = n_x[1] / n_x[0]
     zc = n_xz[(0, 1)] / n_xz[(0, 0)]
-    xzc = (n_xz[(1, 1)] * n_xz[(0, 0)]) / (n_xz[(1, 0)] * n_xz[(0, 1)])
+    xzc = (n_xz[(1, 1)] / n_xz[(1, 0)]) * (n_xz[(0, 0)] / n_xz[(0, 1)])
 
     if with_interaction:
         sat = saturated_closed_form(table)
         y, xy, zy, xzy = sat.y, sat.xy, sat.zy, sat.xzy
     else:
-        fit = fit_poisson(table, two_way_spec())
-        p = fit.params
+        p = fit_poisson(table).params
         y, xy, zy, xzy = p.y, p.xy, p.zy, 1.0
 
     return CausalParams(

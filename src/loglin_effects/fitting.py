@@ -1,20 +1,26 @@
-"""Poisson loglinear fitting for 2x2x2 tables.
+"""Maximum likelihood fits of the two loglinear models of a 2x2x2 table.
 
-Implements dummy-coded design matrices, IRLS maximum likelihood for the
-log-link Poisson model, the closed-form saturated solution, and the
-observed-information covariance of the additive parameters.
+The two-way model ``[XZ][XY][ZY]`` fits the XZ margin exactly, so its fitted
+counts are ``n(x,z,+) * p(y|x,z)``, where ``p`` is the logistic regression of
+Y on X and Z over the four binomial cells (x, z).  Its three parameters are
+the Y-block of the loglinear model (lambda^Y, lambda^XY, lambda^ZY); they are
+fitted by Newton's method after an exact check that the MLE exists.  The
+saturated model reproduces the counts and is solved in closed form.
+
+The covariance of the additive parameters, ``(D' diag(m) D)^-1`` over the
+dummy-coded design matrix ``D``, is computed on first use; it and
+``design_matrix`` are the only parts of the package that import numpy.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
-import numpy as np
-
-from .tables import CELLS, ContingencyTable, cell_index
+from .tables import CELLS, ContingencyTable
 
 #: term order shared by design matrices, parameter vectors, and covariances
 TERM_ORDER = ("eta", "X", "Z", "Y", "XZ", "XY", "ZY", "XZY")
@@ -30,11 +36,9 @@ TERM_VARS = {
     "XZY": ("X", "Z", "Y"),
 }
 
-_VAR_POS = {"X": 0, "Z": 1, "Y": 2}
-
 
 class FitError(RuntimeError):
-    """Fitting failure: non-convergence, singularity, or divergence."""
+    """Fitting failure: the MLE does not exist, or the fit did not converge."""
 
 
 @dataclass(frozen=True)
@@ -49,12 +53,11 @@ class ModelSpec:
         if unknown:
             raise ValueError(f"unknown terms {sorted(unknown)}")
         for t in terms:
-            for v in TERM_VARS[t]:
-                for sub in _subterms(t):
-                    if sub not in terms:
-                        raise ValueError(
-                            f"non-hierarchical spec: {t} present without {sub}"
-                        )
+            for sub in _subterms(t):
+                if sub not in terms:
+                    raise ValueError(
+                        f"non-hierarchical spec: {t} present without {sub}"
+                    )
         object.__setattr__(self, "terms", terms)
 
     @property
@@ -95,9 +98,15 @@ def saturated_spec() -> ModelSpec:
 
 @dataclass(frozen=True)
 class FitControl:
+    """Newton iteration of the two-way Y-block fit.
+
+    It stops when a Newton step moves no parameter by more than ``tol``
+    times one plus the largest parameter magnitude, and fails after
+    ``max_iter`` steps.
+    """
+
     tol: float = 1e-10
     max_iter: int = 100
-    bound: float = 30.0
 
 
 @dataclass(frozen=True)
@@ -175,11 +184,26 @@ def multiplicative_from_additive(lambdas: dict) -> NoCausalParams:
 class FitResult:
     params: NoCausalParams
     fitted_counts: tuple
-    covariance: np.ndarray = field(compare=False)
     deviance: float
     iterations: int
     converged: bool
     spec: ModelSpec
+
+    @cached_property
+    def covariance(self):
+        """Inverse Fisher information ``(D' diag(m) D)^-1`` at the fitted counts.
+
+        A numpy array over ``spec.ordered_terms``, computed on first use.
+        """
+        import numpy as np
+
+        D = design_matrix(self.spec)
+        m = np.asarray(self.fitted_counts)
+        try:
+            cov = np.linalg.inv(D.T @ (m[:, None] * D))
+        except np.linalg.LinAlgError:
+            raise FitError("singular information matrix") from None
+        return (cov + cov.T) / 2.0
 
     def to_json(self) -> str:
         terms = self.spec.ordered_terms
@@ -200,13 +224,15 @@ class FitResult:
         return json.dumps(doc, sort_keys=True)
 
 
-def design_matrix(spec: ModelSpec) -> np.ndarray:
+def design_matrix(spec: ModelSpec):
     """Dummy-coded design matrix, intercept first, rows in canonical order.
 
     Rows run over the lexicographic cells of the variables the spec uses
     (all of X, Z, Y for a full model; fewer rows for marginal layouts).
     A term's column is 1 exactly when all its variables sit at level 1.
     """
+    import numpy as np
+
     variables = spec.variables
     if not variables:
         raise ValueError("spec uses no variables")
@@ -229,98 +255,246 @@ def _lex_cells(n: int):
     return cells
 
 
+_TWO_WAY = two_way_spec()
+_SATURATED = saturated_spec()
+
+#: the four binomial cells (x, z) of the Y-block, in canonical order; cell
+#: (x, z, y) of a table sits at index 2k + y for the k-th of them
+_XZ = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
 def fit_poisson(
     table: ContingencyTable,
     spec: Optional[ModelSpec] = None,
     control: FitControl = FitControl(),
 ) -> FitResult:
-    """IRLS maximum likelihood for the log-link Poisson loglinear model.
+    """Maximum likelihood fit of the two-way (default) or saturated model.
 
-    Convergence is declared when the relative deviance change drops below
-    ``control.tol``.  The covariance of the additive parameters is the
-    inverse Fisher information ``(D' diag(m) D)^-1`` at the optimum.
+    The two-way fit runs Newton's method on the logistic Y-block and raises
+    ``FitError`` when its MLE does not exist; the saturated fit is the
+    closed form.  The covariance of the additive parameters is the lazy
+    ``FitResult.covariance``.
     """
-    if spec is None:
-        spec = two_way_spec()
-    if set(spec.variables) != {"X", "Z", "Y"}:
-        raise FitError("fitting requires a spec over all of X, Z, Y")
+    if spec is None or spec.terms == _TWO_WAY.terms:
+        return _fit_two_way(table, control)
+    if spec.terms == _SATURATED.terms:
+        return FitResult(
+            params=saturated_closed_form(table),
+            fitted_counts=table.counts,
+            deviance=0.0,
+            iterations=0,
+            converged=True,
+            spec=_SATURATED,
+        )
+    raise FitError("only the two-way and the saturated model can be fitted")
 
-    D = design_matrix(spec)
-    n = np.asarray(table.counts, dtype=float)
-    p = D.shape[1]
 
-    lam = np.zeros(p)
-    lam[0] = math.log(n.mean()) if n.mean() > 0 else 0.0
-    dev = _deviance(n, np.exp(D @ lam))
-    converged = False
-    iterations = 0
-
-    for iterations in range(1, control.max_iter + 1):
-        m = np.exp(D @ lam)
-        # Fisher scoring step: solve (D' W D) delta = D'(n - m), W = diag(m)
-        sw = np.sqrt(m)
-        A = D * sw[:, None]
-        b = (n - m) / sw
-        delta, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
-        if rank < p:
-            raise FitError("singular information matrix")
-        lam = lam + delta
-        if np.max(np.abs(lam)) > control.bound:
-            raise FitError(
-                "divergent parameter estimate; the MLE may not exist "
-                "(zero-margin pathology)"
-            )
-        new_dev = _deviance(n, np.exp(D @ lam))
-        if abs(new_dev - dev) <= control.tol * (abs(dev) + 1.0):
-            dev = new_dev
-            converged = True
-            break
-        dev = new_dev
-
-    if not converged:
-        raise FitError(f"IRLS did not converge in {control.max_iter} iterations")
-
-    m = np.exp(D @ lam)
-    info = D.T @ (m[:, None] * D)
-    try:
-        cov = np.linalg.inv(info)
-    except np.linalg.LinAlgError:
-        raise FitError("singular information matrix") from None
-    cov = (cov + cov.T) / 2.0
-
-    lambdas = dict(zip(spec.ordered_terms, lam))
+def _fit_two_way(table: ContingencyTable, control: FitControl) -> FitResult:
+    n = table.counts
+    _check_mle_exists(n)
+    beta, iterations = _fit_y_block(n, control)
+    m = []
+    for k, (x, z) in enumerate(_XZ):
+        size = n[2 * k] + n[2 * k + 1]
+        p0, p1, _, _ = _logistic(beta[0] + beta[1] * x + beta[2] * z)
+        m += (size * p0, size * p1)
+    params = NoCausalParams(
+        eta=m[0],
+        x=m[4] / m[0],
+        z=m[2] / m[0],
+        y=math.exp(beta[0]),
+        xz=(m[6] / m[4]) * (m[0] / m[2]),
+        xy=math.exp(beta[1]),
+        zy=math.exp(beta[2]),
+    )
+    deviance = 2.0 * sum(
+        c * math.log(c / f) - (c - f) if c > 0 else f for c, f in zip(n, m)
+    )
     return FitResult(
-        params=NoCausalParams.from_additive(lambdas),
-        fitted_counts=tuple(float(v) for v in m),
-        covariance=cov,
-        deviance=float(dev),
+        params=params,
+        fitted_counts=tuple(m),
+        deviance=deviance,
         iterations=iterations,
-        converged=converged,
-        spec=spec,
+        converged=True,
+        spec=_TWO_WAY,
     )
 
 
-def _deviance(n: np.ndarray, m: np.ndarray) -> float:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        term = np.where(n > 0, n * np.log(np.where(n > 0, n / m, 1.0)), 0.0)
-    return float(2.0 * np.sum(term - (n - m)))
+def _check_mle_exists(n) -> None:
+    """Raise ``FitError`` unless the two-way MLE exists for counts ``n``.
+
+    The MLE of a Poisson loglinear model exists exactly when some table
+    with every cell positive has the observed sufficient statistics, here
+    the three two-way margins (Haberman, 1974).  The tables with those
+    margins are ``n + t*u`` with u(x,z,y) = (-1)^(x+z+y), so one exists
+    unless both parity classes of cells hold a zero count.  This covers a
+    zero margin n(x,z,+) and every complete or quasi-complete separation
+    of Y=1 from Y=0 by an affine a + b*x + c*z.
+    """
+    if all(n):
+        return
+    zeros = [cell for cell, c in zip(CELLS, n) if c == 0]
+    if len({sum(cell) % 2 for cell in zeros}) == 2:
+        raise FitError(
+            f"the two-way MLE does not exist: the zero counts at cells "
+            f"{zeros} make a zero margin n(x,z,+) or separate Y=1 from Y=0"
+        )
+
+
+def _logistic(eta: float) -> tuple:
+    """``P(Y=0)``, ``P(Y=1)`` and their logs at logit ``eta``.
+
+    One ``exp`` of ``-|eta|`` gives all four without cancellation, and
+    without overflow at any finite ``eta``.
+    """
+    e = math.exp(-abs(eta))
+    big, small = 1.0 / (1.0 + e), e / (1.0 + e)
+    log_big = -math.log1p(e)
+    log_small = log_big - abs(eta)
+    if eta >= 0:
+        return small, big, log_small, log_big
+    return big, small, log_big, log_small
+
+
+#: relative round-off allowed when a Newton step is tested for ascent: the
+#: log-likelihood sums eight terms of one sign, each good to a few ulps
+_LL_ROUNDOFF = 1e-13
+
+
+def _fit_y_block(n, control: FitControl) -> tuple:
+    """Damped Newton's method for the logistic MLE (lambda^Y, lambda^XY, lambda^ZY).
+
+    Counts enter divided by the table total, so the iteration is the same
+    at every scale of the table.  It starts from ``_y_start`` and halves a
+    step until the log-likelihood does not fall; the log-likelihood is
+    concave and its maximum exists (``_check_mle_exists``), so the
+    iteration converges from any start.  Returns the parameters and the
+    number of Newton steps.
+    """
+    total = sum(n)
+    cells = [(x, z, n[2 * k] / total, n[2 * k + 1] / total)
+             for k, (x, z) in enumerate(_XZ)]
+    beta = _y_start(cells)
+    w, score, ll = _y_terms(cells, beta)
+    for iterations in range(1, control.max_iter + 1):
+        step = _solve_y_information(w, score)
+        size = max(map(abs, step))
+        if size <= control.tol * (1.0 + max(map(abs, beta))):
+            return tuple(u + d for u, d in zip(beta, step)), iterations
+        t = 1.0
+        while True:
+            trial = tuple(u + t * d for u, d in zip(beta, step))
+            w, score, trial_ll = _y_terms(cells, trial)
+            if trial_ll >= ll - _LL_ROUNDOFF * abs(ll):
+                break
+            t *= 0.5
+            if t * size <= control.tol:
+                raise FitError("Newton step found no ascent")
+        beta, ll = trial, trial_ll
+    raise FitError(
+        f"Newton iteration did not converge in {control.max_iter} steps"
+    )
+
+
+def _y_start(cells) -> tuple:
+    """Weighted least squares of the empirical logits log(n1/n0) on r.
+
+    Each cell with both Y levels enters with its inverse-variance weight
+    n0 n1 / n; this is the MLE when the two-way model fits the table
+    exactly.  With fewer than three such cells the start is zero.
+    """
+    v, vl = [], []
+    for x, z, a, b in cells:
+        if a > 0 and b > 0:
+            v.append(a * (b / (a + b)))
+            vl.append(v[-1] * (math.log(b) - math.log(a)))
+        else:
+            v.append(0.0)
+            vl.append(0.0)
+    try:
+        return _solve_y_information(
+            v, (vl[0] + vl[1] + vl[2] + vl[3], vl[2] + vl[3], vl[1] + vl[3])
+        )
+    except FitError:
+        return 0.0, 0.0, 0.0
+
+
+def _y_terms(cells, beta) -> tuple:
+    """Information weights, score and log-likelihood of the Y-block at ``beta``.
+
+    Per cell the weight is n p0 p1 and the score term n1 p0 - n0 p1, which
+    is n1 - n p without its cancellation.
+    """
+    b0, b1, b2 = beta
+    w, s, ll = [], [], 0.0
+    for x, z, a, b in cells:
+        p0, p1, log_p0, log_p1 = _logistic(b0 + b1 * x + b2 * z)
+        w.append((a + b) * p0 * p1)
+        s.append(b * p0 - a * p1)
+        ll += a * log_p0 + b * log_p1
+    return w, (s[0] + s[1] + s[2] + s[3], s[2] + s[3], s[1] + s[3]), ll
+
+
+def _solve_y_information(w, rhs) -> tuple:
+    """Solve ``I v = rhs`` for the Y-block information ``I = sum w r r'``.
+
+    ``w`` holds the four cell weights in ``_XZ`` order and r = (1, x, z).
+    Any three of the four r form a unimodular matrix, so by Cauchy-Binet
+    det I is the sum of the products of three weights; ``I^-1`` is its
+    adjugate over that determinant, each entry a sum of products of weights.
+    """
+    w00, w01, w10, w11 = w
+    x0, x1, z0, z1 = w00 + w01, w10 + w11, w00 + w10, w01 + w11
+    det = w00 * w01 * x1 + w10 * w11 * x0
+    if not det > 0:
+        raise FitError("singular Y-block information matrix")
+    c00 = w01 * w10 + w11 * (w01 + w10)
+    c01, c02, c12 = -w10 * z1, -w01 * x1, w01 * w10 - w00 * w11
+    b0, b1, b2 = rhs
+    return (
+        (c00 * b0 + c01 * b1 + c02 * b2) / det,
+        (c01 * b0 + z0 * z1 * b1 + c12 * b2) / det,
+        (c02 * b0 + c12 * b1 + x0 * x1 * b2) / det,
+    )
+
+
+def y_block_variance(fitted_counts, contrast) -> float:
+    """Variance of ``contrast . (lambda^Y, lambda^XY, lambda^ZY)`` at a two-way fit.
+
+    It is ``c' I^-1 c`` for the Y-block information
+    ``I = sum w r r'``, ``w = m(x,z,0) m(x,z,1) / m(x,z,+)``, r = (1, x, z),
+    which equals that block of the inverse Poisson information because
+    the two-way MLE fits the XZ margin exactly.  Weights are divided by
+    the table total, so no product of counts is formed.
+    """
+    m = fitted_counts
+    total = sum(m)
+    w = [m[2 * k] / total * (m[2 * k + 1] / (m[2 * k] + m[2 * k + 1]))
+         for k in range(4)]
+    v = _solve_y_information(w, contrast)
+    return sum(c * u for c, u in zip(contrast, v)) / total
 
 
 def saturated_closed_form(table: ContingencyTable) -> NoCausalParams:
-    """Invert the eight cell formulas of the saturated model directly."""
-    nn = {cell: table.count(*cell) for cell in CELLS}
-    if any(v <= 0 for v in nn.values()):
-        raise FitError("saturated closed form requires all counts > 0")
-    eta = nn[(0, 0, 0)]
-    x = nn[(1, 0, 0)] / eta
-    z = nn[(0, 1, 0)] / eta
-    y = nn[(0, 0, 1)] / eta
-    xz = nn[(1, 1, 0)] * eta / (nn[(1, 0, 0)] * nn[(0, 1, 0)])
-    xy = nn[(1, 0, 1)] * eta / (nn[(1, 0, 0)] * nn[(0, 0, 1)])
-    zy = nn[(0, 1, 1)] * eta / (nn[(0, 1, 0)] * nn[(0, 0, 1)])
-    xzy = (
-        nn[(1, 1, 1)] * nn[(1, 0, 0)] * nn[(0, 1, 0)] * nn[(0, 0, 1)]
-    ) / (
-        nn[(1, 1, 0)] * nn[(1, 0, 1)] * nn[(0, 1, 1)] * nn[(0, 0, 0)]
+    """Invert the eight cell formulas of the saturated model directly.
+
+    Each parameter is a ratio of cell ratios, so no product of counts
+    over- or underflows.
+    """
+    n = table.counts
+    zero = [cell for cell, c in zip(CELLS, n) if c == 0]
+    if zero:
+        raise FitError(
+            f"zero count at cells {zero}: the saturated MLE does not exist "
+            "(its estimate is divergent)"
+        )
+    return NoCausalParams(
+        eta=n[0],
+        x=n[4] / n[0],
+        z=n[2] / n[0],
+        y=n[1] / n[0],
+        xz=(n[6] / n[4]) * (n[0] / n[2]),
+        xy=(n[5] / n[4]) * (n[0] / n[1]),
+        zy=(n[3] / n[2]) * (n[0] / n[1]),
+        xzy=((n[7] / n[6]) * (n[4] / n[5])) * ((n[2] / n[3]) * (n[1] / n[0])),
     )
-    return NoCausalParams(eta, x, z, y, xz, xy, zy, xzy)

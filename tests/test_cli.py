@@ -107,6 +107,48 @@ class TestEffects:
         json.loads(out)
 
 
+class TestVerifyThreshold:
+    def test_large_effects_pass_relative_check(self, tmp_path, capsys):
+        # LDE ~ 2.8e5: engine and oracle agree to ~3e-13 relative, which is
+        # ~7e-8 absolute, so an absolute 1e-8 threshold would reject it
+        counts = (104385557, 151634, 272831566, 2146368,
+                  161227, 64695291, 255563, 555372794)
+        path = tmp_path / "large.csv"
+        path.write_text(serialize_table(ContingencyTable(counts), "csv"))
+        for model in ("two-way", "saturated"):
+            assert main(
+                ["effects", "--input", str(path), "--verify", "--model",
+                 model, "--output", "json"]
+            ) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["LDE"]["z0"] > 2e5
+            assert doc["verify_max_discrepancy"] < 1e-8
+
+
+class TestMleExistence:
+    def test_quasi_separation_exits_2(self, tmp_path, capsys):
+        # n(0,0,1) = n(0,1,1) = 0: no finite two-way MLE; the fit must not
+        # report a "converged" TE near 1e12
+        path = tmp_path / "sep.csv"
+        t = ContingencyTable((5, 0, 7, 0, 3, 4, 6, 8))
+        path.write_text(serialize_table(t, "csv"))
+        assert main(
+            ["effects", "--input", str(path), "--zero-cells", "allow"]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "(0, 0, 1)" in captured.err and "(0, 1, 1)" in captured.err
+
+    def test_zero_margin_fit_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "margin.csv"
+        t = ContingencyTable((5, 1, 0, 0, 3, 4, 6, 8))
+        path.write_text(serialize_table(t, "csv"))
+        assert main(
+            ["fit", "--input", str(path), "--zero-cells", "allow"]
+        ) == 2
+        assert "does not exist" in capsys.readouterr().err
+
+
 class TestTestCommand:
     def test_null_table_p_near_one(self, tmp_path, capsys):
         y, xy = 0.5, 1.8

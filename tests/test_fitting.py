@@ -1,15 +1,21 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loglin_effects import (
+    CELLS,
     ContingencyTable,
     FitControl,
     FitError,
     ModelSpec,
     NoCausalParams,
     design_matrix,
+    effects_report,
+    fit_causal,
     fit_poisson,
     multiplicative_from_additive,
     saturated_closed_form,
@@ -17,6 +23,8 @@ from loglin_effects import (
     two_way_spec,
 )
 from conftest import random_nocausal, table_from_params
+
+README_COUNTS = (42, 18, 25, 31, 17, 23, 12, 48)
 
 
 class TestDesignMatrix:
@@ -191,3 +199,114 @@ class TestMultiplicativeConversion:
         p = multiplicative_from_additive(lambdas)
         for term, lam in lambdas.items():
             assert p.additive[term] == pytest.approx(lam, abs=1e-12)
+
+
+def _margins(counts):
+    """The XZ, XY and ZY margins of a table, keyed by (pair, levels)."""
+    out = {}
+    for keep in ((0, 1), (0, 2), (1, 2)):
+        for cell, c in zip(CELLS, counts):
+            key = (keep, cell[keep[0]], cell[keep[1]])
+            out[key] = out.get(key, 0.0) + c
+    return out
+
+
+def _separable(counts):
+    """Reference: is a margin n(x,z,+) zero, or does an affine a + b*x + c*z
+    that is not zero on every (x, z) separate Y=1 from Y=0?
+
+    It enumerates the sign patterns of the direction over the four binomial
+    cells.  A pattern s is affine exactly when s00 + s11 - s01 - s10 = 0
+    has a solution with those signs, i.e. when s00, -s01, -s10, s11 take
+    both signs; a cell where the direction is > 0 (< 0) must have no Y=0
+    (Y=1) count.
+    """
+    n0, n1 = counts[0::2], counts[1::2]
+    if any(a + b == 0 for a, b in zip(n0, n1)):
+        return True
+    for s in itertools.product((-1, 0, 1), repeat=4):
+        if {s[0], -s[1], -s[2], s[3]} >= {-1, 1} and all(
+            (si <= 0 or a == 0) and (si >= 0 or b == 0)
+            for si, a, b in zip(s, n0, n1)
+        ):
+            return True
+    return False
+
+
+class TestMleExistence:
+    def test_quasi_separation_rejected(self):
+        # n(0,0,1) = n(0,1,1) = 0: lambda^Y -> -inf with lambda^XY -> +inf
+        # raises the likelihood without bound; no finite MLE exists
+        t = ContingencyTable((5, 0, 7, 0, 3, 4, 6, 8))
+        with pytest.raises(FitError, match=r"\(0, 0, 1\), \(0, 1, 1\)"):
+            fit_poisson(t, two_way_spec())
+
+    def test_every_zero_pattern_against_separation_reference(self, rng):
+        # all 2^8 placements of zero cells; the check must raise exactly when
+        # the sign-pattern reference finds a separation, and every fit that
+        # is returned must meet the observed margins
+        for zeros in itertools.product((False, True), repeat=8):
+            if all(zeros):
+                continue
+            counts = tuple(
+                0.0 if zero else float(v)
+                for zero, v in zip(zeros, rng.integers(1, 30, 8))
+            )
+            t = ContingencyTable(counts)
+            if _separable(counts):
+                with pytest.raises(FitError, match="does not exist"):
+                    fit_poisson(t, two_way_spec())
+                continue
+            fit = fit_poisson(t, two_way_spec())
+            obs, got = _margins(counts), _margins(fit.fitted_counts)
+            for key, o in obs.items():
+                assert got[key] == pytest.approx(o, rel=1e-9, abs=1e-9)
+
+
+class TestScaleSafety:
+    def test_mean_count_1e14_fits(self):
+        # above e^30 ~ 1.07e13 a bound on the parameters used to reject it
+        base = ContingencyTable(README_COUNTS)
+        scale = 1e14 / (base.total / 8)
+        big = ContingencyTable(tuple(c * scale for c in README_COUNTS))
+        got, want = fit_poisson(big).params, fit_poisson(base).params
+        for name in ("x", "z", "y", "xz", "xy", "zy"):
+            assert getattr(got, name) == pytest.approx(
+                getattr(want, name), rel=1e-12
+            )
+        assert got.eta == pytest.approx(want.eta * scale, rel=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(1, 1000), min_size=8, max_size=8),
+        st.integers(-300, 300),
+    )
+    def test_effects_invariant_under_count_scaling(self, counts, k):
+        base = ContingencyTable(tuple(counts))
+        scaled = ContingencyTable(tuple(c * 10.0 ** k for c in counts))
+        want, got = fit_poisson(base).params, fit_poisson(scaled).params
+        for name in ("y", "xy", "zy"):
+            assert getattr(got, name) == pytest.approx(
+                getattr(want, name), rel=1e-12
+            )
+        for saturated in (False, True):
+            a = fit_causal(base, saturated)
+            b = fit_causal(scaled, saturated)
+            for name in ("xc", "zc", "xzc", "y", "xy", "zy", "xzy"):
+                assert getattr(b, name) == pytest.approx(
+                    getattr(a, name), rel=1e-12
+                )
+            # the effects carry the engine's own round-off (p/(1-p) odds),
+            # so they are held to the benchmark's 1e-9, not to 1e-12
+            ra, rb = effects_report(a), effects_report(b)
+            for name in ("te", "nde", "ie", "ie_reverse",
+                         "multiplicative_interaction"):
+                assert getattr(rb, name) == pytest.approx(
+                    getattr(ra, name), rel=1e-9
+                )
+            for z in (0, 1):
+                assert rb.lde[z] == pytest.approx(ra.lde[z], rel=1e-9)
+                assert rb.cell[z] == pytest.approx(ra.cell[z], rel=1e-9)
+            assert rb.additive_interaction == pytest.approx(
+                ra.additive_interaction, abs=1e-9
+            )
