@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .fitting import NoCausalParams, fit_poisson, saturated_closed_form
-from .tables import CELLS, ContingencyTable, JointProbabilityTable, cell_index
+from .tables import ContingencyTable, JointProbabilityTable
 
 
 class CausalModelError(ValueError):
@@ -39,8 +39,10 @@ class CausalParams:
 
     def __post_init__(self):
         for name in ("xc", "zc", "xzc", "y", "xy", "zy", "xzy"):
-            if getattr(self, name) <= 0:
-                raise CausalModelError(f"parameter {name} must be > 0")
+            if not 0.0 < getattr(self, name) < math.inf:  # also rejects nan
+                raise CausalModelError(
+                    f"parameter {name} must be finite and > 0"
+                )
         if not self.with_interaction and self.xzy != 1.0:
             raise CausalModelError(
                 "three-way parameter must be 1 without interaction"
@@ -85,7 +87,7 @@ def eta_factors(cp: CausalParams) -> NormalizationFactors:
     Each factor is the reciprocal of one plus the level-1 product of the
     block, so the two levels of the conditioned variable sum to one.
     """
-    y11 = cp.y * cp.xy * cp.zy * (cp.xzy if cp.with_interaction else 1.0)
+    y11 = cp.y * cp.xy * cp.zy * cp.xzy
     return NormalizationFactors(
         x_norm=1.0 / (1.0 + cp.xc),
         z_given_x=(1.0 / (1.0 + cp.zc), 1.0 / (1.0 + cp.zc * cp.xzc)),
@@ -100,31 +102,36 @@ def eta_factors(cp: CausalParams) -> NormalizationFactors:
 
 @dataclass(frozen=True)
 class ConditionalProbabilities:
-    """P(X=1), P(Z=1|X=x), and P(Y=1|X=x,Z=z) plus joint reconstruction."""
+    """P(X=1), P(Z=1|X=x), P(Y=1|X=x,Z=z), their level-0 complements, and
+    the joint reconstruction.
+
+    The level-0 probabilities are the normalization factors themselves, not
+    ``1 - p``, so a near-certain level keeps the relative accuracy of its
+    complement.
+    """
 
     p_x1: float
     p_z1_given_x: tuple  # indexed by x
     p_y1_given_xz: dict  # keyed by (x, z)
+    p_x0: float
+    p_z0_given_x: tuple  # indexed by x
+    p_y0_given_xz: dict  # keyed by (x, z)
 
     def joint(self) -> JointProbabilityTable:
-        probs = [0.0] * 8
-        for x, z, y in CELLS:
-            px = self.p_x1 if x else 1.0 - self.p_x1
-            pz = self.p_z1_given_x[x] if z else 1.0 - self.p_z1_given_x[x]
-            py = (
-                self.p_y1_given_xz[(x, z)]
-                if y
-                else 1.0 - self.p_y1_given_xz[(x, z)]
-            )
-            probs[cell_index(x, z, y)] = px * pz * py
+        probs = []  # canonical cell order
+        for x, px in enumerate((self.p_x0, self.p_x1)):
+            for z, pz in enumerate((self.p_z0_given_x[x], self.p_z1_given_x[x])):
+                pxz = px * pz
+                probs += (pxz * self.p_y0_given_xz[(x, z)],
+                          pxz * self.p_y1_given_xz[(x, z)])
         total = sum(probs)
         return JointProbabilityTable(tuple(p / total for p in probs))
 
 
 def conditional_probabilities(cp: CausalParams) -> ConditionalProbabilities:
-    """Evaluate the three conditional blocks at their level-1 values."""
+    """Evaluate the three conditional blocks at both levels."""
     eta = eta_factors(cp)
-    y11 = cp.y * cp.xy * cp.zy * (cp.xzy if cp.with_interaction else 1.0)
+    y11 = cp.y * cp.xy * cp.zy * cp.xzy
     return ConditionalProbabilities(
         p_x1=eta.x_norm * cp.xc,
         p_z1_given_x=(
@@ -137,42 +144,54 @@ def conditional_probabilities(cp: CausalParams) -> ConditionalProbabilities:
             (0, 1): eta.y_given_xz[(0, 1)] * cp.y * cp.zy,
             (1, 1): eta.y_given_xz[(1, 1)] * y11,
         },
+        p_x0=eta.x_norm,
+        p_z0_given_x=eta.z_given_x,
+        p_y0_given_xz=eta.y_given_xz,
+    )
+
+
+def _xz_margins(table: ContingencyTable) -> tuple:
+    """n(x,z,+) for (x,z) = 00, 01, 10, 11; raises on a zero margin."""
+    n = table.counts
+    m = (n[0] + n[1], n[2] + n[3], n[4] + n[5], n[6] + n[7])
+    if min(m) <= 0:
+        raise CausalModelError("zero margin; causal blocks are not estimable")
+    return m
+
+
+def _causal_params(
+    m: tuple, y_block: NoCausalParams, with_interaction: bool
+) -> CausalParams:
+    """Causal parameters from the XZ margins ``m`` and a fit's Y-block.
+
+    The X margin and XZ margin blocks are closed-form count ratios; the
+    Y-block parameters are shared with the loglinear fit.
+    """
+    return CausalParams(
+        xc=(m[2] + m[3]) / (m[0] + m[1]),
+        zc=m[1] / m[0],
+        xzc=(m[3] / m[2]) * (m[0] / m[1]),
+        y=y_block.y,
+        xy=y_block.xy,
+        zy=y_block.zy,
+        xzy=y_block.xzy if with_interaction else 1.0,
+        with_interaction=with_interaction,
     )
 
 
 def fit_causal(table: ContingencyTable, with_interaction: bool = False) -> CausalParams:
     """Estimate the causal decomposition from observed counts.
 
-    The X margin and XZ margin blocks are closed-form count ratios.  The
-    Y-block is the saturated conditional odds ratios when the three-way
-    term is requested, otherwise the Y-involving terms of the two-way
-    MLE, the logistic regression of Y on X and Z.
+    The Y-block is the saturated conditional odds ratios when the three-way
+    term is requested, otherwise the Y-involving terms of the two-way MLE,
+    the logistic regression of Y on X and Z.
     """
-    n = {cell: table.count(*cell) for cell in CELLS}
-    n_x = [sum(v for c, v in n.items() if c[0] == x) for x in (0, 1)]
-    n_xz = {
-        (x, z): sum(v for c, v in n.items() if c[0] == x and c[1] == z)
-        for x in (0, 1)
-        for z in (0, 1)
-    }
-    if min(n_x) <= 0 or min(n_xz.values()) <= 0:
-        raise CausalModelError("zero margin; causal blocks are not estimable")
-
-    xc = n_x[1] / n_x[0]
-    zc = n_xz[(0, 1)] / n_xz[(0, 0)]
-    xzc = (n_xz[(1, 1)] / n_xz[(1, 0)]) * (n_xz[(0, 0)] / n_xz[(0, 1)])
-
+    m = _xz_margins(table)
     if with_interaction:
-        sat = saturated_closed_form(table)
-        y, xy, zy, xzy = sat.y, sat.xy, sat.zy, sat.xzy
+        y_block = saturated_closed_form(table)
     else:
-        p = fit_poisson(table).params
-        y, xy, zy, xzy = p.y, p.xy, p.zy, 1.0
-
-    return CausalParams(
-        xc=xc, zc=zc, xzc=xzc, y=y, xy=xy, zy=zy, xzy=xzy,
-        with_interaction=with_interaction,
-    )
+        y_block = fit_poisson(table).params
+    return _causal_params(m, y_block, with_interaction)
 
 
 def causal_from_nocausal(nc: NoCausalParams) -> CausalParams:

@@ -20,6 +20,8 @@ from pathlib import Path
 from . import __version__
 from .causal import (
     CausalModelError,
+    _causal_params,
+    _xz_margins,
     conditional_probabilities,
     fit_causal,
 )
@@ -129,11 +131,24 @@ def _param_lines(title, mapping, fmtspec=".6g"):
     return lines
 
 
+def _report_lines(args, source, report):
+    return [
+        f"direction: X {args.from_level} -> {args.to_level}  ({source})",
+        f"TE    {report.te:.4f}",
+        f"LDE   z=0: {report.lde[0]:.4f}  z=1: {report.lde[1]:.4f}",
+        f"cell  z=0: {report.cell[0]:.4f}  z=1: {report.cell[1]:.4f}",
+        f"IE    {report.ie:.4f}   IE(reverse) {report.ie_reverse:.4f}",
+        f"NDE   {report.nde:.4f}",
+        f"additive interaction       {report.additive_interaction:.4f}",
+        f"multiplicative interaction {report.multiplicative_interaction:.4f}",
+    ]
+
+
 def cmd_fit(args) -> int:
     table = _load_table(args)
     spec = saturated_spec() if args.model == "saturated" else two_way_spec()
     fit = fit_poisson(table, spec)
-    cp = fit_causal(table, with_interaction=(args.model == "saturated"))
+    cp = _causal_params(_xz_margins(table), fit.params, spec.with_three_way)
 
     doc = {
         "model": args.model,
@@ -178,17 +193,7 @@ def cmd_effects(args) -> int:
         doc["verify_max_discrepancy"] = discrepancy
         print(f"oracle max discrepancy: {discrepancy:.3e}", file=sys.stderr)
 
-    lines = [
-        f"direction: X {args.from_level} -> {args.to_level}  (model {args.model})",
-        f"TE    {report.te:.4f}",
-        f"LDE   z=0: {report.lde[0]:.4f}  z=1: {report.lde[1]:.4f}",
-        f"cell  z=0: {report.cell[0]:.4f}  z=1: {report.cell[1]:.4f}",
-        f"IE    {report.ie:.4f}   IE(reverse) {report.ie_reverse:.4f}",
-        f"NDE   {report.nde:.4f}",
-        f"additive interaction       {report.additive_interaction:.4f}",
-        f"multiplicative interaction {report.multiplicative_interaction:.4f}",
-    ]
-    _emit(args, doc, lines)
+    _emit(args, doc, _report_lines(args, f"model {args.model}", report))
     if discrepancy is not None and discrepancy > VERIFY_TOL:
         print("oracle verification failed", file=sys.stderr)
         return EXIT_VERIFY
@@ -200,7 +205,7 @@ def cmd_test(args) -> int:
     if args.model != "two-way":
         raise TestError("test defined for two-way model")
     fit = fit_poisson(table, two_way_spec())
-    cp = fit_causal(table, with_interaction=False)
+    cp = _causal_params(_xz_margins(table), fit.params, False)
     result = additive_zero_test(fit)
     bonds = linearity_bonds(cp, fit)
 
@@ -226,17 +231,7 @@ def cmd_oracle(args) -> int:
     joint = joint_probabilities(table)
     report = oracle_effects(joint, args.from_level, args.to_level)
     doc = json.loads(report.to_json())
-    lines = [
-        f"direction: X {args.from_level} -> {args.to_level}  (oracle)",
-        f"TE    {report.te:.4f}",
-        f"LDE   z=0: {report.lde[0]:.4f}  z=1: {report.lde[1]:.4f}",
-        f"cell  z=0: {report.cell[0]:.4f}  z=1: {report.cell[1]:.4f}",
-        f"IE    {report.ie:.4f}   IE(reverse) {report.ie_reverse:.4f}",
-        f"NDE   {report.nde:.4f}",
-        f"additive interaction       {report.additive_interaction:.4f}",
-        f"multiplicative interaction {report.multiplicative_interaction:.4f}",
-    ]
-    _emit(args, doc, lines)
+    _emit(args, doc, _report_lines(args, "oracle", report))
     return EXIT_OK
 
 

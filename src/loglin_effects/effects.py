@@ -1,28 +1,30 @@
 """Odds-ratio causal effects computed from the causal parameterization.
 
-All effects here are evaluated through the normalization-factor closed
-forms of the conditional blocks; the ``oracle`` module recomputes the
-same quantities from a raw joint probability table for cross-checking.
+Every effect is a ratio of outcome odds under P(X) P(Z|X) P(Y|X,Z), so one
+pass gives them all.  It reads the four conditional outcome odds
+``o(x,z)`` and the two mediator odds ``w(x)`` straight off the parameters
+and forms each mixed odds, outcome arm ``a`` and mediator arm ``b``, as
+
+    sum_z P(Y=1|a,z) P(z|b)   o0 (1 + o1) + o1 w (1 + o0)
+    ----------------------- = ---------------------------,
+    sum_z P(Y=0|a,z) P(z|b)     (1 + o1) + w (1 + o0)
+
+with ``o0, o1 = o(a,0), o(a,1)`` and ``w = w(b)``: a ratio of positive
+sums, so no odds is ever formed as ``p / (1 - p)`` and no digit cancels.
+The ``oracle`` module recomputes the same quantities from a raw joint
+probability table for cross-checking.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+import math
 
-from .causal import CausalParams, conditional_probabilities
+from .causal import CausalParams
+from .report import EffectsReport
 
 
 class DegenerateProbabilityError(ValueError):
-    """A conditional or marginal outcome probability hit 0 or 1."""
-
-
-def _odds(p: float, what: str) -> float:
-    if p <= 0.0 or p >= 1.0:
-        raise DegenerateProbabilityError(
-            f"{what} = {p!r} is degenerate; odds undefined"
-        )
-    return p / (1.0 - p)
+    """An odds product over- or underflowed, so an effect is 0, inf or nan."""
 
 
 def _check_direction(x: int, xp: int):
@@ -30,135 +32,48 @@ def _check_direction(x: int, xp: int):
         raise ValueError("direction must be two distinct levels in {0, 1}")
 
 
-def _blocks(cp: CausalParams):
-    """P(Z=1|X=x) and P(Y=1|X=x,Z=z) from the closed forms."""
-    cond = conditional_probabilities(cp)
-    return cond.p_z1_given_x, cond.p_y1_given_xz
-
-
-def _p_y1_marginal(pz1, py1, x: int) -> float:
-    return py1[(x, 1)] * pz1[x] + py1[(x, 0)] * (1.0 - pz1[x])
-
-
-def total_effect(cp: CausalParams, x: int = 0, xp: int = 1) -> float:
-    """Odds ratio of Y between X=xp and X=x, marginalizing the mediator."""
-    _check_direction(x, xp)
-    pz1, py1 = _blocks(cp)
-    num = _odds(_p_y1_marginal(pz1, py1, xp), f"P(Y=1|X={xp})")
-    den = _odds(_p_y1_marginal(pz1, py1, x), f"P(Y=1|X={x})")
-    return num / den
-
-
-def lde(cp: CausalParams, x: int = 0, xp: int = 1, z: int = 0) -> float:
-    """Conditional odds ratio of Y across X at fixed Z (controlled direct)."""
-    _check_direction(x, xp)
+def _check_z(z: int):
     if z not in (0, 1):
         raise ValueError("z must be 0 or 1")
-    _, py1 = _blocks(cp)
-    num = _odds(py1[(xp, z)], f"P(Y=1|X={xp},Z={z})")
-    den = _odds(py1[(x, z)], f"P(Y=1|X={x},Z={z})")
-    return num / den
-
-
-def cell_effect(cp: CausalParams, x: int = 0, xp: int = 1, z: int = 0) -> float:
-    """Ratio of the mediator-held-at-baseline odds ratio to the Z=z LDE."""
-    _check_direction(x, xp)
-    if z not in (0, 1):
-        raise ValueError("z must be 0 or 1")
-    pz1, py1 = _blocks(cp)
-    held = py1[(xp, 1)] * pz1[x] + py1[(xp, 0)] * (1.0 - pz1[x])
-    num = (
-        _odds(held, f"sum_z P(Y=1|X={xp},Z=z)P(Z=z|X={x})")
-        / _odds(_p_y1_marginal(pz1, py1, x), f"P(Y=1|X={x})")
-    )
-    return num / lde(cp, x, xp, z)
-
-
-def indirect_effect(cp: CausalParams, x: int = 0, xp: int = 1) -> float:
-    """Odds ratio from shifting only the mediator distribution to X=xp."""
-    _check_direction(x, xp)
-    pz1, py1 = _blocks(cp)
-    shifted = py1[(x, 1)] * pz1[xp] + py1[(x, 0)] * (1.0 - pz1[xp])
-    num = _odds(shifted, f"sum_z P(Y=1|X={x},Z=z)P(Z=z|X={xp})")
-    den = _odds(_p_y1_marginal(pz1, py1, x), f"P(Y=1|X={x})")
-    return num / den
-
-
-def natural_direct_effect(cp: CausalParams, x: int = 0, xp: int = 1) -> float:
-    """Odds ratio when X changes but the mediator keeps its baseline law."""
-    _check_direction(x, xp)
-    pz1, py1 = _blocks(cp)
-    held = py1[(xp, 1)] * pz1[x] + py1[(xp, 0)] * (1.0 - pz1[x])
-    num = _odds(held, f"sum_z P(Y=1|X={xp},Z=z)P(Z=z|X={x})")
-    den = _odds(_p_y1_marginal(pz1, py1, x), f"P(Y=1|X={x})")
-    return num / den
-
-
-def additive_interaction(cp: CausalParams) -> float:
-    """Double difference of P(Y=1|x,z) across the four (X, Z) cells."""
-    _, py1 = _blocks(cp)
-    return py1[(1, 1)] - py1[(0, 1)] - py1[(1, 0)] + py1[(0, 0)]
-
-
-def multiplicative_interaction_or(cp: CausalParams) -> float:
-    """Four-cell conditional cross odds ratio; the three-way parameter."""
-    _, py1 = _blocks(cp)
-    return (
-        _odds(py1[(1, 1)], "P(Y=1|X=1,Z=1)")
-        * _odds(py1[(0, 1)], "P(Y=1|X=0,Z=1)") ** -1
-        * _odds(py1[(1, 0)], "P(Y=1|X=1,Z=0)") ** -1
-        * _odds(py1[(0, 0)], "P(Y=1|X=0,Z=0)")
-    )
-
-
-@dataclass(frozen=True)
-class EffectsReport:
-    """All odds-ratio effects for one direction of change in X."""
-
-    te: float
-    lde: tuple  # indexed by z
-    cell: tuple  # indexed by z
-    ie: float
-    ie_reverse: float
-    nde: float
-    additive_interaction: float
-    multiplicative_interaction: float
-    decomposition_residual: float
-    direction: tuple = (0, 1)
-
-    def to_json(self) -> str:
-        doc = {
-            "TE": self.te,
-            "LDE": {"z0": self.lde[0], "z1": self.lde[1]},
-            "cell": {"z0": self.cell[0], "z1": self.cell[1]},
-            "IE": self.ie,
-            "IE_reverse": self.ie_reverse,
-            "NDE": self.nde,
-            "additive_interaction": self.additive_interaction,
-            "multiplicative_interaction": self.multiplicative_interaction,
-            "decomposition_residual": self.decomposition_residual,
-            "direction": list(self.direction),
-        }
-        return json.dumps(doc, sort_keys=True)
 
 
 def effects_report(cp: CausalParams, x: int = 0, xp: int = 1) -> EffectsReport:
-    """Assemble every effect and the decomposition residual.
+    """Every effect of the direction X = x -> xp, in one pass.
 
     The residual checks TE = LDE(z) * Cell(z) / IE_{xp,x} at both z
-    levels; the reverse-direction IE is re-evaluated from its definition,
+    levels; the reverse-direction IE is evaluated from its definition,
     not inverted.
     """
     _check_direction(x, xp)
-    te = total_effect(cp, x, xp)
-    lde_z = (lde(cp, x, xp, 0), lde(cp, x, xp, 1))
-    cell_z = (cell_effect(cp, x, xp, 0), cell_effect(cp, x, xp, 1))
-    ie = indirect_effect(cp, x, xp)
-    ie_rev = indirect_effect(cp, xp, x)
-    nde = natural_direct_effect(cp, x, xp)
-    residual = max(
-        abs(te - lde_z[z] * cell_z[z] / ie_rev) for z in (0, 1)
-    )
+    o10 = cp.y * cp.xy
+    o = ((cp.y, cp.y * cp.zy), (o10, o10 * cp.zy * cp.xzy))  # o[x][z]
+    w = (cp.zc, cp.zc * cp.xzc)  # w[x]
+
+    def mixed(a, b):
+        o0, o1 = o[a]
+        u, v = 1.0 + o0, 1.0 + o1
+        return (o0 * v + o1 * w[b] * u) / (v + w[b] * u)
+
+    try:
+        at_x, at_xp, held = mixed(x, x), mixed(xp, xp), mixed(xp, x)
+        te = at_xp / at_x
+        nde = held / at_x
+        ie = mixed(x, xp) / at_x
+        ie_rev = held / at_xp
+        lde_z = (o[xp][0] / o[x][0], o[xp][1] / o[x][1])
+        cell_z = (nde / lde_z[0], nde / lde_z[1])
+        mult = (o[1][1] / o[0][1]) / (o[1][0] / o[0][0])
+        finite = all(0.0 < r < math.inf
+                     for r in (te, nde, ie, ie_rev, mult) + lde_z + cell_z)
+    except ZeroDivisionError:
+        finite = False
+    if not finite:
+        raise DegenerateProbabilityError(
+            "an odds product over- or underflows: the effects are not all "
+            "positive and finite"
+        )
+    p1 = [[v / (1.0 + v) for v in row] for row in o]  # P(Y=1|x,z)
+    residual = max(abs(te - lde_z[z] * cell_z[z] / ie_rev) for z in (0, 1))
     return EffectsReport(
         te=te,
         lde=lde_z,
@@ -166,8 +81,45 @@ def effects_report(cp: CausalParams, x: int = 0, xp: int = 1) -> EffectsReport:
         ie=ie,
         ie_reverse=ie_rev,
         nde=nde,
-        additive_interaction=additive_interaction(cp),
-        multiplicative_interaction=multiplicative_interaction_or(cp),
+        additive_interaction=p1[1][1] - p1[0][1] - p1[1][0] + p1[0][0],
+        multiplicative_interaction=mult,
         decomposition_residual=residual,
         direction=(x, xp),
     )
+
+
+def total_effect(cp: CausalParams, x: int = 0, xp: int = 1) -> float:
+    """Odds ratio of Y between X=xp and X=x, marginalizing the mediator."""
+    return effects_report(cp, x, xp).te
+
+
+def lde(cp: CausalParams, x: int = 0, xp: int = 1, z: int = 0) -> float:
+    """Conditional odds ratio of Y across X at fixed Z (controlled direct)."""
+    _check_z(z)
+    return effects_report(cp, x, xp).lde[z]
+
+
+def cell_effect(cp: CausalParams, x: int = 0, xp: int = 1, z: int = 0) -> float:
+    """Ratio of the natural direct effect to the Z=z LDE."""
+    _check_z(z)
+    return effects_report(cp, x, xp).cell[z]
+
+
+def indirect_effect(cp: CausalParams, x: int = 0, xp: int = 1) -> float:
+    """Odds ratio from shifting only the mediator distribution to X=xp."""
+    return effects_report(cp, x, xp).ie
+
+
+def natural_direct_effect(cp: CausalParams, x: int = 0, xp: int = 1) -> float:
+    """Odds ratio when X changes but the mediator keeps its baseline law."""
+    return effects_report(cp, x, xp).nde
+
+
+def additive_interaction(cp: CausalParams) -> float:
+    """Double difference of P(Y=1|x,z) across the four (X, Z) cells."""
+    return effects_report(cp).additive_interaction
+
+
+def multiplicative_interaction_or(cp: CausalParams) -> float:
+    """Four-cell conditional cross odds ratio; the three-way parameter."""
+    return effects_report(cp).multiplicative_interaction

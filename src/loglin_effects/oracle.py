@@ -1,16 +1,15 @@
 """Brute-force effect computation straight from the eight joint cells.
 
-This module deliberately shares no formula code with ``effects``: every
-conditional probability is obtained by dividing sums of joint cells, and
-every effect definition is transcribed independently.  It exists to
-cross-validate the closed-form engine.
+This module deliberately shares no formula code with the engine and
+imports neither ``effects`` nor ``causal``: every conditional probability
+is obtained by dividing sums of joint cells, and every effect definition
+is transcribed independently.  Only the report type is shared.  It exists
+to cross-validate the closed-form engine.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-
+from .report import EffectsReport
 from .tables import JointProbabilityTable
 
 
@@ -18,108 +17,72 @@ class OracleError(ValueError):
     """Zero-probability conditioning event or degenerate conditional."""
 
 
-@dataclass(frozen=True)
-class OracleReport:
-    """Effect values recomputed in probability space."""
-
-    te: float
-    lde: tuple
-    cell: tuple
-    ie: float
-    ie_reverse: float
-    nde: float
-    additive_interaction: float
-    multiplicative_interaction: float
-    decomposition_residual: float
-    direction: tuple = (0, 1)
-
-    def to_json(self) -> str:
-        doc = {
-            "TE": self.te,
-            "LDE": {"z0": self.lde[0], "z1": self.lde[1]},
-            "cell": {"z0": self.cell[0], "z1": self.cell[1]},
-            "IE": self.ie,
-            "IE_reverse": self.ie_reverse,
-            "NDE": self.nde,
-            "additive_interaction": self.additive_interaction,
-            "multiplicative_interaction": self.multiplicative_interaction,
-            "decomposition_residual": self.decomposition_residual,
-            "direction": list(self.direction),
-            "source": "oracle",
-        }
-        return json.dumps(doc, sort_keys=True)
+#: the oracle fills the engine's report type, with ``source="oracle"``
+OracleReport = EffectsReport
 
 
 def _conditionals(joint: JointProbabilityTable):
-    """P(Z=z|X=x) and P(Y=1|X=x,Z=z) by direct division of cell sums."""
-    def p(x=None, z=None, y=None):
-        total = 0.0
-        for xx in (0, 1):
-            for zz in (0, 1):
-                for yy in (0, 1):
-                    if x is not None and xx != x:
-                        continue
-                    if z is not None and zz != z:
-                        continue
-                    if y is not None and yy != y:
-                        continue
-                    total += joint.prob(xx, zz, yy)
-        return total
+    """P(Z=z|X=x) as ``pz[x][z]`` and P(Y=y|X=x,Z=z) as ``py[y][x][z]``.
 
-    pz = {}
-    py = {}
+    Each is a joint cell or cell sum divided by the sum of its conditioning
+    slice; both outcome levels are divided out of their own cells, so no
+    conditional is formed as ``1 - p``.
+    """
+    p = joint.probs  # cell (x, z, y) sits at index 4x + 2z + y
+    pz = []
+    py = ([], [])
     for x in (0, 1):
-        px = p(x=x)
+        pxz = (p[4 * x] + p[4 * x + 1], p[4 * x + 2] + p[4 * x + 3])
+        px = pxz[0] + pxz[1]
         if px <= 0.0:
             raise OracleError(f"P(X={x}) = 0; conditioning undefined")
         for z in (0, 1):
-            pxz = p(x=x, z=z)
-            if pxz <= 0.0:
+            if pxz[z] <= 0.0:
                 raise OracleError(f"P(X={x},Z={z}) = 0; conditioning undefined")
-            pz[(z, x)] = pxz / px
-            cond = p(x=x, z=z, y=1) / pxz
-            if cond <= 0.0 or cond >= 1.0:
-                raise OracleError(
-                    f"P(Y=1|X={x},Z={z}) = {cond!r} is degenerate"
-                )
-            py[(x, z)] = cond
+        pz.append((pxz[0] / px, pxz[1] / px))
+        for y in (1, 0):
+            cond = (p[4 * x + y] / pxz[0], p[4 * x + 2 + y] / pxz[1])
+            for z in (0, 1):
+                if cond[z] <= 0.0:
+                    raise OracleError(
+                        f"P(Y={y}|X={x},Z={z}) = {cond[z]!r} is degenerate"
+                    )
+            py[y].append(cond)
     return pz, py
-
-
-def _or(p_num: float, p_den: float) -> float:
-    for p in (p_num, p_den):
-        if p <= 0.0 or p >= 1.0:
-            raise OracleError(f"degenerate probability {p!r} in odds ratio")
-    return (p_num / (1.0 - p_num)) / (p_den / (1.0 - p_den))
 
 
 def oracle_effects(
     joint: JointProbabilityTable, x: int = 0, xp: int = 1
-) -> OracleReport:
+) -> EffectsReport:
     """Evaluate every effect definition literally on the joint table."""
     if x not in (0, 1) or xp not in (0, 1) or x == xp:
         raise ValueError("direction must be two distinct levels in {0, 1}")
-    pz, py = _conditionals(joint)
+    pz, (p0, p1) = _conditionals(joint)
 
-    def marginal_y(at_x):
-        return sum(py[(at_x, z)] * pz[(z, at_x)] for z in (0, 1))
+    def odds(y_arm, z_arm):
+        # sum_z P(Y=1|X=y_arm,Z=z) P(Z=z|X=z_arm), over the same sum at Y=0
+        w0, w1 = pz[z_arm]
+        return ((p1[y_arm][0] * w0 + p1[y_arm][1] * w1)
+                / (p0[y_arm][0] * w0 + p0[y_arm][1] * w1))
 
-    def counterfactual(y_arm, z_arm):
-        # sum_z P(Y=1|X=y_arm,Z=z) P(Z=z|X=z_arm)
-        return sum(py[(y_arm, z)] * pz[(z, z_arm)] for z in (0, 1))
+    def conditional_odds(at_x, z):
+        return p1[at_x][z] / p0[at_x][z]
 
-    te = _or(marginal_y(xp), marginal_y(x))
-    lde = tuple(_or(py[(xp, z)], py[(x, z)]) for z in (0, 1))
-    nde = _or(counterfactual(xp, x), marginal_y(x))
-    ie = _or(counterfactual(x, xp), marginal_y(x))
-    ie_reverse = _or(counterfactual(xp, x), marginal_y(xp))
+    marginal_x, marginal_xp, held = odds(x, x), odds(xp, xp), odds(xp, x)
+    te = marginal_xp / marginal_x
+    lde = tuple(conditional_odds(xp, z) / conditional_odds(x, z) for z in (0, 1))
+    nde = held / marginal_x
+    ie = odds(x, xp) / marginal_x
+    ie_reverse = held / marginal_xp
     cell = tuple(nde / lde[z] for z in (0, 1))
-    additive = py[(1, 1)] - py[(0, 1)] - py[(1, 0)] + py[(0, 0)]
-    multiplicative = _or(py[(1, 1)], py[(0, 1)]) / _or(py[(1, 0)], py[(0, 0)])
+    additive = p1[1][1] - p1[0][1] - p1[1][0] + p1[0][0]
+    multiplicative = (
+        conditional_odds(1, 1) / conditional_odds(0, 1)
+    ) / (conditional_odds(1, 0) / conditional_odds(0, 0))
     residual = max(
         abs(te - lde[z] * cell[z] / ie_reverse) for z in (0, 1)
     )
-    return OracleReport(
+    return EffectsReport(
         te=te,
         lde=lde,
         cell=cell,
@@ -130,4 +93,5 @@ def oracle_effects(
         multiplicative_interaction=multiplicative,
         decomposition_residual=residual,
         direction=(x, xp),
+        source="oracle",
     )

@@ -1,0 +1,46 @@
+"""The effect report that both the engine and the oracle fill."""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass
+from typing import Optional
+
+
+@dataclass(frozen=True)
+class EffectsReport:
+    """All odds-ratio effects for one direction of change in X.
+
+    ``source`` names who computed the values when it is not the engine
+    (the oracle sets ``"oracle"``); ``to_json`` emits it only when set.
+    """
+
+    te: float
+    lde: tuple  # indexed by z
+    cell: tuple  # indexed by z
+    ie: float
+    ie_reverse: float
+    nde: float
+    additive_interaction: float
+    multiplicative_interaction: float
+    decomposition_residual: float
+    direction: tuple = (0, 1)
+    source: Optional[str] = None
+
+    def to_json(self) -> str:
+        doc = {
+            "TE": self.te,
+            "LDE": {"z0": self.lde[0], "z1": self.lde[1]},
+            "cell": {"z0": self.cell[0], "z1": self.cell[1]},
+            "IE": self.ie,
+            "IE_reverse": self.ie_reverse,
+            "NDE": self.nde,
+            "additive_interaction": self.additive_interaction,
+            "multiplicative_interaction": self.multiplicative_interaction,
+            "decomposition_residual": self.decomposition_residual,
+            "direction": list(self.direction),
+        }
+        if self.source is not None:
+            doc["source"] = self.source
+        return json.dumps(doc, sort_keys=True)
+

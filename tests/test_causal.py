@@ -25,6 +25,16 @@ SEC3_NC = NoCausalParams(
 )
 
 
+class TestCausalParamsValidation:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+    @pytest.mark.parametrize("index", range(7))
+    def test_non_finite_or_non_positive_rejected(self, bad, index):
+        args = [1.0] * 7
+        args[index] = bad
+        with pytest.raises(CausalModelError):
+            CausalParams(*args, with_interaction=True)
+
+
 class TestEtaFactors:
     def test_symmetric_params(self):
         cp = CausalParams(1, 1, 1, 1, 1, 1)
@@ -79,6 +89,17 @@ class TestConditionalProbabilities:
             assert sum(conditional_probabilities(cp).joint().probs) == pytest.approx(
                 1.0, abs=1e-12
             )
+
+    def test_joint_keeps_level0_of_near_certain_outcome(self):
+        # P(Y=0|x,z) = 1e-20 is the eta factor, not 1 - P(Y=1|x,z) = 0
+        joint = conditional_probabilities(
+            CausalParams(1.0, 1.0, 1.0, 1e20, 1.0, 1.0)
+        ).joint()
+        for x in (0, 1):
+            for z in (0, 1):
+                assert joint.prob(x, z, 0) == pytest.approx(
+                    0.25e-20, rel=1e-14, abs=0.0
+                )
 
 
 class TestFitCausal:

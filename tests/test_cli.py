@@ -124,6 +124,30 @@ class TestVerifyThreshold:
             assert doc["LDE"]["z0"] > 2e5
             assert doc["verify_max_discrepancy"] < 1e-8
 
+    def test_near_certain_outcome_verifies(self, tmp_path, capsys):
+        # P(Y=0|x,z) from 1e-12 to 7e-15: p/(1-p) odds put LDE(z=0) at
+        # 474.1 instead of 500, and the oracle disagreed by 5e-2
+        counts = (1, 1e12, 3, 2e13, 1, 5e14, 7, 1e15)
+        path = tmp_path / "certain.csv"
+        path.write_text(serialize_table(ContingencyTable(counts), "csv"))
+        assert main(
+            ["effects", "--input", str(path), "--verify", "--model",
+             "saturated", "--output", "json"]
+        ) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["LDE"]["z0"] == pytest.approx(500.0, rel=1e-14)
+        assert doc["verify_max_discrepancy"] < 1e-14
+
+    def test_overflowing_odds_exit_2(self, tmp_path, capsys):
+        counts = (1e-100, 1e100, 1e-100, 1e100, 1, 1, 1, 1)
+        path = tmp_path / "overflow.csv"
+        path.write_text(serialize_table(ContingencyTable(counts), "csv"))
+        assert main(
+            ["effects", "--input", str(path), "--model", "saturated"]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error:" in captured.err
+
 
 class TestMleExistence:
     def test_quasi_separation_exits_2(self, tmp_path, capsys):
@@ -166,6 +190,23 @@ class TestTestCommand:
         assert main(["test", "--input", table5_csv, "--output", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert 0.0 < doc["additive_zero_test"]["p"] < 1.0
+
+    def test_fits_the_two_way_model_once(self, table5_csv, monkeypatch):
+        import loglin_effects.causal
+        import loglin_effects.cli
+        import loglin_effects.fitting
+
+        calls = []
+        real = loglin_effects.fitting.fit_poisson
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        for module in (loglin_effects.cli, loglin_effects.causal):
+            monkeypatch.setattr(module, "fit_poisson", counting)
+        assert main(["test", "--input", table5_csv]) == 0
+        assert len(calls) == 1
 
     def test_saturated_request_rejected(self, table5_csv, capsys):
         assert main(

@@ -296,17 +296,15 @@ class TestScaleSafety:
                 assert getattr(b, name) == pytest.approx(
                     getattr(a, name), rel=1e-12
                 )
-            # the effects carry the engine's own round-off (p/(1-p) odds),
-            # so they are held to the benchmark's 1e-9, not to 1e-12
             ra, rb = effects_report(a), effects_report(b)
             for name in ("te", "nde", "ie", "ie_reverse",
                          "multiplicative_interaction"):
                 assert getattr(rb, name) == pytest.approx(
-                    getattr(ra, name), rel=1e-9
+                    getattr(ra, name), rel=1e-12
                 )
             for z in (0, 1):
-                assert rb.lde[z] == pytest.approx(ra.lde[z], rel=1e-9)
-                assert rb.cell[z] == pytest.approx(ra.cell[z], rel=1e-9)
+                assert rb.lde[z] == pytest.approx(ra.lde[z], rel=1e-12)
+                assert rb.cell[z] == pytest.approx(ra.cell[z], rel=1e-12)
             assert rb.additive_interaction == pytest.approx(
-                ra.additive_interaction, abs=1e-9
+                ra.additive_interaction, abs=1e-12
             )

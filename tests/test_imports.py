@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -32,3 +33,14 @@ def test_numpy_imported_only_for_the_covariance():
         text=True, timeout=60, check=True,
     ).stdout.split()
     assert out == ["False", "True"]
+
+
+def test_oracle_imports_neither_engine_module():
+    # the oracle cross-checks the engine, so it must not share its code
+    tree = ast.parse((SRC / "loglin_effects" / "oracle.py").read_text())
+    imported = [node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)]
+    imported += [alias.name for node in ast.walk(tree)
+                 if isinstance(node, ast.Import) for alias in node.names]
+    assert not [m for m in imported
+                if m and m.split(".")[-1] in ("effects", "causal")]
