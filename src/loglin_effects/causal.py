@@ -10,9 +10,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
 
-from .fitting import NoCausalParams, fit_poisson, saturated_closed_form
+from .fitting import (
+    NoCausalParams,
+    _cell_ratios,
+    fit_poisson,
+    saturated_closed_form,
+)
 from .tables import ContingencyTable, JointProbabilityTable
 
 
@@ -150,9 +156,9 @@ def conditional_probabilities(cp: CausalParams) -> ConditionalProbabilities:
     )
 
 
-def _xz_margins(table: ContingencyTable) -> tuple:
-    """n(x,z,+) for (x,z) = 00, 01, 10, 11; raises on a zero margin."""
-    n = table.counts
+def _xz_margins(n) -> tuple:
+    """n(x,z,+) for (x,z) = 00, 01, 10, 11 of counts ``n`` in canonical
+    order; raises on a zero margin."""
     m = (n[0] + n[1], n[2] + n[3], n[4] + n[5], n[6] + n[7])
     if min(m) <= 0:
         raise CausalModelError("zero margin; causal blocks are not estimable")
@@ -186,7 +192,7 @@ def fit_causal(table: ContingencyTable, with_interaction: bool = False) -> Causa
     term is requested, otherwise the Y-involving terms of the two-way MLE,
     the logistic regression of Y on X and Z.
     """
-    m = _xz_margins(table)
+    m = _xz_margins(table.counts)
     if with_interaction:
         y_block = saturated_closed_form(table)
     else:
@@ -197,62 +203,36 @@ def fit_causal(table: ContingencyTable, with_interaction: bool = False) -> Causa
 def causal_from_nocausal(nc: NoCausalParams) -> CausalParams:
     """Convert plain loglinear parameters to causal ones.
 
-    The Z-block conversions are ratios of Y-block normalization factors;
-    they hold only when the three-way term is absent.  The X conversion
-    follows from summing the eight joint cells over Z and Y:
-
-        mu_c^X = mu^X * S1 / S0
-        S1 = 1 + mu^Y mu^XY + mu^Z mu^XZ + mu^Y mu^Z mu^XY mu^XZ mu^ZY
-        S0 = 1 + mu^Y + mu^Z + mu^Y mu^Z mu^ZY
-
-    since P(X=1)/P(X=0) is the ratio of the two x-slices of the joint.
+    The causal X and Z blocks are read off the XZ margins of the model's
+    expected counts, as ``fit_causal`` reads them off a table; the Y-block
+    is shared.  This holds only when the three-way term is absent.  The
+    margins' ratios do not depend on the intercept, so the counts are
+    formed with eta = 1, which keeps them in float range more often; a
+    count below the normal range raises ``CausalModelError``, as in
+    ``nocausal_from_causal``.
     """
     if not math.isclose(nc.xzy, 1.0, rel_tol=0.0, abs_tol=1e-12):
         raise CausalModelError(
             "causal conversion is defined only without the three-way term"
         )
-    e00 = 1.0 / (1.0 + nc.y)
-    e10 = 1.0 / (1.0 + nc.y * nc.xy)
-    e01 = 1.0 / (1.0 + nc.y * nc.zy)
-    e11 = 1.0 / (1.0 + nc.y * nc.xy * nc.zy)
-
-    zc = nc.z * e00 / e01
-    xzc = nc.xz * (e10 * e01) / (e00 * e11)
-
-    s0 = 1.0 + nc.y + nc.z + nc.y * nc.z * nc.zy
-    s1 = (
-        1.0
-        + nc.y * nc.xy
-        + nc.z * nc.xz
-        + nc.y * nc.z * nc.xy * nc.xz * nc.zy
-    )
-    xc = nc.x * s1 / s0
-
-    return CausalParams(
-        xc=xc, zc=zc, xzc=xzc, y=nc.y, xy=nc.xy, zy=nc.zy,
-        xzy=1.0, with_interaction=False,
-    )
+    counts = replace(nc, eta=1.0).expected_counts()
+    if min(counts) < sys.float_info.min:
+        raise CausalModelError("an expected count underflows")
+    return _causal_params(_xz_margins(counts), nc, False)
 
 
 def nocausal_from_causal(cp: CausalParams) -> NoCausalParams:
-    """Invert ``causal_from_nocausal``; the intercept normalizes the joint."""
+    """Invert ``causal_from_nocausal``: the cell ratios of the joint
+    probabilities, so the intercept normalizes the joint.
+
+    A joint cell below the normal float range has lost relative precision,
+    and its ratios with it, so it raises ``CausalModelError``.
+    """
     if cp.with_interaction:
         raise CausalModelError(
             "causal conversion is defined only without the three-way term"
         )
-    e00 = 1.0 / (1.0 + cp.y)
-    e10 = 1.0 / (1.0 + cp.y * cp.xy)
-    e01 = 1.0 / (1.0 + cp.y * cp.zy)
-    e11 = 1.0 / (1.0 + cp.y * cp.xy * cp.zy)
-
-    z = cp.zc * e01 / e00
-    xz = cp.xzc * (e00 * e11) / (e10 * e01)
-
-    s0 = 1.0 + cp.y + z + cp.y * z * cp.zy
-    s1 = 1.0 + cp.y * cp.xy + z * xz + cp.y * z * cp.xy * xz * cp.zy
-    x = cp.xc * s0 / s1
-
-    # intercept so the eight cells form a probability table
-    base = NoCausalParams(1.0, x, z, cp.y, xz, cp.xy, cp.zy, 1.0)
-    eta = 1.0 / sum(base.expected_counts())
-    return NoCausalParams(eta, x, z, cp.y, xz, cp.xy, cp.zy, 1.0)
+    joint = conditional_probabilities(cp).joint().probs
+    if min(joint) < sys.float_info.min:
+        raise CausalModelError("a joint probability underflows")
+    return _cell_ratios(joint, cp.y, cp.xy, cp.zy)

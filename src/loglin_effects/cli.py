@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -58,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="input format (default: by file extension)",
         )
         p.add_argument(
-            "--zero-cells", default="error", metavar="error|correct:C|allow",
+            "--zero-cells", default="error", metavar="error|allow|correct[:C]",
             help="zero-cell policy (default: error)",
         )
         p.add_argument(
@@ -104,15 +105,10 @@ def _load_table(args):
     raw = Path(args.input).read_bytes()
     table = parse_table(raw, fmt)
 
-    policy = args.zero_cells
-    correction = 0.5
-    if policy.startswith("correct"):
-        if ":" in policy:
-            policy, amount = policy.split(":", 1)
-            correction = float(amount)
-        policy = "correct"
-    if policy not in ("error", "correct", "allow"):
+    policy, sep, amount = args.zero_cells.partition(":")
+    if sep and policy != "correct":
         raise TableError(f"unknown zero-cell policy {args.zero_cells!r}")
+    correction = float(amount) if sep else 0.5
     return validate(table, policy=policy, correction=correction)
 
 
@@ -148,7 +144,9 @@ def cmd_fit(args) -> int:
     table = _load_table(args)
     spec = saturated_spec() if args.model == "saturated" else two_way_spec()
     fit = fit_poisson(table, spec)
-    cp = _causal_params(_xz_margins(table), fit.params, spec.with_three_way)
+    cp = _causal_params(
+        _xz_margins(table.counts), fit.params, spec.with_three_way
+    )
 
     doc = {
         "model": args.model,
@@ -205,9 +203,9 @@ def cmd_test(args) -> int:
     if args.model != "two-way":
         raise TestError("test defined for two-way model")
     fit = fit_poisson(table, two_way_spec())
-    cp = _causal_params(_xz_margins(table), fit.params, False)
+    cp = _causal_params(_xz_margins(table.counts), fit.params, False)
     result = additive_zero_test(fit)
-    bonds = linearity_bonds(cp, fit)
+    bonds = replace(linearity_bonds(cp), bond1_test=result)
 
     doc = {
         "additive_zero_test": json.loads(result.to_json()),

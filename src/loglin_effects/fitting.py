@@ -1,11 +1,17 @@
-"""Maximum likelihood fits of the two loglinear models of a 2x2x2 table.
+"""Maximum likelihood fits of the paper's two loglinear models of 2x2x2 tables.
 
-The two-way model ``[XZ][XY][ZY]`` fits the XZ margin exactly, so its fitted
-counts are ``n(x,z,+) * p(y|x,z)``, where ``p`` is the logistic regression of
-Y on X and Z over the four binomial cells (x, z).  Its three parameters are
-the Y-block of the loglinear model (lambda^Y, lambda^XY, lambda^ZY); they are
-fitted by Newton's method after an exact check that the MLE exists.  The
-saturated model reproduces the counts and is solved in closed form.
+The two models are the two-way model ``[XZ][XY][ZY]`` (no multiplicative
+interaction) and the saturated model; ``ModelSpec`` is one bool that picks
+between them.  Both are dummy coded: a term is 1 at a cell exactly when all
+its variables are at level 1 there.
+
+The two-way model fits the XZ margin exactly, so its fitted counts are
+``n(x,z,+) * p(y|x,z)``, where ``p`` is the logistic regression of Y on X and
+Z over the four binomial cells (x, z).  Its three parameters are the Y-block
+of the loglinear model (lambda^Y, lambda^XY, lambda^ZY); they are fitted by
+Newton's method after an exact check that the MLE exists.  The saturated
+model reproduces the counts and is solved in closed form.  Both read the
+intercept and the X, Z and XZ terms off the cells with ``_cell_ratios``.
 
 The covariance of the additive parameters, ``(D' diag(m) D)^-1`` over the
 dummy-coded design matrix ``D``, is computed on first use; it and
@@ -18,23 +24,18 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
-from .tables import CELLS, ContingencyTable
+from .tables import CELLS, VARIABLES, ContingencyTable
 
-#: term order shared by design matrices, parameter vectors, and covariances
+#: term order shared by design matrices, parameter vectors, and covariances;
+#: each term but the intercept is named by its variables
 TERM_ORDER = ("eta", "X", "Z", "Y", "XZ", "XY", "ZY", "XZY")
 
-#: variables entering each non-intercept term
-TERM_VARS = {
-    "X": ("X",),
-    "Z": ("Z",),
-    "Y": ("Y",),
-    "XZ": ("X", "Z"),
-    "XY": ("X", "Y"),
-    "ZY": ("Z", "Y"),
-    "XZY": ("X", "Z", "Y"),
-}
+#: the two-way fit's Newton iteration stops when a step moves no parameter
+#: by more than ``_TOL`` times one plus the largest parameter magnitude, and
+#: fails after ``_MAX_ITER`` steps
+_TOL = 1e-10
+_MAX_ITER = 100
 
 
 class FitError(RuntimeError):
@@ -43,70 +44,32 @@ class FitError(RuntimeError):
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A hierarchical dummy-coded loglinear model given by its terms."""
+    """The two-way model ``[XZ][XY][ZY]``, or with ``with_three_way`` the
+    saturated model."""
 
-    terms: frozenset
+    with_three_way: bool = False
 
     def __post_init__(self):
-        terms = frozenset(self.terms)
-        unknown = terms - set(TERM_VARS)
-        if unknown:
-            raise ValueError(f"unknown terms {sorted(unknown)}")
-        for t in terms:
-            for sub in _subterms(t):
-                if sub not in terms:
-                    raise ValueError(
-                        f"non-hierarchical spec: {t} present without {sub}"
-                    )
-        object.__setattr__(self, "terms", terms)
-
-    @property
-    def with_three_way(self) -> bool:
-        return "XZY" in self.terms
-
-    @property
-    def variables(self) -> tuple:
-        used = set()
-        for t in self.terms:
-            used.update(TERM_VARS[t])
-        return tuple(v for v in ("X", "Z", "Y") if v in used)
+        if not isinstance(self.with_three_way, bool):
+            raise ValueError("with_three_way must be a bool")
 
     @property
     def ordered_terms(self) -> tuple:
         """Intercept first, then model terms in canonical order."""
-        return ("eta",) + tuple(
-            t for t in TERM_ORDER[1:] if t in self.terms
-        )
-
-
-def _subterms(term: str):
-    vs = TERM_VARS[term]
-    if len(vs) == 1:
-        return []
-    if len(vs) == 2:
-        return list(vs)
-    return ["X", "Z", "Y", "XZ", "XY", "ZY"]
+        return TERM_ORDER if self.with_three_way else TERM_ORDER[:-1]
 
 
 def two_way_spec() -> ModelSpec:
-    return ModelSpec(frozenset({"X", "Z", "Y", "XZ", "XY", "ZY"}))
+    return ModelSpec()
 
 
 def saturated_spec() -> ModelSpec:
-    return ModelSpec(frozenset(TERM_ORDER[1:]))
+    return ModelSpec(with_three_way=True)
 
 
-@dataclass(frozen=True)
-class FitControl:
-    """Newton iteration of the two-way Y-block fit.
-
-    It stops when a Newton step moves no parameter by more than ``tol``
-    times one plus the largest parameter magnitude, and fails after
-    ``max_iter`` steps.
-    """
-
-    tol: float = 1e-10
-    max_iter: int = 100
+def _term_on(term: str, cell: tuple) -> bool:
+    """Dummy coding: ``term`` is 1 at ``cell`` when its variables all are."""
+    return term == "eta" or all(cell[VARIABLES.index(v)] for v in term)
 
 
 @dataclass(frozen=True)
@@ -151,33 +114,13 @@ class NoCausalParams:
     def expected_counts(self) -> tuple:
         """Expected cell counts m(x,z,y) in canonical order."""
         m = self.multiplicative
-        out = []
-        for x, z, y in CELLS:
-            v = m["eta"]
-            if x:
-                v *= m["X"]
-            if z:
-                v *= m["Z"]
-            if y:
-                v *= m["Y"]
-            if x and z:
-                v *= m["XZ"]
-            if x and y:
-                v *= m["XY"]
-            if z and y:
-                v *= m["ZY"]
-            if x and z and y:
-                v *= m["XZY"]
-            out.append(v)
-        return tuple(out)
+        return tuple(
+            math.prod(m[t] for t in TERM_ORDER if _term_on(t, cell))
+            for cell in CELLS
+        )
 
     def as_table(self) -> ContingencyTable:
         return ContingencyTable(self.expected_counts())
-
-
-def multiplicative_from_additive(lambdas: dict) -> NoCausalParams:
-    """Exponentiate additive parameters into multiplicative form."""
-    return NoCausalParams.from_additive(lambdas)
 
 
 @dataclass(frozen=True)
@@ -225,38 +168,15 @@ class FitResult:
 
 
 def design_matrix(spec: ModelSpec):
-    """Dummy-coded design matrix, intercept first, rows in canonical order.
-
-    Rows run over the lexicographic cells of the variables the spec uses
-    (all of X, Z, Y for a full model; fewer rows for marginal layouts).
-    A term's column is 1 exactly when all its variables sit at level 1.
-    """
+    """Dummy-coded design matrix: rows over ``CELLS``, columns over
+    ``spec.ordered_terms``."""
     import numpy as np
 
-    variables = spec.variables
-    if not variables:
-        raise ValueError("spec uses no variables")
-    pos = {v: i for i, v in enumerate(variables)}
-    rows = _lex_cells(len(variables))
     terms = spec.ordered_terms
-    D = np.zeros((len(rows), len(terms)))
-    D[:, 0] = 1.0
-    for j, term in enumerate(terms[1:], start=1):
-        for i, cell in enumerate(rows):
-            if all(cell[pos[v]] == 1 for v in TERM_VARS[term]):
-                D[i, j] = 1.0
-    return D
+    return np.array(
+        [[float(_term_on(t, cell)) for t in terms] for cell in CELLS]
+    )
 
-
-def _lex_cells(n: int):
-    cells = [()]
-    for _ in range(n):
-        cells = [c + (b,) for c in cells for b in (0, 1)]
-    return cells
-
-
-_TWO_WAY = two_way_spec()
-_SATURATED = saturated_spec()
 
 #: the four binomial cells (x, z) of the Y-block, in canonical order; cell
 #: (x, z, y) of a table sits at index 2k + y for the k-th of them
@@ -264,9 +184,7 @@ _XZ = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 def fit_poisson(
-    table: ContingencyTable,
-    spec: Optional[ModelSpec] = None,
-    control: FitControl = FitControl(),
+    table: ContingencyTable, spec: ModelSpec = ModelSpec()
 ) -> FitResult:
     """Maximum likelihood fit of the two-way (default) or saturated model.
 
@@ -275,48 +193,60 @@ def fit_poisson(
     closed form.  The covariance of the additive parameters is the lazy
     ``FitResult.covariance``.
     """
-    if spec is None or spec.terms == _TWO_WAY.terms:
-        return _fit_two_way(table, control)
-    if spec.terms == _SATURATED.terms:
-        return FitResult(
-            params=saturated_closed_form(table),
-            fitted_counts=table.counts,
-            deviance=0.0,
-            iterations=0,
-            converged=True,
-            spec=_SATURATED,
-        )
-    raise FitError("only the two-way and the saturated model can be fitted")
+    if not spec.with_three_way:
+        return _fit_two_way(table)
+    return FitResult(
+        params=saturated_closed_form(table),
+        fitted_counts=table.counts,
+        deviance=0.0,
+        iterations=0,
+        converged=True,
+        spec=spec,
+    )
 
 
-def _fit_two_way(table: ContingencyTable, control: FitControl) -> FitResult:
+def _cell_ratios(m, y, xy, zy, xzy=1.0) -> NoCausalParams:
+    """Loglinear parameters with the Y-block ``y, xy, zy, xzy`` whose
+    intercept and X, Z and XZ terms are read off the cells ``m``.
+
+    In dummy code m(0,0,0) is the intercept, m(1,0,0)/m(0,0,0) is mu^X,
+    m(0,1,0)/m(0,0,0) is mu^Z, and mu^XZ is the cross ratio of the four
+    y = 0 cells, taken as a ratio of ratios so no product of counts over-
+    or underflows.
+    """
+    return NoCausalParams(
+        eta=m[0],
+        x=m[4] / m[0],
+        z=m[2] / m[0],
+        y=y,
+        xz=(m[6] / m[4]) * (m[0] / m[2]),
+        xy=xy,
+        zy=zy,
+        xzy=xzy,
+    )
+
+
+def _fit_two_way(table: ContingencyTable) -> FitResult:
     n = table.counts
     _check_mle_exists(n)
-    beta, iterations = _fit_y_block(n, control)
+    beta, iterations = _fit_y_block(n)
     m = []
     for k, (x, z) in enumerate(_XZ):
         size = n[2 * k] + n[2 * k + 1]
         p0, p1, _, _ = _logistic(beta[0] + beta[1] * x + beta[2] * z)
         m += (size * p0, size * p1)
-    params = NoCausalParams(
-        eta=m[0],
-        x=m[4] / m[0],
-        z=m[2] / m[0],
-        y=math.exp(beta[0]),
-        xz=(m[6] / m[4]) * (m[0] / m[2]),
-        xy=math.exp(beta[1]),
-        zy=math.exp(beta[2]),
-    )
+    if min(m) <= 0.0:
+        raise FitError("a fitted count underflows to 0")
     deviance = 2.0 * sum(
         c * math.log(c / f) - (c - f) if c > 0 else f for c, f in zip(n, m)
     )
     return FitResult(
-        params=params,
+        params=_cell_ratios(m, *map(math.exp, beta)),
         fitted_counts=tuple(m),
         deviance=deviance,
         iterations=iterations,
         converged=True,
-        spec=_TWO_WAY,
+        spec=ModelSpec(),
     )
 
 
@@ -361,7 +291,7 @@ def _logistic(eta: float) -> tuple:
 _LL_ROUNDOFF = 1e-13
 
 
-def _fit_y_block(n, control: FitControl) -> tuple:
+def _fit_y_block(n) -> tuple:
     """Damped Newton's method for the logistic MLE (lambda^Y, lambda^XY, lambda^ZY).
 
     Counts enter divided by the table total, so the iteration is the same
@@ -376,10 +306,10 @@ def _fit_y_block(n, control: FitControl) -> tuple:
              for k, (x, z) in enumerate(_XZ)]
     beta = _y_start(cells)
     w, score, ll = _y_terms(cells, beta)
-    for iterations in range(1, control.max_iter + 1):
+    for iterations in range(1, _MAX_ITER + 1):
         step = _solve_y_information(w, score)
         size = max(map(abs, step))
-        if size <= control.tol * (1.0 + max(map(abs, beta))):
+        if size <= _TOL * (1.0 + max(map(abs, beta))):
             return tuple(u + d for u, d in zip(beta, step)), iterations
         t = 1.0
         while True:
@@ -388,11 +318,11 @@ def _fit_y_block(n, control: FitControl) -> tuple:
             if trial_ll >= ll - _LL_ROUNDOFF * abs(ll):
                 break
             t *= 0.5
-            if t * size <= control.tol:
+            if t * size <= _TOL:
                 raise FitError("Newton step found no ascent")
         beta, ll = trial, trial_ll
     raise FitError(
-        f"Newton iteration did not converge in {control.max_iter} steps"
+        f"Newton iteration did not converge in {_MAX_ITER} steps"
     )
 
 
@@ -488,12 +418,9 @@ def saturated_closed_form(table: ContingencyTable) -> NoCausalParams:
             f"zero count at cells {zero}: the saturated MLE does not exist "
             "(its estimate is divergent)"
         )
-    return NoCausalParams(
-        eta=n[0],
-        x=n[4] / n[0],
-        z=n[2] / n[0],
+    return _cell_ratios(
+        n,
         y=n[1] / n[0],
-        xz=(n[6] / n[4]) * (n[0] / n[2]),
         xy=(n[5] / n[4]) * (n[0] / n[1]),
         zy=(n[3] / n[2]) * (n[0] / n[1]),
         xzy=((n[7] / n[6]) * (n[4] / n[5])) * ((n[2] / n[3]) * (n[1] / n[0])),

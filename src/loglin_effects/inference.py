@@ -103,13 +103,14 @@ def linearity_bonds(
 
     Bond 1: mu^XY * (mu^Y)^2 * mu^ZY = 1 (equivalently the zero
     additive-interaction condition); bond 2: mu_c^XZ * (mu_c^Z)^2 = 1.
-    Bond 2 is reported as a residual only; no sampling variance is
-    attached to the causal Z-block parameters.
+    Each residual is a sum of logs, so no product of the parameters is
+    formed and none over- or underflows.  Bond 2 is reported as a residual
+    only; no sampling variance is attached to the causal Z-block parameters.
     """
     if cp.with_interaction:
         raise CausalModelError("linearity bonds defined without interaction")
-    bond1 = math.log(cp.xy * cp.y ** 2 * cp.zy)
-    bond2 = math.log(cp.xzc * cp.zc ** 2)
+    bond1 = sum(map(math.log, (cp.xy, cp.zy, cp.y, cp.y)))
+    bond2 = sum(map(math.log, (cp.xzc, cp.zc, cp.zc)))
     test = additive_zero_test(fit) if fit is not None else None
     return LinearityReport(
         bond1_residual=bond1, bond2_residual=bond2, bond1_test=test

@@ -9,6 +9,8 @@ to cross-validate the closed-form engine.
 
 from __future__ import annotations
 
+import math
+
 from .report import EffectsReport
 from .tables import JointProbabilityTable
 
@@ -68,17 +70,29 @@ def oracle_effects(
     def conditional_odds(at_x, z):
         return p1[at_x][z] / p0[at_x][z]
 
-    marginal_x, marginal_xp, held = odds(x, x), odds(xp, xp), odds(xp, x)
-    te = marginal_xp / marginal_x
-    lde = tuple(conditional_odds(xp, z) / conditional_odds(x, z) for z in (0, 1))
-    nde = held / marginal_x
-    ie = odds(x, xp) / marginal_x
-    ie_reverse = held / marginal_xp
-    cell = tuple(nde / lde[z] for z in (0, 1))
+    try:
+        marginal_x, marginal_xp, held = odds(x, x), odds(xp, xp), odds(xp, x)
+        te = marginal_xp / marginal_x
+        lde = tuple(
+            conditional_odds(xp, z) / conditional_odds(x, z) for z in (0, 1)
+        )
+        nde = held / marginal_x
+        ie = odds(x, xp) / marginal_x
+        ie_reverse = held / marginal_xp
+        cell = tuple(nde / lde[z] for z in (0, 1))
+        multiplicative = (
+            conditional_odds(1, 1) / conditional_odds(0, 1)
+        ) / (conditional_odds(1, 0) / conditional_odds(0, 0))
+        finite = all(0.0 < r < math.inf for r in
+                     (te, nde, ie, ie_reverse, multiplicative) + lde + cell)
+    except ZeroDivisionError:
+        finite = False
+    if not finite:
+        raise OracleError(
+            "a probability ratio over- or underflows: the effects are not "
+            "all positive and finite"
+        )
     additive = p1[1][1] - p1[0][1] - p1[1][0] + p1[0][0]
-    multiplicative = (
-        conditional_odds(1, 1) / conditional_odds(0, 1)
-    ) / (conditional_odds(1, 0) / conditional_odds(0, 0))
     residual = max(
         abs(te - lde[z] * cell[z] / ie_reverse) for z in (0, 1)
     )

@@ -43,7 +43,10 @@ class ContingencyTable:
         for (x, z, y), c in zip(CELLS, counts):
             if not math.isfinite(c) or c < 0:
                 raise TableError(f"negative or non-finite count at cell ({x},{z},{y})")
-        if sum(counts) <= 0:
+        total = sum(counts)
+        if not math.isfinite(total):
+            raise TableError("table total overflows")
+        if total <= 0:
             raise TableError("table total must be positive")
         if self.labels is not None and len(self.labels) != 3:
             raise TableError("labels must name exactly X, Z, Y")
@@ -95,8 +98,6 @@ class MarginalTable:
 def joint_probabilities(table: ContingencyTable) -> JointProbabilityTable:
     """Convert counts to the joint probability table (count / total)."""
     total = table.total
-    if total <= 0:
-        raise TableError("table total must be positive")
     return JointProbabilityTable(tuple(c / total for c in table.counts))
 
 
@@ -223,7 +224,10 @@ def parse_table(source, fmt: str = "csv") -> ContingencyTable:
     if hasattr(source, "read"):
         source = source.read()
     if isinstance(source, bytes):
-        source = source.decode("utf-8")
+        try:
+            source = source.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise TableError(f"input is not UTF-8: {exc}") from None
     if fmt == "csv":
         return _parse_csv(source)
     if fmt == "json":
@@ -244,7 +248,7 @@ def _coerce_level(raw, what: str) -> int:
 def _coerce_count(raw) -> float:
     try:
         c = float(raw)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise TableError(f"malformed count {raw!r}") from None
     if not math.isfinite(c) or c < 0:
         raise TableError(f"negative count {raw!r}")
@@ -259,8 +263,11 @@ def _assemble(cells: dict, labels=None) -> ContingencyTable:
 
 
 def _parse_csv(text: str) -> ContingencyTable:
-    reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row and any(f.strip() for f in row)]
+    try:
+        rows = [row for row in csv.reader(io.StringIO(text))
+                if row and any(f.strip() for f in row)]
+    except csv.Error as exc:
+        raise TableError(f"malformed CSV: {exc}") from None
     if not rows:
         raise TableError("empty CSV input")
     header = [h.strip().lower() for h in rows[0]]
@@ -283,17 +290,18 @@ def _parse_csv(text: str) -> ContingencyTable:
 def _parse_json(text: str) -> ContingencyTable:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too-long integers
         raise TableError(f"malformed JSON: {exc}") from None
-    if not isinstance(doc, dict) or "cells" not in doc:
-        raise TableError("JSON table must be an object with a 'cells' field")
+    if not isinstance(doc, dict) or not isinstance(doc.get("cells"), list):
+        raise TableError("JSON table must be an object with a 'cells' list")
     labels = doc.get("labels")
     if labels is not None:
-        labels = tuple(str(s) for s in labels)
+        if not (isinstance(labels, list) and len(labels) == 3
+                and all(isinstance(s, str) for s in labels)):
+            raise TableError("'labels' must be a list of three strings")
+        labels = tuple(labels)
     cells = doc["cells"]
-    if isinstance(cells, list) and len(cells) == 8 and all(
-        not isinstance(c, dict) for c in cells
-    ):
+    if len(cells) == 8 and not any(isinstance(c, dict) for c in cells):
         return ContingencyTable(
             tuple(_coerce_count(c) for c in cells), labels=labels
         )

@@ -195,13 +195,27 @@ class TestConversions:
         assert nc.xz == pytest.approx(1.0, abs=5e-4)
 
     def test_roundtrip(self, rng):
-        for _ in range(25):
-            cp = random_causal(rng, with_interaction=False)
+        # log-parameters up to +-30: both conversions read ratios of cells
+        for _ in range(500):
+            cp = CausalParams(*(math.exp(v) for v in rng.uniform(-30, 30, 6)))
             back = causal_from_nocausal(nocausal_from_causal(cp))
             for name in ("xc", "zc", "xzc", "y", "xy", "zy"):
                 assert getattr(back, name) == pytest.approx(
-                    getattr(cp, name), rel=1e-10
+                    getattr(cp, name), rel=1e-12
                 )
+
+    @pytest.mark.parametrize("big", [1e155, 1e200])
+    def test_underflowing_joint_rejected(self, big):
+        # P(0,0,0) is 5e-311 (subnormal, few digits left) or 0
+        cp = CausalParams(big, big, 1.0, 1.0, 1.0, 1.0)
+        with pytest.raises(CausalModelError, match="underflows"):
+            nocausal_from_causal(cp)
+
+    def test_underflowing_expected_count_rejected(self):
+        # m(1,1,1) = 1e-160 * 1e-160 * ... underflows to 0 on the way
+        nc = NoCausalParams(1.0, 1e-160, 1e-160, 1.0, 1.0, 1e-100, 1.0)
+        with pytest.raises(CausalModelError, match="underflows"):
+            causal_from_nocausal(nc)
 
     def test_conversion_consistent_with_marginalization(self, rng):
         # mu_c^X must equal the joint's X-margin odds

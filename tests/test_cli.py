@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from loglin_effects import NoCausalParams, serialize_table
+from loglin_effects import CELLS, NoCausalParams, serialize_table
 from loglin_effects.cli import main
 from conftest import TABLE5
 from loglin_effects.causal import conditional_probabilities
@@ -208,6 +214,24 @@ class TestTestCommand:
         assert main(["test", "--input", table5_csv]) == 0
         assert len(calls) == 1
 
+    def test_runs_the_z_test_once(self, table5_csv, monkeypatch, capsys):
+        import loglin_effects.cli
+        import loglin_effects.inference
+
+        calls = []
+        real = loglin_effects.inference.additive_zero_test
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        for module in (loglin_effects.cli, loglin_effects.inference):
+            monkeypatch.setattr(module, "additive_zero_test", counting)
+        assert main(["test", "--input", table5_csv, "--output", "json"]) == 0
+        assert len(calls) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["linearity"]["bond1_test"] == doc["additive_zero_test"]
+
     def test_saturated_request_rejected(self, table5_csv, capsys):
         assert main(
             ["test", "--input", table5_csv, "--model", "saturated"]
@@ -232,3 +256,105 @@ class TestJsonInput:
         path.write_text(serialize_table(t, "json"))
         assert main(["oracle", "--input", str(path), "--output", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["TE"] == pytest.approx(1.0)
+
+
+class TestZeroCellsOption:
+    @pytest.mark.parametrize(
+        "policy", ["correctfoo", "correct0.5", "error:1", "allow:", "Correct"]
+    )
+    def test_unknown_policy_exits_1(self, uniform_csv, policy, capsys):
+        argv = ["fit", "--input", uniform_csv, "--zero-cells", policy]
+        assert main(argv) == 1
+        assert "zero-cell policy" in capsys.readouterr().err
+
+    def test_malformed_correction_exits_1(self, zero_cell_csv):
+        assert main(
+            ["fit", "--input", zero_cell_csv, "--zero-cells", "correct:abc"]
+        ) == 1
+
+    @pytest.mark.parametrize(
+        "policy", ["error", "allow", "correct", "correct:2"]
+    )
+    def test_known_policies_accepted(self, uniform_csv, policy):
+        argv = ["fit", "--input", uniform_csv, "--zero-cells", policy]
+        assert main(argv) == 0
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"cells": 5}',
+            '{"cells": [1,2,3,4,5,6,7,8], "labels": 7}',
+            '{"cells": [1,2,3,4,5,6,7,8], "labels": "abc"}',
+        ],
+    )
+    def test_json_shape_exits_1(self, tmp_path, doc, capsys):
+        path = tmp_path / "t.json"
+        path.write_text(doc)
+        assert main(["effects", "--input", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["effects", "oracle", "fit", "test"])
+    def test_overflowing_total_exits_1(self, tmp_path, command, capsys):
+        path = tmp_path / "t.json"
+        path.write_text('{"cells": [1e308,1e308,1,1,1,1,1,1]}')
+        assert main([command, "--input", str(path)]) == 1
+        assert "total" in capsys.readouterr().err
+
+
+_FUZZ_COMMANDS = (
+    ["effects", "--verify"],
+    ["effects", "--model", "saturated", "--zero-cells", "correct"],
+    ["test", "--zero-cells", "allow"],
+    ["fit", "--output", "json"],
+    ["oracle"],
+)
+
+
+def _counts_csv(counts):
+    return "x,z,y,count\n" + "".join(
+        f"{x},{z},{y},{c!r}\n" for (x, z, y), c in zip(CELLS, counts)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        st.binary(),
+        st.text(),
+        st.lists(
+            st.floats(min_value=0.0, max_value=1.7e308), min_size=8, max_size=8
+        ).map(_counts_csv),
+    ),
+    st.sampled_from(["csv", "json"]),
+    st.sampled_from(_FUZZ_COMMANDS),
+)
+@example('{"cells": 5}', "json", ["effects"])
+@example('{"cells": [1,2,3,4,5,6,7,8], "labels": 7}', "json", ["fit"])
+@example('{"cells": [1,2,3,4,5,6,7,8], "labels": "abc"}', "json", ["oracle"])
+@example('{"cells": [1e308,1e308,1,1,1,1,1,1]}', "json", ["effects"])
+@example('{"cells": [1e308,1e308,1,1,1,1,1,1]}', "json", ["oracle"])
+@example('{"cells": [1%s,1,1,1,1,1,1,1]}' % ("0" * 400), "json", ["fit"])
+@example("[" * 100000, "json", ["effects"])
+@example(b"\xff\xfe", "csv", ["oracle"])
+@example("\r0", "csv", ["effects"])
+@example(_counts_csv((5, 0, 7, 0, 3, 4, 6, 8)), "csv",
+         ["effects", "--zero-cells", "allow"])
+@example(_counts_csv((1e-300,) * 8), "csv", ["test"])
+@example(_counts_csv((1, 1.0354286453990213e307, 1, 1, 3.909535518583441e16,
+                      1, 1, 1)), "csv", ["oracle"])
+@example(_counts_csv((1.413206146113962e-101, 1.2888925180744533e-107,
+                      4.1098455412908226e71, 4.10984554129082e71,
+                      7.669454141975074e94, 1.0, 1.0, 7.459106318111507e127)),
+         "csv", ["effects", "--verify"])
+def test_main_returns_only_documented_codes(content, fmt, command):
+    # arbitrary file contents end in an exit code, never a traceback
+    data = content.encode() if isinstance(content, str) else content
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"table.{fmt}"
+        path.write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*command, "--input", str(path)])
+    assert code in (0, 1, 2, 3)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from loglin_effects import (
     CELLS,
     ContingencyTable,
-    FitControl,
     FitError,
     ModelSpec,
     NoCausalParams,
@@ -17,25 +16,17 @@ from loglin_effects import (
     effects_report,
     fit_causal,
     fit_poisson,
-    multiplicative_from_additive,
     saturated_closed_form,
     saturated_spec,
     two_way_spec,
 )
+from loglin_effects.fitting import TERM_ORDER
 from conftest import random_nocausal, table_from_params
 
 README_COUNTS = (42, 18, 25, 31, 17, 23, 12, 48)
 
 
 class TestDesignMatrix:
-    def test_two_variable_layout(self):
-        # X and Y only: the classic 4x3 dummy-coded matrix
-        D = design_matrix(ModelSpec(frozenset({"X", "Y"})))
-        expected = np.array(
-            [[1, 0, 0], [1, 0, 1], [1, 1, 0], [1, 1, 1]], dtype=float
-        )
-        assert np.array_equal(D, expected)
-
     def test_two_way_shape_and_columns(self):
         D = design_matrix(two_way_spec())
         assert D.shape == (8, 7)
@@ -49,9 +40,21 @@ class TestDesignMatrix:
         assert D.shape == (8, 8)
         assert np.linalg.matrix_rank(D) == 8
 
-    def test_non_hierarchical_rejected(self):
-        with pytest.raises(ValueError, match="hierarchical"):
+    def test_spec_is_one_bool(self):
+        assert two_way_spec() == ModelSpec()
+        assert saturated_spec() == ModelSpec(with_three_way=True)
+        assert two_way_spec().ordered_terms == TERM_ORDER[:-1]
+        assert saturated_spec().ordered_terms == TERM_ORDER
+        # a term set is not a model: it would read as a truthy flag
+        with pytest.raises(ValueError, match="bool"):
             ModelSpec(frozenset({"X", "Z", "Y", "XZY"}))
+
+    def test_rows_are_the_log_expected_counts(self, rng):
+        # the design matrix and expected_counts share one dummy coding
+        nc = random_nocausal(rng, three_way=True)
+        D = design_matrix(saturated_spec())
+        lam = np.array([nc.additive[t] for t in TERM_ORDER])
+        assert np.allclose(D @ lam, np.log(nc.expected_counts()), rtol=1e-13)
 
 
 class TestFitPoisson:
@@ -91,13 +94,10 @@ class TestFitPoisson:
         assert cross == pytest.approx(1.0, abs=1e-8)
 
     def test_divergence_detected(self):
-        # a zero cell drives the three-way estimate to -inf; a tight
-        # tolerance keeps IRLS stepping until the bound trips
+        # a zero cell drives the three-way estimate to -inf
         t = ContingencyTable((5, 5, 5, 5, 5, 5, 5, 0))
         with pytest.raises(FitError, match="divergent"):
-            fit_poisson(
-                t, saturated_spec(), FitControl(tol=1e-16, max_iter=200)
-            )
+            fit_poisson(t, saturated_spec())
 
     def test_covariance_symmetric_psd(self, rng):
         fit = fit_poisson(
@@ -181,11 +181,11 @@ class TestClosedForms:
 
 class TestMultiplicativeConversion:
     def test_zero_lambdas(self):
-        p = multiplicative_from_additive({})
+        p = NoCausalParams.from_additive({})
         assert all(v == 1.0 for v in p.multiplicative.values())
 
     def test_log2(self):
-        p = multiplicative_from_additive({"XY": math.log(2.0)})
+        p = NoCausalParams.from_additive({"XY": math.log(2.0)})
         assert p.xy == pytest.approx(2.0, abs=1e-15)
 
     def test_roundtrip(self, rng):
@@ -196,7 +196,7 @@ class TestMultiplicativeConversion:
                 rng.uniform(-2, 2, 8),
             )
         }
-        p = multiplicative_from_additive(lambdas)
+        p = NoCausalParams.from_additive(lambdas)
         for term, lam in lambdas.items():
             assert p.additive[term] == pytest.approx(lam, abs=1e-12)
 
@@ -261,6 +261,17 @@ class TestMleExistence:
             obs, got = _margins(counts), _margins(fit.fitted_counts)
             for key, o in obs.items():
                 assert got[key] == pytest.approx(o, rel=1e-9, abs=1e-9)
+
+
+    def test_underflowing_fitted_count_rejected(self):
+        # the MLE exists, but m(0,0,1) = 1.4e-101 * P(Y=1|0,0) underflows
+        t = ContingencyTable((
+            1.413206146113962e-101, 1.2888925180744533e-107,
+            4.1098455412908226e71, 4.10984554129082e71,
+            7.669454141975074e94, 1.0, 1.0, 7.459106318111507e127,
+        ))
+        with pytest.raises(FitError, match="underflows"):
+            fit_poisson(t)
 
 
 class TestScaleSafety:

@@ -154,6 +154,16 @@ class TestLinearityBonds:
         with pytest.raises(CausalModelError):
             linearity_bonds(cp)
 
+    def test_extreme_parameters_do_not_overflow(self):
+        # (mu^Y)^2 = 1e400 and (mu_c^Z)^2 = 1e-600 are out of float range
+        rep = linearity_bonds(CausalParams(1, 1e-300, 1, 1e200, 1e-300, 1))
+        assert rep.bond1_residual == pytest.approx(
+            math.log(1e-300) + 2 * math.log(1e200), rel=1e-14
+        )
+        assert rep.bond2_residual == pytest.approx(
+            2 * math.log(1e-300), rel=1e-14
+        )
+
 
 def test_json_shapes():
     import json

@@ -84,6 +84,14 @@ def test_zero_conditioning_slice_rejected():
         oracle_effects(joint)
 
 
+def test_underflowing_ratio_rejected():
+    # LDE(z=1) underflows to 0, so cell(z=1) = NDE / LDE(z=1) has no value
+    counts = (1.0, 1.0354286453990213e307, 1, 1, 3.909535518583441e16, 1, 1, 1)
+    joint = joint_probabilities(ContingencyTable(counts))
+    with pytest.raises(OracleError, match="over- or underflows"):
+        oracle_effects(joint)
+
+
 def test_json_flags_source():
     import json
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loglin_effects import (
@@ -84,6 +84,62 @@ class TestParse:
         assert parse_table(serialize_table(t, fmt), fmt).counts == pytest.approx(
             t.counts, abs=0
         )
+
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"cells": 5}',
+            '{"cells": {"x": 0}}',
+            '{"cells": [1,2,3,4,5,6,7,8], "labels": 7}',
+            '{"cells": [1,2,3,4,5,6,7,8], "labels": "abc"}',
+            '{"cells": [1,2,3,4,5,6,7,8], "labels": ["a", "b"]}',
+            '{"cells": [1,2,3,4,5,6,7,8], "labels": ["a", "b", 3]}',
+        ],
+    )
+    def test_json_cells_and_labels_shape_rejected(self, doc):
+        with pytest.raises(TableError):
+            parse_table(doc, "json")
+
+    def test_json_null_labels_mean_none(self):
+        t = parse_table('{"cells": [1,2,3,4,5,6,7,8], "labels": null}', "json")
+        assert t.labels is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(st.text(), st.binary()),
+        st.sampled_from(["csv", "json"]),
+    )
+    @example('{"cells": 5}', "json")
+    @example('{"cells": [1,2,3,4,5,6,7,8], "labels": 7}', "json")
+    @example('{"cells": [1,2,3,4,5,6,7,8], "labels": "abc"}', "json")
+    @example('{"cells": [1e308,1e308,1,1,1,1,1,1]}', "json")
+    @example("x,z,y,count\n0,0,0,1e308\n0,0,1,1e308\n", "csv")
+    @example('{"cells": [1%s,1,1,1,1,1,1,1]}' % ("0" * 400), "json")
+    @example('{"cells": [1%s,1,1,1,1,1,1,1]}' % ("0" * 5000), "json")
+    @example("[" * 100000, "json")
+    @example(b"\xff\xfe", "csv")
+    @example("\r0", "csv")
+    @example('"%s"' % ("a" * 200000), "csv")
+    def test_parse_raises_only_table_error(self, source, fmt):
+        try:
+            t = parse_table(source, fmt)
+        except TableError:
+            return
+        assert len(t.counts) == 8 and math.isfinite(t.total)
+        assert t.labels is None or (
+            len(t.labels) == 3 and all(isinstance(s, str) for s in t.labels)
+        )
+
+
+class TestTotal:
+    def test_overflowing_total_rejected(self):
+        with pytest.raises(TableError, match="total"):
+            ContingencyTable((1e308, 1e308, 1, 1, 1, 1, 1, 1))
+
+    def test_largest_finite_total_accepted(self):
+        t = ContingencyTable((1e308, 1e307, 1, 1, 1, 1, 1, 1))
+        assert math.isfinite(t.total)
 
 
 class TestValidate:
