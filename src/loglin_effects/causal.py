@@ -14,6 +14,7 @@ import sys
 from dataclasses import dataclass, replace
 
 from .fitting import (
+    FitError,
     NoCausalParams,
     _cell_ratios,
     fit_poisson,
@@ -54,9 +55,9 @@ class CausalParams:
                 "three-way parameter must be 1 without interaction"
             )
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
         eta = eta_factors(self)
-        doc = {
+        return {
             "Xc": self.xc,
             "Zc": self.zc,
             "XZc": self.xzc,
@@ -75,7 +76,9 @@ class CausalParams:
                 "Y|X=1,Z=1": eta.y_given_xz[(1, 1)],
             },
         }
-        return json.dumps(doc, sort_keys=True)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -226,7 +229,8 @@ def nocausal_from_causal(cp: CausalParams) -> NoCausalParams:
     probabilities, so the intercept normalizes the joint.
 
     A joint cell below the normal float range has lost relative precision,
-    and its ratios with it, so it raises ``CausalModelError``.
+    and its ratios with it, so it raises ``CausalModelError``, as does a
+    ratio that over- or underflows.
     """
     if cp.with_interaction:
         raise CausalModelError(
@@ -235,4 +239,7 @@ def nocausal_from_causal(cp: CausalParams) -> NoCausalParams:
     joint = conditional_probabilities(cp).joint().probs
     if min(joint) < sys.float_info.min:
         raise CausalModelError("a joint probability underflows")
-    return _cell_ratios(joint, cp.y, cp.xy, cp.zy)
+    try:
+        return _cell_ratios(joint, cp.y, cp.xy, cp.zy)
+    except FitError as exc:
+        raise CausalModelError(str(exc)) from None

@@ -13,6 +13,7 @@ diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -98,6 +99,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built once per process: it depends on no
+    input, parsing does not change it, and it looks up ``sys.stdout`` and
+    ``sys.stderr`` only when it prints."""
+    return build_parser()
+
+
 def _load_table(args):
     fmt = args.format
     if fmt is None:
@@ -150,14 +159,14 @@ def cmd_fit(args) -> int:
 
     doc = {
         "model": args.model,
-        "loglinear": json.loads(fit.to_json()),
-        "causal": json.loads(cp.to_json()),
+        "loglinear": fit.to_dict(),
+        "causal": cp.to_dict(),
     }
     lines = []
-    lines += _param_lines("loglinear parameters (multiplicative):",
-                          doc["loglinear"]["multiplicative"])
-    lines += _param_lines("loglinear parameters (additive):",
-                          doc["loglinear"]["additive"])
+    # the loglinear blocks print in sorted term order: X, XY, ..., eta
+    for kind in ("multiplicative", "additive"):
+        lines += _param_lines(f"loglinear parameters ({kind}):",
+                              dict(sorted(doc["loglinear"][kind].items())))
     causal_mult = {k: doc["causal"][k]
                    for k in ("Xc", "Zc", "XZc", "Y", "XY", "ZY", "XZY")}
     lines += _param_lines("causal parameters (multiplicative):", causal_mult)
@@ -176,7 +185,7 @@ def cmd_effects(args) -> int:
     cp = fit_causal(table, with_interaction=(args.model == "saturated"))
     report = effects_report(cp, args.from_level, args.to_level)
 
-    doc = json.loads(report.to_json())
+    doc = report.to_dict()
     discrepancy = None
     if args.verify:
         joint = conditional_probabilities(cp).joint()
@@ -208,8 +217,8 @@ def cmd_test(args) -> int:
     bonds = replace(linearity_bonds(cp), bond1_test=result)
 
     doc = {
-        "additive_zero_test": json.loads(result.to_json()),
-        "linearity": json.loads(bonds.to_json()),
+        "additive_zero_test": result.to_dict(),
+        "linearity": bonds.to_dict(),
     }
     lines = [
         f"H0: {result.combination}",
@@ -228,8 +237,7 @@ def cmd_oracle(args) -> int:
         raise TableError("--from and --to must differ")
     joint = joint_probabilities(table)
     report = oracle_effects(joint, args.from_level, args.to_level)
-    doc = json.loads(report.to_json())
-    _emit(args, doc, _report_lines(args, "oracle", report))
+    _emit(args, report.to_dict(), _report_lines(args, "oracle", report))
     return EXIT_OK
 
 
@@ -242,21 +250,19 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.subcommand](args)
-    except (TableError, FileNotFoundError, OSError, ValueError) as exc:
-        # computation-stage ValueErrors are remapped below before this point
-        if isinstance(exc, (CausalModelError, DegenerateProbabilityError,
-                            OracleError, TestError)):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_FIT
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except FitError as exc:
         print(f"fit error: {exc}", file=sys.stderr)
         return EXIT_FIT
+    except (CausalModelError, DegenerateProbabilityError, OracleError,
+            TestError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FIT
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

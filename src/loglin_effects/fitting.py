@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -31,9 +32,9 @@ from .tables import CELLS, VARIABLES, ContingencyTable
 #: each term but the intercept is named by its variables
 TERM_ORDER = ("eta", "X", "Z", "Y", "XZ", "XY", "ZY", "XZY")
 
-#: the two-way fit's Newton iteration stops when a step moves no parameter
-#: by more than ``_TOL`` times one plus the largest parameter magnitude, and
-#: fails after ``_MAX_ITER`` steps
+#: the two-way fit's Newton iteration stops when neither a step nor the
+#: score (of the counts divided by their total) exceeds ``_TOL`` times one
+#: plus the largest parameter magnitude, and fails after ``_MAX_ITER`` steps
 _TOL = 1e-10
 _MAX_ITER = 100
 
@@ -92,8 +93,10 @@ class NoCausalParams:
 
     def __post_init__(self):
         for name in ("eta", "x", "z", "y", "xz", "xy", "zy", "xzy"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"multiplicative parameter {name} must be > 0")
+            if not 0.0 < getattr(self, name) < math.inf:  # also rejects nan
+                raise ValueError(
+                    f"multiplicative parameter {name} must be finite and > 0"
+                )
 
     @property
     def multiplicative(self) -> dict:
@@ -148,23 +151,25 @@ class FitResult:
             raise FitError("singular information matrix") from None
         return (cov + cov.T) / 2.0
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
         terms = self.spec.ordered_terms
         add = self.params.additive
         mult = self.params.multiplicative
-        doc = {
+        return {
             "additive": {t: add[t] for t in terms},
             "multiplicative": {t: mult[t] for t in terms},
             "fitted_counts": list(self.fitted_counts),
             "covariance": {
                 "terms": list(terms),
-                "values": [float(v) for v in self.covariance.ravel()],
+                "values": self.covariance.ravel().tolist(),
             },
             "deviance": self.deviance,
             "iterations": self.iterations,
             "converged": self.converged,
         }
-        return json.dumps(doc, sort_keys=True)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def design_matrix(spec: ModelSpec):
@@ -212,18 +217,22 @@ def _cell_ratios(m, y, xy, zy, xzy=1.0) -> NoCausalParams:
     In dummy code m(0,0,0) is the intercept, m(1,0,0)/m(0,0,0) is mu^X,
     m(0,1,0)/m(0,0,0) is mu^Z, and mu^XZ is the cross ratio of the four
     y = 0 cells, taken as a ratio of ratios so no product of counts over-
-    or underflows.
+    or underflows.  A parameter that does so itself, to 0 or infinity,
+    raises ``FitError``: the counts are valid, the fit cannot represent it.
     """
-    return NoCausalParams(
-        eta=m[0],
-        x=m[4] / m[0],
-        z=m[2] / m[0],
-        y=y,
-        xz=(m[6] / m[4]) * (m[0] / m[2]),
-        xy=xy,
-        zy=zy,
-        xzy=xzy,
-    )
+    try:
+        return NoCausalParams(
+            eta=m[0],
+            x=m[4] / m[0],
+            z=m[2] / m[0],
+            y=y,
+            xz=(m[6] / m[4]) * (m[0] / m[2]),
+            xy=xy,
+            zy=zy,
+            xzy=xzy,
+        )
+    except ValueError as exc:
+        raise FitError(str(exc)) from None
 
 
 def _fit_two_way(table: ContingencyTable) -> FitResult:
@@ -238,16 +247,29 @@ def _fit_two_way(table: ContingencyTable) -> FitResult:
     if min(m) <= 0.0:
         raise FitError("a fitted count underflows to 0")
     deviance = 2.0 * sum(
-        c * math.log(c / f) - (c - f) if c > 0 else f for c, f in zip(n, m)
+        c * _log_ratio(c, f) - (c - f) if c > 0 else f for c, f in zip(n, m)
     )
+    try:
+        y_block = [math.exp(b) for b in beta]
+    except OverflowError:
+        raise FitError("a loglinear Y-block parameter overflows") from None
     return FitResult(
-        params=_cell_ratios(m, *map(math.exp, beta)),
+        params=_cell_ratios(m, *y_block),
         fitted_counts=tuple(m),
         deviance=deviance,
         iterations=iterations,
         converged=True,
         spec=ModelSpec(),
     )
+
+
+def _log_ratio(c: float, f: float) -> float:
+    """log(c / f) for positive ``c`` and ``f``, also when c / f leaves the
+    normal float range."""
+    r = c / f
+    if sys.float_info.min <= r < math.inf:
+        return math.log(r)
+    return math.log(c) - math.log(f)
 
 
 def _check_mle_exists(n) -> None:
@@ -298,8 +320,10 @@ def _fit_y_block(n) -> tuple:
     at every scale of the table.  It starts from ``_y_start`` and halves a
     step until the log-likelihood does not fall; the log-likelihood is
     concave and its maximum exists (``_check_mle_exists``), so the
-    iteration converges from any start.  Returns the parameters and the
-    number of Newton steps.
+    iteration converges from any start.  It stops when the step and the
+    score are both within the tolerance; a step that vanishes while the
+    score does not has been lost to round-off in the solve, and raises
+    ``FitError``.  Returns the parameters and the number of Newton steps.
     """
     total = sum(n)
     cells = [(x, z, n[2 * k] / total, n[2 * k + 1] / total)
@@ -309,7 +333,13 @@ def _fit_y_block(n) -> tuple:
     for iterations in range(1, _MAX_ITER + 1):
         step = _solve_y_information(w, score)
         size = max(map(abs, step))
-        if size <= _TOL * (1.0 + max(map(abs, beta))):
+        tol = _TOL * (1.0 + max(map(abs, beta)))
+        if size <= tol:
+            if max(map(abs, score)) > tol:
+                raise FitError(
+                    "the Newton step vanished in round-off before the score "
+                    "did: the Y-block information is too ill-conditioned"
+                )
             return tuple(u + d for u, d in zip(beta, step)), iterations
         t = 1.0
         while True:

@@ -42,17 +42,17 @@ class TestResult:
     p_two_sided: float
     combination: str
 
+    def to_dict(self) -> dict:
+        return {
+            "beta_hat": self.beta_hat,
+            "se": self.se,
+            "z": self.z,
+            "p": self.p_two_sided,
+            "constraint": self.combination,
+        }
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "beta_hat": self.beta_hat,
-                "se": self.se,
-                "z": self.z,
-                "p": self.p_two_sided,
-                "constraint": self.combination,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -61,19 +61,17 @@ class LinearityReport:
     bond2_residual: float
     bond1_test: Optional[TestResult] = None
 
+    def to_dict(self) -> dict:
+        return {
+            "bond1_residual": self.bond1_residual,
+            "bond2_residual": self.bond2_residual,
+            "bond1_test": (
+                None if self.bond1_test is None else self.bond1_test.to_dict()
+            ),
+        }
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "bond1_residual": self.bond1_residual,
-                "bond2_residual": self.bond2_residual,
-                "bond1_test": (
-                    None
-                    if self.bond1_test is None
-                    else json.loads(self.bond1_test.to_json())
-                ),
-            },
-            sort_keys=True,
-        )
+        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def additive_zero_test(fit: FitResult) -> TestResult:

@@ -12,7 +12,7 @@ class EffectsReport:
     """All odds-ratio effects for one direction of change in X.
 
     ``source`` names who computed the values when it is not the engine
-    (the oracle sets ``"oracle"``); ``to_json`` emits it only when set.
+    (the oracle sets ``"oracle"``); ``to_dict`` emits it only when set.
     """
 
     te: float
@@ -27,7 +27,7 @@ class EffectsReport:
     direction: tuple = (0, 1)
     source: Optional[str] = None
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
         doc = {
             "TE": self.te,
             "LDE": {"z0": self.lde[0], "z1": self.lde[1]},
@@ -42,5 +42,8 @@ class EffectsReport:
         }
         if self.source is not None:
             doc["source"] = self.source
-        return json.dumps(doc, sort_keys=True)
+        return doc
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True)
 

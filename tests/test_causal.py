@@ -185,6 +185,17 @@ class TestConversions:
         with pytest.raises(CausalModelError):
             nocausal_from_causal(cp)
 
+    def test_nan_joint_rejected(self):
+        # the joint of these parameters is all nan; the conversion used to
+        # return NoCausalParams with eta, x, z and xz all nan
+        cp = CausalParams(
+            xc=1.4733217925453454e-121, zc=7.069492208689044e-286,
+            xzc=1.7581130897699523e222, y=2.6984315924773393e-17,
+            xy=1.1159168164124091e133, zy=2.10296650436276e230,
+        )
+        with pytest.raises(CausalModelError):
+            nocausal_from_causal(cp)
+
     def test_inverse_reproduces_worked_value(self):
         cp = CausalParams(
             xc=causal_from_nocausal(SEC3_NC).xc,

@@ -40,6 +40,48 @@ def zero_cell_csv(tmp_path):
     return str(path)
 
 
+class TestInProcessMain:
+    def test_parser_built_once_per_process(self, uniform_csv, monkeypatch):
+        import loglin_effects.cli as cli
+
+        calls = []
+        real = cli.build_parser
+
+        def counting():
+            calls.append(1)
+            return real()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        try:
+            for command in ("fit", "effects", "test"):
+                assert main([command, "--input", uniform_csv]) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(calls) == 1
+
+    def test_no_options_carry_to_the_next_call(self, table5_csv, capsys):
+        assert main(
+            ["effects", "--input", table5_csv, "--verify", "--from", "1",
+             "--to", "0", "--output", "json"]
+        ) == 0
+        assert json.loads(capsys.readouterr().out)["direction"] == [1, 0]
+        assert main(["effects", "--input", table5_csv, "--output", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert "verify_max_discrepancy" not in doc
+        assert doc["direction"] == [0, 1]
+
+    @pytest.mark.parametrize(
+        "argv, status", [(["fit", "--bogus"], 2), (["--version"], 0)]
+    )
+    def test_good_call_after_parser_exit(self, uniform_csv, argv, status,
+                                         capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--input", uniform_csv])
+        assert exc.value.code == status
+        assert main(["fit", "--input", uniform_csv]) == 0
+
+
 class TestFit:
     def test_uniform_exit_and_values(self, uniform_csv, capsys):
         assert main(["fit", "--input", uniform_csv, "--output", "json"]) == 0
@@ -177,6 +219,49 @@ class TestMleExistence:
             ["fit", "--input", str(path), "--zero-cells", "allow"]
         ) == 2
         assert "does not exist" in capsys.readouterr().err
+
+
+class TestParameterRange:
+    # valid tables whose loglinear parameters under- or overflow: the fit
+    # cannot represent them, which is a computation failure, not bad input
+    @pytest.mark.parametrize(
+        "counts, model",
+        [
+            ((4.54, 3.66e-14, 1.97e108, 2.65e45, 1.98e214, 1.11e-30,
+              5.07e-18, 1.77e199), "saturated"),
+            ((5.15e48, 7.72e-113, 6.26e151, 3.07e-196, 4.08e-7, 2.93e-33,
+              1.75e-25, 7.38e22), "two-way"),
+            # lambda^Y = 724 > log(max float): exp raised OverflowError
+            ((0.009234292562400749, 0.0019505349237660058, 1e-300, 1.0,
+              0.9999999999999987, 1.3083909595959356e-15, 1e-300, 1.0),
+             "two-way"),
+        ],
+    )
+    def test_out_of_range_parameters_exit_2(self, tmp_path, counts, model,
+                                            capsys):
+        path = tmp_path / "range.csv"
+        path.write_text(_counts_csv(counts))
+        assert main(["effects", "--input", str(path), "--model", model]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error:" in captured.err
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.floats(min_value=-300.0, max_value=300.0),
+                 min_size=8, max_size=8),
+        st.sampled_from(["two-way", "saturated"]),
+    )
+    def test_positive_tables_exit_0_or_2(self, exponents, model):
+        counts = tuple(10.0 ** e for e in exponents)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "table.csv"
+            path.write_text(_counts_csv(counts))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = main(["effects", "--input", str(path), "--model",
+                             model])
+        assert code in (0, 2), err.getvalue()
 
 
 class TestTestCommand:

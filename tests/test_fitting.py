@@ -178,6 +178,21 @@ class TestClosedForms:
                 ContingencyTable((0, 1, 1, 1, 1, 1, 1, 1))
             )
 
+    def test_underflowing_parameter_is_a_fit_error(self):
+        # xz = (n(1,1,0)/n(1,0,0)) * (n(0,0,0)/n(0,1,0)) underflows to 0
+        t = ContingencyTable((4.54, 3.66e-14, 1.97e108, 2.65e45, 1.98e214,
+                              1.11e-30, 5.07e-18, 1.77e199))
+        with pytest.raises(FitError, match="xz"):
+            saturated_closed_form(t)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+    @pytest.mark.parametrize("index", range(8))
+    def test_non_finite_or_non_positive_params_rejected(self, bad, index):
+        args = [1.0] * 8
+        args[index] = bad
+        with pytest.raises(ValueError, match="finite and > 0"):
+            NoCausalParams(*args)
+
 
 class TestMultiplicativeConversion:
     def test_zero_lambdas(self):
@@ -271,6 +286,34 @@ class TestMleExistence:
             7.669454141975074e94, 1.0, 1.0, 7.459106318111507e127,
         ))
         with pytest.raises(FitError, match="underflows"):
+            fit_poisson(t)
+
+    def test_deviance_with_underflowing_count_ratio(self):
+        # n(0,0,0) / m(0,0,0) = 1e-300 / 2.1e29 underflows to 0, which
+        # made the deviance's log(c / f) raise "math domain error"
+        counts = (1e-300,) + (1e30,) * 7
+        fit = fit_poisson(ContingencyTable(counts))
+        expected = 2.0 * sum(
+            c * (math.log(c) - math.log(f)) - (c - f)
+            for c, f in zip(counts, fit.fitted_counts)
+        )
+        assert fit.deviance == pytest.approx(expected, rel=1e-12)
+
+    def test_overflowing_y_block_parameter_is_a_fit_error(self):
+        # the fit converges to lambda^Y = 724, whose exp overflows
+        t = ContingencyTable((0.009234292562400749, 0.0019505349237660058,
+                              1e-300, 1.0, 0.9999999999999987,
+                              1.3083909595959356e-15, 1e-300, 1.0))
+        with pytest.raises(FitError, match="overflows"):
+            fit_poisson(t)
+
+    def test_step_lost_to_round_off_is_not_convergence(self):
+        # at the zero start the adjugate solve cancels to an exactly zero
+        # step while the score is (-0.5, 0, -0.5); this fit used to stop
+        # there as "converged" with every fitted P(Y=1|x,z) = 1/2
+        t = ContingencyTable((5.15e48, 7.72e-113, 6.26e151, 3.07e-196,
+                              4.08e-7, 2.93e-33, 1.75e-25, 7.38e22))
+        with pytest.raises(FitError, match="round-off"):
             fit_poisson(t)
 
 

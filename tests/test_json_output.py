@@ -1,0 +1,99 @@
+"""JSON and text output: golden CLI bytes and the ``to_dict`` contract.
+
+``data/cli_golden_readme.json`` holds the exit code, stdout and stderr of
+12 CLI calls on the README table (``fit`` on both models, ``effects
+--verify`` on both models, ``test`` and ``oracle``, each as text and as
+JSON), recorded before the commands built their JSON documents from
+``to_dict`` instead of reparsing ``to_json``.
+"""
+
+import json
+import re
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from loglin_effects import (
+    ContingencyTable,
+    additive_zero_test,
+    effects_report,
+    fit_causal,
+    fit_poisson,
+    linearity_bonds,
+    oracle_effects,
+    serialize_table,
+    two_way_spec,
+)
+from loglin_effects.cli import main
+from loglin_effects.tables import joint_probabilities
+
+README_COUNTS = (42, 18, 25, 31, 17, 23, 12, 48)
+
+GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "cli_golden_readme.json").read_text()
+)
+
+_COVARIANCE = re.compile(r'"values":\[([^\]]*)\]')
+
+
+@pytest.fixture(scope="module")
+def readme_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("golden") / "readme.csv"
+    path.write_text(serialize_table(ContingencyTable(README_COUNTS), "csv"))
+    return str(path)
+
+
+def _split_covariance(out):
+    """``out`` with its covariance values cut out, and those values."""
+    match = _COVARIANCE.search(out)
+    if match is None:
+        return out, []
+    values = [float(v) for v in match.group(1).split(",")]
+    return out[:match.start(1)] + out[match.end(1):], values
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda c: " ".join(c["argv"]))
+def test_cli_output_matches_golden(case, readme_csv, capsys):
+    code = main([*case["argv"], "--input", readme_csv])
+    out, err = capsys.readouterr()
+    assert code == case["code"]
+    assert err == case["stderr"]
+    # the covariance is a LAPACK inverse, whose last bits may differ between
+    # numpy builds; every other byte must match
+    out, cov = _split_covariance(out)
+    expected, expected_cov = _split_covariance(case["stdout"])
+    assert out == expected
+    assert cov == pytest.approx(expected_cov, rel=1e-12, abs=1e-15)
+
+
+def _results():
+    table = ContingencyTable(README_COUNTS)
+    fit = fit_poisson(table, two_way_spec())
+    cp = fit_causal(table)
+    test = additive_zero_test(fit)
+    bonds = linearity_bonds(cp)
+    return {
+        "FitResult": fit,
+        "CausalParams": cp,
+        "EffectsReport": effects_report(cp),
+        "EffectsReport (oracle)": oracle_effects(joint_probabilities(table)),
+        "TestResult": test,
+        "LinearityReport": bonds,
+        "LinearityReport (with test)": replace(bonds, bond1_test=test),
+    }
+
+
+@pytest.mark.parametrize("name", list(_results()))
+def test_to_json_is_to_dict_dumped(name):
+    result = _results()[name]
+    assert result.to_json() == json.dumps(result.to_dict(), sort_keys=True)
+
+
+@pytest.mark.parametrize("name", list(_results()))
+def test_to_dict_is_fresh_plain_data(name):
+    # the CLI adds keys to the dict it gets; a dict must not be shared
+    result = _results()[name]
+    doc = result.to_dict()
+    assert doc is not result.to_dict()
+    assert json.loads(json.dumps(doc)) == doc
