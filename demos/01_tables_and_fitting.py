@@ -36,9 +36,10 @@ xy_given_z1 = margin(joint, ("X", "Y"), condition=("Z", 1))
 print("P(X=1, Y=1)        =", round(xy_margin.prob(1, 1), 4))
 print("P(X=1, Y=1 | Z=1)  =", round(xy_given_z1.prob(1, 1), 4))
 
-# Fit the model with all two-way associations (no three-way term).  It
-# fits the XZ margin exactly, so its Y-block is a logistic regression of Y
-# on X and Z, fitted by Newton's method...
+# Fit the model with all two-way associations (no three-way term).  Its
+# fitted table keeps the observed two-way margins, so it is the table plus
+# t times the +-1 parity pattern of the cells, with the one t that leaves no
+# three-way term: one equation in one unknown, solved by Newton's method...
 fit2 = fit_poisson(table, two_way_spec())
 print("\ntwo-way fit: deviance", round(fit2.deviance, 4),
       "in", fit2.iterations, "Newton steps")

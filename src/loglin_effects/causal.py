@@ -134,6 +134,11 @@ class ConditionalProbabilities:
                 probs += (pxz * self.p_y0_given_xz[(x, z)],
                           pxz * self.p_y1_given_xz[(x, z)])
         total = sum(probs)
+        if not 0.0 < total < math.inf:  # also a nan probability
+            raise CausalModelError(
+                f"the joint probabilities sum to {total}: the parameters "
+                "leave the float range"
+            )
         return JointProbabilityTable(tuple(p / total for p in probs))
 
 

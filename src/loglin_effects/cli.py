@@ -157,24 +157,28 @@ def cmd_fit(args) -> int:
         _xz_margins(table.counts), fit.params, spec.with_three_way
     )
 
-    doc = {
-        "model": args.model,
-        "loglinear": fit.to_dict(),
-        "causal": cp.to_dict(),
-    }
+    if args.output == "json":
+        # only the JSON document holds the covariance, which needs numpy
+        doc = {"model": args.model, "loglinear": fit.to_dict(),
+               "causal": cp.to_dict()}
+        _emit(args, doc, ())
+        return EXIT_OK
     lines = []
     # the loglinear blocks print in sorted term order: X, XY, ..., eta
-    for kind in ("multiplicative", "additive"):
+    terms = sorted(spec.ordered_terms)
+    for kind, values in (("multiplicative", fit.params.multiplicative),
+                         ("additive", fit.params.additive)):
         lines += _param_lines(f"loglinear parameters ({kind}):",
-                              dict(sorted(doc["loglinear"][kind].items())))
-    causal_mult = {k: doc["causal"][k]
+                              {t: values[t] for t in terms})
+    causal = cp.to_dict()
+    causal_mult = {k: causal[k]
                    for k in ("Xc", "Zc", "XZc", "Y", "XY", "ZY", "XZY")}
     lines += _param_lines("causal parameters (multiplicative):", causal_mult)
     lines.append(
         f"deviance {fit.deviance:.6g}  iterations {fit.iterations}  "
         f"converged {fit.converged}"
     )
-    _emit(args, doc, lines)
+    _emit(args, None, lines)
     return EXIT_OK
 
 

@@ -5,13 +5,15 @@ interaction) and the saturated model; ``ModelSpec`` is one bool that picks
 between them.  Both are dummy coded: a term is 1 at a cell exactly when all
 its variables are at level 1 there.
 
-The two-way model fits the XZ margin exactly, so its fitted counts are
-``n(x,z,+) * p(y|x,z)``, where ``p`` is the logistic regression of Y on X and
-Z over the four binomial cells (x, z).  Its three parameters are the Y-block
-of the loglinear model (lambda^Y, lambda^XY, lambda^ZY); they are fitted by
-Newton's method after an exact check that the MLE exists.  The saturated
-model reproduces the counts and is solved in closed form.  Both read the
-intercept and the X, Z and XZ terms off the cells with ``_cell_ratios``.
+The two-way model has one residual degree of freedom.  The tables with the
+observed two-way margins are ``n + t*u``, u(x,z,y) = (-1)^(x+z+y), and its
+MLE is the one among them with no three-way term, ``sum u log m = 0``
+(Bartlett, 1935): one unknown in one increasing equation.  The positive
+tables ``n + t*u`` form an interval of ``t``, which is empty exactly when
+the MLE does not exist (Haberman, 1974); otherwise the equation has one root
+in it, found by Newton's method.  The saturated model reproduces the counts.
+Both models read their Y-block off the cells with the same ratios, and the
+intercept and the X, Z and XZ terms with ``_cell_ratios``.
 
 The covariance of the additive parameters, ``(D' diag(m) D)^-1`` over the
 dummy-coded design matrix ``D``, is computed on first use; it and
@@ -32,10 +34,13 @@ from .tables import CELLS, VARIABLES, ContingencyTable
 #: each term but the intercept is named by its variables
 TERM_ORDER = ("eta", "X", "Z", "Y", "XZ", "XY", "ZY", "XZY")
 
-#: the two-way fit's Newton iteration stops when neither a step nor the
-#: score (of the counts divided by their total) exceeds ``_TOL`` times one
-#: plus the largest parameter magnitude, and fails after ``_MAX_ITER`` steps
-_TOL = 1e-10
+#: the cells where x + z + y is even, u(x,z,y) = +1, and where it is odd
+_EVEN = (0, 3, 5, 6)
+_ODD = (1, 2, 4, 7)
+
+#: the two-way fit's Newton iteration stops after a step in log s of at
+#: most ``_TOL``, and fails after ``_MAX_ITER`` steps
+_TOL = 1e-8
 _MAX_ITER = 100
 
 
@@ -183,17 +188,12 @@ def design_matrix(spec: ModelSpec):
     )
 
 
-#: the four binomial cells (x, z) of the Y-block, in canonical order; cell
-#: (x, z, y) of a table sits at index 2k + y for the k-th of them
-_XZ = ((0, 0), (0, 1), (1, 0), (1, 1))
-
-
 def fit_poisson(
     table: ContingencyTable, spec: ModelSpec = ModelSpec()
 ) -> FitResult:
     """Maximum likelihood fit of the two-way (default) or saturated model.
 
-    The two-way fit runs Newton's method on the logistic Y-block and raises
+    The two-way fit solves for its one free parameter and raises
     ``FitError`` when its MLE does not exist; the saturated fit is the
     closed form.  The covariance of the additive parameters is the lazy
     ``FitResult.covariance``.
@@ -237,22 +237,25 @@ def _cell_ratios(m, y, xy, zy, xzy=1.0) -> NoCausalParams:
 
 def _fit_two_way(table: ContingencyTable) -> FitResult:
     n = table.counts
-    _check_mle_exists(n)
-    beta, iterations = _fit_y_block(n)
-    m = []
-    for k, (x, z) in enumerate(_XZ):
-        size = n[2 * k] + n[2 * k + 1]
-        p0, p1, _, _ = _logistic(beta[0] + beta[1] * x + beta[2] * z)
-        m += (size * p0, size * p1)
-    if min(m) <= 0.0:
-        raise FitError("a fitted count underflows to 0")
+    # the positive tables n + t*u have t in (-min_even n, min_odd n), which
+    # is empty exactly when both parity classes hold a zero count
+    zeros = [cell for cell, c in zip(CELLS, n) if c == 0]
+    if len({sum(cell) % 2 for cell in zeros}) == 2:
+        raise FitError(
+            f"the two-way MLE does not exist: the zero counts at cells "
+            f"{zeros} make a zero margin n(x,z,+) or separate Y=1 from Y=0"
+        )
+    k = _scale_exponent(n)
+    scaled, iterations = _solve_two_way([math.ldexp(c, k) for c in n])
+    y_block = _y_ratios(scaled)
+    if not all(0.0 < r < math.inf for r in y_block):
+        raise FitError("a loglinear Y-block parameter overflows or underflows")
+    m = [math.ldexp(c, -k) for c in scaled]
+    if min(m) < sys.float_info.min:
+        raise FitError("a fitted count underflows")
     deviance = 2.0 * sum(
         c * _log_ratio(c, f) - (c - f) if c > 0 else f for c, f in zip(n, m)
     )
-    try:
-        y_block = [math.exp(b) for b in beta]
-    except OverflowError:
-        raise FitError("a loglinear Y-block parameter overflows") from None
     return FitResult(
         params=_cell_ratios(m, *y_block),
         fitted_counts=tuple(m),
@@ -263,6 +266,70 @@ def _fit_two_way(table: ContingencyTable) -> FitResult:
     )
 
 
+def _scale_exponent(n) -> int:
+    """The power of two that centres the binary exponents of the positive
+    counts on 1, so the logs in the equation stay small.
+
+    It scales up only while every count stays below 2^1020, so no sum of
+    two counts overflows, and down only as far as the centre, so no
+    positive count becomes 0.
+    """
+    top = math.frexp(max(n))[1]
+    bottom = math.frexp(min(c for c in n if c > 0))[1]
+    return min(-((top + bottom) // 2), max(0, 1020 - top))
+
+
+def _solve_two_way(n) -> tuple:
+    """The two-way MLE ``m = n + t*u`` of counts ``n``, and the Newton
+    steps it took.
+
+    ``t`` is the root of ``sum_even log(n + t) = sum_odd log(n - t)`` in
+    ``(-lo, hi)``, lo and hi the least even and odd counts.  The sign of
+    the equation at the midpoint picks the end nearer the root, and ``s``
+    is the root's distance from it: each fitted count is then a
+    non-negative ``a + s`` or a ``b - s`` with b >= 2s, so none cancels.
+    In ``v = log s`` the equation ``g = sum log(a + s) - sum log(b - s)``
+    is convex and increasing, with g' >= 1 (one ``a`` is 0) and g'' <= 2g',
+    so Newton's method from the midpoint descends to the root
+    monotonically, and after a step of at most ``_TOL`` the error in v is
+    below round-off.
+    """
+    lo, hi = min(n[i] for i in _EVEN), min(n[i] for i in _ODD)
+    s = (lo + hi) / 2.0
+    if not s >= sys.float_info.min:
+        raise FitError("a fitted count underflows")
+    rising = [n[i] - lo + s for i in _EVEN]
+    falling = [n[i] - hi + s for i in _ODD]
+    g = sum(map(math.log, rising)) - sum(map(math.log, falling))
+    if g >= 0.0:
+        rise, fall, end = _EVEN, _ODD, lo
+    else:
+        rise, fall, end = _ODD, _EVEN, hi
+        rising, falling, g = falling, rising, -g
+    up, down = [n[i] - end for i in rise], [n[i] + end for i in fall]
+    for iterations in range(1, _MAX_ITER + 1):
+        dv = g / (s * sum([1.0 / c for c in rising + falling]))
+        s *= math.exp(-dv)
+        if not s >= sys.float_info.min:
+            raise FitError("a fitted count underflows")
+        rising, falling = [a + s for a in up], [b - s for b in down]
+        if abs(dv) <= _TOL:
+            break
+        g = sum(map(math.log, rising)) - sum(map(math.log, falling))
+    else:
+        raise FitError(f"the two-way fit did not converge in {_MAX_ITER} "
+                       "steps")
+    m = dict(zip(rise + fall, rising + falling))
+    return [m[i] for i in range(8)], iterations
+
+
+def _y_ratios(m) -> tuple:
+    """mu^Y, mu^XY and mu^ZY of cells ``m``: the odds of Y at x = z = 0 and
+    the odds ratios of Y with X at z = 0 and with Z at x = 0."""
+    return (m[1] / m[0], (m[5] / m[4]) * (m[0] / m[1]),
+            (m[3] / m[2]) * (m[0] / m[1]))
+
+
 def _log_ratio(c: float, f: float) -> float:
     """log(c / f) for positive ``c`` and ``f``, also when c / f leaves the
     normal float range."""
@@ -270,169 +337,6 @@ def _log_ratio(c: float, f: float) -> float:
     if sys.float_info.min <= r < math.inf:
         return math.log(r)
     return math.log(c) - math.log(f)
-
-
-def _check_mle_exists(n) -> None:
-    """Raise ``FitError`` unless the two-way MLE exists for counts ``n``.
-
-    The MLE of a Poisson loglinear model exists exactly when some table
-    with every cell positive has the observed sufficient statistics, here
-    the three two-way margins (Haberman, 1974).  The tables with those
-    margins are ``n + t*u`` with u(x,z,y) = (-1)^(x+z+y), so one exists
-    unless both parity classes of cells hold a zero count.  This covers a
-    zero margin n(x,z,+) and every complete or quasi-complete separation
-    of Y=1 from Y=0 by an affine a + b*x + c*z.
-    """
-    if all(n):
-        return
-    zeros = [cell for cell, c in zip(CELLS, n) if c == 0]
-    if len({sum(cell) % 2 for cell in zeros}) == 2:
-        raise FitError(
-            f"the two-way MLE does not exist: the zero counts at cells "
-            f"{zeros} make a zero margin n(x,z,+) or separate Y=1 from Y=0"
-        )
-
-
-def _logistic(eta: float) -> tuple:
-    """``P(Y=0)``, ``P(Y=1)`` and their logs at logit ``eta``.
-
-    One ``exp`` of ``-|eta|`` gives all four without cancellation, and
-    without overflow at any finite ``eta``.
-    """
-    e = math.exp(-abs(eta))
-    big, small = 1.0 / (1.0 + e), e / (1.0 + e)
-    log_big = -math.log1p(e)
-    log_small = log_big - abs(eta)
-    if eta >= 0:
-        return small, big, log_small, log_big
-    return big, small, log_big, log_small
-
-
-#: relative round-off allowed when a Newton step is tested for ascent: the
-#: log-likelihood sums eight terms of one sign, each good to a few ulps
-_LL_ROUNDOFF = 1e-13
-
-
-def _fit_y_block(n) -> tuple:
-    """Damped Newton's method for the logistic MLE (lambda^Y, lambda^XY, lambda^ZY).
-
-    Counts enter divided by the table total, so the iteration is the same
-    at every scale of the table.  It starts from ``_y_start`` and halves a
-    step until the log-likelihood does not fall; the log-likelihood is
-    concave and its maximum exists (``_check_mle_exists``), so the
-    iteration converges from any start.  It stops when the step and the
-    score are both within the tolerance; a step that vanishes while the
-    score does not has been lost to round-off in the solve, and raises
-    ``FitError``.  Returns the parameters and the number of Newton steps.
-    """
-    total = sum(n)
-    cells = [(x, z, n[2 * k] / total, n[2 * k + 1] / total)
-             for k, (x, z) in enumerate(_XZ)]
-    beta = _y_start(cells)
-    w, score, ll = _y_terms(cells, beta)
-    for iterations in range(1, _MAX_ITER + 1):
-        step = _solve_y_information(w, score)
-        size = max(map(abs, step))
-        tol = _TOL * (1.0 + max(map(abs, beta)))
-        if size <= tol:
-            if max(map(abs, score)) > tol:
-                raise FitError(
-                    "the Newton step vanished in round-off before the score "
-                    "did: the Y-block information is too ill-conditioned"
-                )
-            return tuple(u + d for u, d in zip(beta, step)), iterations
-        t = 1.0
-        while True:
-            trial = tuple(u + t * d for u, d in zip(beta, step))
-            w, score, trial_ll = _y_terms(cells, trial)
-            if trial_ll >= ll - _LL_ROUNDOFF * abs(ll):
-                break
-            t *= 0.5
-            if t * size <= _TOL:
-                raise FitError("Newton step found no ascent")
-        beta, ll = trial, trial_ll
-    raise FitError(
-        f"Newton iteration did not converge in {_MAX_ITER} steps"
-    )
-
-
-def _y_start(cells) -> tuple:
-    """Weighted least squares of the empirical logits log(n1/n0) on r.
-
-    Each cell with both Y levels enters with its inverse-variance weight
-    n0 n1 / n; this is the MLE when the two-way model fits the table
-    exactly.  With fewer than three such cells the start is zero.
-    """
-    v, vl = [], []
-    for x, z, a, b in cells:
-        if a > 0 and b > 0:
-            v.append(a * (b / (a + b)))
-            vl.append(v[-1] * (math.log(b) - math.log(a)))
-        else:
-            v.append(0.0)
-            vl.append(0.0)
-    try:
-        return _solve_y_information(
-            v, (vl[0] + vl[1] + vl[2] + vl[3], vl[2] + vl[3], vl[1] + vl[3])
-        )
-    except FitError:
-        return 0.0, 0.0, 0.0
-
-
-def _y_terms(cells, beta) -> tuple:
-    """Information weights, score and log-likelihood of the Y-block at ``beta``.
-
-    Per cell the weight is n p0 p1 and the score term n1 p0 - n0 p1, which
-    is n1 - n p without its cancellation.
-    """
-    b0, b1, b2 = beta
-    w, s, ll = [], [], 0.0
-    for x, z, a, b in cells:
-        p0, p1, log_p0, log_p1 = _logistic(b0 + b1 * x + b2 * z)
-        w.append((a + b) * p0 * p1)
-        s.append(b * p0 - a * p1)
-        ll += a * log_p0 + b * log_p1
-    return w, (s[0] + s[1] + s[2] + s[3], s[2] + s[3], s[1] + s[3]), ll
-
-
-def _solve_y_information(w, rhs) -> tuple:
-    """Solve ``I v = rhs`` for the Y-block information ``I = sum w r r'``.
-
-    ``w`` holds the four cell weights in ``_XZ`` order and r = (1, x, z).
-    Any three of the four r form a unimodular matrix, so by Cauchy-Binet
-    det I is the sum of the products of three weights; ``I^-1`` is its
-    adjugate over that determinant, each entry a sum of products of weights.
-    """
-    w00, w01, w10, w11 = w
-    x0, x1, z0, z1 = w00 + w01, w10 + w11, w00 + w10, w01 + w11
-    det = w00 * w01 * x1 + w10 * w11 * x0
-    if not det > 0:
-        raise FitError("singular Y-block information matrix")
-    c00 = w01 * w10 + w11 * (w01 + w10)
-    c01, c02, c12 = -w10 * z1, -w01 * x1, w01 * w10 - w00 * w11
-    b0, b1, b2 = rhs
-    return (
-        (c00 * b0 + c01 * b1 + c02 * b2) / det,
-        (c01 * b0 + z0 * z1 * b1 + c12 * b2) / det,
-        (c02 * b0 + c12 * b1 + x0 * x1 * b2) / det,
-    )
-
-
-def y_block_variance(fitted_counts, contrast) -> float:
-    """Variance of ``contrast . (lambda^Y, lambda^XY, lambda^ZY)`` at a two-way fit.
-
-    It is ``c' I^-1 c`` for the Y-block information
-    ``I = sum w r r'``, ``w = m(x,z,0) m(x,z,1) / m(x,z,+)``, r = (1, x, z),
-    which equals that block of the inverse Poisson information because
-    the two-way MLE fits the XZ margin exactly.  Weights are divided by
-    the table total, so no product of counts is formed.
-    """
-    m = fitted_counts
-    total = sum(m)
-    w = [m[2 * k] / total * (m[2 * k + 1] / (m[2 * k] + m[2 * k + 1]))
-         for k in range(4)]
-    v = _solve_y_information(w, contrast)
-    return sum(c * u for c, u in zip(contrast, v)) / total
 
 
 def saturated_closed_form(table: ContingencyTable) -> NoCausalParams:
@@ -450,8 +354,6 @@ def saturated_closed_form(table: ContingencyTable) -> NoCausalParams:
         )
     return _cell_ratios(
         n,
-        y=n[1] / n[0],
-        xy=(n[5] / n[4]) * (n[0] / n[1]),
-        zy=(n[3] / n[2]) * (n[0] / n[1]),
+        *_y_ratios(n),
         xzy=((n[7] / n[6]) * (n[4] / n[5])) * ((n[2] / n[3]) * (n[1] / n[0])),
     )

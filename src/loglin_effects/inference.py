@@ -2,8 +2,11 @@
 
 The additive-interaction test is a z-test on the linear combination
 lambda^ZY + 2 lambda^Y + lambda^XY of the additive two-way-model
-parameters, with its variance from the inverse Y-block information at
-the fitted counts.
+parameters, which is logit(0,0) + logit(1,1) of P(Y=1|x,z).  Its variance,
+the inverse Y-block information applied to that contrast, has the closed
+form 1 / (1/A + 1/B): A is the sum of 1/m(x,z,y) over the fitted cells with
+x = z and B the same sum over those with x != z.  Every term is positive,
+so nothing cancels.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .causal import CausalParams, CausalModelError
-from .fitting import FitResult, y_block_variance
+from .fitting import FitResult
 
 #: contrast weights over additive parameters for the zero-interaction test,
 #: in the Y-block order (lambda^Y, lambda^XY, lambda^ZY)
@@ -80,8 +83,15 @@ def additive_zero_test(fit: FitResult) -> TestResult:
         raise TestError("test defined for two-way model")
     add = fit.params.additive
     beta_hat = sum(_CONTRAST[t] * add[t] for t in _CONTRAST)
-    var = y_block_variance(fit.fitted_counts, tuple(_CONTRAST.values()))
-    if var <= 0.0:
+    # 1/A + 1/B, each taken relative to its least count so that no
+    # reciprocal of a count over- or underflows
+    m = fit.fitted_counts
+    inverse = 0.0
+    for cells in ((0, 1, 6, 7), (2, 3, 4, 5)):
+        least = min(m[i] for i in cells)
+        inverse += least / sum(least / m[i] for i in cells)
+    var = 1.0 / inverse
+    if not 0.0 < var < math.inf:
         raise TestError("covariance is not positive on the test contrast")
     se = math.sqrt(var)
     z = beta_hat / se

@@ -101,6 +101,15 @@ class TestConditionalProbabilities:
                     0.25e-20, rel=1e-14, abs=0.0
                 )
 
+    def test_joint_out_of_float_range_is_a_causal_model_error(self):
+        # every joint probability underflows to 0: the total was 0 and the
+        # division raised ZeroDivisionError
+        cp = CausalParams(1.387787036005161e295, 6.436591753309211e176,
+                          8.651822222387864e141, 9.244291379236444e244,
+                          8.24987848667008e-245, 5.723388001407132e123)
+        with pytest.raises(CausalModelError, match="sum to"):
+            conditional_probabilities(cp).joint()
+
 
 class TestFitCausal:
     def test_uniform(self):

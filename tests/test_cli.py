@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -13,6 +16,8 @@ from loglin_effects.cli import main
 from conftest import TABLE5
 from loglin_effects.causal import conditional_probabilities
 from loglin_effects.tables import ContingencyTable
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -110,6 +115,34 @@ class TestFit:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["fit", "--input", str(tmp_path / "nope.csv")]) == 1
         assert capsys.readouterr().err
+
+    def test_text_fit_imports_no_numpy(self, tmp_path):
+        # only the JSON document holds the covariance, the one numpy user
+        path = tmp_path / "readme.csv"
+        path.write_text(_counts_csv((42, 18, 25, 31, 17, 23, 12, 48)))
+        program = ("import sys\n"
+                   "from loglin_effects.cli import main\n"
+                   f"assert main(['fit', '--input', {str(path)!r}]) == 0\n"
+                   "print('numpy' in sys.modules)\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", program], env=env, capture_output=True,
+            text=True, timeout=60, check=True,
+        ).stdout
+        assert out.splitlines()[-1] == "False"
+
+    @pytest.mark.parametrize("command", ["fit", "test"])
+    def test_text_output_of_far_off_logits_exits_0(self, tmp_path, command,
+                                                    capsys):
+        # the fit succeeds; the numpy covariance of this table is singular,
+        # so a text command that built it exited 2
+        path = tmp_path / "far.csv"
+        path.write_text(_counts_csv((1e200, 1, 1, 1e200, 2, 3e150, 1e100, 1)))
+        assert main([command, "--input", str(path)]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestEffects:

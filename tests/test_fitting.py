@@ -1,9 +1,11 @@
+import decimal
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loglin_effects import (
@@ -308,13 +310,91 @@ class TestMleExistence:
             fit_poisson(t)
 
     def test_step_lost_to_round_off_is_not_convergence(self):
-        # at the zero start the adjugate solve cancels to an exactly zero
-        # step while the score is (-0.5, 0, -0.5); this fit used to stop
-        # there as "converged" with every fitted P(Y=1|x,z) = 1/2
+        # an earlier Newton fit of the Y-block stopped here on an exactly
+        # zero step, as "converged" with every fitted P(Y=1|x,z) = 1/2; the
+        # fit must fail or be the MLE
         t = ContingencyTable((5.15e48, 7.72e-113, 6.26e151, 3.07e-196,
                               4.08e-7, 2.93e-33, 1.75e-25, 7.38e22))
-        with pytest.raises(FitError, match="round-off"):
-            fit_poisson(t)
+        try:
+            fit = fit_poisson(t)
+        except FitError:
+            return
+        _assert_two_way_mle(t.counts, fit.fitted_counts)
+
+
+#: the cells where x + z + y is even; u(x,z,y) = (-1)^(x+z+y) is +1 there
+_EVEN_CELLS = (0, 3, 5, 6)
+
+#: far-off logits that a Newton fit of the Y-block could not reach
+FAR_OFF = (1e200, 1, 1, 1e200, 2, 3e150, 1e100, 1)
+
+
+def _assert_two_way_mle(counts, fitted):
+    """The two-way MLE by its definition: the fitted counts keep the twelve
+    observed two-way margins and have no three-way term.
+
+    A fitted count is a float a few ulps from the exact one, which moves its
+    log by a few eps: beside the relative bound, the three-way sum gets an
+    absolute 16 eps, the bound that matters when every count is near 1.
+    """
+    obs, got = _margins(counts), _margins(fitted)
+    for key, o in obs.items():
+        assert got[key] == pytest.approx(o, rel=1e-12, abs=0.0), key
+    logs = [math.log(m) for m in fitted]
+    three_way = sum(v if i in _EVEN_CELLS else -v for i, v in enumerate(logs))
+    assert abs(three_way) <= (1e-12 * sum(map(abs, logs))
+                              + 16 * sys.float_info.epsilon)
+
+
+class TestTwoWayMleByDefinition:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.lists(st.floats(-300.0, 300.0), min_size=8, max_size=8).map(
+            lambda exponents: tuple(10.0 ** e for e in exponents)),
+        st.lists(st.integers(0, 40), min_size=8, max_size=8).filter(any),
+    ))
+    @example(FAR_OFF)
+    # counts near 1, where the three-way sum is at its float floor
+    @example((1.0, 1.0, 1.0, 1.0, 1.0, 1.0001405485169472, 1.0, 1.0))
+    @example((5.15e48, 7.72e-113, 6.26e151, 3.07e-196,
+              4.08e-7, 2.93e-33, 1.75e-25, 7.38e22))
+    # fits that missed an observed margin by factors of 1e63 and more
+    @example((5.01e94, 6.61e73, 8.91e-205, 5.66e244,
+              1.98e-171, 1.07e200, 2.40e267, 2.99e-228))
+    @example((1e202, 3.39e222, 2.39e39, 5.63e103,
+              3.55e69, 5.07e-193, 1.56e-132, 1.75e178))
+    def test_fit_is_the_mle_or_a_fit_error(self, counts):
+        try:
+            fit = fit_poisson(ContingencyTable(counts))
+        except FitError:
+            return
+        _assert_two_way_mle(counts, fit.fitted_counts)
+        assert fit.iterations >= 1
+
+    def test_far_off_logits_fit(self):
+        fit = fit_poisson(ContingencyTable(FAR_OFF))
+        _assert_two_way_mle(FAR_OFF, fit.fitted_counts)
+        assert fit.iterations <= 10
+
+    def test_readme_fit_matches_a_decimal_reference(self):
+        # bisection on t for sum_even log(n + t) = sum_odd log(n - t)
+        ctx = decimal.Context(prec=60)
+        n = [decimal.Decimal(c) for c in README_COUNTS]
+
+        def three_way(t):
+            return sum(ctx.ln(c + t) if i in _EVEN_CELLS else -ctx.ln(c - t)
+                       for i, c in enumerate(n))
+
+        lo = -min(n[i] for i in _EVEN_CELLS)
+        hi = min(c for i, c in enumerate(n) if i not in _EVEN_CELLS)
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            lo, hi = (lo, mid) if three_way(mid) > 0 else (mid, hi)
+        want = [c + lo if i in _EVEN_CELLS else c - lo
+                for i, c in enumerate(n)]
+        got = fit_poisson(ContingencyTable(README_COUNTS)).fitted_counts
+        for g, w in zip(got, want):
+            assert abs(decimal.Decimal(g) - w) <= decimal.Decimal("1e-15") * w
 
 
 class TestScaleSafety:
