@@ -158,7 +158,7 @@ def cmd_fit(args) -> int:
     )
 
     if args.output == "json":
-        # only the JSON document holds the covariance, which needs numpy
+        # only the JSON document holds the covariance, computed on first use
         doc = {"model": args.model, "loglinear": fit.to_dict(),
                "causal": cp.to_dict()}
         _emit(args, doc, ())

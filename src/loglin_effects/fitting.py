@@ -16,12 +16,20 @@ Both models read their Y-block off the cells with the same ratios, and the
 intercept and the X, Z and XZ terms with ``_cell_ratios``.
 
 The covariance of the additive parameters, ``(D' diag(m) D)^-1`` over the
-dummy-coded design matrix ``D``, is computed on first use; it and
-``design_matrix`` are the only parts of the package that import numpy.
+dummy-coded design matrix ``D``, is computed on first use in closed form.
+``C``, the inverse of the saturated dummy coding, maps the log counts to the
+parameters, and the saturated covariance is ``C diag(1/m) C'``.  The two-way
+model's log counts have the covariance ``diag(1/m) - (u/m)(u/m)' / sum(1/m)``,
+which is the sum over the cell pairs c < d of ``w_cd g g'``, with
+``w_cd = 1 / (m_c m_d sum(1/m))`` and ``g = e_c - u_c u_d e_d``.  Either way
+each variance is a sum of non-negative terms, so no entry loses digits to
+cancellation, as an inverse of the information in floats does when the
+fitted counts span more than ~1e16.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import sys
@@ -76,6 +84,53 @@ def saturated_spec() -> ModelSpec:
 def _term_on(term: str, cell: tuple) -> bool:
     """Dummy coding: ``term`` is 1 at ``cell`` when its variables all are."""
     return term == "eta" or all(cell[VARIABLES.index(v)] for v in term)
+
+
+def _inverse_coding(term: str, cell: tuple) -> int:
+    """``C[term][cell]`` of the inverse of the saturated dummy coding, so
+    that lambda_term = sum over cells of C[term][cell] log m(cell): the
+    sign (-1)^(|term| - |cell|) when every variable at level 1 in ``cell``
+    is one of ``term``'s, and 0 otherwise."""
+    ones = [v for v, level in zip(VARIABLES, cell) if level]
+    if not all(v in term for v in ones):
+        return 0
+    order = 0 if term == "eta" else len(term)
+    return (-1) ** (order - len(ones))
+
+
+#: u(x,z,y) = (-1)^(x+z+y), the one direction the two-way model leaves out
+_U = tuple((-1) ** sum(cell) for cell in CELLS)
+
+
+def _outer_terms(vectors) -> tuple:
+    """Entry (i, j) of ``sum_k v_k g_k g_k'`` over ``vectors`` g_k with
+    entries 0, 1 and -1, as the indices k where g_ki g_kj is 1 and those
+    where it is -1."""
+    size = len(vectors[0])
+    return tuple(
+        tuple(tuple(tuple(k for k, g in enumerate(vectors)
+                          if g[i] * g[j] == sign) for sign in (1, -1))
+              for j in range(size))
+        for i in range(size)
+    )
+
+
+#: the saturated covariance, with weights v_c = 1/m_c and g_c column c of C
+_SATURATED_COVARIANCE = _outer_terms(
+    [[_inverse_coding(t, cell) for t in TERM_ORDER] for cell in CELLS]
+)
+
+#: the cell pairs c < d of the two-way covariance, in the order of its terms
+_PAIRS = tuple(itertools.combinations(range(8), 2))
+
+#: the two-way covariance, with weights w_cd and g = p(c) - p(d) over the
+#: seven two-way terms, p_t(c) = C[t][c] u(c); p_t(c) is (-1)^|t| or 0, so
+#: g is 0, 1 or -1
+_TWO_WAY_COVARIANCE = _outer_terms([
+    [_inverse_coding(t, CELLS[c]) * _U[c]
+     - _inverse_coding(t, CELLS[d]) * _U[d] for t in TERM_ORDER[:-1]]
+    for c, d in _PAIRS
+])
 
 
 @dataclass(frozen=True)
@@ -141,20 +196,36 @@ class FitResult:
     spec: ModelSpec
 
     @cached_property
-    def covariance(self):
+    def covariance(self) -> tuple:
         """Inverse Fisher information ``(D' diag(m) D)^-1`` at the fitted counts.
 
-        A numpy array over ``spec.ordered_terms``, computed on first use.
+        A tuple of rows over ``spec.ordered_terms``, computed on first use in
+        closed form (see the module docstring).  An entry out of the float
+        range raises ``FitError``.
         """
-        import numpy as np
-
-        D = design_matrix(self.spec)
-        m = np.asarray(self.fitted_counts)
-        try:
-            cov = np.linalg.inv(D.T @ (m[:, None] * D))
-        except np.linalg.LinAlgError:
-            raise FitError("singular information matrix") from None
-        return (cov + cov.T) / 2.0
+        m = self.fitted_counts
+        if self.spec.with_three_way:
+            weights = [1.0 / c for c in m]
+            terms = _SATURATED_COVARIANCE
+        else:
+            # w_cd = 1 / (m_c m_d sum(1/m)) as (least / lo) / (hi * s), with
+            # lo <= hi the pair's counts and s = sum(least / m) in [1, 8]: no
+            # factor leaves the float range unless the whole weight does
+            least = min(m)
+            ratios = [least / c for c in m]
+            s = sum(ratios)
+            weights = [ratios[c] / (m[d] * s) if m[c] <= m[d]
+                       else ratios[d] / (m[c] * s) for c, d in _PAIRS]
+            terms = _TWO_WAY_COVARIANCE
+        weight = weights.__getitem__
+        cov = tuple(
+            tuple(sum(map(weight, plus)) - sum(map(weight, minus))
+                  for plus, minus in row)
+            for row in terms
+        )
+        if not all(math.isfinite(v) for row in cov for v in row):
+            raise FitError("the covariance leaves the float range")
+        return cov
 
     def to_dict(self) -> dict:
         terms = self.spec.ordered_terms
@@ -166,7 +237,7 @@ class FitResult:
             "fitted_counts": list(self.fitted_counts),
             "covariance": {
                 "terms": list(terms),
-                "values": self.covariance.ravel().tolist(),
+                "values": [v for row in self.covariance for v in row],
             },
             "deviance": self.deviance,
             "iterations": self.iterations,
@@ -177,14 +248,12 @@ class FitResult:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def design_matrix(spec: ModelSpec):
-    """Dummy-coded design matrix: rows over ``CELLS``, columns over
-    ``spec.ordered_terms``."""
-    import numpy as np
-
+def design_matrix(spec: ModelSpec) -> tuple:
+    """Dummy-coded design matrix: a tuple of rows over ``CELLS``, columns
+    over ``spec.ordered_terms``."""
     terms = spec.ordered_terms
-    return np.array(
-        [[float(_term_on(t, cell)) for t in terms] for cell in CELLS]
+    return tuple(
+        tuple(float(_term_on(t, cell)) for t in terms) for cell in CELLS
     )
 
 

@@ -117,7 +117,7 @@ class TestFit:
         assert capsys.readouterr().err
 
     def test_text_fit_imports_no_numpy(self, tmp_path):
-        # only the JSON document holds the covariance, the one numpy user
+        # the package never imports numpy
         path = tmp_path / "readme.csv"
         path.write_text(_counts_csv((42, 18, 25, 31, 17, 23, 12, 48)))
         program = ("import sys\n"
@@ -134,14 +134,15 @@ class TestFit:
         ).stdout
         assert out.splitlines()[-1] == "False"
 
-    @pytest.mark.parametrize("command", ["fit", "test"])
+    @pytest.mark.parametrize("command", ["fit", "test", "fit --output json"])
     def test_text_output_of_far_off_logits_exits_0(self, tmp_path, command,
                                                     capsys):
-        # the fit succeeds; the numpy covariance of this table is singular,
-        # so a text command that built it exited 2
+        # the fit succeeds, and so does its covariance: the fitted counts
+        # span 1e200, where a floating-point inverse of the information
+        # matrix is singular
         path = tmp_path / "far.csv"
         path.write_text(_counts_csv((1e200, 1, 1, 1e200, 2, 3e150, 1e100, 1)))
-        assert main([command, "--input", str(path)]) == 0
+        assert main([*command.split(), "--input", str(path)]) == 0
         assert capsys.readouterr().err == ""
 
 
@@ -277,6 +278,17 @@ class TestParameterRange:
         assert main(["effects", "--input", str(path), "--model", model]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "error:" in captured.err
+
+    def test_out_of_range_covariance_exits_2(self, tmp_path, capsys):
+        # the saturated variance of the three-way term is the sum of the
+        # eight 1/m = 1e308, which overflows
+        path = tmp_path / "tiny.csv"
+        path.write_text(_counts_csv((1e-308,) * 8))
+        assert main(["fit", "--input", str(path), "--model", "saturated",
+                     "--output", "json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("fit error:")
 
     @settings(max_examples=150, deadline=None)
     @given(

@@ -2,6 +2,7 @@ import decimal
 import itertools
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ README_COUNTS = (42, 18, 25, 31, 17, 23, 12, 48)
 
 class TestDesignMatrix:
     def test_two_way_shape_and_columns(self):
-        D = design_matrix(two_way_spec())
+        D = np.asarray(design_matrix(two_way_spec()))
         assert D.shape == (8, 7)
         # row for cell (1,1,1): every two-way term active
         assert list(D[7]) == [1, 1, 1, 1, 1, 1, 1]
@@ -38,7 +39,7 @@ class TestDesignMatrix:
         assert list(D[0]) == [1, 0, 0, 0, 0, 0, 0]
 
     def test_saturated_full_rank(self):
-        D = design_matrix(saturated_spec())
+        D = np.asarray(design_matrix(saturated_spec()))
         assert D.shape == (8, 8)
         assert np.linalg.matrix_rank(D) == 8
 
@@ -85,7 +86,7 @@ class TestFitPoisson:
     def test_score_equations_at_convergence(self, rng):
         t = ContingencyTable(tuple(rng.uniform(1, 80, 8)))
         fit = fit_poisson(t, two_way_spec())
-        D = design_matrix(two_way_spec())
+        D = np.asarray(design_matrix(two_way_spec()))
         resid = D.T @ (np.array(t.counts) - np.array(fit.fitted_counts))
         assert np.max(np.abs(resid)) < 1e-8 * t.total
 
@@ -105,7 +106,7 @@ class TestFitPoisson:
         fit = fit_poisson(
             ContingencyTable(tuple(rng.uniform(3, 40, 8))), two_way_spec()
         )
-        cov = fit.covariance
+        cov = np.asarray(fit.covariance)
         assert np.allclose(cov, cov.T)
         assert np.all(np.linalg.eigvalsh(cov) > 0)
 
@@ -395,6 +396,55 @@ class TestTwoWayMleByDefinition:
         got = fit_poisson(ContingencyTable(README_COUNTS)).fitted_counts
         for g, w in zip(got, want):
             assert abs(decimal.Decimal(g) - w) <= decimal.Decimal("1e-15") * w
+
+
+def _exact_covariance(fit):
+    """``(D' diag(m) D)^-1`` at the fitted counts in exact rationals."""
+    D = design_matrix(fit.spec)
+    m = [Fraction(c) for c in fit.fitted_counts]
+    p = len(D[0])
+    rows = [[sum(m[c] * int(D[c][i] * D[c][j]) for c in range(8))
+             for j in range(p)] + [Fraction(int(i == j)) for j in range(p)]
+            for i in range(p)]
+    for i in range(p):  # Gauss-Jordan on a positive definite matrix
+        rows[i] = [v / rows[i][i] for v in rows[i]]
+        for j in range(p):
+            if j != i:
+                f = rows[j][i]
+                rows[j] = [a - f * b for a, b in zip(rows[j], rows[i])]
+    return [row[p:] for row in rows]
+
+
+class TestCovariance:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(
+            st.lists(st.floats(-300.0, 300.0), min_size=8, max_size=8).map(
+                lambda exponents: tuple(10.0 ** e for e in exponents)),
+            st.lists(st.integers(0, 40), min_size=8, max_size=8).filter(any),
+        ),
+        st.booleans(),
+    )
+    @example(FAR_OFF, False)
+    @example(FAR_OFF, True)
+    @example(README_COUNTS, False)
+    @example(README_COUNTS, True)
+    def test_is_the_exact_inverse_information(self, counts, saturated):
+        # the variances to 1e-14 relative, each covariance to 1e-14 of the
+        # geometric mean of its two variances
+        try:
+            fit = fit_poisson(ContingencyTable(counts), ModelSpec(saturated))
+        except FitError:
+            return
+        cov, exact = fit.covariance, _exact_covariance(fit)
+        assert len(cov) == len(exact) == len(fit.spec.ordered_terms)
+        scale = [math.sqrt(exact[i][i]) for i in range(len(exact))]
+        for i, (row, want) in enumerate(zip(cov, exact)):
+            assert type(row) is tuple and len(row) == len(want)
+            for j, (c, e) in enumerate(zip(row, want)):
+                assert c == cov[j][i]
+                error = abs(float(Fraction(c) - e))
+                assert error <= 1e-14 * scale[i] * scale[j], (i, j, c, e)
 
 
 class TestScaleSafety:

@@ -23,7 +23,7 @@ print("numpy" in sys.modules)
 """
 
 
-def test_numpy_imported_only_for_the_covariance():
+def test_numpy_never_imported():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p]
@@ -32,15 +32,27 @@ def test_numpy_imported_only_for_the_covariance():
         [sys.executable, "-c", PROGRAM], env=env, capture_output=True,
         text=True, timeout=60, check=True,
     ).stdout.split()
-    assert out == ["False", "True"]
+    assert out == ["False", "False"]
 
 
-def test_oracle_imports_neither_engine_module():
-    # the oracle cross-checks the engine, so it must not share its code
-    tree = ast.parse((SRC / "loglin_effects" / "oracle.py").read_text())
+def _imported_modules(path):
+    tree = ast.parse(path.read_text())
     imported = [node.module for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom)]
     imported += [alias.name for node in ast.walk(tree)
                  if isinstance(node, ast.Import) for alias in node.names]
+    return [m for m in imported if m]
+
+
+def test_no_module_imports_numpy():
+    # the package is pure Python: its covariance is a closed form
+    for path in sorted((SRC / "loglin_effects").glob("*.py")):
+        assert not [m for m in _imported_modules(path)
+                    if m.split(".")[0] == "numpy"], path.name
+
+
+def test_oracle_imports_neither_engine_module():
+    # the oracle cross-checks the engine, so it must not share its code
+    imported = _imported_modules(SRC / "loglin_effects" / "oracle.py")
     assert not [m for m in imported
-                if m and m.split(".")[-1] in ("effects", "causal")]
+                if m.split(".")[-1] in ("effects", "causal")]

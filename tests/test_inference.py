@@ -84,7 +84,7 @@ class TestAdditiveZeroTest:
         res = additive_zero_test(fit)
         terms = fit.spec.ordered_terms
         idx = {t: i for i, t in enumerate(terms)}
-        c = fit.covariance
+        c = np.asarray(fit.covariance)
         iy, ixy, izy = idx["Y"], idx["XY"], idx["ZY"]
         var = (
             c[izy, izy]

@@ -4,11 +4,12 @@
 12 CLI calls on the README table (``fit`` on both models, ``effects
 --verify`` on both models, ``test`` and ``oracle``, each as text and as
 JSON), recorded before the commands built their JSON documents from
-``to_dict`` instead of reparsing ``to_json``.
+``to_dict`` instead of reparsing ``to_json``.  The covariance values of the
+two ``fit`` JSON cases were re-recorded when the covariance became a closed
+form; every byte is compared.
 """
 
 import json
-import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -34,8 +35,6 @@ GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "cli_golden_readme.json").read_text()
 )
 
-_COVARIANCE = re.compile(r'"values":\[([^\]]*)\]')
-
 
 @pytest.fixture(scope="module")
 def readme_csv(tmp_path_factory):
@@ -44,27 +43,13 @@ def readme_csv(tmp_path_factory):
     return str(path)
 
 
-def _split_covariance(out):
-    """``out`` with its covariance values cut out, and those values."""
-    match = _COVARIANCE.search(out)
-    if match is None:
-        return out, []
-    values = [float(v) for v in match.group(1).split(",")]
-    return out[:match.start(1)] + out[match.end(1):], values
-
-
 @pytest.mark.parametrize("case", GOLDEN, ids=lambda c: " ".join(c["argv"]))
 def test_cli_output_matches_golden(case, readme_csv, capsys):
     code = main([*case["argv"], "--input", readme_csv])
     out, err = capsys.readouterr()
     assert code == case["code"]
     assert err == case["stderr"]
-    # the covariance is a LAPACK inverse, whose last bits may differ between
-    # numpy builds; every other byte must match
-    out, cov = _split_covariance(out)
-    expected, expected_cov = _split_covariance(case["stdout"])
-    assert out == expected
-    assert cov == pytest.approx(expected_cov, rel=1e-12, abs=1e-15)
+    assert out == case["stdout"]
 
 
 def _results():
