@@ -175,12 +175,24 @@ class NoCausalParams:
                    mult["XZ"], mult["XY"], mult["ZY"], mult["XZY"])
 
     def expected_counts(self) -> tuple:
-        """Expected cell counts m(x,z,y) in canonical order."""
-        m = self.multiplicative
-        return tuple(
-            math.prod(m[t] for t in TERM_ORDER if _term_on(t, cell))
-            for cell in CELLS
-        )
+        """Expected cell counts m(x,z,y) in canonical order.
+
+        Each count is the product of its factors' ``frexp`` mantissas scaled
+        by the sum of their exponents, so no partial product over- or
+        underflows and a count is rounded to its float range once, at the
+        end; a count beyond that range is ``inf``.
+        """
+        parts = {t: math.frexp(v) for t, v in self.multiplicative.items()}
+        counts = []
+        for cell in CELLS:
+            on = [parts[t] for t in TERM_ORDER if _term_on(t, cell)]
+            mantissa = math.prod(m for m, _ in on)
+            exponent = sum(e for _, e in on)
+            try:
+                counts.append(math.ldexp(mantissa, exponent))
+            except OverflowError:
+                counts.append(math.inf)
+        return tuple(counts)
 
     def as_table(self) -> ContingencyTable:
         return ContingencyTable(self.expected_counts())

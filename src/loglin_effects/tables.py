@@ -37,14 +37,16 @@ class ContingencyTable:
     labels: Optional[tuple] = None
 
     def __post_init__(self):
-        counts = tuple(float(c) for c in self.counts)
+        counts = tuple(map(float, self.counts))
         if len(counts) != 8:
             raise TableError(f"expected 8 cells, got {len(counts)}")
-        for (x, z, y), c in zip(CELLS, counts):
-            if not math.isfinite(c) or c < 0:
-                raise TableError(f"negative or non-finite count at cell ({x},{z},{y})")
         total = sum(counts)
-        if not math.isfinite(total):
+        # a finite total of cells none below 0 has no nan or inf cell either;
+        # only a failing table is searched for the cell to name
+        if not (math.isfinite(total) and min(counts) >= 0):
+            for (x, z, y), c in zip(CELLS, counts):
+                if not math.isfinite(c) or c < 0:
+                    raise TableError(f"negative or non-finite count at cell ({x},{z},{y})")
             raise TableError("table total overflows")
         if total <= 0:
             raise TableError("table total must be positive")
@@ -162,11 +164,11 @@ def validate(
     """
     if policy not in ("error", "correct", "allow"):
         raise TableError(f"unknown zero-cell policy {policy!r}")
-    zero_cells = [cell for cell, c in zip(CELLS, table.counts) if c == 0.0]
-    if not zero_cells:
+    if 0.0 not in table.counts:
         return table
     if policy == "error":
-        raise TableError(f"zero count in cell {zero_cells[0]} (policy 'error')")
+        cell = CELLS[table.counts.index(0.0)]
+        raise TableError(f"zero count in cell {cell} (policy 'error')")
     if policy == "allow":
         return table
     if correction <= 0:
@@ -236,6 +238,8 @@ def parse_table(source, fmt: str = "csv") -> ContingencyTable:
 
 
 def _coerce_level(raw, what: str) -> int:
+    if type(raw) is int and (raw == 0 or raw == 1):  # not bool: true is no level
+        return raw
     try:
         v = int(str(raw).strip())
     except (TypeError, ValueError):
@@ -255,17 +259,15 @@ def _coerce_count(raw) -> float:
     return c
 
 
-def _assemble(cells: dict, labels=None) -> ContingencyTable:
-    counts = [0.0] * 8
-    for (x, z, y), c in cells.items():
-        counts[cell_index(x, z, y)] = c
-    return ContingencyTable(tuple(counts), labels=labels)
+#: the flat cell index of each CSV level triple spelled plainly, ``"0"`` or
+#: ``"1"``; any other spelling (" 1", "01", "+1") goes through ``_coerce_level``
+_CSV_CELL = {(str(x), str(z), str(y)): cell_index(x, z, y) for x, z, y in CELLS}
 
 
 def _parse_csv(text: str) -> ContingencyTable:
     try:
         rows = [row for row in csv.reader(io.StringIO(text))
-                if row and any(f.strip() for f in row)]
+                if "".join(row).strip()]
     except csv.Error as exc:
         raise TableError(f"malformed CSV: {exc}") from None
     if not rows:
@@ -273,18 +275,22 @@ def _parse_csv(text: str) -> ContingencyTable:
     header = [h.strip().lower() for h in rows[0]]
     if header != ["x", "z", "y", "count"]:
         raise TableError(f"expected header x,z,y,count, got {rows[0]!r}")
-    seen: dict = {}
+    counts = [0.0] * 8
+    seen = 0  # bit i set once cell i has a record
     for row in rows[1:]:
         if len(row) != 4:
             raise TableError(f"malformed record {row!r}")
-        x = _coerce_level(row[0], "x")
-        z = _coerce_level(row[1], "z")
-        y = _coerce_level(row[2], "y")
-        c = _coerce_count(row[3])
-        if (x, z, y) in seen:
-            raise TableError(f"duplicate cell ({x},{z},{y})")
-        seen[(x, z, y)] = c
-    return _assemble(seen)
+        x, z, y, raw = row
+        i = _CSV_CELL.get((x, z, y))
+        if i is None:
+            i = cell_index(_coerce_level(x, "x"), _coerce_level(z, "z"),
+                           _coerce_level(y, "y"))
+        c = _coerce_count(raw)
+        if seen >> i & 1:
+            raise TableError("duplicate cell ({},{},{})".format(*CELLS[i]))
+        seen |= 1 << i
+        counts[i] = c
+    return ContingencyTable(counts)
 
 
 def _parse_json(text: str) -> ContingencyTable:
@@ -302,21 +308,21 @@ def _parse_json(text: str) -> ContingencyTable:
         labels = tuple(labels)
     cells = doc["cells"]
     if len(cells) == 8 and not any(isinstance(c, dict) for c in cells):
-        return ContingencyTable(
-            tuple(_coerce_count(c) for c in cells), labels=labels
-        )
-    seen: dict = {}
+        return ContingencyTable(list(map(_coerce_count, cells)), labels=labels)
+    counts = [0.0] * 8
+    seen = 0  # bit i set once cell i has an entry
     for entry in cells:
         if not isinstance(entry, dict):
             raise TableError(f"malformed cell entry {entry!r}")
-        x = _coerce_level(entry.get("x"), "x")
-        z = _coerce_level(entry.get("z"), "z")
-        y = _coerce_level(entry.get("y"), "y")
+        i = cell_index(_coerce_level(entry.get("x"), "x"),
+                       _coerce_level(entry.get("z"), "z"),
+                       _coerce_level(entry.get("y"), "y"))
         c = _coerce_count(entry.get("count"))
-        if (x, z, y) in seen:
-            raise TableError(f"duplicate cell ({x},{z},{y})")
-        seen[(x, z, y)] = c
-    return _assemble(seen, labels=labels)
+        if seen >> i & 1:
+            raise TableError("duplicate cell ({},{},{})".format(*CELLS[i]))
+        seen |= 1 << i
+        counts[i] = c
+    return ContingencyTable(counts, labels=labels)
 
 
 def serialize_table(table: ContingencyTable, fmt: str = "csv") -> str:

@@ -218,6 +218,35 @@ class TestMultiplicativeConversion:
         for term, lam in lambdas.items():
             assert p.additive[term] == pytest.approx(lam, abs=1e-12)
 
+    def test_expected_counts_match_a_fraction_reference(self, rng):
+        # log-parameters on +-300: a product taken factor by factor can
+        # overflow, or pass through the subnormal range and lose digits,
+        # although the count itself is a normal float
+        checked = 0
+        for _ in range(3000):
+            p = NoCausalParams.from_additive(
+                dict(zip(TERM_ORDER, rng.uniform(-300, 300, 8)))
+            )
+            mult = p.multiplicative
+            exact = [
+                math.prod((Fraction(mult[t]) for t in TERM_ORDER
+                           if t == "eta" or all(cell["XZY".index(v)] for v in t)),
+                          start=Fraction(1))
+                for cell in CELLS
+            ]
+            if not all(Fraction(sys.float_info.min) <= e
+                       <= Fraction(sys.float_info.max) for e in exact):
+                continue
+            checked += 1
+            for got, want in zip(p.expected_counts(), exact):
+                assert math.isfinite(got)
+                assert abs(Fraction(got) - want) <= want * Fraction(1e-15)
+        assert checked > 1000
+
+    def test_expected_count_beyond_float_range_is_inf(self):
+        p = NoCausalParams(1e300, 1e300, 1.0, 1.0, 1.0, 1.0, 1.0)
+        assert p.expected_counts() == (1e300,) * 4 + (math.inf,) * 4
+
 
 def _margins(counts):
     """The XZ, XY and ZY margins of a table, keyed by (pair, levels)."""

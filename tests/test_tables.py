@@ -1,3 +1,6 @@
+import csv
+import io
+import json
 import math
 
 import numpy as np
@@ -20,6 +23,84 @@ from loglin_effects import (
 CSV_FULL = "x,z,y,count\n" + "".join(
     f"{x},{z},{y},{4*x+2*z+y+1}\n" for x, z, y in CELLS
 )
+
+
+def _reference_coerce_level(raw, what):
+    try:
+        v = int(str(raw).strip())
+    except (TypeError, ValueError):
+        raise TableError(f"non-binary level for {what}: {raw!r}") from None
+    if v not in (0, 1):
+        raise TableError(f"non-binary level for {what}: {raw!r}")
+    return v
+
+
+def _reference_coerce_count(raw):
+    try:
+        c = float(raw)
+    except (TypeError, ValueError, OverflowError):
+        raise TableError(f"malformed count {raw!r}") from None
+    if not math.isfinite(c) or c < 0:
+        raise TableError(f"negative count {raw!r}")
+    return c
+
+
+def reference_parse_csv(text):
+    """The counts of a CSV table, by the earlier row-by-row parser.
+
+    A plain transcription of that parser and of the table constructor's
+    checks, kept as the reference ``parse_table`` must agree with on every
+    input: the same counts, bit for bit, or the same ``TableError`` message.
+    """
+    try:
+        rows = [row for row in csv.reader(io.StringIO(text))
+                if row and any(f.strip() for f in row)]
+    except csv.Error as exc:
+        raise TableError(f"malformed CSV: {exc}") from None
+    if not rows:
+        raise TableError("empty CSV input")
+    header = [h.strip().lower() for h in rows[0]]
+    if header != ["x", "z", "y", "count"]:
+        raise TableError(f"expected header x,z,y,count, got {rows[0]!r}")
+    seen = {}
+    for row in rows[1:]:
+        if len(row) != 4:
+            raise TableError(f"malformed record {row!r}")
+        x = _reference_coerce_level(row[0], "x")
+        z = _reference_coerce_level(row[1], "z")
+        y = _reference_coerce_level(row[2], "y")
+        c = _reference_coerce_count(row[3])
+        if (x, z, y) in seen:
+            raise TableError(f"duplicate cell ({x},{z},{y})")
+        seen[(x, z, y)] = c
+    counts = [0.0] * 8
+    for (x, z, y), c in seen.items():
+        counts[4 * x + 2 * z + y] = c
+    total = sum(counts)
+    if not math.isfinite(total):
+        raise TableError("table total overflows")
+    if total <= 0:
+        raise TableError("table total must be positive")
+    return counts
+
+
+def _outcome(parse, text):
+    """``("ok", cell bits)`` or ``("error", message)`` of one parse."""
+    try:
+        counts = parse(text)
+    except TableError as exc:
+        return "error", str(exc)
+    return "ok", [float.hex(c) for c in counts]
+
+
+#: CSV-like text: the header's pieces, levels, signs, exponents, quotes,
+#: both line ends and stray characters, joined in any order
+CSV_TOKENS = (list("0123456789,\n\r\" +_.e-xzy")
+              + ["count", "x,z,y,count\n", "\n0,1,1,", "\n1,0,", "\r\n"])
+csv_like = st.tuples(
+    st.sampled_from(["", "x,z,y,count\n", " X , Z,y ,COUNT\r\n", '"x",z,y,count']),
+    st.lists(st.sampled_from(CSV_TOKENS), max_size=40),
+).map(lambda parts: parts[0] + "".join(parts[1]))
 
 
 def positive_counts():
@@ -132,6 +213,95 @@ class TestParse:
         )
 
 
+class TestParseAgainstReference:
+    @settings(max_examples=1500, deadline=None)
+    @given(csv_like)
+    @example("")
+    @example("x,z,y,count\n 1,0,0,5\n01,0,1,2\n+1,1,1,3\n")
+    @example("x,z,y,count\n1,0,0,5\n 1 ,0,0,2\n")
+    @example("x,z,y,count\n1_0,0,0,5\n")
+    @example("x,z,y,count\n1,0,0,-0\n")
+    @example("x,z,y,count\n1,0,0,5\n1,0,0,-1\n")
+    @example("x,z,y,count\n1,0,0,1e308\n1,1,0,1e308\n")
+    @example('x,z,y,count\r\n"1",0,"0",2\r\n\r\n , ,,\n0,0,0,"3"\n')
+    @example("x,z,y,count\n\r0")
+    def test_csv_matches_the_reference(self, text):
+        new = _outcome(lambda s: parse_table(s, "csv").counts, text)
+        assert new == _outcome(reference_parse_csv, text)
+
+    @pytest.mark.parametrize("level", [True, False, 1.0, "1", " 1", 2, 0, 1, None])
+    def test_json_level_matches_the_reference(self, level):
+        doc = json.dumps({"cells": [{"x": level, "z": 1, "y": 1, "count": 5}]})
+        try:
+            x = _reference_coerce_level(level, "x")
+        except TableError as exc:
+            with pytest.raises(TableError) as got:
+                parse_table(doc, "json")
+            assert str(got.value) == str(exc)
+            return
+        counts = [0.0] * 8
+        counts[4 * x + 3] = 5.0
+        assert parse_table(doc, "json").counts == tuple(counts)
+
+
+def _csv_error(text):
+    """The ``csv`` module's own message for ``text``; it varies by Python."""
+    try:
+        list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:
+        return str(exc)
+    raise AssertionError(f"{text!r} is valid CSV")
+
+
+def _table_of(counts):
+    return lambda: ContingencyTable(counts)
+
+
+def _parsed(source, fmt="csv"):
+    return lambda: parse_table(source, fmt)
+
+
+@pytest.mark.parametrize("make, message", [
+    (_parsed(""), "empty CSV input"),
+    (_parsed(" \n,,\n"), "empty CSV input"),
+    (_parsed("x,y,z,count\n"),
+     "expected header x,z,y,count, got ['x', 'y', 'z', 'count']"),
+    (_parsed("x,z,y,count\n0,0,0\n"), "malformed record ['0', '0', '0']"),
+    (_parsed("x,z,y,count\n0,2,0,1\n"), "non-binary level for z: '2'"),
+    (_parsed("x,z,y,count\n0,0,a,1\n"), "non-binary level for y: 'a'"),
+    (_parsed("x,z,y,count\n1,0,1,1\n 1,0,1,2\n"), "duplicate cell (1,0,1)"),
+    (_parsed("x,z,y,count\n0,0,0,x\n"), "malformed count 'x'"),
+    (_parsed("x,z,y,count\n0,0,0,-1\n"), "negative count '-1'"),
+    (_parsed("x,z,y,count\n0,0,0,nan\n"), "negative count 'nan'"),
+    (_parsed("x,z,y,count\n0,0,0,1e308\n0,0,1,1e308\n"), "table total overflows"),
+    (_parsed("x,z,y,count\n0,0,0,0\n"), "table total must be positive"),
+    (_parsed("x,z,y,count\n"), "table total must be positive"),
+    (_parsed("\r0"), "malformed CSV: " + _csv_error("\r0")),
+    (_parsed(b"\xff"), "input is not UTF-8: 'utf-8' codec can't decode byte 0xff"
+                       " in position 0: invalid start byte"),
+    (_parsed("", "xml"), "unknown table format 'xml'"),
+    (_parsed("[]", "json"), "JSON table must be an object with a 'cells' list"),
+    (_parsed('{"cells": [1]}', "json"), "malformed cell entry 1"),
+    (_parsed('{"cells": [{"x": 1, "z": 1, "y": 1, "count": 1},'
+             ' {"x": 1, "z": 1, "y": 1, "count": 2}]}', "json"),
+     "duplicate cell (1,1,1)"),
+    (_parsed('{"cells": [1, 1, 1, 1, 1, 1, 1, -2]}', "json"), "negative count -2"),
+    (_table_of((1,) * 7), "expected 8 cells, got 7"),
+    (_table_of((1, 1, 1, -1, 1, 1, 1, 1)), "negative or non-finite count at cell (0,1,1)"),
+    (_table_of((1, 1, 1, 1, 1, 1, 1, math.nan)),
+     "negative or non-finite count at cell (1,1,1)"),
+    (_table_of((1, 1, 1, 1, math.inf, 1, 1, 1)),
+     "negative or non-finite count at cell (1,0,0)"),
+    (_table_of((1e308, 1e308, 1, 1, 1, 1, 1, 1)), "table total overflows"),
+    (_table_of((0,) * 8), "table total must be positive"),
+    (_table_of((-0.0,) * 8), "table total must be positive"),
+])
+def test_table_error_messages(make, message):
+    with pytest.raises(TableError) as exc:
+        make()
+    assert str(exc.value) == message
+
+
 class TestTotal:
     def test_overflowing_total_rejected(self):
         with pytest.raises(TableError, match="total"):
@@ -146,6 +316,17 @@ class TestValidate:
     def test_all_positive_passthrough(self):
         t = ContingencyTable((1,) * 8)
         assert validate(t, "error") is t
+
+    @pytest.mark.parametrize("policy", ["allow", "correct"])
+    def test_all_positive_passthrough_under_any_policy(self, policy):
+        t = ContingencyTable((1e-300, 1, 2, 3, 4, 5, 6, 7))
+        assert validate(t, policy) is t
+
+    def test_first_zero_cell_named(self):
+        t = ContingencyTable((1, 1, 1, 1, 1, -0.0, 1, 0))
+        with pytest.raises(TableError) as exc:
+            validate(t, "error")
+        assert str(exc.value) == "zero count in cell (1, 0, 1) (policy 'error')"
 
     def test_correct_adds_to_every_cell(self):
         t = ContingencyTable((0, 1, 2, 3, 4, 5, 6, 7))
