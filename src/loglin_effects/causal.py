@@ -17,10 +17,10 @@ from .fitting import (
     FitError,
     NoCausalParams,
     _cell_ratios,
-    fit_poisson,
+    _two_way_mle,
     saturated_closed_form,
 )
-from .tables import ContingencyTable, JointProbabilityTable
+from .tables import ContingencyTable, JointProbabilityTable, _left_sum
 
 
 class CausalModelError(ValueError):
@@ -133,7 +133,7 @@ class ConditionalProbabilities:
                 pxz = px * pz
                 probs += (pxz * self.p_y0_given_xz[(x, z)],
                           pxz * self.p_y1_given_xz[(x, z)])
-        total = sum(probs)
+        total = _left_sum(probs)
         if not 0.0 < total < math.inf:  # also a nan probability
             raise CausalModelError(
                 f"the joint probabilities sum to {total}: the parameters "
@@ -174,7 +174,8 @@ def _xz_margins(n) -> tuple:
 
 
 def _causal_params(
-    m: tuple, y_block: NoCausalParams, with_interaction: bool
+    m: tuple, y: float, xy: float, zy: float, xzy: float = 1.0,
+    with_interaction: bool = False,
 ) -> CausalParams:
     """Causal parameters from the XZ margins ``m`` and a fit's Y-block.
 
@@ -185,10 +186,10 @@ def _causal_params(
         xc=(m[2] + m[3]) / (m[0] + m[1]),
         zc=m[1] / m[0],
         xzc=(m[3] / m[2]) * (m[0] / m[1]),
-        y=y_block.y,
-        xy=y_block.xy,
-        zy=y_block.zy,
-        xzy=y_block.xzy if with_interaction else 1.0,
+        y=y,
+        xy=xy,
+        zy=zy,
+        xzy=xzy,
         with_interaction=with_interaction,
     )
 
@@ -198,14 +199,18 @@ def fit_causal(table: ContingencyTable, with_interaction: bool = False) -> Causa
 
     The Y-block is the saturated conditional odds ratios when the three-way
     term is requested, otherwise the Y-involving terms of the two-way MLE,
-    the logistic regression of Y on X and Z.
+    the logistic regression of Y on X and Z.  The two-way fit's other
+    parameters are not returned, but one that leaves the float range
+    raises ``FitError``, as it does in ``fit_poisson``.
     """
-    m = _xz_margins(table.counts)
+    n = table.counts
+    m = _xz_margins(n)
     if with_interaction:
-        y_block = saturated_closed_form(table)
-    else:
-        y_block = fit_poisson(table).params
-    return _causal_params(m, y_block, with_interaction)
+        p = saturated_closed_form(table)
+        return _causal_params(m, p.y, p.xy, p.zy, p.xzy, True)
+    fitted, y_block, _ = _two_way_mle(n)
+    _cell_ratios(fitted, *y_block)  # raises the FitError fit_poisson would
+    return _causal_params(m, *y_block)
 
 
 def causal_from_nocausal(nc: NoCausalParams) -> CausalParams:
@@ -226,7 +231,7 @@ def causal_from_nocausal(nc: NoCausalParams) -> CausalParams:
     counts = replace(nc, eta=1.0).expected_counts()
     if min(counts) < sys.float_info.min:
         raise CausalModelError("an expected count underflows")
-    return _causal_params(_xz_margins(counts), nc, False)
+    return _causal_params(_xz_margins(counts), nc.y, nc.xy, nc.zy)
 
 
 def nocausal_from_causal(cp: CausalParams) -> NoCausalParams:
@@ -245,6 +250,6 @@ def nocausal_from_causal(cp: CausalParams) -> NoCausalParams:
     if min(joint) < sys.float_info.min:
         raise CausalModelError("a joint probability underflows")
     try:
-        return _cell_ratios(joint, cp.y, cp.xy, cp.zy)
+        return NoCausalParams(*_cell_ratios(joint, cp.y, cp.xy, cp.zy))
     except FitError as exc:
         raise CausalModelError(str(exc)) from None

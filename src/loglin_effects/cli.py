@@ -153,9 +153,9 @@ def cmd_fit(args) -> int:
     table = _load_table(args)
     spec = saturated_spec() if args.model == "saturated" else two_way_spec()
     fit = fit_poisson(table, spec)
-    cp = _causal_params(
-        _xz_margins(table.counts), fit.params, spec.with_three_way
-    )
+    p = fit.params
+    cp = _causal_params(_xz_margins(table.counts), p.y, p.xy, p.zy, p.xzy,
+                        spec.with_three_way)
 
     if args.output == "json":
         # only the JSON document holds the covariance, computed on first use
@@ -216,7 +216,8 @@ def cmd_test(args) -> int:
     if args.model != "two-way":
         raise TestError("test defined for two-way model")
     fit = fit_poisson(table, two_way_spec())
-    cp = _causal_params(_xz_margins(table.counts), fit.params, False)
+    p = fit.params
+    cp = _causal_params(_xz_margins(table.counts), p.y, p.xy, p.zy)
     result = additive_zero_test(fit)
     bonds = replace(linearity_bonds(cp), bond1_test=result)
 

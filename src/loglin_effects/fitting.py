@@ -15,6 +15,13 @@ in it, found by Newton's method.  The saturated model reproduces the counts.
 Both models read their Y-block off the cells with the same ratios, and the
 intercept and the X, Z and XZ terms with ``_cell_ratios``.
 
+``_two_way_mle`` is the one two-way fit: it checks that the MLE exists,
+solves for ``t`` on counts scaled by a power of two, and returns the fitted
+counts, the Y-block and the Newton steps.  ``fit_poisson`` adds the
+deviance and the other parameters; ``causal.fit_causal``, which needs only
+the Y-block, checks the other parameters with the same ``_cell_ratios``
+and does not build a ``FitResult``.
+
 The covariance of the additive parameters, ``(D' diag(m) D)^-1`` over the
 dummy-coded design matrix ``D``, is computed on first use in closed form.
 ``C``, the inverse of the saturated dummy coding, maps the log counts to the
@@ -36,20 +43,22 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 
-from .tables import CELLS, VARIABLES, ContingencyTable
+from .tables import CELLS, VARIABLES, ContingencyTable, _left_sum
 
 #: term order shared by design matrices, parameter vectors, and covariances;
 #: each term but the intercept is named by its variables
 TERM_ORDER = ("eta", "X", "Z", "Y", "XZ", "XY", "ZY", "XZY")
 
-#: the cells where x + z + y is even, u(x,z,y) = +1, and where it is odd
-_EVEN = (0, 3, 5, 6)
-_ODD = (1, 2, 4, 7)
-
 #: the two-way fit's Newton iteration stops after a step in log s of at
 #: most ``_TOL``, and fails after ``_MAX_ITER`` steps
 _TOL = 1e-8
 _MAX_ITER = 100
+
+#: the least positive normal float
+_TINY = sys.float_info.min
+
+#: the multiplicative parameters, in the order of ``NoCausalParams``' fields
+_FIELDS = ("eta", "x", "z", "y", "xz", "xy", "zy", "xzy")
 
 
 class FitError(RuntimeError):
@@ -73,8 +82,12 @@ class ModelSpec:
         return TERM_ORDER if self.with_three_way else TERM_ORDER[:-1]
 
 
+#: the two-way model; a ``ModelSpec`` is immutable, so one serves every fit
+_TWO_WAY = ModelSpec()
+
+
 def two_way_spec() -> ModelSpec:
-    return ModelSpec()
+    return _TWO_WAY
 
 
 def saturated_spec() -> ModelSpec:
@@ -133,6 +146,17 @@ _TWO_WAY_COVARIANCE = _outer_terms([
 ])
 
 
+def _check_positive(params) -> None:
+    """Raise ``ValueError`` naming the first of the multiplicative
+    parameters ``params``, in the order of ``_FIELDS``, that is not finite
+    and > 0."""
+    for name, value in zip(_FIELDS, params):
+        if not 0.0 < value < math.inf:  # also rejects nan
+            raise ValueError(
+                f"multiplicative parameter {name} must be finite and > 0"
+            )
+
+
 @dataclass(frozen=True)
 class NoCausalParams:
     """Loglinear parameters in multiplicative form (dummy code).
@@ -152,11 +176,8 @@ class NoCausalParams:
     xzy: float = 1.0
 
     def __post_init__(self):
-        for name in ("eta", "x", "z", "y", "xz", "xy", "zy", "xzy"):
-            if not 0.0 < getattr(self, name) < math.inf:  # also rejects nan
-                raise ValueError(
-                    f"multiplicative parameter {name} must be finite and > 0"
-                )
+        _check_positive((self.eta, self.x, self.z, self.y, self.xz, self.xy,
+                         self.zy, self.xzy))
 
     @property
     def multiplicative(self) -> dict:
@@ -225,13 +246,13 @@ class FitResult:
             # factor leaves the float range unless the whole weight does
             least = min(m)
             ratios = [least / c for c in m]
-            s = sum(ratios)
+            s = _left_sum(ratios)
             weights = [ratios[c] / (m[d] * s) if m[c] <= m[d]
                        else ratios[d] / (m[c] * s) for c, d in _PAIRS]
             terms = _TWO_WAY_COVARIANCE
         weight = weights.__getitem__
         cov = tuple(
-            tuple(sum(map(weight, plus)) - sum(map(weight, minus))
+            tuple(_left_sum(map(weight, plus)) - _left_sum(map(weight, minus))
                   for plus, minus in row)
             for row in terms
         )
@@ -270,7 +291,7 @@ def design_matrix(spec: ModelSpec) -> tuple:
 
 
 def fit_poisson(
-    table: ContingencyTable, spec: ModelSpec = ModelSpec()
+    table: ContingencyTable, spec: ModelSpec = _TWO_WAY
 ) -> FitResult:
     """Maximum likelihood fit of the two-way (default) or saturated model.
 
@@ -279,21 +300,34 @@ def fit_poisson(
     closed form.  The covariance of the additive parameters is the lazy
     ``FitResult.covariance``.
     """
-    if not spec.with_three_way:
-        return _fit_two_way(table)
+    if spec.with_three_way:
+        return FitResult(
+            params=saturated_closed_form(table),
+            fitted_counts=table.counts,
+            deviance=0.0,
+            iterations=0,
+            converged=True,
+            spec=spec,
+        )
+    n = table.counts
+    m, y_block, iterations = _two_way_mle(n)
+    deviance = 2.0 * _left_sum(
+        c * _log_ratio(c, f) - (c - f) if c > 0 else f for c, f in zip(n, m)
+    )
     return FitResult(
-        params=saturated_closed_form(table),
-        fitted_counts=table.counts,
-        deviance=0.0,
-        iterations=0,
+        params=NoCausalParams(*_cell_ratios(m, *y_block)),
+        fitted_counts=m,
+        deviance=deviance,
+        iterations=iterations,
         converged=True,
-        spec=spec,
+        spec=_TWO_WAY,
     )
 
 
-def _cell_ratios(m, y, xy, zy, xzy=1.0) -> NoCausalParams:
-    """Loglinear parameters with the Y-block ``y, xy, zy, xzy`` whose
-    intercept and X, Z and XZ terms are read off the cells ``m``.
+def _cell_ratios(m, y, xy, zy, xzy=1.0) -> tuple:
+    """The multiplicative parameters, in the order of ``_FIELDS``, with the
+    Y-block ``y, xy, zy, xzy`` whose intercept and X, Z and XZ terms are
+    read off the cells ``m``.
 
     In dummy code m(0,0,0) is the intercept, m(1,0,0)/m(0,0,0) is mu^X,
     m(0,1,0)/m(0,0,0) is mu^Z, and mu^XZ is the cross ratio of the four
@@ -301,23 +335,22 @@ def _cell_ratios(m, y, xy, zy, xzy=1.0) -> NoCausalParams:
     or underflows.  A parameter that does so itself, to 0 or infinity,
     raises ``FitError``: the counts are valid, the fit cannot represent it.
     """
+    params = (m[0], m[4] / m[0], m[2] / m[0], y,
+              (m[6] / m[4]) * (m[0] / m[2]), xy, zy, xzy)
     try:
-        return NoCausalParams(
-            eta=m[0],
-            x=m[4] / m[0],
-            z=m[2] / m[0],
-            y=y,
-            xz=(m[6] / m[4]) * (m[0] / m[2]),
-            xy=xy,
-            zy=zy,
-            xzy=xzy,
-        )
+        _check_positive(params)
     except ValueError as exc:
         raise FitError(str(exc)) from None
+    return params
 
 
-def _fit_two_way(table: ContingencyTable) -> FitResult:
-    n = table.counts
+def _two_way_mle(n) -> tuple:
+    """The two-way MLE of counts ``n``: its fitted counts, its Y-block
+    ``(mu^Y, mu^XY, mu^ZY)`` and the Newton steps it took.
+
+    Raises ``FitError`` when the MLE does not exist, or when a fitted
+    count or a Y-block parameter leaves the float range.
+    """
     # the positive tables n + t*u have t in (-min_even n, min_odd n), which
     # is empty exactly when both parity classes hold a zero count
     zeros = [cell for cell, c in zip(CELLS, n) if c == 0]
@@ -331,20 +364,10 @@ def _fit_two_way(table: ContingencyTable) -> FitResult:
     y_block = _y_ratios(scaled)
     if not all(0.0 < r < math.inf for r in y_block):
         raise FitError("a loglinear Y-block parameter overflows or underflows")
-    m = [math.ldexp(c, -k) for c in scaled]
-    if min(m) < sys.float_info.min:
+    m = tuple([math.ldexp(c, -k) for c in scaled])
+    if min(m) < _TINY:
         raise FitError("a fitted count underflows")
-    deviance = 2.0 * sum(
-        c * _log_ratio(c, f) - (c - f) if c > 0 else f for c, f in zip(n, m)
-    )
-    return FitResult(
-        params=_cell_ratios(m, *y_block),
-        fitted_counts=tuple(m),
-        deviance=deviance,
-        iterations=iterations,
-        converged=True,
-        spec=ModelSpec(),
-    )
+    return m, y_block, iterations
 
 
 def _scale_exponent(n) -> int:
@@ -374,34 +397,49 @@ def _solve_two_way(n) -> tuple:
     so Newton's method from the midpoint descends to the root
     monotonically, and after a step of at most ``_TOL`` the error in v is
     below round-off.
+
+    The even cells, where u = +1, are 0, 3, 5 and 6, the odd ones 1, 2, 4
+    and 7.  The four rising counts ``a + s`` are ``r0..r3`` and the four
+    falling ones ``f0..f3``, each in cell order, and every sum is written
+    out left to right.
     """
-    lo, hi = min(n[i] for i in _EVEN), min(n[i] for i in _ODD)
+    n0, n1, n2, n3, n4, n5, n6, n7 = n
+    lo, hi = min(n0, n3, n5, n6), min(n1, n2, n4, n7)
     s = (lo + hi) / 2.0
-    if not s >= sys.float_info.min:
+    if not s >= _TINY:
         raise FitError("a fitted count underflows")
-    rising = [n[i] - lo + s for i in _EVEN]
-    falling = [n[i] - hi + s for i in _ODD]
-    g = sum(map(math.log, rising)) - sum(map(math.log, falling))
-    if g >= 0.0:
-        rise, fall, end = _EVEN, _ODD, lo
-    else:
-        rise, fall, end = _ODD, _EVEN, hi
-        rising, falling, g = falling, rising, -g
-    up, down = [n[i] - end for i in rise], [n[i] + end for i in fall]
+    log = math.log
+    r0, r1, r2, r3 = n0 - lo + s, n3 - lo + s, n5 - lo + s, n6 - lo + s
+    f0, f1, f2, f3 = n1 - hi + s, n2 - hi + s, n4 - hi + s, n7 - hi + s
+    g = ((log(r0) + log(r1) + log(r2) + log(r3))
+         - (log(f0) + log(f1) + log(f2) + log(f3)))
+    even_rises = g >= 0.0
+    if even_rises:  # t = -lo + s: even counts (n - lo) + s, odd (n + lo) - s
+        a0, a1, a2, a3 = n0 - lo, n3 - lo, n5 - lo, n6 - lo
+        b0, b1, b2, b3 = n1 + lo, n2 + lo, n4 + lo, n7 + lo
+    else:  # t = hi - s: odd counts (n - hi) + s, even (n + hi) - s
+        r0, r1, r2, r3, f0, f1, f2, f3 = f0, f1, f2, f3, r0, r1, r2, r3
+        g = -g
+        a0, a1, a2, a3 = n1 - hi, n2 - hi, n4 - hi, n7 - hi
+        b0, b1, b2, b3 = n0 + hi, n3 + hi, n5 + hi, n6 + hi
     for iterations in range(1, _MAX_ITER + 1):
-        dv = g / (s * sum([1.0 / c for c in rising + falling]))
+        dv = g / (s * (1.0 / r0 + 1.0 / r1 + 1.0 / r2 + 1.0 / r3
+                       + 1.0 / f0 + 1.0 / f1 + 1.0 / f2 + 1.0 / f3))
         s *= math.exp(-dv)
-        if not s >= sys.float_info.min:
+        if not s >= _TINY:
             raise FitError("a fitted count underflows")
-        rising, falling = [a + s for a in up], [b - s for b in down]
+        r0, r1, r2, r3 = a0 + s, a1 + s, a2 + s, a3 + s
+        f0, f1, f2, f3 = b0 - s, b1 - s, b2 - s, b3 - s
         if abs(dv) <= _TOL:
             break
-        g = sum(map(math.log, rising)) - sum(map(math.log, falling))
+        g = ((log(r0) + log(r1) + log(r2) + log(r3))
+             - (log(f0) + log(f1) + log(f2) + log(f3)))
     else:
         raise FitError(f"the two-way fit did not converge in {_MAX_ITER} "
                        "steps")
-    m = dict(zip(rise + fall, rising + falling))
-    return [m[i] for i in range(8)], iterations
+    if even_rises:
+        return (r0, f0, f1, r1, f2, r2, r3, f3), iterations
+    return (f0, r0, r1, f1, r2, f2, f3, r3), iterations
 
 
 def _y_ratios(m) -> tuple:
@@ -415,7 +453,7 @@ def _log_ratio(c: float, f: float) -> float:
     """log(c / f) for positive ``c`` and ``f``, also when c / f leaves the
     normal float range."""
     r = c / f
-    if sys.float_info.min <= r < math.inf:
+    if _TINY <= r < math.inf:
         return math.log(r)
     return math.log(c) - math.log(f)
 
@@ -433,8 +471,8 @@ def saturated_closed_form(table: ContingencyTable) -> NoCausalParams:
             f"zero count at cells {zero}: the saturated MLE does not exist "
             "(its estimate is divergent)"
         )
-    return _cell_ratios(
+    return NoCausalParams(*_cell_ratios(
         n,
         *_y_ratios(n),
         xzy=((n[7] / n[6]) * (n[4] / n[5])) * ((n[2] / n[3]) * (n[1] / n[0])),
-    )
+    ))

@@ -18,6 +18,7 @@ from typing import Optional
 
 from .causal import CausalParams, CausalModelError
 from .fitting import FitResult
+from .tables import _left_sum
 
 #: contrast weights over additive parameters for the zero-interaction test,
 #: in the Y-block order (lambda^Y, lambda^XY, lambda^ZY)
@@ -82,14 +83,14 @@ def additive_zero_test(fit: FitResult) -> TestResult:
     if fit.spec.with_three_way:
         raise TestError("test defined for two-way model")
     add = fit.params.additive
-    beta_hat = sum(_CONTRAST[t] * add[t] for t in _CONTRAST)
+    beta_hat = _left_sum(_CONTRAST[t] * add[t] for t in _CONTRAST)
     # 1/A + 1/B, each taken relative to its least count so that no
     # reciprocal of a count over- or underflows
     m = fit.fitted_counts
     inverse = 0.0
     for cells in ((0, 1, 6, 7), (2, 3, 4, 5)):
         least = min(m[i] for i in cells)
-        inverse += least / sum(least / m[i] for i in cells)
+        inverse += least / _left_sum(least / m[i] for i in cells)
     var = 1.0 / inverse
     if not 0.0 < var < math.inf:
         raise TestError("covariance is not positive on the test contrast")
@@ -117,8 +118,8 @@ def linearity_bonds(
     """
     if cp.with_interaction:
         raise CausalModelError("linearity bonds defined without interaction")
-    bond1 = sum(map(math.log, (cp.xy, cp.zy, cp.y, cp.y)))
-    bond2 = sum(map(math.log, (cp.xzc, cp.zc, cp.zc)))
+    bond1 = _left_sum(map(math.log, (cp.xy, cp.zy, cp.y, cp.y)))
+    bond2 = _left_sum(map(math.log, (cp.xzc, cp.zc, cp.zc)))
     test = additive_zero_test(fit) if fit is not None else None
     return LinearityReport(
         bond1_residual=bond1, bond2_residual=bond2, bond1_test=test

@@ -29,6 +29,19 @@ def cell_index(x: int, z: int, y: int) -> int:
     return 4 * x + 2 * z + y
 
 
+def _left_sum(values) -> float:
+    """The float sum of ``values`` added left to right, rounding each step.
+
+    ``sum`` adds so on Python 3.10 and 3.11 but compensates its rounding
+    from 3.12 on; every sum that reaches an output is this one, so the
+    outputs are the same bits on every supported version.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 @dataclass(frozen=True)
 class ContingencyTable:
     """Observed counts n(x, z, y) over three binary variables."""
@@ -40,7 +53,7 @@ class ContingencyTable:
         counts = tuple(map(float, self.counts))
         if len(counts) != 8:
             raise TableError(f"expected 8 cells, got {len(counts)}")
-        total = sum(counts)
+        total = _left_sum(counts)
         # a finite total of cells none below 0 has no nan or inf cell either;
         # only a failing table is searched for the cell to name
         if not (math.isfinite(total) and min(counts) >= 0):
@@ -56,7 +69,7 @@ class ContingencyTable:
 
     @property
     def total(self) -> float:
-        return sum(self.counts)
+        return _left_sum(self.counts)
 
     def count(self, x: int, z: int, y: int) -> float:
         return self.counts[cell_index(x, z, y)]
@@ -74,8 +87,9 @@ class JointProbabilityTable:
             raise TableError(f"expected 8 probabilities, got {len(probs)}")
         if any(p < 0 for p in probs):
             raise TableError("negative probability")
-        if abs(sum(probs) - 1.0) > 1e-12:
-            raise TableError(f"probabilities sum to {sum(probs)!r}, not 1")
+        total = _left_sum(probs)
+        if abs(total - 1.0) > 1e-12:
+            raise TableError(f"probabilities sum to {total!r}, not 1")
         object.__setattr__(self, "probs", probs)
 
     def prob(self, x: int, z: int, y: int) -> float:
@@ -199,7 +213,7 @@ def dichotomize(records: Sequence, thresholds="mean") -> ContingencyTable:
                 raise TableError(
                     f"variable {VARIABLES[j]} is constant; mean split undefined"
                 )
-            cuts.append(sum(col) / len(col))
+            cuts.append(_left_sum(col) / len(col))
     else:
         cuts = [float(t) for t in thresholds]
         if len(cuts) != 3:
@@ -254,7 +268,9 @@ def _coerce_count(raw) -> float:
         c = float(raw)
     except (TypeError, ValueError, OverflowError):
         raise TableError(f"malformed count {raw!r}") from None
-    if not math.isfinite(c) or c < 0:
+    if not math.isfinite(c):
+        raise TableError(f"non-finite count {raw!r}")
+    if c < 0:
         raise TableError(f"negative count {raw!r}")
     return c
 

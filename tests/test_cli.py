@@ -329,18 +329,19 @@ class TestTestCommand:
 
     def test_fits_the_two_way_model_once(self, table5_csv, monkeypatch):
         import loglin_effects.causal
-        import loglin_effects.cli
         import loglin_effects.fitting
 
+        # every two-way fit, fit_poisson's or fit_causal's, is one
+        # _two_way_mle call
         calls = []
-        real = loglin_effects.fitting.fit_poisson
+        real = loglin_effects.fitting._two_way_mle
 
         def counting(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        for module in (loglin_effects.cli, loglin_effects.causal):
-            monkeypatch.setattr(module, "fit_poisson", counting)
+        for module in (loglin_effects.fitting, loglin_effects.causal):
+            monkeypatch.setattr(module, "_two_way_mle", counting)
         assert main(["test", "--input", table5_csv]) == 0
         assert len(calls) == 1
 

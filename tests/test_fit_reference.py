@@ -1,0 +1,183 @@
+"""The two-way fit against a reference copy of its earlier list-based form.
+
+``reference_fit`` transcribes the two-way ``fit_poisson`` as it stood before
+the Newton loop was unrolled and ``fit_causal`` stopped building a
+``FitResult``: the existence check, the scaled solve with its lists of
+rising and falling counts, the Y-block and underflow checks, the deviance
+and the cell-ratio parameters, in that order.  Its sums are explicit left
+folds, which is how ``sum`` added floats before Python 3.12, so the
+reference gives the same bits on every supported version.  ``fit_poisson``
+and the two-way ``fit_causal`` must agree with it bit for bit, or raise the
+same error with the same message.
+"""
+
+import math
+import operator
+import sys
+from dataclasses import astuple
+from functools import reduce
+
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from loglin_effects import (
+    CELLS,
+    ContingencyTable,
+    FitError,
+    NoCausalParams,
+    fit_causal,
+    fit_poisson,
+)
+from loglin_effects.causal import _causal_params, _xz_margins
+
+_EVEN = (0, 3, 5, 6)
+_ODD = (1, 2, 4, 7)
+
+
+def _fold(values):
+    return reduce(operator.add, values, 0.0)
+
+
+def _reference_solve(n):
+    lo, hi = min(n[i] for i in _EVEN), min(n[i] for i in _ODD)
+    s = (lo + hi) / 2.0
+    if not s >= sys.float_info.min:
+        raise FitError("a fitted count underflows")
+    rising = [n[i] - lo + s for i in _EVEN]
+    falling = [n[i] - hi + s for i in _ODD]
+    g = _fold(map(math.log, rising)) - _fold(map(math.log, falling))
+    if g >= 0.0:
+        rise, fall, end = _EVEN, _ODD, lo
+    else:
+        rise, fall, end = _ODD, _EVEN, hi
+        rising, falling, g = falling, rising, -g
+    up, down = [n[i] - end for i in rise], [n[i] + end for i in fall]
+    for iterations in range(1, 101):
+        dv = g / (s * _fold([1.0 / c for c in rising + falling]))
+        s *= math.exp(-dv)
+        if not s >= sys.float_info.min:
+            raise FitError("a fitted count underflows")
+        rising, falling = [a + s for a in up], [b - s for b in down]
+        if abs(dv) <= 1e-8:
+            break
+        g = _fold(map(math.log, rising)) - _fold(map(math.log, falling))
+    else:
+        raise FitError("the two-way fit did not converge in 100 steps")
+    m = dict(zip(rise + fall, rising + falling))
+    return [m[i] for i in range(8)], iterations
+
+
+def _reference_log_ratio(c, f):
+    r = c / f
+    if sys.float_info.min <= r < math.inf:
+        return math.log(r)
+    return math.log(c) - math.log(f)
+
+
+def reference_fit(n):
+    """(fitted counts, parameters, deviance, iterations) of the two-way MLE
+    of counts ``n``, or the ``FitError`` of the earlier fit."""
+    zeros = [cell for cell, c in zip(CELLS, n) if c == 0]
+    if len({sum(cell) % 2 for cell in zeros}) == 2:
+        raise FitError(
+            f"the two-way MLE does not exist: the zero counts at cells "
+            f"{zeros} make a zero margin n(x,z,+) or separate Y=1 from Y=0"
+        )
+    top = math.frexp(max(n))[1]
+    bottom = math.frexp(min(c for c in n if c > 0))[1]
+    k = min(-((top + bottom) // 2), max(0, 1020 - top))
+    sc, iterations = _reference_solve([math.ldexp(c, k) for c in n])
+    y_block = (sc[1] / sc[0], (sc[5] / sc[4]) * (sc[0] / sc[1]),
+               (sc[3] / sc[2]) * (sc[0] / sc[1]))
+    if not all(0.0 < r < math.inf for r in y_block):
+        raise FitError("a loglinear Y-block parameter overflows or underflows")
+    m = [math.ldexp(c, -k) for c in sc]
+    if min(m) < sys.float_info.min:
+        raise FitError("a fitted count underflows")
+    deviance = 2.0 * _fold(
+        c * _reference_log_ratio(c, f) - (c - f) if c > 0 else f
+        for c, f in zip(n, m)
+    )
+    y, xy, zy = y_block
+    try:
+        params = NoCausalParams(
+            eta=m[0], x=m[4] / m[0], z=m[2] / m[0], y=y,
+            xz=(m[6] / m[4]) * (m[0] / m[2]), xy=xy, zy=zy,
+        )
+    except ValueError as exc:
+        raise FitError(str(exc)) from None
+    return m, params, deviance, iterations
+
+
+def _bits(values):
+    return [float.hex(float(v)) for v in values]
+
+
+def _outcome(compute):
+    """``("ok", value)`` of ``compute()``, or its error's type and message."""
+    try:
+        return "ok", compute()
+    except Exception as exc:  # noqa: BLE001 - every error must agree
+        return type(exc).__name__, str(exc)
+
+
+def _library_fit(table):
+    fit = fit_poisson(table)
+    assert fit.converged and not fit.spec.with_three_way
+    return (_bits(fit.fitted_counts), _bits(astuple(fit.params)),
+            _bits([fit.deviance]), fit.iterations)
+
+
+def _reference_fit(table):
+    m, params, deviance, iterations = reference_fit(table.counts)
+    return _bits(m), _bits(astuple(params)), _bits([deviance]), iterations
+
+
+def _reference_causal(table):
+    """The earlier two-way ``fit_causal``: the margins first, then the
+    fit, then the causal parameters from its Y-block."""
+    margins = _xz_margins(table.counts)
+    p = reference_fit(table.counts)[1]
+    return _bits(astuple(_causal_params(margins, p.y, p.xy, p.zy)))
+
+
+def _counts(exponents):
+    return st.floats(*exponents).map(lambda e: 10.0 ** e)
+
+
+def _tables(cell):
+    return st.lists(cell, min_size=8, max_size=8)
+
+
+class TestTwoWayFitAgainstReference:
+    @settings(max_examples=600, deadline=None)
+    @given(st.one_of(
+        _tables(_counts((-300, 300))),
+        _tables(st.one_of(st.just(0.0), _counts((-300, 300)))),
+        _tables(_counts((-5, 5))),
+        _tables(st.integers(0, 40).map(float)),
+    ))
+    @example([42.0, 18.0, 25.0, 31.0, 17.0, 23.0, 12.0, 48.0])
+    @example([1e-300, 1e-300, 1.0, 1.0, 1e300, 1e300, 1.0, 1.0])  # x
+    @example([1e-300, 1e-300, 1e300, 1e300, 1.0, 1.0, 1.0, 1.0])  # z
+    @example([1.0, 1.0, 1e-300, 1e-300, 1e-300, 1e-300, 1e300, 1e300])  # xz
+    @example([0.0, 5.0, 3.0, 0.0, 2.0, 7.0, 0.0, 1.0])  # zeros of one parity
+    @example([0.0, 0.0, 3.0, 4.0, 2.0, 7.0, 6.0, 1.0])  # a zero margin
+    def test_fit_poisson_and_fit_causal_match(self, counts):
+        assume(0.0 < sum(counts) < math.inf)
+        table = ContingencyTable(counts)
+        want = _outcome(lambda: _reference_fit(table))
+        assert _outcome(lambda: _library_fit(table)) == want
+        assert (_outcome(lambda: _bits(astuple(fit_causal(table))))
+                == _outcome(lambda: _reference_causal(table)))
+
+    def test_examples_reach_each_parameter_error(self):
+        for counts, name in (
+            ((1e-300, 1e-300, 1, 1, 1e300, 1e300, 1, 1), "x"),
+            ((1e-300, 1e-300, 1e300, 1e300, 1, 1, 1, 1), "z"),
+            ((1, 1, 1e-300, 1e-300, 1e-300, 1e-300, 1e300, 1e300), "xz"),
+        ):
+            message = f"multiplicative parameter {name} must be finite and > 0"
+            table = ContingencyTable(counts)
+            assert _outcome(lambda: fit_causal(table)) == ("FitError", message)
+            assert _outcome(lambda: fit_poisson(table)) == ("FitError", message)

@@ -40,7 +40,9 @@ def _reference_coerce_count(raw):
         c = float(raw)
     except (TypeError, ValueError, OverflowError):
         raise TableError(f"malformed count {raw!r}") from None
-    if not math.isfinite(c) or c < 0:
+    if not math.isfinite(c):
+        raise TableError(f"non-finite count {raw!r}")
+    if c < 0:
         raise TableError(f"negative count {raw!r}")
     return c
 
@@ -272,7 +274,9 @@ def _parsed(source, fmt="csv"):
     (_parsed("x,z,y,count\n1,0,1,1\n 1,0,1,2\n"), "duplicate cell (1,0,1)"),
     (_parsed("x,z,y,count\n0,0,0,x\n"), "malformed count 'x'"),
     (_parsed("x,z,y,count\n0,0,0,-1\n"), "negative count '-1'"),
-    (_parsed("x,z,y,count\n0,0,0,nan\n"), "negative count 'nan'"),
+    (_parsed("x,z,y,count\n0,0,0,nan\n"), "non-finite count 'nan'"),
+    (_parsed("x,z,y,count\n0,0,0,inf\n"), "non-finite count 'inf'"),
+    (_parsed("x,z,y,count\n0,0,0,-inf\n"), "non-finite count '-inf'"),
     (_parsed("x,z,y,count\n0,0,0,1e308\n0,0,1,1e308\n"), "table total overflows"),
     (_parsed("x,z,y,count\n0,0,0,0\n"), "table total must be positive"),
     (_parsed("x,z,y,count\n"), "table total must be positive"),
@@ -286,6 +290,9 @@ def _parsed(source, fmt="csv"):
              ' {"x": 1, "z": 1, "y": 1, "count": 2}]}', "json"),
      "duplicate cell (1,1,1)"),
     (_parsed('{"cells": [1, 1, 1, 1, 1, 1, 1, -2]}', "json"), "negative count -2"),
+    (_parsed('{"cells": [1, 1, 1, 1, 1, 1, 1, NaN]}', "json"), "non-finite count nan"),
+    (_parsed('{"cells": [1, 1, 1, 1, 1, 1, 1, Infinity]}', "json"),
+     "non-finite count inf"),
     (_table_of((1,) * 7), "expected 8 cells, got 7"),
     (_table_of((1, 1, 1, -1, 1, 1, 1, 1)), "negative or non-finite count at cell (0,1,1)"),
     (_table_of((1, 1, 1, 1, 1, 1, 1, math.nan)),
