@@ -3,7 +3,9 @@
 The causal form keeps the Y-block parameters of the plain loglinear model
 (they are shared between the two parameterizations) and replaces the X- and
 Z-block parameters with causal ones, written with a ``c`` suffix here.
-Normalization factors make each conditional block sum to one.
+Normalization factors make each conditional block sum to one; they are the
+level-0 probabilities, written once, in ``conditional_probabilities``, and
+``eta_factors`` reads them from there.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from .fitting import (
     FitError,
     NoCausalParams,
     _cell_ratios,
+    _check_positive,
     _two_way_mle,
     saturated_closed_form,
 )
@@ -45,11 +48,18 @@ class CausalParams:
     with_interaction: bool = False
 
     def __post_init__(self):
-        for name in ("xc", "zc", "xzc", "y", "xy", "zy", "xzy"):
-            if not 0.0 < getattr(self, name) < math.inf:  # also rejects nan
-                raise CausalModelError(
-                    f"parameter {name} must be finite and > 0"
-                )
+        # one chained test of all seven (nan fails it too); only a failing
+        # set is searched for the name to report
+        inf = math.inf
+        if not (0.0 < self.xc < inf and 0.0 < self.zc < inf
+                and 0.0 < self.xzc < inf and 0.0 < self.y < inf
+                and 0.0 < self.xy < inf and 0.0 < self.zy < inf
+                and 0.0 < self.xzy < inf):
+            _check_positive(
+                (self.xc, self.zc, self.xzc, self.y, self.xy, self.zy,
+                 self.xzy), CausalModelError,
+                ("xc", "zc", "xzc", "y", "xy", "zy", "xzy"), "parameter",
+            )
         if not self.with_interaction and self.xzy != 1.0:
             raise CausalModelError(
                 "three-way parameter must be 1 without interaction"
@@ -91,21 +101,13 @@ class NormalizationFactors:
 
 
 def eta_factors(cp: CausalParams) -> NormalizationFactors:
-    """Closed-form normalization factors for every conditional block.
-
-    Each factor is the reciprocal of one plus the level-1 product of the
-    block, so the two levels of the conditioned variable sum to one.
-    """
-    y11 = cp.y * cp.xy * cp.zy * cp.xzy
+    """The normalization factors of every conditional block: the level-0
+    probabilities of ``conditional_probabilities``."""
+    cond = conditional_probabilities(cp)
     return NormalizationFactors(
-        x_norm=1.0 / (1.0 + cp.xc),
-        z_given_x=(1.0 / (1.0 + cp.zc), 1.0 / (1.0 + cp.zc * cp.xzc)),
-        y_given_xz={
-            (0, 0): 1.0 / (1.0 + cp.y),
-            (1, 0): 1.0 / (1.0 + cp.y * cp.xy),
-            (0, 1): 1.0 / (1.0 + cp.y * cp.zy),
-            (1, 1): 1.0 / (1.0 + y11),
-        },
+        x_norm=cond.p_x0,
+        z_given_x=cond.p_z0_given_x,
+        y_given_xz=cond.p_y0_given_xz,
     )
 
 
@@ -127,40 +129,44 @@ class ConditionalProbabilities:
     p_y0_given_xz: dict  # keyed by (x, z)
 
     def joint(self) -> JointProbabilityTable:
-        probs = []  # canonical cell order
-        for x, px in enumerate((self.p_x0, self.p_x1)):
-            for z, pz in enumerate((self.p_z0_given_x[x], self.p_z1_given_x[x])):
-                pxz = px * pz
-                probs += (pxz * self.p_y0_given_xz[(x, z)],
-                          pxz * self.p_y1_given_xz[(x, z)])
+        y0, y1 = self.p_y0_given_xz, self.p_y1_given_xz
+        p00 = self.p_x0 * self.p_z0_given_x[0]
+        p01 = self.p_x0 * self.p_z1_given_x[0]
+        p10 = self.p_x1 * self.p_z0_given_x[1]
+        p11 = self.p_x1 * self.p_z1_given_x[1]
+        probs = (p00 * y0[0, 0], p00 * y1[0, 0], p01 * y0[0, 1], p01 * y1[0, 1],
+                 p10 * y0[1, 0], p10 * y1[1, 0], p11 * y0[1, 1], p11 * y1[1, 1])
         total = _left_sum(probs)
         if not 0.0 < total < math.inf:  # also a nan probability
             raise CausalModelError(
                 f"the joint probabilities sum to {total}: the parameters "
                 "leave the float range"
             )
-        return JointProbabilityTable(tuple(p / total for p in probs))
+        c0, c1, c2, c3, c4, c5, c6, c7 = probs
+        return JointProbabilityTable((
+            c0 / total, c1 / total, c2 / total, c3 / total,
+            c4 / total, c5 / total, c6 / total, c7 / total,
+        ))
 
 
 def conditional_probabilities(cp: CausalParams) -> ConditionalProbabilities:
-    """Evaluate the three conditional blocks at both levels."""
-    eta = eta_factors(cp)
-    y11 = cp.y * cp.xy * cp.zy * cp.xzy
+    """Evaluate the three conditional blocks at both levels; each level-0
+    probability is the reciprocal of one plus its block's level-1 product."""
+    xc, zc, xzc, y, xy, zy = cp.xc, cp.zc, cp.xzc, cp.y, cp.xy, cp.zy
+    y11 = y * xy * zy * cp.xzy
+    x0 = 1.0 / (1.0 + xc)
+    z0_0, z0_1 = 1.0 / (1.0 + zc), 1.0 / (1.0 + zc * xzc)  # by x
+    y0_00, y0_10 = 1.0 / (1.0 + y), 1.0 / (1.0 + y * xy)  # by (x, z)
+    y0_01, y0_11 = 1.0 / (1.0 + y * zy), 1.0 / (1.0 + y11)
     return ConditionalProbabilities(
-        p_x1=eta.x_norm * cp.xc,
-        p_z1_given_x=(
-            eta.z_given_x[0] * cp.zc,
-            eta.z_given_x[1] * cp.zc * cp.xzc,
-        ),
-        p_y1_given_xz={
-            (0, 0): eta.y_given_xz[(0, 0)] * cp.y,
-            (1, 0): eta.y_given_xz[(1, 0)] * cp.y * cp.xy,
-            (0, 1): eta.y_given_xz[(0, 1)] * cp.y * cp.zy,
-            (1, 1): eta.y_given_xz[(1, 1)] * y11,
-        },
-        p_x0=eta.x_norm,
-        p_z0_given_x=eta.z_given_x,
-        p_y0_given_xz=eta.y_given_xz,
+        p_x1=x0 * xc,
+        p_z1_given_x=(z0_0 * zc, z0_1 * zc * xzc),
+        p_y1_given_xz={(0, 0): y0_00 * y, (1, 0): y0_10 * y * xy,
+                       (0, 1): y0_01 * y * zy, (1, 1): y0_11 * y11},
+        p_x0=x0,
+        p_z0_given_x=(z0_0, z0_1),
+        p_y0_given_xz={(0, 0): y0_00, (1, 0): y0_10, (0, 1): y0_01,
+                       (1, 1): y0_11},
     )
 
 

@@ -16,7 +16,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -29,7 +28,7 @@ from .causal import (
 )
 from .effects import DegenerateProbabilityError, effects_report
 from .fitting import FitError, fit_poisson, saturated_spec, two_way_spec
-from .inference import TestError, additive_zero_test, linearity_bonds
+from .inference import TestError, linearity_bonds
 from .oracle import OracleError, oracle_effects
 from .tables import TableError, joint_probabilities, parse_table, validate
 
@@ -108,11 +107,11 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _load_table(args):
+    path = Path(args.input)
     fmt = args.format
     if fmt is None:
-        fmt = "json" if Path(args.input).suffix.lower() == ".json" else "csv"
-    raw = Path(args.input).read_bytes()
-    table = parse_table(raw, fmt)
+        fmt = "json" if path.suffix.lower() == ".json" else "csv"
+    table = parse_table(path.read_bytes(), fmt)
 
     policy, sep, amount = args.zero_cells.partition(":")
     if sep and policy != "correct":
@@ -218,8 +217,8 @@ def cmd_test(args) -> int:
     fit = fit_poisson(table, two_way_spec())
     p = fit.params
     cp = _causal_params(_xz_margins(table.counts), p.y, p.xy, p.zy)
-    result = additive_zero_test(fit)
-    bonds = replace(linearity_bonds(cp), bond1_test=result)
+    bonds = linearity_bonds(cp, fit)
+    result = bonds.bond1_test
 
     doc = {
         "additive_zero_test": result.to_dict(),

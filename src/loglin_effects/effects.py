@@ -45,8 +45,9 @@ def effects_report(cp: CausalParams, x: int = 0, xp: int = 1) -> EffectsReport:
     not inverted.
     """
     _check_direction(x, xp)
-    o10 = cp.y * cp.xy
-    o = ((cp.y, cp.y * cp.zy), (o10, o10 * cp.zy * cp.xzy))  # o[x][z]
+    o00, o10 = cp.y, cp.y * cp.xy  # o(x,z), as o[x][z]
+    o01, o11 = o00 * cp.zy, o10 * cp.zy * cp.xzy
+    o = ((o00, o01), (o10, o11))
     w = (cp.zc, cp.zc * cp.xzc)  # w[x]
 
     def mixed(a, b):
@@ -60,11 +61,14 @@ def effects_report(cp: CausalParams, x: int = 0, xp: int = 1) -> EffectsReport:
         nde = held / at_x
         ie = mixed(x, xp) / at_x
         ie_rev = held / at_xp
-        lde_z = (o[xp][0] / o[x][0], o[xp][1] / o[x][1])
-        cell_z = (nde / lde_z[0], nde / lde_z[1])
-        mult = (o[1][1] / o[0][1]) / (o[1][0] / o[0][0])
-        finite = all(0.0 < r < math.inf
-                     for r in (te, nde, ie, ie_rev, mult) + lde_z + cell_z)
+        lde0, lde1 = o[xp][0] / o[x][0], o[xp][1] / o[x][1]
+        cell0, cell1 = nde / lde0, nde / lde1
+        mult = (o11 / o01) / (o10 / o00)
+        inf = math.inf
+        finite = (0.0 < te < inf and 0.0 < nde < inf and 0.0 < ie < inf
+                  and 0.0 < ie_rev < inf and 0.0 < mult < inf
+                  and 0.0 < lde0 < inf and 0.0 < lde1 < inf
+                  and 0.0 < cell0 < inf and 0.0 < cell1 < inf)
     except ZeroDivisionError:
         finite = False
     if not finite:
@@ -72,18 +76,19 @@ def effects_report(cp: CausalParams, x: int = 0, xp: int = 1) -> EffectsReport:
             "an odds product over- or underflows: the effects are not all "
             "positive and finite"
         )
-    p1 = [[v / (1.0 + v) for v in row] for row in o]  # P(Y=1|x,z)
-    residual = max(abs(te - lde_z[z] * cell_z[z] / ie_rev) for z in (0, 1))
     return EffectsReport(
         te=te,
-        lde=lde_z,
-        cell=cell_z,
+        lde=(lde0, lde1),
+        cell=(cell0, cell1),
         ie=ie,
         ie_reverse=ie_rev,
         nde=nde,
-        additive_interaction=p1[1][1] - p1[0][1] - p1[1][0] + p1[0][0],
+        # the double difference of P(Y=1|x,z) = o / (1 + o)
+        additive_interaction=(o11 / (1.0 + o11) - o01 / (1.0 + o01)
+                              - o10 / (1.0 + o10) + o00 / (1.0 + o00)),
         multiplicative_interaction=mult,
-        decomposition_residual=residual,
+        decomposition_residual=max(abs(te - lde0 * cell0 / ie_rev),
+                                   abs(te - lde1 * cell1 / ie_rev)),
         direction=(x, xp),
     )
 

@@ -146,15 +146,13 @@ _TWO_WAY_COVARIANCE = _outer_terms([
 ])
 
 
-def _check_positive(params) -> None:
-    """Raise ``ValueError`` naming the first of the multiplicative
-    parameters ``params``, in the order of ``_FIELDS``, that is not finite
-    and > 0."""
-    for name, value in zip(_FIELDS, params):
+def _check_positive(params, error=ValueError, names=_FIELDS,
+                    what="multiplicative parameter") -> None:
+    """Raise ``error`` naming the first of ``params``, in the order of
+    ``names``, that is not finite and > 0."""
+    for name, value in zip(names, params):
         if not 0.0 < value < math.inf:  # also rejects nan
-            raise ValueError(
-                f"multiplicative parameter {name} must be finite and > 0"
-            )
+            raise error(f"{what} {name} must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -176,8 +174,15 @@ class NoCausalParams:
     xzy: float = 1.0
 
     def __post_init__(self):
-        _check_positive((self.eta, self.x, self.z, self.y, self.xz, self.xy,
-                         self.zy, self.xzy))
+        # one chained test of all eight (nan fails it too); only a failing
+        # set is searched for the name to report
+        inf = math.inf
+        if not (0.0 < self.eta < inf and 0.0 < self.x < inf
+                and 0.0 < self.z < inf and 0.0 < self.y < inf
+                and 0.0 < self.xz < inf and 0.0 < self.xy < inf
+                and 0.0 < self.zy < inf and 0.0 < self.xzy < inf):
+            _check_positive((self.eta, self.x, self.z, self.y, self.xz,
+                             self.xy, self.zy, self.xzy))
 
     @property
     def multiplicative(self) -> dict:
@@ -250,15 +255,19 @@ class FitResult:
             weights = [ratios[c] / (m[d] * s) if m[c] <= m[d]
                        else ratios[d] / (m[c] * s) for c, d in _PAIRS]
             terms = _TWO_WAY_COVARIANCE
+        # entry (j, i) sums the same terms in the same order as (i, j), so
+        # the lower triangle is a copy of the upper one
         weight = weights.__getitem__
-        cov = tuple(
-            tuple(_left_sum(map(weight, plus)) - _left_sum(map(weight, minus))
-                  for plus, minus in row)
-            for row in terms
-        )
+        size = len(terms)
+        cov = [[0.0] * size for _ in range(size)]
+        for i, row in enumerate(terms):
+            for j in range(i, size):
+                plus, minus = row[j]
+                cov[i][j] = cov[j][i] = (_left_sum(map(weight, plus))
+                                         - _left_sum(map(weight, minus)))
         if not all(math.isfinite(v) for row in cov for v in row):
             raise FitError("the covariance leaves the float range")
-        return cov
+        return tuple(map(tuple, cov))
 
     def to_dict(self) -> dict:
         terms = self.spec.ordered_terms
@@ -337,10 +346,7 @@ def _cell_ratios(m, y, xy, zy, xzy=1.0) -> tuple:
     """
     params = (m[0], m[4] / m[0], m[2] / m[0], y,
               (m[6] / m[4]) * (m[0] / m[2]), xy, zy, xzy)
-    try:
-        _check_positive(params)
-    except ValueError as exc:
-        raise FitError(str(exc)) from None
+    _check_positive(params, FitError)
     return params
 
 
@@ -353,12 +359,14 @@ def _two_way_mle(n) -> tuple:
     """
     # the positive tables n + t*u have t in (-min_even n, min_odd n), which
     # is empty exactly when both parity classes hold a zero count
-    zeros = [cell for cell, c in zip(CELLS, n) if c == 0]
-    if len({sum(cell) % 2 for cell in zeros}) == 2:
-        raise FitError(
-            f"the two-way MLE does not exist: the zero counts at cells "
-            f"{zeros} make a zero margin n(x,z,+) or separate Y=1 from Y=0"
-        )
+    if 0.0 in n:
+        zeros = [cell for cell, c in zip(CELLS, n) if c == 0]
+        if len({sum(cell) % 2 for cell in zeros}) == 2:
+            raise FitError(
+                f"the two-way MLE does not exist: the zero counts at cells "
+                f"{zeros} make a zero margin n(x,z,+) or separate Y=1 from "
+                "Y=0"
+            )
     k = _scale_exponent(n)
     scaled, iterations = _solve_two_way([math.ldexp(c, k) for c in n])
     y_block = _y_ratios(scaled)
@@ -379,7 +387,8 @@ def _scale_exponent(n) -> int:
     positive count becomes 0.
     """
     top = math.frexp(max(n))[1]
-    bottom = math.frexp(min(c for c in n if c > 0))[1]
+    # the least count, or when it is 0 the least positive one
+    bottom = math.frexp(min(n) or min(c for c in n if c > 0))[1]
     return min(-((top + bottom) // 2), max(0, 1020 - top))
 
 
@@ -465,8 +474,8 @@ def saturated_closed_form(table: ContingencyTable) -> NoCausalParams:
     over- or underflows.
     """
     n = table.counts
-    zero = [cell for cell, c in zip(CELLS, n) if c == 0]
-    if zero:
+    if 0.0 in n:
+        zero = [cell for cell, c in zip(CELLS, n) if c == 0]
         raise FitError(
             f"zero count at cells {zero}: the saturated MLE does not exist "
             "(its estimate is divergent)"

@@ -82,13 +82,13 @@ class JointProbabilityTable:
     probs: tuple
 
     def __post_init__(self):
-        probs = tuple(float(p) for p in self.probs)
+        probs = tuple(map(float, self.probs))
         if len(probs) != 8:
             raise TableError(f"expected 8 probabilities, got {len(probs)}")
         if any(p < 0 for p in probs):
             raise TableError("negative probability")
         total = _left_sum(probs)
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:  # also a nan probability
             raise TableError(f"probabilities sum to {total!r}, not 1")
         object.__setattr__(self, "probs", probs)
 

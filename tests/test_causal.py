@@ -34,6 +34,28 @@ class TestCausalParamsValidation:
         with pytest.raises(CausalModelError):
             CausalParams(*args, with_interaction=True)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+    @pytest.mark.parametrize("index", range(7))
+    def test_message_names_the_first_bad_field(self, bad, index):
+        names = ("xc", "zc", "xzc", "y", "xy", "zy", "xzy")
+        for later in (1.0, float("nan"), -1.0):
+            args = [1.0] * index + [bad] + [later] * (6 - index)
+            with pytest.raises(CausalModelError) as err:
+                CausalParams(*args, with_interaction=True)
+            assert str(err.value) == (
+                f"parameter {names[index]} must be finite and > 0"
+            )
+
+    @pytest.mark.parametrize("big", [1e308, 1.7976931348623157e308])
+    def test_finite_values_whose_sum_overflows_are_accepted(self, big):
+        cp = CausalParams(*[big] * 7, with_interaction=True)
+        assert (cp.xc, cp.xzy) == (big, big)
+        assert NoCausalParams(*[big] * 8).xzy == big
+
+    def test_three_way_term_needs_interaction(self):
+        with pytest.raises(CausalModelError, match="three-way parameter"):
+            CausalParams(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0)
+
 
 class TestEtaFactors:
     def test_symmetric_params(self):

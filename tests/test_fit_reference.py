@@ -4,8 +4,9 @@
 the Newton loop was unrolled and ``fit_causal`` stopped building a
 ``FitResult``: the existence check, the scaled solve with its lists of
 rising and falling counts, the Y-block and underflow checks, the deviance
-and the cell-ratio parameters, in that order.  Its sums are explicit left
-folds, which is how ``sum`` added floats before Python 3.12, so the
+and the cell-ratio parameters, in that order; ``reference_covariance``
+computes every entry of the covariance on its own.  Its sums are explicit
+left folds, which is how ``sum`` added floats before Python 3.12, so the
 reference gives the same bits on every supported version.  ``fit_poisson``
 and the two-way ``fit_causal`` must agree with it bit for bit, or raise the
 same error with the same message.
@@ -24,11 +25,17 @@ from loglin_effects import (
     CELLS,
     ContingencyTable,
     FitError,
+    ModelSpec,
     NoCausalParams,
     fit_causal,
     fit_poisson,
 )
 from loglin_effects.causal import _causal_params, _xz_margins
+from loglin_effects.fitting import (
+    _PAIRS,
+    _SATURATED_COVARIANCE,
+    _TWO_WAY_COVARIANCE,
+)
 
 _EVEN = (0, 3, 5, 6)
 _ODD = (1, 2, 4, 7)
@@ -181,3 +188,41 @@ class TestTwoWayFitAgainstReference:
             table = ContingencyTable(counts)
             assert _outcome(lambda: fit_causal(table)) == ("FitError", message)
             assert _outcome(lambda: fit_poisson(table)) == ("FitError", message)
+
+
+def reference_covariance(fit):
+    """``FitResult.covariance`` as computed before the upper triangle was
+    mirrored: every entry summed on its own, row by row."""
+    m = fit.fitted_counts
+    if fit.spec.with_three_way:
+        weights = [1.0 / c for c in m]
+        terms = _SATURATED_COVARIANCE
+    else:
+        least = min(m)
+        ratios = [least / c for c in m]
+        s = _fold(ratios)
+        weights = [ratios[c] / (m[d] * s) if m[c] <= m[d]
+                   else ratios[d] / (m[c] * s) for c, d in _PAIRS]
+        terms = _TWO_WAY_COVARIANCE
+    cov = [[_fold(weights[k] for k in plus) - _fold(weights[k] for k in minus)
+            for plus, minus in row] for row in terms]
+    if not all(math.isfinite(v) for row in cov for v in row):
+        raise FitError("the covariance leaves the float range")
+    return cov
+
+
+class TestCovarianceAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(_tables(st.one_of(_counts((-300, 300)), _counts((-5, 5)))),
+           st.booleans())
+    @example([42.0, 18.0, 25.0, 31.0, 17.0, 23.0, 12.0, 48.0], False)
+    @example([42.0, 18.0, 25.0, 31.0, 17.0, 23.0, 12.0, 48.0], True)
+    def test_covariance_matches(self, counts, saturated):
+        assume(0.0 < sum(counts) < math.inf)
+        try:
+            fit = fit_poisson(ContingencyTable(counts), ModelSpec(saturated))
+        except FitError:
+            return
+        assert (_outcome(lambda: [_bits(row) for row in fit.covariance])
+                == _outcome(lambda: [_bits(row)
+                                     for row in reference_covariance(fit)]))

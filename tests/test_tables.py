@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from loglin_effects import (
     CELLS,
     ContingencyTable,
+    JointProbabilityTable,
     TableError,
     dichotomize,
     joint_probabilities,
@@ -406,6 +407,30 @@ class TestProbabilities:
         j = joint_probabilities(ContingencyTable((1, 1, 0, 0, 1, 1, 0, 0)))
         with pytest.raises(TableError, match="zero probability"):
             margin(j, ("X", "Y"), condition=("Z", 1))
+
+    @pytest.mark.parametrize("index", range(8))
+    def test_nan_probability_rejected(self, index):
+        probs = [0.5, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+        probs.insert(index, math.nan)
+        with pytest.raises(TableError, match="sum to nan"):
+            JointProbabilityTable(tuple(probs[:8]))
+
+    @pytest.mark.parametrize("probs, message", [
+        ((0.5, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, -0.0), None),
+        ((0.5, 0.75, -0.25, 0.0, 0.0, 0.0, 0.0, 0.0), "negative probability"),
+        # the sign is checked before the sum, whatever precedes the negative
+        ((math.nan, -0.25, 0.5, 0.75, 0.0, 0.0, 0.0, 0.0),
+         "negative probability"),
+        ((math.inf, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0), "sum to inf"),
+        ((0.5, 0.5 + 2e-12, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0), "not 1"),
+        ((0.5,) * 7, "expected 8 probabilities, got 7"),
+    ])
+    def test_probability_checks(self, probs, message):
+        if message is None:
+            assert JointProbabilityTable(probs).probs == probs
+        else:
+            with pytest.raises(TableError, match=message):
+                JointProbabilityTable(probs)
 
 
 class TestDichotomize:
