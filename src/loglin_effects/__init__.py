@@ -52,7 +52,7 @@ from .inference import (
     normal_cdf,
     two_sided_p,
 )
-from .oracle import OracleError, OracleReport, oracle_effects
+from .oracle import OracleError, oracle_effects
 from .tables import (
     CELLS,
     ContingencyTable,
@@ -84,7 +84,6 @@ __all__ = [
     "NoCausalParams",
     "NormalizationFactors",
     "OracleError",
-    "OracleReport",
     "TableError",
     "TestError",
     "TestResult",

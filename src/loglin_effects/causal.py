@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
 
 from .fitting import (
     FitError,
@@ -23,47 +22,51 @@ from .fitting import (
     _two_way_mle,
     saturated_closed_form,
 )
-from .tables import ContingencyTable, JointProbabilityTable, _left_sum
+from .tables import (
+    ContingencyTable,
+    JointProbabilityTable,
+    _left_sum,
+    _Record,
+    _set,
+)
 
 
 class CausalModelError(ValueError):
     """Invalid causal parameterization or unsupported conversion."""
 
 
-@dataclass(frozen=True)
-class CausalParams:
+class CausalParams(_Record):
     """Causal-form parameters of the X -> Z -> Y model.
 
     ``xc``, ``zc``, ``xzc`` drive P(X) and P(Z|X); ``y``, ``xy``, ``zy``,
     ``xzy`` drive P(Y|X,Z) and coincide with the plain loglinear Y-block.
     """
 
-    xc: float
-    zc: float
-    xzc: float
-    y: float
-    xy: float
-    zy: float
-    xzy: float = 1.0
-    with_interaction: bool = False
+    __slots__ = ("xc", "zc", "xzc", "y", "xy", "zy", "xzy", "with_interaction")
 
-    def __post_init__(self):
+    def __init__(self, xc: float, zc: float, xzc: float, y: float, xy: float,
+                 zy: float, xzy: float = 1.0, with_interaction: bool = False):
         # one chained test of all seven (nan fails it too); only a failing
         # set is searched for the name to report
         inf = math.inf
-        if not (0.0 < self.xc < inf and 0.0 < self.zc < inf
-                and 0.0 < self.xzc < inf and 0.0 < self.y < inf
-                and 0.0 < self.xy < inf and 0.0 < self.zy < inf
-                and 0.0 < self.xzy < inf):
-            _check_positive(
-                (self.xc, self.zc, self.xzc, self.y, self.xy, self.zy,
-                 self.xzy), CausalModelError,
-                ("xc", "zc", "xzc", "y", "xy", "zy", "xzy"), "parameter",
-            )
-        if not self.with_interaction and self.xzy != 1.0:
+        if not (0.0 < xc < inf and 0.0 < zc < inf and 0.0 < xzc < inf
+                and 0.0 < y < inf and 0.0 < xy < inf and 0.0 < zy < inf
+                and 0.0 < xzy < inf):
+            _check_positive((xc, zc, xzc, y, xy, zy, xzy), CausalModelError,
+                            ("xc", "zc", "xzc", "y", "xy", "zy", "xzy"),
+                            "parameter")
+        if not with_interaction and xzy != 1.0:
             raise CausalModelError(
                 "three-way parameter must be 1 without interaction"
             )
+        _set(self, "xc", xc)
+        _set(self, "zc", zc)
+        _set(self, "xzc", xzc)
+        _set(self, "y", y)
+        _set(self, "xy", xy)
+        _set(self, "zy", zy)
+        _set(self, "xzy", xzy)
+        _set(self, "with_interaction", with_interaction)
 
     def to_dict(self) -> dict:
         eta = eta_factors(self)
@@ -91,13 +94,16 @@ class CausalParams:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-@dataclass(frozen=True)
-class NormalizationFactors:
-    """The seven normalization factors of the causal decomposition."""
+class NormalizationFactors(_Record):
+    """The seven normalization factors of the causal decomposition:
+    ``z_given_x`` is indexed by x and ``y_given_xz`` keyed by (x, z)."""
 
-    x_norm: float
-    z_given_x: tuple  # indexed by x
-    y_given_xz: dict  # keyed by (x, z)
+    __slots__ = ("x_norm", "z_given_x", "y_given_xz")
+
+    def __init__(self, x_norm: float, z_given_x: tuple, y_given_xz: dict):
+        _set(self, "x_norm", x_norm)
+        _set(self, "z_given_x", z_given_x)
+        _set(self, "y_given_xz", y_given_xz)
 
 
 def eta_factors(cp: CausalParams) -> NormalizationFactors:
@@ -111,22 +117,27 @@ def eta_factors(cp: CausalParams) -> NormalizationFactors:
     )
 
 
-@dataclass(frozen=True)
-class ConditionalProbabilities:
+class ConditionalProbabilities(_Record):
     """P(X=1), P(Z=1|X=x), P(Y=1|X=x,Z=z), their level-0 complements, and
     the joint reconstruction.
 
-    The level-0 probabilities are the normalization factors themselves, not
-    ``1 - p``, so a near-certain level keeps the relative accuracy of its
-    complement.
+    The ``p_z*`` tuples are indexed by x and the ``p_y*`` dicts keyed by
+    (x, z).  The level-0 probabilities are the normalization factors
+    themselves, not ``1 - p``, so a near-certain level keeps the relative
+    accuracy of its complement.
     """
 
-    p_x1: float
-    p_z1_given_x: tuple  # indexed by x
-    p_y1_given_xz: dict  # keyed by (x, z)
-    p_x0: float
-    p_z0_given_x: tuple  # indexed by x
-    p_y0_given_xz: dict  # keyed by (x, z)
+    __slots__ = ("p_x1", "p_z1_given_x", "p_y1_given_xz", "p_x0",
+                 "p_z0_given_x", "p_y0_given_xz")
+
+    def __init__(self, p_x1: float, p_z1_given_x: tuple, p_y1_given_xz: dict,
+                 p_x0: float, p_z0_given_x: tuple, p_y0_given_xz: dict):
+        _set(self, "p_x1", p_x1)
+        _set(self, "p_z1_given_x", p_z1_given_x)
+        _set(self, "p_y1_given_xz", p_y1_given_xz)
+        _set(self, "p_x0", p_x0)
+        _set(self, "p_z0_given_x", p_z0_given_x)
+        _set(self, "p_y0_given_xz", p_y0_given_xz)
 
     def joint(self) -> JointProbabilityTable:
         y0, y1 = self.p_y0_given_xz, self.p_y1_given_xz
@@ -234,7 +245,8 @@ def causal_from_nocausal(nc: NoCausalParams) -> CausalParams:
         raise CausalModelError(
             "causal conversion is defined only without the three-way term"
         )
-    counts = replace(nc, eta=1.0).expected_counts()
+    counts = NoCausalParams(1.0, nc.x, nc.z, nc.y, nc.xz, nc.xy, nc.zy,
+                            nc.xzy).expected_counts()
     if min(counts) < sys.float_info.min:
         raise CausalModelError("an expected count underflows")
     return _causal_params(_xz_margins(counts), nc.y, nc.xy, nc.zy)

@@ -23,7 +23,8 @@ the Y-block, checks the other parameters with the same ``_cell_ratios``
 and does not build a ``FitResult``.
 
 The covariance of the additive parameters, ``(D' diag(m) D)^-1`` over the
-dummy-coded design matrix ``D``, is computed on first use in closed form.
+dummy-coded design matrix ``D``, is computed on first use in closed form,
+from index tables that are built on the first such use.
 ``C``, the inverse of the saturated dummy coding, maps the log counts to the
 parameters, and the saturated covariance is ``C diag(1/m) C'``.  The two-way
 model's log counts have the covariance ``diag(1/m) - (u/m)(u/m)' / sum(1/m)``,
@@ -36,14 +37,20 @@ fitted counts span more than ~1e16.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass
-from functools import cached_property
 
-from .tables import CELLS, VARIABLES, ContingencyTable, _left_sum
+from .tables import (
+    CELLS,
+    VARIABLES,
+    ContingencyTable,
+    _left_sum,
+    _Record,
+    _set,
+)
 
 #: term order shared by design matrices, parameter vectors, and covariances;
 #: each term but the intercept is named by its variables
@@ -65,16 +72,16 @@ class FitError(RuntimeError):
     """Fitting failure: the MLE does not exist, or the fit did not converge."""
 
 
-@dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(_Record):
     """The two-way model ``[XZ][XY][ZY]``, or with ``with_three_way`` the
     saturated model."""
 
-    with_three_way: bool = False
+    __slots__ = ("with_three_way",)
 
-    def __post_init__(self):
-        if not isinstance(self.with_three_way, bool):
+    def __init__(self, with_three_way: bool = False):
+        if not isinstance(with_three_way, bool):
             raise ValueError("with_three_way must be a bool")
+        _set(self, "with_three_way", with_three_way)
 
     @property
     def ordered_terms(self) -> tuple:
@@ -128,22 +135,28 @@ def _outer_terms(vectors) -> tuple:
     )
 
 
-#: the saturated covariance, with weights v_c = 1/m_c and g_c column c of C
-_SATURATED_COVARIANCE = _outer_terms(
-    [[_inverse_coding(t, cell) for t in TERM_ORDER] for cell in CELLS]
-)
-
 #: the cell pairs c < d of the two-way covariance, in the order of its terms
 _PAIRS = tuple(itertools.combinations(range(8), 2))
 
-#: the two-way covariance, with weights w_cd and g = p(c) - p(d) over the
-#: seven two-way terms, p_t(c) = C[t][c] u(c); p_t(c) is (-1)^|t| or 0, so
-#: g is 0, 1 or -1
-_TWO_WAY_COVARIANCE = _outer_terms([
-    [_inverse_coding(t, CELLS[c]) * _U[c]
-     - _inverse_coding(t, CELLS[d]) * _U[d] for t in TERM_ORDER[:-1]]
-    for c, d in _PAIRS
-])
+
+@functools.cache
+def _covariance_terms(with_three_way: bool) -> tuple:
+    """The ``_outer_terms`` of a model's covariance, built on first use.
+
+    The saturated covariance has the weights v_c = 1/m_c and g_c column c
+    of C.  The two-way covariance has the weights w_cd and g = p(c) - p(d)
+    over the seven two-way terms, p_t(c) = C[t][c] u(c); p_t(c) is
+    (-1)^|t| or 0, so g is 0, 1 or -1.
+    """
+    if with_three_way:
+        return _outer_terms(
+            [[_inverse_coding(t, cell) for t in TERM_ORDER] for cell in CELLS]
+        )
+    return _outer_terms([
+        [_inverse_coding(t, CELLS[c]) * _U[c]
+         - _inverse_coding(t, CELLS[d]) * _U[d] for t in TERM_ORDER[:-1]]
+        for c, d in _PAIRS
+    ])
 
 
 def _check_positive(params, error=ValueError, names=_FIELDS,
@@ -155,8 +168,7 @@ def _check_positive(params, error=ValueError, names=_FIELDS,
             raise error(f"{what} {name} must be finite and > 0")
 
 
-@dataclass(frozen=True)
-class NoCausalParams:
+class NoCausalParams(_Record):
     """Loglinear parameters in multiplicative form (dummy code).
 
     Every parameter with any index at level 0 is 1 and is not stored;
@@ -164,25 +176,25 @@ class NoCausalParams:
     the componentwise log.
     """
 
-    eta: float
-    x: float
-    z: float
-    y: float
-    xz: float
-    xy: float
-    zy: float
-    xzy: float = 1.0
+    __slots__ = _FIELDS
 
-    def __post_init__(self):
+    def __init__(self, eta: float, x: float, z: float, y: float, xz: float,
+                 xy: float, zy: float, xzy: float = 1.0):
         # one chained test of all eight (nan fails it too); only a failing
         # set is searched for the name to report
         inf = math.inf
-        if not (0.0 < self.eta < inf and 0.0 < self.x < inf
-                and 0.0 < self.z < inf and 0.0 < self.y < inf
-                and 0.0 < self.xz < inf and 0.0 < self.xy < inf
-                and 0.0 < self.zy < inf and 0.0 < self.xzy < inf):
-            _check_positive((self.eta, self.x, self.z, self.y, self.xz,
-                             self.xy, self.zy, self.xzy))
+        if not (0.0 < eta < inf and 0.0 < x < inf and 0.0 < z < inf
+                and 0.0 < y < inf and 0.0 < xz < inf and 0.0 < xy < inf
+                and 0.0 < zy < inf and 0.0 < xzy < inf):
+            _check_positive((eta, x, z, y, xz, xy, zy, xzy))
+        _set(self, "eta", eta)
+        _set(self, "x", x)
+        _set(self, "z", z)
+        _set(self, "y", y)
+        _set(self, "xz", xz)
+        _set(self, "xy", xy)
+        _set(self, "zy", zy)
+        _set(self, "xzy", xzy)
 
     @property
     def multiplicative(self) -> dict:
@@ -224,27 +236,38 @@ class NoCausalParams:
         return ContingencyTable(self.expected_counts())
 
 
-@dataclass(frozen=True)
-class FitResult:
-    params: NoCausalParams
-    fitted_counts: tuple
-    deviance: float
-    iterations: int
-    converged: bool
-    spec: ModelSpec
+class FitResult(_Record):
+    """A maximum likelihood fit: its parameters, fitted counts, deviance
+    and Newton steps under ``spec``; ``covariance`` is computed on first
+    use."""
 
-    @cached_property
+    __slots__ = ("params", "fitted_counts", "deviance", "iterations", "spec",
+                 "_covariance")
+
+    def __init__(self, params: NoCausalParams, fitted_counts: tuple,
+                 deviance: float, iterations: int, spec: ModelSpec):
+        _set(self, "params", params)
+        _set(self, "fitted_counts", fitted_counts)
+        _set(self, "deviance", deviance)
+        _set(self, "iterations", iterations)
+        _set(self, "spec", spec)
+
+    @property
     def covariance(self) -> tuple:
         """Inverse Fisher information ``(D' diag(m) D)^-1`` at the fitted counts.
 
         A tuple of rows over ``spec.ordered_terms``, computed on first use in
-        closed form (see the module docstring).  An entry out of the float
-        range raises ``FitError``.
+        closed form (see the module docstring) and kept.  An entry out of the
+        float range raises ``FitError``.
         """
+        try:
+            return self._covariance
+        except AttributeError:
+            pass
         m = self.fitted_counts
+        terms = _covariance_terms(self.spec.with_three_way)
         if self.spec.with_three_way:
             weights = [1.0 / c for c in m]
-            terms = _SATURATED_COVARIANCE
         else:
             # w_cd = 1 / (m_c m_d sum(1/m)) as (least / lo) / (hi * s), with
             # lo <= hi the pair's counts and s = sum(least / m) in [1, 8]: no
@@ -254,7 +277,6 @@ class FitResult:
             s = _left_sum(ratios)
             weights = [ratios[c] / (m[d] * s) if m[c] <= m[d]
                        else ratios[d] / (m[c] * s) for c, d in _PAIRS]
-            terms = _TWO_WAY_COVARIANCE
         # entry (j, i) sums the same terms in the same order as (i, j), so
         # the lower triangle is a copy of the upper one
         weight = weights.__getitem__
@@ -267,7 +289,9 @@ class FitResult:
                                          - _left_sum(map(weight, minus)))
         if not all(math.isfinite(v) for row in cov for v in row):
             raise FitError("the covariance leaves the float range")
-        return tuple(map(tuple, cov))
+        cov = tuple(map(tuple, cov))
+        _set(self, "_covariance", cov)
+        return cov
 
     def to_dict(self) -> dict:
         terms = self.spec.ordered_terms
@@ -283,7 +307,8 @@ class FitResult:
             },
             "deviance": self.deviance,
             "iterations": self.iterations,
-            "converged": self.converged,
+            # every fit that returns has converged; a failed one raises
+            "converged": True,
         }
 
     def to_json(self) -> str:
@@ -315,7 +340,6 @@ def fit_poisson(
             fitted_counts=table.counts,
             deviance=0.0,
             iterations=0,
-            converged=True,
             spec=spec,
         )
     n = table.counts
@@ -328,7 +352,6 @@ def fit_poisson(
         fitted_counts=m,
         deviance=deviance,
         iterations=iterations,
-        converged=True,
         spec=_TWO_WAY,
     )
 

@@ -13,12 +13,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 from .causal import CausalParams, CausalModelError
 from .fitting import FitResult
-from .tables import _left_sum
+from .tables import _left_sum, _Record, _set
 
 #: contrast weights over additive parameters for the zero-interaction test,
 #: in the Y-block order (lambda^Y, lambda^XY, lambda^ZY)
@@ -38,13 +36,18 @@ def two_sided_p(z: float) -> float:
     return math.erfc(abs(z) / math.sqrt(2.0))
 
 
-@dataclass(frozen=True)
-class TestResult:
-    beta_hat: float
-    se: float
-    z: float
-    p_two_sided: float
-    combination: str
+class TestResult(_Record):
+    """A z-test of the linear ``combination`` of parameters being 0."""
+
+    __slots__ = ("beta_hat", "se", "z", "p_two_sided", "combination")
+
+    def __init__(self, beta_hat: float, se: float, z: float,
+                 p_two_sided: float, combination: str):
+        _set(self, "beta_hat", beta_hat)
+        _set(self, "se", se)
+        _set(self, "z", z)
+        _set(self, "p_two_sided", p_two_sided)
+        _set(self, "combination", combination)
 
     def to_dict(self) -> dict:
         return {
@@ -59,11 +62,17 @@ class TestResult:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-@dataclass(frozen=True)
-class LinearityReport:
-    bond1_residual: float
-    bond2_residual: float
-    bond1_test: Optional[TestResult] = None
+class LinearityReport(_Record):
+    """The log-scale residuals of the two linearity bonds, and the z-test
+    of bond 1 when a fit was given."""
+
+    __slots__ = ("bond1_residual", "bond2_residual", "bond1_test")
+
+    def __init__(self, bond1_residual: float, bond2_residual: float,
+                 bond1_test: TestResult | None = None):
+        _set(self, "bond1_residual", bond1_residual)
+        _set(self, "bond2_residual", bond2_residual)
+        _set(self, "bond1_test", bond1_test)
 
     def to_dict(self) -> dict:
         return {
@@ -106,7 +115,7 @@ def additive_zero_test(fit: FitResult) -> TestResult:
 
 
 def linearity_bonds(
-    cp: CausalParams, fit: Optional[FitResult] = None
+    cp: CausalParams, fit: FitResult | None = None
 ) -> LinearityReport:
     """Log-scale residuals of the two mean-split linearity constraints.
 

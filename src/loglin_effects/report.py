@@ -3,29 +3,38 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Optional
+
+from .tables import _Record, _set
 
 
-@dataclass(frozen=True)
-class EffectsReport:
+class EffectsReport(_Record):
     """All odds-ratio effects for one direction of change in X.
 
-    ``source`` names who computed the values when it is not the engine
-    (the oracle sets ``"oracle"``); ``to_dict`` emits it only when set.
+    ``lde`` and ``cell`` are indexed by z.  ``source`` names who computed
+    the values when it is not the engine (the oracle sets ``"oracle"``);
+    ``to_dict`` emits it only when set.
     """
 
-    te: float
-    lde: tuple  # indexed by z
-    cell: tuple  # indexed by z
-    ie: float
-    ie_reverse: float
-    nde: float
-    additive_interaction: float
-    multiplicative_interaction: float
-    decomposition_residual: float
-    direction: tuple = (0, 1)
-    source: Optional[str] = None
+    __slots__ = ("te", "lde", "cell", "ie", "ie_reverse", "nde",
+                 "additive_interaction", "multiplicative_interaction",
+                 "decomposition_residual", "direction", "source")
+
+    def __init__(self, te: float, lde: tuple, cell: tuple, ie: float,
+                 ie_reverse: float, nde: float, additive_interaction: float,
+                 multiplicative_interaction: float,
+                 decomposition_residual: float, direction: tuple = (0, 1),
+                 source: str | None = None):
+        _set(self, "te", te)
+        _set(self, "lde", lde)
+        _set(self, "cell", cell)
+        _set(self, "ie", ie)
+        _set(self, "ie_reverse", ie_reverse)
+        _set(self, "nde", nde)
+        _set(self, "additive_interaction", additive_interaction)
+        _set(self, "multiplicative_interaction", multiplicative_interaction)
+        _set(self, "decomposition_residual", decomposition_residual)
+        _set(self, "direction", direction)
+        _set(self, "source", source)
 
     def to_dict(self) -> dict:
         doc = {

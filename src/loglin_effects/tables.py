@@ -12,8 +12,6 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
 
 VARIABLES = ("X", "Z", "Y")
 
@@ -42,15 +40,61 @@ def _left_sum(values) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class ContingencyTable:
+#: sets a field of a record in its ``__init__``, past ``_Record.__setattr__``
+_set = object.__setattr__
+
+
+class _Record:
+    """An immutable record whose fields are the public names of its
+    ``__slots__``; its ``__init__`` takes them in that order.
+
+    Assignment and deletion raise ``AttributeError``.  Records of one class
+    compare and hash by their fields, repr as ``Name(field=value, ...)``,
+    and pickle and copy by calling the class with their fields.  A private
+    slot, named with a leading underscore, holds a cache and takes part in
+    none of this.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__
+                      if name[0] != "_"])
+
+    def _key(self) -> tuple:
+        """The values that equality and hashing compare."""
+        return self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__ if name[0] != "_")
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class ContingencyTable(_Record):
     """Observed counts n(x, z, y) over three binary variables."""
 
-    counts: tuple
-    labels: Optional[tuple] = None
+    __slots__ = ("counts", "labels")
 
-    def __post_init__(self):
-        counts = tuple(map(float, self.counts))
+    def __init__(self, counts, labels: tuple | None = None):
+        counts = tuple(map(float, counts))
         if len(counts) != 8:
             raise TableError(f"expected 8 cells, got {len(counts)}")
         total = _left_sum(counts)
@@ -63,9 +107,10 @@ class ContingencyTable:
             raise TableError("table total overflows")
         if total <= 0:
             raise TableError("table total must be positive")
-        if self.labels is not None and len(self.labels) != 3:
+        if labels is not None and len(labels) != 3:
             raise TableError("labels must name exactly X, Z, Y")
-        object.__setattr__(self, "counts", counts)
+        _set(self, "counts", counts)
+        _set(self, "labels", labels)
 
     @property
     def total(self) -> float:
@@ -75,14 +120,13 @@ class ContingencyTable:
         return self.counts[cell_index(x, z, y)]
 
 
-@dataclass(frozen=True)
-class JointProbabilityTable:
+class JointProbabilityTable(_Record):
     """Joint probabilities pi(x, z, y), canonical cell order, summing to 1."""
 
-    probs: tuple
+    __slots__ = ("probs",)
 
-    def __post_init__(self):
-        probs = tuple(map(float, self.probs))
+    def __init__(self, probs):
+        probs = tuple(map(float, probs))
         if len(probs) != 8:
             raise TableError(f"expected 8 probabilities, got {len(probs)}")
         if any(p < 0 for p in probs):
@@ -90,22 +134,30 @@ class JointProbabilityTable:
         total = _left_sum(probs)
         if not abs(total - 1.0) <= 1e-12:  # also a nan probability
             raise TableError(f"probabilities sum to {total!r}, not 1")
-        object.__setattr__(self, "probs", probs)
+        _set(self, "probs", probs)
 
     def prob(self, x: int, z: int, y: int) -> float:
         return self.probs[cell_index(x, z, y)]
 
 
-@dataclass(frozen=True)
-class MarginalTable:
+class MarginalTable(_Record):
     """Probabilities over a subset of {X, Z, Y}, optionally conditioned.
 
-    ``probs`` maps level tuples (ordered as ``variables``) to values.
+    ``probs`` maps level tuples (ordered as ``variables``) to values, and
+    ``condition`` is a ``(variable, level)`` pair or None.  Equality and
+    hashing compare ``variables`` and ``condition`` only.
     """
 
-    variables: tuple
-    probs: dict = field(compare=False)
-    condition: Optional[tuple] = None  # (variable, level)
+    __slots__ = ("variables", "probs", "condition")
+
+    def __init__(self, variables: tuple, probs: dict,
+                 condition: tuple | None = None):
+        _set(self, "variables", variables)
+        _set(self, "probs", probs)
+        _set(self, "condition", condition)
+
+    def _key(self) -> tuple:
+        return self.variables, self.condition
 
     def prob(self, *levels: int) -> float:
         return self.probs[tuple(levels)]
@@ -118,9 +170,7 @@ def joint_probabilities(table: ContingencyTable) -> JointProbabilityTable:
 
 
 def margin(
-    joint: JointProbabilityTable,
-    keep: Iterable[str],
-    condition: Optional[tuple] = None,
+    joint: JointProbabilityTable, keep, condition: tuple | None = None
 ) -> MarginalTable:
     """Marginalize the joint table onto ``keep``, optionally given ``condition``.
 
@@ -192,7 +242,7 @@ def validate(
     )
 
 
-def dichotomize(records: Sequence, thresholds="mean") -> ContingencyTable:
+def dichotomize(records, thresholds="mean") -> ContingencyTable:
     """Reduce numeric (x, z, y) records to a 2x2x2 table by thresholding.
 
     ``thresholds`` is either ``"mean"`` (per-variable mean split) or a triple

@@ -35,6 +35,43 @@ def test_numpy_never_imported():
     assert out == ["False", "False"]
 
 
+#: modules the package does without, each costly to import: ``dataclasses``
+#: alone brings in ``inspect``, ``ast`` and ``dis``
+HEAVY_MODULES = ("dataclasses", "inspect", "typing", "pathlib")
+
+COLD_PROGRAM = """
+import sys
+from loglin_effects.cli import main
+path = sys.argv[1]
+assert main(["effects", "--verify", "--input", path]) == 0
+assert main(["fit", "--output", "json", "--input", path]) == 0
+print("loaded:", *[m for m in {heavy!r} if m in sys.modules], file=sys.stderr)
+"""
+
+
+def test_cold_cli_imports_no_heavy_module(tmp_path):
+    # -S: no site module, so nothing is imported before the package
+    path = tmp_path / "readme.csv"
+    path.write_text("x,z,y,count\n0,0,0,42\n0,0,1,18\n0,1,0,25\n0,1,1,31\n"
+                    "1,0,0,17\n1,0,1,23\n1,1,0,12\n1,1,1,48\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", COLD_PROGRAM.format(heavy=HEAVY_MODULES),
+         str(path)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert '"converged":true' in proc.stdout
+    assert proc.stderr.splitlines()[-1] == "loaded:"
+
+
+def test_no_module_imports_a_heavy_module():
+    for path in sorted((SRC / "loglin_effects").glob("*.py")):
+        assert not [m for m in _imported_modules(path)
+                    if m.split(".")[0] in HEAVY_MODULES], path.name
+
+
 def _imported_modules(path):
     tree = ast.parse(path.read_text())
     imported = [node.module for node in ast.walk(tree)

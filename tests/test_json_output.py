@@ -10,13 +10,13 @@ form; every byte is compared.
 """
 
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from loglin_effects import (
     ContingencyTable,
+    LinearityReport,
     additive_zero_test,
     effects_report,
     fit_causal,
@@ -65,7 +65,8 @@ def _results():
         "EffectsReport (oracle)": oracle_effects(joint_probabilities(table)),
         "TestResult": test,
         "LinearityReport": bonds,
-        "LinearityReport (with test)": replace(bonds, bond1_test=test),
+        "LinearityReport (with test)": LinearityReport(
+            bonds.bond1_residual, bonds.bond2_residual, test),
     }
 
 

@@ -1,0 +1,292 @@
+"""The package's result types are plain immutable records.
+
+Every record refuses assignment and deletion, compares and hashes by its
+fields, reprs as ``Name(field=value, ...)``, and round-trips through
+``pickle`` and ``copy.deepcopy``.
+"""
+
+import copy
+import dataclasses
+import math
+import pickle
+import timeit
+
+import pytest
+
+from loglin_effects import (
+    CausalParams,
+    ConditionalProbabilities,
+    ContingencyTable,
+    EffectsReport,
+    FitResult,
+    JointProbabilityTable,
+    LinearityReport,
+    MarginalTable,
+    ModelSpec,
+    NoCausalParams,
+    NormalizationFactors,
+    additive_zero_test,
+    conditional_probabilities,
+    effects_report,
+    eta_factors,
+    fit_causal,
+    fit_poisson,
+    joint_probabilities,
+    linearity_bonds,
+    margin,
+    saturated_spec,
+)
+from loglin_effects import inference  # not TestResult: pytest would collect it
+
+README_COUNTS = (42, 18, 25, 31, 17, 23, 12, 48)
+
+
+def _records():
+    """Each record type's name, one record of it, and its fields in order."""
+    table = ContingencyTable(README_COUNTS, labels=("X", "Z", "Y"))
+    joint = joint_probabilities(table)
+    fit = fit_poisson(table)
+    cp = fit_causal(table)
+    test = additive_zero_test(fit)
+    return {
+        "ContingencyTable": (table, ("counts", "labels")),
+        "JointProbabilityTable": (joint, ("probs",)),
+        "MarginalTable": (margin(joint, ["X", "Y"], ("Z", 1)),
+                          ("variables", "probs", "condition")),
+        "ModelSpec": (saturated_spec(), ("with_three_way",)),
+        "NoCausalParams": (fit.params, ("eta", "x", "z", "y", "xz", "xy",
+                                        "zy", "xzy")),
+        "FitResult": (fit, ("params", "fitted_counts", "deviance",
+                            "iterations", "spec")),
+        "CausalParams": (cp, ("xc", "zc", "xzc", "y", "xy", "zy", "xzy",
+                              "with_interaction")),
+        "NormalizationFactors": (eta_factors(cp), ("x_norm", "z_given_x",
+                                                   "y_given_xz")),
+        "ConditionalProbabilities": (
+            conditional_probabilities(cp),
+            ("p_x1", "p_z1_given_x", "p_y1_given_xz", "p_x0",
+             "p_z0_given_x", "p_y0_given_xz"),
+        ),
+        "EffectsReport": (effects_report(cp),
+                          ("te", "lde", "cell", "ie", "ie_reverse", "nde",
+                           "additive_interaction",
+                           "multiplicative_interaction",
+                           "decomposition_residual", "direction", "source")),
+        "TestResult": (test, ("beta_hat", "se", "z", "p_two_sided",
+                              "combination")),
+        "LinearityReport": (linearity_bonds(cp, fit),
+                            ("bond1_residual", "bond2_residual",
+                             "bond1_test")),
+    }
+
+
+NAMES = list(_records())
+
+#: the records holding a dict in a compared field, which cannot be hashed
+UNHASHABLE = {"NormalizationFactors", "ConditionalProbabilities"}
+
+
+def test_every_record_is_covered():
+    assert len(NAMES) == 12
+    for name, (record, _) in _records().items():
+        assert type(record).__name__ == name
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_assignment_and_deletion_raise(name):
+    record, fields = _records()[name]
+    before = repr(record)
+    for field in fields:
+        with pytest.raises(AttributeError,
+                           match=f"cannot assign to field '{field}'"):
+            setattr(record, field, 1.0)
+        with pytest.raises(AttributeError,
+                           match=f"cannot delete field '{field}'"):
+            delattr(record, field)
+    with pytest.raises(AttributeError):
+        record.not_a_field = 1.0
+    assert not hasattr(record, "__dict__")
+    assert repr(record) == before
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_records_compare_by_value(name):
+    record, fields = _records()[name]
+    twin = _records()[name][0]
+    assert twin is not record
+    assert twin == record and not twin != record
+    assert record != tuple(getattr(record, f) for f in fields)
+    if name in UNHASHABLE:
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(record)
+    else:
+        assert hash(twin) == hash(record)
+
+
+def test_a_differing_field_makes_records_unequal():
+    table = ContingencyTable(README_COUNTS)
+    assert table != ContingencyTable(README_COUNTS, labels=("A", "B", "C"))
+    assert ModelSpec() != ModelSpec(True)
+    cp = CausalParams(1.5, 0.8, 1.2, 0.7, 1.9, 1.3)
+    assert cp != CausalParams(1.5, 0.8, 1.2, 0.7, 1.9, 1.25)
+    assert cp != CausalParams(1.5, 0.8, 1.2, 0.7, 1.9, 1.3,
+                              with_interaction=True)
+    # records of different types never compare equal, even with equal fields
+    probs = (0.125,) * 8
+    assert JointProbabilityTable(probs) != ContingencyTable(probs)
+
+
+def test_marginal_table_compares_without_probs():
+    a = MarginalTable(("X",), {(0,): 0.25, (1,): 0.75})
+    b = MarginalTable(("X",), {(0,): 0.5, (1,): 0.5})
+    assert a == b and hash(a) == hash(b)
+    assert a != MarginalTable(("X",), a.probs, ("Z", 0))
+    assert a != MarginalTable(("Y",), a.probs)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_repr_names_every_field(name):
+    record, fields = _records()[name]
+    inner = ", ".join(f"{f}={getattr(record, f)!r}" for f in fields)
+    assert repr(record) == f"{name}({inner})"
+
+
+def test_repr_nests():
+    assert repr(ModelSpec()) == "ModelSpec(with_three_way=False)"
+    fit = fit_poisson(ContingencyTable(README_COUNTS), saturated_spec())
+    assert repr(fit).startswith("FitResult(params=NoCausalParams(eta=42.0, ")
+    assert repr(fit).endswith(
+        ", deviance=0.0, iterations=0, spec=ModelSpec(with_three_way=True))"
+    )
+
+
+def _round_trips(record):
+    return [pickle.loads(pickle.dumps(record, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)] + [
+        copy.deepcopy(record), copy.copy(record)]
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_pickle_and_copy_round_trip(name):
+    record, fields = _records()[name]
+    if name == "FitResult":
+        record.covariance  # computed and kept, but not part of the record
+    for other in _round_trips(record):
+        assert type(other) is type(record)
+        assert other == record
+        assert repr(other) == repr(record)
+        for field in fields:
+            with pytest.raises(AttributeError):
+                setattr(other, field, 1.0)
+
+
+def test_fit_result_covariance_is_kept_and_survives_copies():
+    fit = fit_poisson(ContingencyTable(README_COUNTS))
+    cov = fit.covariance
+    assert fit.covariance is cov
+    for other in _round_trips(fit):
+        assert other.covariance == cov
+    with pytest.raises(AttributeError):
+        fit.covariance = ()
+
+
+def test_fit_result_has_no_converged_field():
+    # every fit that returns has converged; a failure raises FitError
+    fit = fit_poisson(ContingencyTable(README_COUNTS))
+    assert not hasattr(fit, "converged")
+    assert fit.to_dict()["converged"] is True
+
+
+def test_constructors_take_fields_by_keyword():
+    fit = fit_poisson(ContingencyTable(README_COUNTS))
+    again = FitResult(params=fit.params, fitted_counts=fit.fitted_counts,
+                      deviance=fit.deviance, iterations=fit.iterations,
+                      spec=fit.spec)
+    assert again == fit
+    params = NoCausalParams(eta=2.0, x=1.0, z=1.0, y=1.0, xz=1.0, xy=1.0,
+                            zy=1.0)
+    assert params.xzy == 1.0
+    nf = NormalizationFactors(x_norm=0.5, z_given_x=(0.5, 0.5),
+                              y_given_xz={})
+    assert nf.x_norm == 0.5
+    cond = ConditionalProbabilities(
+        p_x1=0.5, p_z1_given_x=(0.5, 0.5), p_y1_given_xz={}, p_x0=0.5,
+        p_z0_given_x=(0.5, 0.5), p_y0_given_xz={},
+    )
+    assert cond.p_x0 == 0.5
+    report = EffectsReport(te=1.0, lde=(1.0, 1.0), cell=(1.0, 1.0), ie=1.0,
+                           ie_reverse=1.0, nde=1.0, additive_interaction=0.0,
+                           multiplicative_interaction=1.0,
+                           decomposition_residual=0.0)
+    assert report.direction == (0, 1) and report.source is None
+    result = inference.TestResult(beta_hat=0.0, se=1.0, z=0.0,
+                                  p_two_sided=1.0, combination="c")
+    assert LinearityReport(0.0, 0.0).bond1_test is None
+    assert LinearityReport(0.0, 0.0, result).bond1_test is result
+
+
+# ---------------------------------------------------------------------------
+# construction cost, against frozen dataclasses with the same checks
+
+
+@dataclasses.dataclass(frozen=True)
+class _DataclassCausalParams:
+    xc: float
+    zc: float
+    xzc: float
+    y: float
+    xy: float
+    zy: float
+    xzy: float = 1.0
+    with_interaction: bool = False
+
+    def __post_init__(self):
+        inf = math.inf
+        if not (0.0 < self.xc < inf and 0.0 < self.zc < inf
+                and 0.0 < self.xzc < inf and 0.0 < self.y < inf
+                and 0.0 < self.xy < inf and 0.0 < self.zy < inf
+                and 0.0 < self.xzy < inf):
+            raise ValueError("parameter must be finite and > 0")
+        if not self.with_interaction and self.xzy != 1.0:
+            raise ValueError("three-way parameter must be 1")
+
+
+@dataclasses.dataclass(frozen=True)
+class _DataclassEffectsReport:
+    te: float
+    lde: tuple
+    cell: tuple
+    ie: float
+    ie_reverse: float
+    nde: float
+    additive_interaction: float
+    multiplicative_interaction: float
+    decomposition_residual: float
+    direction: tuple = (0, 1)
+    source: str = None
+
+
+_CAUSAL_ARGS = "(1.5, 0.8, 1.2, 0.7, 1.9, 1.3)"
+_REPORT_ARGS = ("(1.1, (1.2, 1.3), (0.9, 0.8), 1.05, 0.97, 1.02, 0.01, 1.1,"
+                " 0.0, (0, 1))")
+
+
+def _best_us(stmt, namespace, number=2000, repeat=7):
+    timer = timeit.Timer(stmt, globals=namespace)
+    return min(timer.repeat(repeat, number)) / number * 1e6
+
+
+@pytest.mark.parametrize("record, dataclass_twin, args", [
+    (CausalParams, _DataclassCausalParams, _CAUSAL_ARGS),
+    (EffectsReport, _DataclassEffectsReport, _REPORT_ARGS),
+])
+def test_records_build_no_slower_than_frozen_dataclasses(
+        record, dataclass_twin, args):
+    namespace = {"record": record, "twin": dataclass_twin}
+    # interleaved, so a slow phase of the host hits both sides
+    times = [(_best_us("record" + args, namespace),
+              _best_us("twin" + args, namespace)) for _ in range(3)]
+    ours = min(t[0] for t in times)
+    theirs = min(t[1] for t in times)
+    # a margin for timer noise; the records measure 15-25% faster
+    assert ours <= 1.1 * theirs, (ours, theirs)
