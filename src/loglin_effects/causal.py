@@ -217,16 +217,16 @@ def fit_causal(table: ContingencyTable, with_interaction: bool = False) -> Causa
     The Y-block is the saturated conditional odds ratios when the three-way
     term is requested, otherwise the Y-involving terms of the two-way MLE,
     the logistic regression of Y on X and Z.  The two-way fit's other
-    parameters are not returned, but one that leaves the float range
-    raises ``FitError``, as it does in ``fit_poisson``.
+    parameters (mu, mu^X, mu^Z, mu^XZ) are neither returned nor checked:
+    no effect uses them, so one that leaves the float range raises nothing
+    here, though it raises ``FitError`` in ``fit_poisson``.
     """
     n = table.counts
     m = _xz_margins(n)
     if with_interaction:
         p = saturated_closed_form(table)
         return _causal_params(m, p.y, p.xy, p.zy, p.xzy, True)
-    fitted, y_block, _ = _two_way_mle(n)
-    _cell_ratios(fitted, *y_block)  # raises the FitError fit_poisson would
+    y_block = _two_way_mle(n)[1]
     return _causal_params(m, *y_block)
 
 

@@ -95,6 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_common(p_orc, model=False, direction=True)
 
+    # each command's own parser, by name: ``main`` parses a command line
+    # that starts with a command by that parser alone
+    parser.commands = sub.choices
     return parser
 
 
@@ -255,8 +258,27 @@ _COMMANDS = {
 }
 
 
+def _parse_args(argv):
+    """``_parser().parse_args(argv)``, parsing each token once.
+
+    A command line that starts with a command goes to that command's parser
+    alone; the full parser would pass it all the other tokens anyway, after
+    classifying each of them for its own ``--help`` and ``--version``.  Every
+    other command line, and every one that leaves a token over, goes to the
+    full parser, so its help, version, usage and errors are unchanged.
+    """
+    parser = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in _COMMANDS:
+        args, extra = parser.commands[argv[0]].parse_known_args(argv[1:])
+        if not extra:
+            args.subcommand = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         return _COMMANDS[args.subcommand](args)
     except FitError as exc:

@@ -18,9 +18,9 @@ intercept and the X, Z and XZ terms with ``_cell_ratios``.
 ``_two_way_mle`` is the one two-way fit: it checks that the MLE exists,
 solves for ``t`` on counts scaled by a power of two, and returns the fitted
 counts, the Y-block and the Newton steps.  ``fit_poisson`` adds the
-deviance and the other parameters; ``causal.fit_causal``, which needs only
-the Y-block, checks the other parameters with the same ``_cell_ratios``
-and does not build a ``FitResult``.
+deviance and the other parameters; ``causal.fit_causal`` needs only the
+Y-block, so it neither checks the other parameters nor builds a
+``FitResult``.
 
 The covariance of the additive parameters, ``(D' diag(m) D)^-1`` over the
 dummy-coded design matrix ``D``, is computed on first use in closed form,
@@ -278,15 +278,20 @@ class FitResult(_Record):
             weights = [ratios[c] / (m[d] * s) if m[c] <= m[d]
                        else ratios[d] / (m[c] * s) for c, d in _PAIRS]
         # entry (j, i) sums the same terms in the same order as (i, j), so
-        # the lower triangle is a copy of the upper one
-        weight = weights.__getitem__
+        # the lower triangle is a copy of the upper one; each sum adds left
+        # to right, as ``_left_sum`` does
         size = len(terms)
         cov = [[0.0] * size for _ in range(size)]
         for i, row in enumerate(terms):
             for j in range(i, size):
                 plus, minus = row[j]
-                cov[i][j] = cov[j][i] = (_left_sum(map(weight, plus))
-                                         - _left_sum(map(weight, minus)))
+                a = 0.0
+                for k in plus:
+                    a += weights[k]
+                b = 0.0
+                for k in minus:
+                    b += weights[k]
+                cov[i][j] = cov[j][i] = a - b
         if not all(math.isfinite(v) for row in cov for v in row):
             raise FitError("the covariance leaves the float range")
         cov = tuple(map(tuple, cov))

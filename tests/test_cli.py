@@ -87,6 +87,118 @@ class TestInProcessMain:
         assert main(["fit", "--input", uniform_csv]) == 0
 
 
+#: command lines at the edges of parsing: help and version at both levels,
+#: abbreviations, ``--`` around the command, bad choices and values, unknown
+#: options and commands, leftover tokens and negative numbers
+_PARSE_CORPUS = (
+    [],
+    ["-h"],
+    ["--help"],
+    ["--version"],
+    ["--ver"],
+    ["--version", "fit", "--input", "t.csv"],
+    ["-h", "fit"],
+    ["fit"],
+    ["fit", "-h"],
+    ["effects", "--help"],
+    ["fit", "--h"],
+    ["fit", "--input", "t.csv"],
+    ["fit", "--input=t.csv", "--output=json"],
+    ["fit", "--inp", "t.csv"],
+    ["fit", "--input", "t.csv", "--ver"],
+    ["effects", "--input", "t.csv", "--o", "json"],
+    ["fit", "--input", "t.csv", "--bogus"],
+    ["test", "--input", "t.csv", "-x"],
+    ["effects", "--input", "t.csv", "--version"],
+    ["fit", "--input", "t.csv", "--version=1"],
+    ["--", "fit", "--input", "t.csv"],
+    ["fit", "--", "--input", "t.csv"],
+    ["fit", "--input", "t.csv", "--"],
+    ["fit", "--input", "t.csv", "--model", "three-way"],
+    ["fit", "--input"],
+    ["fit", "--input", "--model"],
+    ["fit", "--input", "a.csv", "--input", "b.json"],
+    ["fit", "--input", "t.csv", "extra"],
+    ["fits", "--input", "t.csv"],
+    ["FIT", "--input", "t.csv"],
+    ["effects", "--input", "t.csv", "--from", "-1"],
+    ["effects", "--input", "t.csv", "--to", "-0", "--from", "1"],
+    ["fit", "--input", "-5"],
+    ["oracle", "--input", "t.csv", "--model", "saturated"],
+    ["oracle", "--input", "t.csv", "--from=1", "--to=0", "--output", "json"],
+    ["effects", "--verify", "--input", "t.json", "--format", "csv",
+     "--zero-cells", "correct:0.25", "--model", "saturated"],
+    ["test", "--zero-cells", "allow", "--input", "t.csv", "--output", "text"],
+)
+
+#: the tokens of the corpus, for command lines drawn at random
+_PARSE_TOKENS = sorted({token for argv in _PARSE_CORPUS for token in argv})
+
+
+def _parse_outcome(parse, argv):
+    """The exit code, stdout, stderr and options of ``parse(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    code, options = None, None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            options = vars(parse(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), options
+
+
+class TestParseOnce:
+    # main parses a command line that starts with a command by that
+    # command's parser alone, and must act as the full parser does
+
+    @pytest.mark.parametrize("argv", _PARSE_CORPUS, ids=" ".join)
+    def test_corpus_parses_as_the_full_parser(self, argv):
+        import loglin_effects.cli as cli
+
+        full = cli.build_parser().parse_args
+        assert (_parse_outcome(cli._parse_args, argv)
+                == _parse_outcome(full, argv))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(_PARSE_TOKENS), max_size=8))
+    def test_drawn_command_lines_parse_as_the_full_parser(self, argv):
+        import loglin_effects.cli as cli
+
+        full = cli.build_parser().parse_args
+        assert (_parse_outcome(cli._parse_args, argv)
+                == _parse_outcome(full, argv))
+
+    def test_well_formed_lines_skip_the_full_parser(self, uniform_csv,
+                                                    monkeypatch, capsys):
+        import loglin_effects.cli as cli
+
+        calls = []
+        parser = cli._parser()
+        real = parser.parse_args
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(parser, "parse_args", counting)
+        for argv in (["fit", "--input", uniform_csv, "--output", "json"],
+                     ["effects", "--verify", "--input", uniform_csv],
+                     ["test", "--input=" + uniform_csv],
+                     ["oracle", "--inp", uniform_csv, "--from", "1",
+                      "--to", "0"]):
+            assert main(argv) == 0
+        assert calls == []
+        capsys.readouterr()
+        # a leftover token goes to the full parser, which reports it
+        with pytest.raises(SystemExit):
+            main(["fit", "--input", uniform_csv, "--bogus"])
+        assert calls == [1]
+        assert capsys.readouterr().err.startswith(
+            "usage: loglin-effects [-h] [--version] "
+            "{fit,effects,test,oracle} ...\n"
+        )
+
+
 class TestFit:
     def test_uniform_exit_and_values(self, uniform_csv, capsys):
         assert main(["fit", "--input", uniform_csv, "--output", "json"]) == 0

@@ -8,8 +8,9 @@ and the cell-ratio parameters, in that order; ``reference_covariance``
 computes every entry of the covariance on its own.  Its sums are explicit
 left folds, which is how ``sum`` added floats before Python 3.12, so the
 reference gives the same bits on every supported version.  ``fit_poisson``
-and the two-way ``fit_causal`` must agree with it bit for bit, or raise the
-same error with the same message.
+must agree with it bit for bit, or raise the same error with the same
+message; so must the two-way ``fit_causal`` with the causal parameters of the
+reference Y-block, since it does not check the fit's other parameters.
 """
 
 import math
@@ -76,9 +77,9 @@ def _reference_log_ratio(c, f):
     return math.log(c) - math.log(f)
 
 
-def reference_fit(n):
-    """(fitted counts, parameters, deviance, iterations) of the two-way MLE
-    of counts ``n``, or the ``FitError`` of the earlier fit."""
+def reference_mle(n):
+    """(fitted counts, Y-block, iterations) of the two-way MLE of counts
+    ``n``, or the ``FitError`` of the earlier fit."""
     zeros = [cell for cell, c in zip(CELLS, n) if c == 0]
     if len({sum(cell) % 2 for cell in zeros}) == 2:
         raise FitError(
@@ -96,11 +97,17 @@ def reference_fit(n):
     m = [math.ldexp(c, -k) for c in sc]
     if min(m) < sys.float_info.min:
         raise FitError("a fitted count underflows")
+    return m, y_block, iterations
+
+
+def reference_fit(n):
+    """(fitted counts, parameters, deviance, iterations) of the two-way MLE
+    of counts ``n``, or the ``FitError`` of the earlier fit."""
+    m, (y, xy, zy), iterations = reference_mle(n)
     deviance = 2.0 * _fold(
         c * _reference_log_ratio(c, f) - (c - f) if c > 0 else f
         for c, f in zip(n, m)
     )
-    y, xy, zy = y_block
     try:
         params = NoCausalParams(
             eta=m[0], x=m[4] / m[0], z=m[2] / m[0], y=y,
@@ -145,12 +152,11 @@ def _reference_fit(table):
 
 
 def _reference_causal(table):
-    """The earlier two-way ``fit_causal``: the margins first, then the
-    fit, then the causal parameters from its Y-block."""
+    """The two-way ``fit_causal``: the margins first, then the reference
+    MLE's Y-block, then the causal parameters from it."""
     margins = _xz_margins(table.counts)
-    p = reference_fit(table.counts)[1]
-    return _bits(_fields(_causal_params(margins, p.y, p.xy, p.zy),
-                         _CAUSAL_FIELDS))
+    y_block = reference_mle(table.counts)[1]
+    return _bits(_fields(_causal_params(margins, *y_block), _CAUSAL_FIELDS))
 
 
 def _counts(exponents):
@@ -175,6 +181,12 @@ class TestTwoWayFitAgainstReference:
     @example([1.0, 1.0, 1e-300, 1e-300, 1e-300, 1e-300, 1e300, 1e300])  # xz
     @example([0.0, 5.0, 3.0, 0.0, 2.0, 7.0, 0.0, 1.0])  # zeros of one parity
     @example([0.0, 0.0, 3.0, 4.0, 2.0, 7.0, 6.0, 1.0])  # a zero margin
+    # mu^XZ overflows, so fit_poisson raises; the causal parameters and
+    # the effects (TE 4.88e64) are finite
+    @example([2.8112949152862326e+189, 1.660546804686013e+149,
+              1.4118171754011321e+55, 7.632977356421863e-213,
+              1.1262998667873243e-61, 1.5242942212882254e-184,
+              3.636872862625773e+16, 1.0493567549073163e+41])
     def test_fit_poisson_and_fit_causal_match(self, counts):
         assume(0.0 < sum(counts) < math.inf)
         table = ContingencyTable(counts)
@@ -185,15 +197,20 @@ class TestTwoWayFitAgainstReference:
                 == _outcome(lambda: _reference_causal(table)))
 
     def test_examples_reach_each_parameter_error(self):
-        for counts, name in (
-            ((1e-300, 1e-300, 1, 1, 1e300, 1e300, 1, 1), "x"),
-            ((1e-300, 1e-300, 1e300, 1e300, 1, 1, 1, 1), "z"),
-            ((1, 1, 1e-300, 1e-300, 1e-300, 1e-300, 1e300, 1e300), "xz"),
+        # fit_causal does not check mu^X, mu^Z or mu^XZ; on these tables it
+        # fails on a causal parameter instead
+        for counts, name, causal_name in (
+            ((1e-300, 1e-300, 1, 1, 1e300, 1e300, 1, 1), "x", "xzc"),
+            ((1e-300, 1e-300, 1e300, 1e300, 1, 1, 1, 1), "z", "zc"),
+            ((1, 1, 1e-300, 1e-300, 1e-300, 1e-300, 1e300, 1e300), "xz",
+             "xzc"),
         ):
             message = f"multiplicative parameter {name} must be finite and > 0"
+            causal = f"parameter {causal_name} must be finite and > 0"
             table = ContingencyTable(counts)
-            assert _outcome(lambda: fit_causal(table)) == ("FitError", message)
             assert _outcome(lambda: fit_poisson(table)) == ("FitError", message)
+            assert (_outcome(lambda: fit_causal(table))
+                    == ("CausalModelError", causal))
 
 
 def reference_covariance(fit):
