@@ -10,7 +10,6 @@ level-0 probabilities, written once, in ``conditional_probabilities``, and
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 
@@ -69,7 +68,8 @@ class CausalParams(_Record):
         _set(self, "with_interaction", with_interaction)
 
     def to_dict(self) -> dict:
-        eta = eta_factors(self)
+        cond = conditional_probabilities(self)
+        y0 = cond.p_y0_given_xz
         return {
             "Xc": self.xc,
             "Zc": self.zc,
@@ -80,18 +80,15 @@ class CausalParams(_Record):
             "XZY": self.xzy,
             "with_interaction": self.with_interaction,
             "eta": {
-                "X": eta.x_norm,
-                "Z|X=0": eta.z_given_x[0],
-                "Z|X=1": eta.z_given_x[1],
-                "Y|X=0,Z=0": eta.y_given_xz[(0, 0)],
-                "Y|X=1,Z=0": eta.y_given_xz[(1, 0)],
-                "Y|X=0,Z=1": eta.y_given_xz[(0, 1)],
-                "Y|X=1,Z=1": eta.y_given_xz[(1, 1)],
+                "X": cond.p_x0,
+                "Z|X=0": cond.p_z0_given_x[0],
+                "Z|X=1": cond.p_z0_given_x[1],
+                "Y|X=0,Z=0": y0[0, 0],
+                "Y|X=1,Z=0": y0[1, 0],
+                "Y|X=0,Z=1": y0[0, 1],
+                "Y|X=1,Z=1": y0[1, 1],
             },
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 class NormalizationFactors(_Record):
@@ -219,7 +216,10 @@ def fit_causal(table: ContingencyTable, with_interaction: bool = False) -> Causa
     the logistic regression of Y on X and Z.  The two-way fit's other
     parameters (mu, mu^X, mu^Z, mu^XZ) are neither returned nor checked:
     no effect uses them, so one that leaves the float range raises nothing
-    here, though it raises ``FitError`` in ``fit_poisson``.
+    here, though it raises ``FitError`` in ``fit_poisson``.  The saturated
+    route still reads its Y-block through ``saturated_closed_form``, which
+    checks all eight parameters, so there such a parameter raises
+    ``FitError`` although the causal parameters are in range.
     """
     n = table.counts
     m = _xz_margins(n)
@@ -268,6 +268,6 @@ def nocausal_from_causal(cp: CausalParams) -> NoCausalParams:
     if min(joint) < sys.float_info.min:
         raise CausalModelError("a joint probability underflows")
     try:
-        return NoCausalParams(*_cell_ratios(joint, cp.y, cp.xy, cp.zy))
+        return _cell_ratios(joint, cp.y, cp.xy, cp.zy)
     except FitError as exc:
         raise CausalModelError(str(exc)) from None

@@ -121,7 +121,13 @@ def _load_table(args):
     policy, sep, amount = args.zero_cells.partition(":")
     if sep and policy != "correct":
         raise TableError(f"unknown zero-cell policy {args.zero_cells!r}")
-    correction = float(amount) if sep else 0.5
+    correction = 0.5
+    if sep:
+        try:
+            correction = float(amount)
+        except ValueError:
+            raise TableError(f"malformed correction amount in --zero-cells "
+                             f"{args.zero_cells!r}") from None
     return validate(table, policy=policy, correction=correction)
 
 

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 import sys
 
@@ -316,9 +315,6 @@ class FitResult(_Record):
             "converged": True,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 def design_matrix(spec: ModelSpec) -> tuple:
     """Dummy-coded design matrix: a tuple of rows over ``CELLS``, columns
@@ -353,7 +349,7 @@ def fit_poisson(
         c * _log_ratio(c, f) - (c - f) if c > 0 else f for c, f in zip(n, m)
     )
     return FitResult(
-        params=NoCausalParams(*_cell_ratios(m, *y_block)),
+        params=_cell_ratios(m, *y_block),
         fitted_counts=m,
         deviance=deviance,
         iterations=iterations,
@@ -361,10 +357,9 @@ def fit_poisson(
     )
 
 
-def _cell_ratios(m, y, xy, zy, xzy=1.0) -> tuple:
-    """The multiplicative parameters, in the order of ``_FIELDS``, with the
-    Y-block ``y, xy, zy, xzy`` whose intercept and X, Z and XZ terms are
-    read off the cells ``m``.
+def _cell_ratios(m, y, xy, zy, xzy=1.0) -> NoCausalParams:
+    """The multiplicative parameters with the Y-block ``y, xy, zy, xzy``
+    whose intercept and X, Z and XZ terms are read off the cells ``m``.
 
     In dummy code m(0,0,0) is the intercept, m(1,0,0)/m(0,0,0) is mu^X,
     m(0,1,0)/m(0,0,0) is mu^Z, and mu^XZ is the cross ratio of the four
@@ -372,10 +367,11 @@ def _cell_ratios(m, y, xy, zy, xzy=1.0) -> tuple:
     or underflows.  A parameter that does so itself, to 0 or infinity,
     raises ``FitError``: the counts are valid, the fit cannot represent it.
     """
-    params = (m[0], m[4] / m[0], m[2] / m[0], y,
-              (m[6] / m[4]) * (m[0] / m[2]), xy, zy, xzy)
-    _check_positive(params, FitError)
-    return params
+    try:
+        return NoCausalParams(m[0], m[4] / m[0], m[2] / m[0], y,
+                              (m[6] / m[4]) * (m[0] / m[2]), xy, zy, xzy)
+    except ValueError as exc:
+        raise FitError(str(exc)) from None
 
 
 def _two_way_mle(n) -> tuple:
@@ -508,8 +504,8 @@ def saturated_closed_form(table: ContingencyTable) -> NoCausalParams:
             f"zero count at cells {zero}: the saturated MLE does not exist "
             "(its estimate is divergent)"
         )
-    return NoCausalParams(*_cell_ratios(
+    return _cell_ratios(
         n,
         *_y_ratios(n),
         xzy=((n[7] / n[6]) * (n[4] / n[5])) * ((n[2] / n[3]) * (n[1] / n[0])),
-    ))
+    )

@@ -11,16 +11,11 @@ so nothing cancels.
 
 from __future__ import annotations
 
-import json
 import math
 
 from .causal import CausalParams, CausalModelError
 from .fitting import FitResult
 from .tables import _left_sum, _Record, _set
-
-#: contrast weights over additive parameters for the zero-interaction test,
-#: in the Y-block order (lambda^Y, lambda^XY, lambda^ZY)
-_CONTRAST = {"Y": 2.0, "XY": 1.0, "ZY": 1.0}
 
 
 class TestError(ValueError):
@@ -58,9 +53,6 @@ class TestResult(_Record):
             "constraint": self.combination,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 class LinearityReport(_Record):
     """The log-scale residuals of the two linearity bonds, and the z-test
@@ -83,16 +75,13 @@ class LinearityReport(_Record):
             ),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 def additive_zero_test(fit: FitResult) -> TestResult:
     """z-test of lambda^ZY + 2 lambda^Y + lambda^XY = 0 on a two-way fit."""
     if fit.spec.with_three_way:
         raise TestError("test defined for two-way model")
-    add = fit.params.additive
-    beta_hat = _left_sum(_CONTRAST[t] * add[t] for t in _CONTRAST)
+    p = fit.params
+    beta_hat = 2.0 * math.log(p.y) + math.log(p.xy) + math.log(p.zy)
     # 1/A + 1/B, each taken relative to its least count so that no
     # reciprocal of a count over- or underflows
     m = fit.fitted_counts

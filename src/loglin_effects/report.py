@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 from .tables import _Record, _set
 
 
@@ -52,7 +50,3 @@ class EffectsReport(_Record):
         if self.source is not None:
             doc["source"] = self.source
         return doc
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-

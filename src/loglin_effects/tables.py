@@ -87,6 +87,10 @@ class _Record:
     def __reduce__(self):
         return type(self), self._values()
 
+    def to_json(self) -> str:
+        """``to_dict``, for the records that have one, as sorted-key JSON."""
+        return json.dumps(self.to_dict(), sort_keys=True)
+
 
 class ContingencyTable(_Record):
     """Observed counts n(x, z, y) over three binary variables."""
@@ -177,7 +181,11 @@ def margin(
     ``condition`` is a ``(variable, level)`` pair; the result is renormalized
     over the conditioning slice.
     """
-    keep = tuple(v for v in VARIABLES if v in set(keep))
+    keep = tuple(keep)
+    for v in keep:
+        if v not in VARIABLES:
+            raise TableError(f"unknown variable {v!r}")
+    keep = tuple(v for v in VARIABLES if v in keep)
     if not keep:
         raise TableError("keep must name at least one variable")
     if condition is not None:
@@ -203,17 +211,9 @@ def margin(
         if slice_total <= 0:
             raise TableError("conditioning slice has zero probability")
         sums = {k: v / slice_total for k, v in sums.items()}
-
-    n = len(keep)
-    full = {levels: sums.get(levels, 0.0)
-            for levels in _level_tuples(n)}
-    return MarginalTable(variables=keep, probs=full, condition=condition)
-
-
-def _level_tuples(n: int):
-    if n == 1:
-        return [(0,), (1,)]
-    return [prev + (b,) for prev in _level_tuples(n - 1) for b in (0, 1)]
+    # every level tuple of ``keep`` occurs in the slice, and in
+    # lexicographic order, as ``CELLS`` and ``VARIABLES`` are ordered
+    return MarginalTable(variables=keep, probs=sums, condition=condition)
 
 
 def validate(
@@ -224,10 +224,13 @@ def validate(
     """Apply the zero-cell policy: ``error``, ``correct``, or ``allow``.
 
     Under ``correct`` the correction amount is added to every cell, not just
-    the zero ones, so odds-ratio structure is shifted uniformly.
+    the zero ones, so odds-ratio structure is shifted uniformly; it must be
+    finite and > 0 whether or not the table has a zero cell.
     """
     if policy not in ("error", "correct", "allow"):
         raise TableError(f"unknown zero-cell policy {policy!r}")
+    if policy == "correct" and not 0.0 < correction < math.inf:  # also nan
+        raise TableError("correction amount must be finite and > 0")
     if 0.0 not in table.counts:
         return table
     if policy == "error":
@@ -235,8 +238,6 @@ def validate(
         raise TableError(f"zero count in cell {cell} (policy 'error')")
     if policy == "allow":
         return table
-    if correction <= 0:
-        raise TableError("correction amount must be positive")
     return ContingencyTable(
         tuple(c + correction for c in table.counts), labels=table.labels
     )
@@ -325,6 +326,14 @@ def _coerce_count(raw) -> float:
     return c
 
 
+def _json_count(raw) -> float:
+    """``_coerce_count`` of a JSON count, which is not a boolean: to Python
+    ``true`` and ``false`` are the ints 1 and 0."""
+    if raw is True or raw is False:
+        raise TableError(f"malformed count {raw!r}")
+    return _coerce_count(raw)
+
+
 #: the flat cell index of each CSV level triple spelled plainly, ``"0"`` or
 #: ``"1"``; any other spelling (" 1", "01", "+1") goes through ``_coerce_level``
 _CSV_CELL = {(str(x), str(z), str(y)): cell_index(x, z, y) for x, z, y in CELLS}
@@ -374,7 +383,7 @@ def _parse_json(text: str) -> ContingencyTable:
         labels = tuple(labels)
     cells = doc["cells"]
     if len(cells) == 8 and not any(isinstance(c, dict) for c in cells):
-        return ContingencyTable(list(map(_coerce_count, cells)), labels=labels)
+        return ContingencyTable(list(map(_json_count, cells)), labels=labels)
     counts = [0.0] * 8
     seen = 0  # bit i set once cell i has an entry
     for entry in cells:
@@ -383,7 +392,7 @@ def _parse_json(text: str) -> ContingencyTable:
         i = cell_index(_coerce_level(entry.get("x"), "x"),
                        _coerce_level(entry.get("z"), "z"),
                        _coerce_level(entry.get("y"), "y"))
-        c = _coerce_count(entry.get("count"))
+        c = _json_count(entry.get("count"))
         if seen >> i & 1:
             raise TableError("duplicate cell ({},{},{})".format(*CELLS[i]))
         seen |= 1 << i

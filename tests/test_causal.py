@@ -17,6 +17,9 @@ from loglin_effects import (
     nocausal_from_causal,
     two_way_spec,
 )
+from loglin_effects import FitError, saturated_closed_form, saturated_spec
+from loglin_effects import causal, fitting
+from loglin_effects.causal import _causal_params, _xz_margins
 from conftest import random_causal, random_nocausal
 
 # single-letter-free aliases for the worked conversion values
@@ -292,3 +295,79 @@ def test_mediator_block_log_residual_helper():
         / (e.y_given_xz[(0, 0)] * e.y_given_xz[(1, 1)]),
         rel_tol=1e-12,
     )
+
+
+README_TABLE = ContingencyTable((42, 18, 25, 31, 17, 23, 12, 48))
+
+
+class TestOneParameterCheck:
+    """Each record checks its parameters with one chained test; the
+    ``_check_positive`` that names the failing one runs only when it fails."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        calls = []
+        real = fitting._check_positive
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fitting, "_check_positive", counting)
+        monkeypatch.setattr(causal, "_check_positive", counting)
+        return calls
+
+    @pytest.mark.parametrize("run", [
+        lambda t: fit_poisson(t, two_way_spec()),
+        lambda t: fit_poisson(t, saturated_spec()),
+        saturated_closed_form,
+        lambda t: fit_causal(t, True),
+        lambda t: nocausal_from_causal(fit_causal(t)),
+    ], ids=["fit_poisson-two-way", "fit_poisson-saturated",
+            "saturated_closed_form", "fit_causal-saturated",
+            "nocausal_from_causal"])
+    def test_no_check_on_a_successful_fit(self, checks, run):
+        run(README_TABLE)
+        assert checks == []
+
+    @pytest.mark.parametrize("counts, name, causal_name", [
+        ((1e-300, 1e-300, 1, 1, 1e300, 1e300, 1, 1), "x", "xzc"),
+        ((1e-300, 1e-300, 1e300, 1e300, 1, 1, 1, 1), "z", "zc"),
+        ((1, 1, 1e-300, 1e-300, 1e-300, 1e-300, 1e300, 1e300), "xz", "xzc"),
+    ])
+    def test_one_check_on_a_failing_fit(self, checks, counts, name,
+                                        causal_name):
+        table = ContingencyTable(counts)
+        with pytest.raises(FitError) as exc:
+            fit_poisson(table)
+        assert str(exc.value) == (
+            f"multiplicative parameter {name} must be finite and > 0")
+        assert len(checks) == 1
+        checks.clear()
+        with pytest.raises(CausalModelError) as exc:
+            fit_causal(table)
+        assert str(exc.value) == f"parameter {causal_name} must be finite and > 0"
+        assert len(checks) == 1
+
+
+#: counts whose saturated mu^XZ overflows, while the saturated Y-block,
+#: the causal parameters and every effect are finite (TE 8.1e-06)
+FAR_SATURATED = (2.3273788978915495e+51, 1.3526378281095588e-52,
+                 2.032840969205263e-30, 2.4741696820367624e-39,
+                 1.1782784837051244e-64, 3.993190800873706e-38,
+                 3.771918813730145e+172, 3.2465111233412937e+77)
+
+
+@pytest.mark.xfail(
+    strict=True, raises=FitError,
+    reason="ROADMAP item 3: bench/selftest.py pins the saturated fit_causal "
+           "to saturated_closed_form, which checks mu, mu^X, mu^Z and mu^XZ "
+           "though no effect uses them",
+)
+def test_saturated_fit_causal_checks_only_its_y_block():
+    n = FAR_SATURATED
+    y_block = ((n[1] / n[0]), (n[5] / n[4]) * (n[0] / n[1]),
+               (n[3] / n[2]) * (n[0] / n[1]),
+               ((n[7] / n[6]) * (n[4] / n[5])) * ((n[2] / n[3]) * (n[1] / n[0])))
+    want = _causal_params(_xz_margins(n), *y_block, True)
+    assert fit_causal(ContingencyTable(n), True) == want

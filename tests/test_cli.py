@@ -522,6 +522,17 @@ class TestZeroCellsOption:
         argv = ["fit", "--input", uniform_csv, "--zero-cells", policy]
         assert main(argv) == 0
 
+    @pytest.mark.parametrize(
+        "amount", ["-5", "0", "nan", "inf", "-inf", "abc", ""]
+    )
+    def test_bad_correction_amount_exits_1_on_any_table(
+        self, uniform_csv, amount, capsys
+    ):
+        argv = ["effects", "--input", uniform_csv,
+                "--zero-cells", f"correct:{amount}"]
+        assert main(argv) == 1
+        assert "correction" in capsys.readouterr().err
+
 
 class TestMalformedInput:
     @pytest.mark.parametrize(

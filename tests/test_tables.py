@@ -462,3 +462,52 @@ class TestDichotomize:
         t = dichotomize(list(zip(x, z, y)))
         concordant = t.count(0, 0, 0) + t.count(1, 1, 1)
         assert concordant > 0.6 * t.total
+
+
+class TestCorrectionAmount:
+    @pytest.mark.parametrize(
+        "amount", [-5.0, 0.0, -0.0, math.nan, math.inf, -math.inf]
+    )
+    @pytest.mark.parametrize(
+        "counts", [(1, 2, 3, 4, 5, 6, 7, 8), (0, 2, 3, 4, 5, 6, 7, 8)]
+    )
+    def test_bad_amount_rejected_on_every_table(self, counts, amount):
+        with pytest.raises(TableError) as exc:
+            validate(ContingencyTable(counts), "correct", amount)
+        assert str(exc.value) == "correction amount must be finite and > 0"
+
+
+class TestBooleanCounts:
+    """JSON ``true`` and ``false`` are ints to Python, but not counts."""
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_flat_array(self, flag):
+        doc = json.dumps({"cells": [18, 25, 31, flag, 17, 23, 12, 48]})
+        with pytest.raises(TableError) as exc:
+            parse_table(doc, "json")
+        assert str(exc.value) == f"malformed count {flag!r}"
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_object_cells(self, flag):
+        cells = [{"x": x, "z": z, "y": y, "count": 1} for x, z, y in CELLS]
+        cells[3]["count"] = flag
+        with pytest.raises(TableError) as exc:
+            parse_table(json.dumps({"cells": cells}), "json")
+        assert str(exc.value) == f"malformed count {flag!r}"
+
+
+class TestMarginVariables:
+    JOINT = joint_probabilities(ContingencyTable((1, 2, 3, 4, 5, 6, 7, 8)))
+
+    @pytest.mark.parametrize("keep, name", [
+        (["X", "Q"], "Q"), ("Xy", "y"), (("x",), "x"), (["Q", "R"], "Q"),
+    ])
+    def test_unknown_variable_named(self, keep, name):
+        with pytest.raises(TableError) as exc:
+            margin(self.JOINT, keep)
+        assert str(exc.value) == f"unknown variable {name!r}"
+
+    def test_string_keep(self):
+        m = margin(self.JOINT, "YX")
+        assert m.variables == ("X", "Y")
+        assert m.probs == margin(self.JOINT, ("X", "Y")).probs
