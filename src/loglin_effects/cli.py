@@ -131,12 +131,8 @@ def _load_table(args):
     return validate(table, policy=policy, correction=correction)
 
 
-def _emit(args, doc: dict, text_lines):
-    if args.output == "json":
-        print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
-    else:
-        for line in text_lines:
-            print(line)
+def _print_json(doc: dict):
+    print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
 
 
 def _param_lines(title, mapping, fmtspec=".6g"):
@@ -169,9 +165,8 @@ def cmd_fit(args) -> int:
 
     if args.output == "json":
         # only the JSON document holds the covariance, computed on first use
-        doc = {"model": args.model, "loglinear": fit.to_dict(),
-               "causal": cp.to_dict()}
-        _emit(args, doc, ())
+        _print_json({"model": args.model, "loglinear": fit.to_dict(),
+                     "causal": cp.to_dict()})
         return EXIT_OK
     lines = []
     # the loglinear blocks print in sorted term order: X, XY, ..., eta
@@ -188,7 +183,7 @@ def cmd_fit(args) -> int:
         f"deviance {fit.deviance:.6g}  iterations {fit.iterations}  "
         "converged True"
     )
-    _emit(args, None, lines)
+    print(*lines, sep="\n")
     return EXIT_OK
 
 
@@ -199,7 +194,6 @@ def cmd_effects(args) -> int:
     cp = fit_causal(table, with_interaction=(args.model == "saturated"))
     report = effects_report(cp, args.from_level, args.to_level)
 
-    doc = report.to_dict()
     discrepancy = None
     if args.verify:
         joint = conditional_probabilities(cp).joint()
@@ -211,10 +205,16 @@ def cmd_effects(args) -> int:
             abs(report.additive_interaction - ora.additive_interaction),
             *(abs(a - b) / max(1.0, abs(b)) for a, b in pairs),
         )
-        doc["verify_max_discrepancy"] = discrepancy
         print(f"oracle max discrepancy: {discrepancy:.3e}", file=sys.stderr)
 
-    _emit(args, doc, _report_lines(args, f"model {args.model}", report))
+    # each output is built only when it is the one asked for
+    if args.output == "json":
+        doc = report.to_dict()
+        if discrepancy is not None:
+            doc["verify_max_discrepancy"] = discrepancy
+        _print_json(doc)
+    else:
+        print(*_report_lines(args, f"model {args.model}", report), sep="\n")
     if discrepancy is not None and discrepancy > VERIFY_TOL:
         print("oracle verification failed", file=sys.stderr)
         return EXIT_VERIFY
@@ -231,18 +231,20 @@ def cmd_test(args) -> int:
     bonds = linearity_bonds(cp, fit)
     result = bonds.bond1_test
 
-    doc = {
-        "additive_zero_test": result.to_dict(),
-        "linearity": bonds.to_dict(),
-    }
-    lines = [
+    if args.output == "json":
+        _print_json({
+            "additive_zero_test": result.to_dict(),
+            "linearity": bonds.to_dict(),
+        })
+        return EXIT_OK
+    print(
         f"H0: {result.combination}",
         f"beta_hat {result.beta_hat:.4f}  se {result.se:.4f}  "
         f"z {result.z:.4f}  p {result.p_two_sided:.4f}",
         f"linearity bond 1 residual {bonds.bond1_residual:.4f}",
         f"linearity bond 2 residual {bonds.bond2_residual:.4f}",
-    ]
-    _emit(args, doc, lines)
+        sep="\n",
+    )
     return EXIT_OK
 
 
@@ -252,7 +254,10 @@ def cmd_oracle(args) -> int:
         raise TableError("--from and --to must differ")
     joint = joint_probabilities(table)
     report = oracle_effects(joint, args.from_level, args.to_level)
-    _emit(args, report.to_dict(), _report_lines(args, "oracle", report))
+    if args.output == "json":
+        _print_json(report.to_dict())
+    else:
+        print(*_report_lines(args, "oracle", report), sep="\n")
     return EXIT_OK
 
 

@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import math
+import re
 
 VARIABLES = ("X", "Z", "Y")
 
@@ -248,13 +249,18 @@ def dichotomize(records, thresholds="mean") -> ContingencyTable:
 
     ``thresholds`` is either ``"mean"`` (per-variable mean split) or a triple
     of explicit cut points.  Values below the threshold map to 0, values at
-    or above it map to 1.
+    or above it map to 1.  Every value and threshold must be finite: a nan
+    or inf has no level, and a nan would make its variable's mean nan.
     """
     records = [tuple(float(v) for v in r) for r in records]
     if len(records) < 2:
         raise TableError("need at least 2 records to dichotomize")
     if any(len(r) != 3 for r in records):
         raise TableError("each record must have exactly 3 values")
+    for i, r in enumerate(records):
+        for name, v in zip(VARIABLES, r):
+            if not math.isfinite(v):
+                raise TableError(f"non-finite value {v!r} for {name} in record {i}")
 
     if thresholds == "mean":
         cuts = []
@@ -269,6 +275,9 @@ def dichotomize(records, thresholds="mean") -> ContingencyTable:
         cuts = [float(t) for t in thresholds]
         if len(cuts) != 3:
             raise TableError("thresholds must give one cut point per variable")
+        for name, t in zip(VARIABLES, cuts):
+            if not math.isfinite(t):
+                raise TableError(f"non-finite threshold {t!r} for {name}")
 
     counts = [0.0] * 8
     for r in records:
@@ -334,12 +343,42 @@ def _json_count(raw) -> float:
     return _coerce_count(raw)
 
 
-#: the flat cell index of each CSV level triple spelled plainly, ``"0"`` or
-#: ``"1"``; any other spelling (" 1", "01", "+1") goes through ``_coerce_level``
-_CSV_CELL = {(str(x), str(z), str(y)): cell_index(x, z, y) for x, z, y in CELLS}
+#: the canonical CSV layout that ``serialize_table`` writes: the header, then
+#: one line per cell in ``CELLS`` order, each ended by ``\n`` (the last line
+#: optionally), with a count field that no CSV reader splits or unquotes;
+#: its groups are the eight count fields as written
+_CANONICAL_CSV = re.compile("x,z,y,count" + "".join(
+    f'\n{x},{z},{y},([^,"\r\n]*)' for x, z, y in CELLS) + "\n?")
 
 
 def _parse_csv(text: str) -> ContingencyTable:
+    """The table of a CSV text: a text in the canonical layout whose counts
+    are all finite and >= 0 in one match, any other by ``_parse_csv_rows``.
+
+    Both paths give the same counts, bit for bit, since the match finds the
+    fields the CSV reader would and converts them as ``_coerce_count`` does.
+    A text whose match path fails is read again by ``_parse_csv_rows``, so
+    every error is its error, or ``ContingencyTable``'s on the same counts.
+    """
+    m = _CANONICAL_CSV.fullmatch(text)
+    # longer text may hold a field the CSV reader refuses
+    if m is not None and len(text) <= csv.field_size_limit():
+        try:
+            a, b, c, d, e, f, g, h = counts = tuple(map(float, m.groups()))
+        except ValueError:
+            pass
+        else:
+            # per value: a nan passes min and max tests in some positions
+            inf = math.inf
+            if (0.0 <= a < inf and 0.0 <= b < inf and 0.0 <= c < inf
+                    and 0.0 <= d < inf and 0.0 <= e < inf and 0.0 <= f < inf
+                    and 0.0 <= g < inf and 0.0 <= h < inf):
+                return ContingencyTable(counts)
+    return _parse_csv_rows(text)
+
+
+def _parse_csv_rows(text: str) -> ContingencyTable:
+    """The table of any CSV text, read record by record by ``csv.reader``."""
     try:
         rows = [row for row in csv.reader(io.StringIO(text))
                 if "".join(row).strip()]
@@ -356,10 +395,8 @@ def _parse_csv(text: str) -> ContingencyTable:
         if len(row) != 4:
             raise TableError(f"malformed record {row!r}")
         x, z, y, raw = row
-        i = _CSV_CELL.get((x, z, y))
-        if i is None:
-            i = cell_index(_coerce_level(x, "x"), _coerce_level(z, "z"),
-                           _coerce_level(y, "y"))
+        i = cell_index(_coerce_level(x, "x"), _coerce_level(z, "z"),
+                       _coerce_level(y, "y"))
         c = _coerce_count(raw)
         if seen >> i & 1:
             raise TableError("duplicate cell ({},{},{})".format(*CELLS[i]))

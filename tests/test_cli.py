@@ -65,6 +65,21 @@ class TestInProcessMain:
             cli._parser.cache_clear()
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("command", ["effects --verify", "oracle"])
+    def test_json_output_formats_no_text_lines(self, table5_csv, command,
+                                               monkeypatch, capsys):
+        import loglin_effects.cli as cli
+
+        def unused(*args):
+            raise AssertionError("text lines built under --output json")
+
+        argv = [*command.split(), "--input", table5_csv, "--output", "json"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        monkeypatch.setattr(cli, "_report_lines", unused)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out
+
     def test_no_options_carry_to_the_next_call(self, table5_csv, capsys):
         assert main(
             ["effects", "--input", table5_csv, "--verify", "--from", "1",

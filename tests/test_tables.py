@@ -20,6 +20,7 @@ from loglin_effects import (
     serialize_table,
     validate,
 )
+from loglin_effects import tables
 
 CSV_FULL = "x,z,y,count\n" + "".join(
     f"{x},{z},{y},{4*x+2*z+y+1}\n" for x, z, y in CELLS
@@ -247,6 +248,131 @@ class TestParseAgainstReference:
         assert parse_table(doc, "json").counts == tuple(counts)
 
 
+#: count fields a CSV reader or ``float`` may take apart, each of them alone
+#: or joined: the empty field, spaces, ``_``, signs, exponents, nan and inf,
+#: -0, a subnormal, a 1e308 whose pair overflows the total, quotes, commas,
+#: a carriage return, a line end and non-ASCII digits and spaces
+COUNT_TOKENS = ["", " ", "_", "+", "-", "e", "E", "0", "1", "5", ".", "nan",
+                "NaN", "inf", "-inf", "Infinity", "-0", "1e-320", "1e308",
+                "1E+308", '"', ",", "\r", "\n", "\u0661", "\uff15", "\u00a0",
+                "\x0c"]
+hostile_count = st.one_of(
+    st.lists(st.sampled_from(COUNT_TOKENS), max_size=4).map("".join),
+    st.floats().map(repr),
+)
+plain_count = st.one_of(
+    st.floats(min_value=0.0, allow_infinity=False).map(repr),
+    st.integers(min_value=0, max_value=10**6).map(str),
+)
+
+
+def _canonical_text(counts, hostile, end):
+    counts = [hostile.get(i, c) for i, c in enumerate(counts)]
+    return "x,z,y,count" + "".join(
+        f"\n{x},{z},{y},{c}" for (x, z, y), c in zip(CELLS, counts)) + end
+
+
+#: the canonical layout, with or without its final line end, with plain
+#: counts of which up to three, in any positions, are hostile
+canonical_like = st.builds(
+    _canonical_text,
+    st.lists(plain_count, min_size=8, max_size=8),
+    st.dictionaries(st.integers(0, 7), hostile_count, max_size=3),
+    st.sampled_from(["", "\n"]),
+)
+
+#: a count ``float`` accepts in a field the CSV reader refuses as too long
+LONG_COUNT = "0." + "0" * 140000 + "1"
+README_CSV = ("x,z,y,count\n0,0,0,42\n0,0,1,18\n0,1,0,25\n0,1,1,31\n"
+              "1,0,0,17\n1,0,1,23\n1,1,0,12\n1,1,1,48\n")
+
+
+def _with_count(i, count, text=README_CSV):
+    """``text`` in the canonical layout with the count of cell ``i`` replaced."""
+    lines = text.split("\n")
+    lines[i + 1] = lines[i + 1].rsplit(",", 1)[0] + "," + count
+    return "\n".join(lines)
+
+
+class TestOneMatchPath:
+    """A canonical CSV text is read in one match, any other by the rows:
+    both give the reference's counts, bit for bit, or its message."""
+
+    @settings(max_examples=1500, deadline=None)
+    @given(canonical_like)
+    @example(_with_count(3, LONG_COUNT))
+    @example(_with_count(7, "nan"))
+    @example(_with_count(0, "nan"))
+    @example(_with_count(5, "-0"))
+    @example(_with_count(2, "1e-320"))
+    @example(_with_count(6, "1e308", _with_count(1, "1e308")))
+    @example(_with_count(4, ""))
+    @example(_with_count(4, " 1_7 "))
+    @example(_with_count(4, '"17"'))
+    @example(_with_count(4, "\u0661\u0667"))
+    @example(_with_count(1, "\r1"))
+    @example(_with_count(1, "1\r "))
+    @example(README_CSV.rstrip("\n"))
+    def test_canonical_layout_matches_the_reference(self, text):
+        new = _outcome(lambda s: parse_table(s, "csv").counts, text)
+        assert new == _outcome(reference_parse_csv, text)
+
+    def test_field_over_the_limit_is_refused(self):
+        with pytest.raises(TableError) as got:
+            parse_table(_with_count(3, LONG_COUNT), "csv")
+        assert str(got.value) == ("malformed CSV: field larger than field "
+                                  f"limit ({csv.field_size_limit()})")
+
+    @pytest.fixture
+    def row_reads(self, monkeypatch):
+        calls = []
+        real = tables._parse_csv_rows
+
+        def counting(text):
+            calls.append(text)
+            return real(text)
+
+        monkeypatch.setattr(tables, "_parse_csv_rows", counting)
+        return calls
+
+    @pytest.mark.parametrize("text", [
+        README_CSV,
+        README_CSV.rstrip("\n"),
+        serialize_table(ContingencyTable((42, 18, 25, 31, 17, 23, 12, 48))),
+        serialize_table(ContingencyTable(
+            (0.1, 1e-300, 2.5e-7, 1 / 3, 0.0, 7e12, 1.7976931348623157e+300, 5.0))),
+    ], ids=["readme", "readme-no-final-newline", "serialized", "repr-floats"])
+    def test_canonical_text_takes_one_match(self, row_reads, text):
+        assert parse_table(text, "csv").counts == tuple(reference_parse_csv(text))
+        assert row_reads == []
+
+    @pytest.mark.parametrize("text", [
+        "x,z,y,count\n1,1,1,48\n0,0,0,42\n0,0,1,18\n0,1,0,25\n0,1,1,31\n"
+        "1,0,0,17\n1,0,1,23\n1,1,0,12\n",
+        README_CSV.replace("\n", "\r\n"),
+        README_CSV.replace(",42\n", ',"42"\n'),
+        README_CSV.replace("x,z,y,count", "X,Z,Y,COUNT"),
+        README_CSV.replace("0,1,0,25", " 0 , 1 , 0 , 25 "),
+        README_CSV + "\n",
+    ], ids=["shuffled", "crlf", "quoted", "upper-case-header", "spaces",
+            "blank-line"])
+    def test_other_text_is_read_by_rows_once(self, row_reads, text):
+        assert parse_table(text, "csv").counts == (42, 18, 25, 31, 17, 23, 12, 48)
+        assert row_reads == [text]
+
+    @pytest.mark.parametrize("count, message", [
+        ("nan", "non-finite count 'nan'"),
+        ("-1", "negative count '-1'"),
+        ("", "malformed count ''"),
+    ])
+    def test_rejected_count_is_read_by_rows_once(self, row_reads, count, message):
+        text = _with_count(6, count)
+        with pytest.raises(TableError) as got:
+            parse_table(text, "csv")
+        assert str(got.value) == message
+        assert row_reads == [text]
+
+
 def _csv_error(text):
     """The ``csv`` module's own message for ``text``; it varies by Python."""
     try:
@@ -453,6 +579,28 @@ class TestDichotomize:
         t = dichotomize([(5, 5, 5), (1, 1, 1)], thresholds=(3, 3, 3))
         assert t.count(1, 1, 1) == 1
         assert t.count(0, 0, 0) == 1
+
+    @pytest.mark.parametrize("records, message", [
+        ([(1, 0, 0), (2, 1, 1), (math.nan, 0, 1), (0, 1, 0)],
+         "non-finite value nan for X in record 2"),
+        ([(1, 0, 0), (2, 1, math.inf), (0, 1, 0)],
+         "non-finite value inf for Y in record 1"),
+        ([(1, -math.inf, 0), (2, 1, 1)], "non-finite value -inf for Z in record 0"),
+    ])
+    def test_non_finite_value_rejected(self, records, message):
+        for thresholds in ("mean", (1, 1, 1)):
+            with pytest.raises(TableError) as got:
+                dichotomize(records, thresholds)
+            assert str(got.value) == message
+
+    @pytest.mark.parametrize("thresholds, message", [
+        ((math.nan, 1, 1), "non-finite threshold nan for X"),
+        ((1, 1, math.inf), "non-finite threshold inf for Y"),
+    ])
+    def test_non_finite_threshold_rejected(self, thresholds, message):
+        with pytest.raises(TableError) as got:
+            dichotomize([(0, 0, 0), (2, 2, 2)], thresholds)
+        assert str(got.value) == message
 
     def test_linear_relation_concentrates_concordant_cells(self):
         rng = np.random.default_rng(7)
