@@ -6,8 +6,10 @@ odds-ratio effect report, optionally oracle-verified), ``test``
 (probability-space effects straight from the table).
 
 Exit codes: 0 success, 1 input error, 2 fit/computation failure,
-3 verification failure.  JSON mode emits exactly one document on stdout;
-diagnostics go to stderr.
+3 verification failure.  A usage error (an unknown option, a bad or
+missing value) also exits with 2: argparse raises ``SystemExit(2)`` after
+printing the usage, so 2 alone does not tell it from a computation failure.
+JSON mode emits exactly one document on stdout; diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -52,48 +54,58 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p, model=True, direction=False):
-        p.add_argument("--input", required=True, help="table file path")
-        p.add_argument(
+    # each command's actions by option string, as ``add_argument`` returns
+    # them: the option table ``_parse_plain`` parses a plain line by, which
+    # holds only ``store`` and ``store_true`` actions
+    parser.options = {}
+
+    def add_command(name, help, model=True, direction=False):
+        """Add a command and its options; return the function that adds one
+        more option to it."""
+        p = sub.add_parser(name, help=help)
+        options = parser.options[name] = {}
+
+        def add(option, **kwargs):
+            options[option] = p.add_argument(option, **kwargs)
+
+        add("--input", required=True, help="table file path")
+        add(
             "--format", choices=("csv", "json"), default=None,
             help="input format (default: by file extension)",
         )
-        p.add_argument(
+        add(
             "--zero-cells", default="error", metavar="error|allow|correct[:C]",
             help="zero-cell policy (default: error)",
         )
-        p.add_argument(
+        add(
             "--output", choices=("text", "json"), default="text",
         )
         if model:
-            p.add_argument(
+            add(
                 "--model", choices=("two-way", "saturated"), default="two-way",
             )
         if direction:
-            p.add_argument(
+            add(
                 "--from", dest="from_level", type=int, choices=(0, 1), default=0,
             )
-            p.add_argument(
+            add(
                 "--to", dest="to_level", type=int, choices=(0, 1), default=1,
             )
+        return add
 
-    p_fit = sub.add_parser("fit", help="fit loglinear and causal parameters")
-    add_common(p_fit)
+    add_command("fit", "fit loglinear and causal parameters")
 
-    p_eff = sub.add_parser("effects", help="compute the effect report")
-    add_common(p_eff, direction=True)
-    p_eff.add_argument(
+    add_effects = add_command("effects", "compute the effect report",
+                              direction=True)
+    add_effects(
         "--verify", action="store_true",
         help="cross-check against the probability-space oracle",
     )
 
-    p_test = sub.add_parser("test", help="additive-interaction z-test")
-    add_common(p_test)
+    add_command("test", "additive-interaction z-test")
 
-    p_orc = sub.add_parser(
-        "oracle", help="probability-space effects directly from the table"
-    )
-    add_common(p_orc, model=False, direction=True)
+    add_command("oracle", "probability-space effects directly from the table",
+                model=False, direction=True)
 
     # each command's own parser, by name: ``main`` parses a command line
     # that starts with a command by that parser alone
@@ -269,17 +281,69 @@ _COMMANDS = {
 }
 
 
+def _parse_plain(parser, argv):
+    """The namespace ``parser.parse_args(argv)`` returns for a plain command
+    line, in one pass over the command's option table; ``None`` for any
+    other line.
+
+    A plain line is a command, then tokens each of which is a whole option
+    string of that command (no abbreviation, no ``--opt=value``): a
+    ``store_true`` flag, or a one-value option followed by a value that is
+    non-empty, does not start with ``-`` and passes the option's ``type``
+    and ``choices``.  Every required option is present.  argparse reads
+    each such value as the option's argument, and the last of a repeated
+    option wins, as here.  Nothing is printed or raised.
+    """
+    options = parser.options.get(argv[0]) if argv else None
+    if options is None:
+        return None
+    values = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        action = options.get(token)
+        if action is None:
+            return None
+        if action.nargs == 0:  # store_true
+            values[action.dest] = action.const
+            continue
+        value = next(tokens, "")
+        if not value or value[0] == "-":
+            return None
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    for action in options.values():
+        if action.dest not in values:
+            if action.required:
+                return None
+            values[action.dest] = action.default
+    return argparse.Namespace(subcommand=argv[0], **values)
+
+
 def _parse_args(argv):
     """``_parser().parse_args(argv)``, parsing each token once.
 
-    A command line that starts with a command goes to that command's parser
-    alone; the full parser would pass it all the other tokens anyway, after
-    classifying each of them for its own ``--help`` and ``--version``.  Every
-    other command line, and every one that leaves a token over, goes to the
-    full parser, so its help, version, usage and errors are unchanged.
+    A plain command line, such as ``effects --input t.csv --verify``, is
+    parsed in one pass over the command's option table (``_parse_plain``),
+    without argparse.  Any other line that starts with a command (an
+    abbreviation, ``--opt=value``, ``-h``, a value that starts with ``-``, is
+    empty or is invalid, a missing value or ``--input``, an unknown token)
+    goes to that command's parser alone; the full parser would pass it all
+    the other tokens anyway, after classifying each of them for its own
+    ``--help`` and ``--version``.  Every other command line, and every one
+    that leaves a token over, goes to the full parser.  So help, version,
+    usage and every error come from argparse and read as before.
     """
     parser = _parser()
     argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse_plain(parser, argv)
+    if args is not None:
+        return args
     if argv and argv[0] in _COMMANDS:
         args, extra = parser.commands[argv[0]].parse_known_args(argv[1:])
         if not extra:
