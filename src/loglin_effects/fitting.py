@@ -345,16 +345,20 @@ def fit_poisson(
         )
     n = table.counts
     m, y_block, iterations = _two_way_mle(n)
-    deviance = 2.0 * _left_sum(
-        c * _log_ratio(c, f) - (c - f) if c > 0 else f for c, f in zip(n, m)
-    )
-    return FitResult(
-        params=_cell_ratios(m, *y_block),
-        fitted_counts=m,
-        deviance=deviance,
-        iterations=iterations,
-        spec=_TWO_WAY,
-    )
+    # each term is c log(c / f) - (c - f), with log(c / f) taken as
+    # log c - log f when c / f leaves the normal float range; a zero count
+    # adds f
+    log = math.log
+    total = 0.0
+    for c, f in zip(n, m):
+        if c > 0:
+            r = c / f
+            total += c * (log(r) if _TINY <= r < math.inf
+                          else log(c) - log(f)) - (c - f)
+        else:
+            total += f
+    return FitResult(_cell_ratios(m, *y_block), m, 2.0 * total, iterations,
+                     _TWO_WAY)
 
 
 def _cell_ratios(m, y, xy, zy, xzy=1.0) -> NoCausalParams:
@@ -480,15 +484,6 @@ def _y_ratios(m) -> tuple:
     the odds ratios of Y with X at z = 0 and with Z at x = 0."""
     return (m[1] / m[0], (m[5] / m[4]) * (m[0] / m[1]),
             (m[3] / m[2]) * (m[0] / m[1]))
-
-
-def _log_ratio(c: float, f: float) -> float:
-    """log(c / f) for positive ``c`` and ``f``, also when c / f leaves the
-    normal float range."""
-    r = c / f
-    if _TINY <= r < math.inf:
-        return math.log(r)
-    return math.log(c) - math.log(f)
 
 
 def saturated_closed_form(table: ContingencyTable) -> NoCausalParams:

@@ -6,7 +6,9 @@ parameters, which is logit(0,0) + logit(1,1) of P(Y=1|x,z).  Its variance,
 the inverse Y-block information applied to that contrast, has the closed
 form 1 / (1/A + 1/B): A is the sum of 1/m(x,z,y) over the fitted cells with
 x = z and B the same sum over those with x != z.  Every term is positive,
-so nothing cancels.
+so nothing cancels.  The z-test's sums and the bonds' sums of logs are
+written out as left-to-right chains of ``+``, so they are the same bits on
+every supported Python version.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 
 from .causal import CausalParams, CausalModelError
 from .fitting import FitResult
-from .tables import _left_sum, _Record, _set
+from .tables import _Record, _set
 
 
 class TestError(ValueError):
@@ -84,23 +86,18 @@ def additive_zero_test(fit: FitResult) -> TestResult:
     beta_hat = 2.0 * math.log(p.y) + math.log(p.xy) + math.log(p.zy)
     # 1/A + 1/B, each taken relative to its least count so that no
     # reciprocal of a count over- or underflows
-    m = fit.fitted_counts
-    inverse = 0.0
-    for cells in ((0, 1, 6, 7), (2, 3, 4, 5)):
-        least = min(m[i] for i in cells)
-        inverse += least / _left_sum(least / m[i] for i in cells)
+    m0, m1, m2, m3, m4, m5, m6, m7 = fit.fitted_counts
+    a = min(m0, m1, m6, m7)
+    b = min(m2, m3, m4, m5)
+    inverse = (a / (a / m0 + a / m1 + a / m6 + a / m7)
+               + b / (b / m2 + b / m3 + b / m4 + b / m5))
     var = 1.0 / inverse
     if not 0.0 < var < math.inf:
         raise TestError("covariance is not positive on the test contrast")
     se = math.sqrt(var)
     z = beta_hat / se
-    return TestResult(
-        beta_hat=beta_hat,
-        se=se,
-        z=z,
-        p_two_sided=two_sided_p(z),
-        combination="lambda^ZY + 2*lambda^Y + lambda^XY = 0",
-    )
+    return TestResult(beta_hat, se, z, two_sided_p(z),
+                      "lambda^ZY + 2*lambda^Y + lambda^XY = 0")
 
 
 def linearity_bonds(
@@ -116,9 +113,10 @@ def linearity_bonds(
     """
     if cp.with_interaction:
         raise CausalModelError("linearity bonds defined without interaction")
-    bond1 = _left_sum(map(math.log, (cp.xy, cp.zy, cp.y, cp.y)))
-    bond2 = _left_sum(map(math.log, (cp.xzc, cp.zc, cp.zc)))
+    log = math.log
+    log_y = log(cp.y)
+    log_zc = log(cp.zc)
+    bond1 = log(cp.xy) + log(cp.zy) + log_y + log_y
+    bond2 = log(cp.xzc) + log_zc + log_zc
     test = additive_zero_test(fit) if fit is not None else None
-    return LinearityReport(
-        bond1_residual=bond1, bond2_residual=bond2, bond1_test=test
-    )
+    return LinearityReport(bond1, bond2, test)

@@ -32,8 +32,9 @@ def _left_sum(values) -> float:
     """The float sum of ``values`` added left to right, rounding each step.
 
     ``sum`` adds so on Python 3.10 and 3.11 but compensates its rounding
-    from 3.12 on; every sum that reaches an output is this one, so the
-    outputs are the same bits on every supported version.
+    from 3.12 on.  Every sum that reaches an output is this one or is
+    written out as a left-to-right chain of ``+``, so no sum is compensated
+    and the outputs are the same bits on every supported version.
     """
     total = 0.0
     for value in values:

@@ -360,7 +360,7 @@ FAR_SATURATED = (2.3273788978915495e+51, 1.3526378281095588e-52,
 
 @pytest.mark.xfail(
     strict=True, raises=FitError,
-    reason="ROADMAP item 3: bench/selftest.py pins the saturated fit_causal "
+    reason="ROADMAP item 1: bench/selftest.py pins the saturated fit_causal "
            "to saturated_closed_form, which checks mu, mu^X, mu^Z and mu^XZ "
            "though no effect uses them",
 )

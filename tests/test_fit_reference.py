@@ -11,6 +11,10 @@ reference gives the same bits on every supported version.  ``fit_poisson``
 must agree with it bit for bit, or raise the same error with the same
 message; so must the two-way ``fit_causal`` with the causal parameters of the
 reference Y-block, since it does not check the fit's other parameters.
+``reference_z_test`` and ``reference_bonds`` copy the z-test and the
+linearity bonds as they stood before their sums were written out, with a
+generator per group of cells and a fold of logs; ``additive_zero_test`` and
+``linearity_bonds`` must agree with them bit for bit on the reference fit.
 """
 
 import math
@@ -27,8 +31,11 @@ from loglin_effects import (
     FitError,
     ModelSpec,
     NoCausalParams,
+    TestError as ZeroTestError,
+    additive_zero_test,
     fit_causal,
     fit_poisson,
+    linearity_bonds,
 )
 from loglin_effects.causal import _causal_params, _xz_margins
 from loglin_effects.fitting import _FIELDS, _PAIRS, _covariance_terms
@@ -151,12 +158,15 @@ def _reference_fit(table):
             iterations)
 
 
+def reference_causal_params(n):
+    """The two-way ``fit_causal`` of counts ``n``: the margins first, then
+    the reference MLE's Y-block, then the causal parameters from it."""
+    return _causal_params(_xz_margins(n), *reference_mle(n)[1])
+
+
 def _reference_causal(table):
-    """The two-way ``fit_causal``: the margins first, then the reference
-    MLE's Y-block, then the causal parameters from it."""
-    margins = _xz_margins(table.counts)
-    y_block = reference_mle(table.counts)[1]
-    return _bits(_fields(_causal_params(margins, *y_block), _CAUSAL_FIELDS))
+    return _bits(_fields(reference_causal_params(table.counts),
+                         _CAUSAL_FIELDS))
 
 
 def _counts(exponents):
@@ -167,26 +177,44 @@ def _tables(cell):
     return st.lists(cell, min_size=8, max_size=8)
 
 
-class TestTwoWayFitAgainstReference:
-    @settings(max_examples=600, deadline=None)
-    @given(st.one_of(
-        _tables(_counts((-300, 300))),
-        _tables(st.one_of(st.just(0.0), _counts((-300, 300)))),
-        _tables(_counts((-5, 5))),
-        _tables(st.integers(0, 40).map(float)),
-    ))
-    @example([42.0, 18.0, 25.0, 31.0, 17.0, 23.0, 12.0, 48.0])
-    @example([1e-300, 1e-300, 1.0, 1.0, 1e300, 1e300, 1.0, 1.0])  # x
-    @example([1e-300, 1e-300, 1e300, 1e300, 1.0, 1.0, 1.0, 1.0])  # z
-    @example([1.0, 1.0, 1e-300, 1e-300, 1e-300, 1e-300, 1e300, 1e300])  # xz
-    @example([0.0, 5.0, 3.0, 0.0, 2.0, 7.0, 0.0, 1.0])  # zeros of one parity
-    @example([0.0, 0.0, 3.0, 4.0, 2.0, 7.0, 6.0, 1.0])  # a zero margin
+#: the count tables both two-way reference tests draw
+_TWO_WAY_TABLES = st.one_of(
+    _tables(_counts((-300, 300))),
+    _tables(st.one_of(st.just(0.0), _counts((-300, 300)))),
+    _tables(_counts((-5, 5))),
+    _tables(st.integers(0, 40).map(float)),
+)
+
+#: the tables both two-way reference tests always run
+_TWO_WAY_EXAMPLES = (
+    [42.0, 18.0, 25.0, 31.0, 17.0, 23.0, 12.0, 48.0],
+    [1e-300, 1e-300, 1.0, 1.0, 1e300, 1e300, 1.0, 1.0],  # x
+    [1e-300, 1e-300, 1e300, 1e300, 1.0, 1.0, 1.0, 1.0],  # z
+    [1.0, 1.0, 1e-300, 1e-300, 1e-300, 1e-300, 1e300, 1e300],  # xz
+    [0.0, 5.0, 3.0, 0.0, 2.0, 7.0, 0.0, 1.0],  # zeros of one parity
+    [0.0, 0.0, 3.0, 4.0, 2.0, 7.0, 6.0, 1.0],  # a zero margin
     # mu^XZ overflows, so fit_poisson raises; the causal parameters and
     # the effects (TE 4.88e64) are finite
-    @example([2.8112949152862326e+189, 1.660546804686013e+149,
-              1.4118171754011321e+55, 7.632977356421863e-213,
-              1.1262998667873243e-61, 1.5242942212882254e-184,
-              3.636872862625773e+16, 1.0493567549073163e+41])
+    [2.8112949152862326e+189, 1.660546804686013e+149,
+     1.4118171754011321e+55, 7.632977356421863e-213,
+     1.1262998667873243e-61, 1.5242942212882254e-184,
+     3.636872862625773e+16, 1.0493567549073163e+41],
+)
+
+
+def _two_way_cases(*extra):
+    """Run a test on ``_TWO_WAY_TABLES``, ``_TWO_WAY_EXAMPLES`` and the
+    ``extra`` example tables."""
+    def decorate(test):
+        for counts in (*_TWO_WAY_EXAMPLES, *extra):
+            test = example(counts)(test)
+        return settings(max_examples=600, deadline=None)(
+            given(_TWO_WAY_TABLES)(test))
+    return decorate
+
+
+class TestTwoWayFitAgainstReference:
+    @_two_way_cases()
     def test_fit_poisson_and_fit_causal_match(self, counts):
         assume(0.0 < sum(counts) < math.inf)
         table = ContingencyTable(counts)
@@ -211,6 +239,71 @@ class TestTwoWayFitAgainstReference:
             assert _outcome(lambda: fit_poisson(table)) == ("FitError", message)
             assert (_outcome(lambda: fit_causal(table))
                     == ("CausalModelError", causal))
+
+
+def reference_z_test(m, params):
+    """(beta_hat, se, z, p) of the z-test on the two-way fit with fitted
+    counts ``m`` and parameters ``params``, as computed with a generator
+    per group of cells, or its ``TestError``."""
+    beta_hat = (2.0 * math.log(params.y) + math.log(params.xy)
+                + math.log(params.zy))
+    inverse = 0.0
+    for cells in ((0, 1, 6, 7), (2, 3, 4, 5)):
+        least = min(m[i] for i in cells)
+        inverse += least / _fold(least / m[i] for i in cells)
+    var = 1.0 / inverse
+    if not 0.0 < var < math.inf:
+        raise ZeroTestError("covariance is not positive on the test contrast")
+    se = math.sqrt(var)
+    z = beta_hat / se
+    return beta_hat, se, z, math.erfc(abs(z) / math.sqrt(2.0))
+
+
+def reference_bonds(cp):
+    """The two linearity-bond residuals of ``cp``, each a fold of logs."""
+    return (_fold(map(math.log, (cp.xy, cp.zy, cp.y, cp.y))),
+            _fold(map(math.log, (cp.xzc, cp.zc, cp.zc))))
+
+
+#: the fields of ``TestResult`` that hold floats, in order
+_TEST_FIELDS = ("beta_hat", "se", "z", "p_two_sided")
+
+
+def _library_inference(table):
+    """The z-test of ``fit_poisson``, then the bonds with their z-test."""
+    fit = fit_poisson(table)
+    test = additive_zero_test(fit)
+    bonds = linearity_bonds(fit_causal(table), fit)
+    return (_bits(_fields(test, _TEST_FIELDS)),
+            _bits([bonds.bond1_residual, bonds.bond2_residual]),
+            _bits(_fields(bonds.bond1_test, _TEST_FIELDS)))
+
+
+def _reference_inference(table):
+    n = table.counts
+    m, params, _, _ = reference_fit(n)
+    test = reference_z_test(m, params)
+    bonds = reference_bonds(reference_causal_params(n))
+    return _bits(test), _bits(bonds), _bits(test)
+
+
+def _library_bonds(table):
+    bonds = linearity_bonds(fit_causal(table))
+    assert bonds.bond1_test is None
+    return _bits([bonds.bond1_residual, bonds.bond2_residual])
+
+
+class TestInferenceAgainstReference:
+    @_two_way_cases([1e200, 1.0, 1.0, 1e200, 2.0, 3e150, 1e100, 1.0])
+    def test_z_test_and_bonds_match(self, counts):
+        assume(0.0 < sum(counts) < math.inf)
+        table = ContingencyTable(counts)
+        assert (_outcome(lambda: _library_inference(table))
+                == _outcome(lambda: _reference_inference(table)))
+        # the bonds alone, also where fit_poisson raises
+        assert (_outcome(lambda: _library_bonds(table))
+                == _outcome(lambda: _bits(reference_bonds(
+                    reference_causal_params(table.counts)))))
 
 
 def reference_covariance(fit):
