@@ -30,7 +30,7 @@ from .causal import (
 )
 from .effects import DegenerateProbabilityError, effects_report
 from .fitting import FitError, fit_poisson, saturated_spec, two_way_spec
-from .inference import TestError, linearity_bonds
+from .inference import TestError, additive_zero_test, linearity_bonds
 from .oracle import OracleError, oracle_effects
 from .tables import TableError, joint_probabilities, parse_table, validate
 
@@ -147,11 +147,8 @@ def _print_json(doc: dict):
     print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
 
 
-def _param_lines(title, mapping, fmtspec=".6g"):
-    lines = [title]
-    for k, v in mapping.items():
-        lines.append(f"  {k:<6} {v:{fmtspec}}")
-    return lines
+def _param_lines(title, mapping):
+    return [title, *(f"  {k:<6} {v:.6g}" for k, v in mapping.items())]
 
 
 def _report_lines(args, source, report):
@@ -240,8 +237,8 @@ def cmd_test(args) -> int:
     fit = fit_poisson(table, two_way_spec())
     p = fit.params
     cp = _causal_params(_xz_margins(table.counts), p.y, p.xy, p.zy)
-    bonds = linearity_bonds(cp, fit)
-    result = bonds.bond1_test
+    result = additive_zero_test(fit)
+    bonds = linearity_bonds(cp)
 
     if args.output == "json":
         _print_json({

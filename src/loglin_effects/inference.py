@@ -6,9 +6,9 @@ parameters, which is logit(0,0) + logit(1,1) of P(Y=1|x,z).  Its variance,
 the inverse Y-block information applied to that contrast, has the closed
 form 1 / (1/A + 1/B): A is the sum of 1/m(x,z,y) over the fitted cells with
 x = z and B the same sum over those with x != z.  Every term is positive,
-so nothing cancels.  The z-test's sums and the bonds' sums of logs are
-written out as left-to-right chains of ``+``, so they are the same bits on
-every supported Python version.
+so nothing cancels.  The contrast is linearity bond 1, ``_bond1``, and its
+sums are written out as left-to-right chains of ``+``, so they are the
+same bits on every supported Python version.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .tables import _Record, _set
 
 class TestError(ValueError):
     """Test preconditions violated (wrong model, unusable covariance)."""
+    __test__ = False  # not a pytest test class
 
 
 def normal_cdf(x: float) -> float:
@@ -36,6 +37,7 @@ def two_sided_p(z: float) -> float:
 class TestResult(_Record):
     """A z-test of the linear ``combination`` of parameters being 0."""
 
+    __test__ = False  # not a pytest test class
     __slots__ = ("beta_hat", "se", "z", "p_two_sided", "combination")
 
     def __init__(self, beta_hat: float, se: float, z: float,
@@ -57,33 +59,31 @@ class TestResult(_Record):
 
 
 class LinearityReport(_Record):
-    """The log-scale residuals of the two linearity bonds, and the z-test
-    of bond 1 when a fit was given."""
+    """The log-scale residuals of the two linearity bonds."""
 
-    __slots__ = ("bond1_residual", "bond2_residual", "bond1_test")
+    __slots__ = ("bond1_residual", "bond2_residual")
 
-    def __init__(self, bond1_residual: float, bond2_residual: float,
-                 bond1_test: TestResult | None = None):
+    def __init__(self, bond1_residual: float, bond2_residual: float):
         _set(self, "bond1_residual", bond1_residual)
         _set(self, "bond2_residual", bond2_residual)
-        _set(self, "bond1_test", bond1_test)
 
     def to_dict(self) -> dict:
         return {
             "bond1_residual": self.bond1_residual,
             "bond2_residual": self.bond2_residual,
-            "bond1_test": (
-                None if self.bond1_test is None else self.bond1_test.to_dict()
-            ),
         }
+
+
+def _bond1(p) -> float:
+    """Bond 1, log(mu^XY (mu^Y)^2 mu^ZY), of ``p``'s Y-block: beta_hat."""
+    return 2.0 * math.log(p.y) + math.log(p.xy) + math.log(p.zy)
 
 
 def additive_zero_test(fit: FitResult) -> TestResult:
     """z-test of lambda^ZY + 2 lambda^Y + lambda^XY = 0 on a two-way fit."""
     if fit.spec.with_three_way:
         raise TestError("test defined for two-way model")
-    p = fit.params
-    beta_hat = 2.0 * math.log(p.y) + math.log(p.xy) + math.log(p.zy)
+    beta_hat = _bond1(fit.params)
     # 1/A + 1/B, each taken relative to its least count so that no
     # reciprocal of a count over- or underflows
     m0, m1, m2, m3, m4, m5, m6, m7 = fit.fitted_counts
@@ -100,23 +100,16 @@ def additive_zero_test(fit: FitResult) -> TestResult:
                       "lambda^ZY + 2*lambda^Y + lambda^XY = 0")
 
 
-def linearity_bonds(
-    cp: CausalParams, fit: FitResult | None = None
-) -> LinearityReport:
+def linearity_bonds(cp: CausalParams, fit=None) -> LinearityReport:
     """Log-scale residuals of the two mean-split linearity constraints.
 
-    Bond 1: mu^XY * (mu^Y)^2 * mu^ZY = 1 (equivalently the zero
-    additive-interaction condition); bond 2: mu_c^XZ * (mu_c^Z)^2 = 1.
-    Each residual is a sum of logs, so no product of the parameters is
-    formed and none over- or underflows.  Bond 2 is reported as a residual
-    only; no sampling variance is attached to the causal Z-block parameters.
+    Bond 1: mu^XY * (mu^Y)^2 * mu^ZY = 1, the zero additive-interaction
+    condition; its residual is the ``beta_hat`` of the fit ``cp`` is from,
+    bit for bit.  Bond 2: mu_c^XZ * (mu_c^Z)^2 = 1, with no sampling
+    variance.  Each residual is a sum of logs, so no product over- or
+    underflows.  ``fit`` is unread; ``bench/worker.py`` still passes it.
     """
     if cp.with_interaction:
         raise CausalModelError("linearity bonds defined without interaction")
-    log = math.log
-    log_y = log(cp.y)
-    log_zc = log(cp.zc)
-    bond1 = log(cp.xy) + log(cp.zy) + log_y + log_y
-    bond2 = log(cp.xzc) + log_zc + log_zc
-    test = additive_zero_test(fit) if fit is not None else None
-    return LinearityReport(bond1, bond2, test)
+    log_zc = math.log(cp.zc)
+    return LinearityReport(_bond1(cp), math.log(cp.xzc) + log_zc + log_zc)

@@ -253,7 +253,10 @@ def dichotomize(records, thresholds="mean") -> ContingencyTable:
     or above it map to 1.  Every value and threshold must be finite: a nan
     or inf has no level, and a nan would make its variable's mean nan.
     """
-    records = [tuple(float(v) for v in r) for r in records]
+    try:
+        records = [tuple(float(v) for v in r) for r in records]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise TableError(f"records must hold numbers: {exc}") from None
     if len(records) < 2:
         raise TableError("need at least 2 records to dichotomize")
     if any(len(r) != 3 for r in records):
@@ -263,7 +266,8 @@ def dichotomize(records, thresholds="mean") -> ContingencyTable:
             if not math.isfinite(v):
                 raise TableError(f"non-finite value {v!r} for {name} in record {i}")
 
-    if thresholds == "mean":
+    # an array of cut points == "mean" is an array, not False
+    if isinstance(thresholds, str) and thresholds == "mean":
         cuts = []
         for j in range(3):
             col = [r[j] for r in records]
@@ -273,8 +277,12 @@ def dichotomize(records, thresholds="mean") -> ContingencyTable:
                 )
             cuts.append(_left_sum(col) / len(col))
     else:
-        cuts = [float(t) for t in thresholds]
-        if len(cuts) != 3:
+        try:
+            cuts = [float(t) for t in thresholds]
+        except (TypeError, ValueError, OverflowError):
+            cuts = []
+        # a string other than "mean", even "123", gives no cut points
+        if len(cuts) != 3 or isinstance(thresholds, str):
             raise TableError("thresholds must give one cut point per variable")
         for name, t in zip(VARIABLES, cuts):
             if not math.isfinite(t):
@@ -296,7 +304,7 @@ def parse_table(source, fmt: str = "csv") -> ContingencyTable:
 
     CSV: header ``x,z,y,count``.  JSON: ``{"labels": [...], "cells": [...]}``
     where cells is either 8 objects ``{x,z,y,count}`` or a flat 8-array in
-    canonical order.  Missing cells are filled with count 0.
+    canonical order.  Missing cells count 0; a leading BOM is ignored.
     """
     if hasattr(source, "read"):
         source = source.read()
@@ -305,6 +313,7 @@ def parse_table(source, fmt: str = "csv") -> ContingencyTable:
             source = source.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise TableError(f"input is not UTF-8: {exc}") from None
+    source = source.removeprefix("\ufeff")
     if fmt == "csv":
         return _parse_csv(source)
     if fmt == "json":

@@ -540,6 +540,7 @@ class TestTestCommand:
         assert len(calls) == 1
 
     def test_runs_the_z_test_once(self, table5_csv, monkeypatch, capsys):
+        import loglin_effects.cli
         import loglin_effects.inference
 
         calls = []
@@ -549,13 +550,15 @@ class TestTestCommand:
             calls.append(1)
             return real(*args, **kwargs)
 
-        # ``cmd_test`` runs the z-test through ``linearity_bonds``
-        monkeypatch.setattr(loglin_effects.inference, "additive_zero_test",
-                            counting)
+        # a z-test run by ``cmd_test`` or inside ``linearity_bonds`` counts
+        for module in (loglin_effects.cli, loglin_effects.inference):
+            monkeypatch.setattr(module, "additive_zero_test", counting)
         assert main(["test", "--input", table5_csv, "--output", "json"]) == 0
         assert len(calls) == 1
         doc = json.loads(capsys.readouterr().out)
-        assert doc["linearity"]["bond1_test"] == doc["additive_zero_test"]
+        assert set(doc["linearity"]) == {"bond1_residual", "bond2_residual"}
+        assert (doc["linearity"]["bond1_residual"]
+                == doc["additive_zero_test"]["beta_hat"])
 
     def test_saturated_request_rejected(self, table5_csv, capsys):
         assert main(

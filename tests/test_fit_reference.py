@@ -13,8 +13,10 @@ message; so must the two-way ``fit_causal`` with the causal parameters of the
 reference Y-block, since it does not check the fit's other parameters.
 ``reference_z_test`` and ``reference_bonds`` copy the z-test and the
 linearity bonds as they stood before their sums were written out, with a
-generator per group of cells and a fold of logs; ``additive_zero_test`` and
-``linearity_bonds`` must agree with them bit for bit on the reference fit.
+generator per group of cells and a fold of logs, bond 1 in ``beta_hat``'s
+order; ``additive_zero_test`` and ``linearity_bonds`` must agree with them
+bit for bit on the reference fit.  Bond 1 and ``beta_hat`` are one
+expression, so wherever both succeed they are the same bits.
 """
 
 import math
@@ -27,11 +29,12 @@ from hypothesis import strategies as st
 
 from loglin_effects import (
     CELLS,
+    CausalModelError,
     ContingencyTable,
     FitError,
     ModelSpec,
     NoCausalParams,
-    TestError as ZeroTestError,
+    TestError,
     additive_zero_test,
     fit_causal,
     fit_poisson,
@@ -253,15 +256,16 @@ def reference_z_test(m, params):
         inverse += least / _fold(least / m[i] for i in cells)
     var = 1.0 / inverse
     if not 0.0 < var < math.inf:
-        raise ZeroTestError("covariance is not positive on the test contrast")
+        raise TestError("covariance is not positive on the test contrast")
     se = math.sqrt(var)
     z = beta_hat / se
     return beta_hat, se, z, math.erfc(abs(z) / math.sqrt(2.0))
 
 
 def reference_bonds(cp):
-    """The two linearity-bond residuals of ``cp``, each a fold of logs."""
-    return (_fold(map(math.log, (cp.xy, cp.zy, cp.y, cp.y))),
+    """The two linearity-bond residuals of ``cp``, each a fold of logs; bond
+    1 in ``beta_hat``'s order, since ``log y + log y`` is ``2.0 * log y``."""
+    return (_fold(map(math.log, (cp.y, cp.y, cp.xy, cp.zy))),
             _fold(map(math.log, (cp.xzc, cp.zc, cp.zc))))
 
 
@@ -270,13 +274,11 @@ _TEST_FIELDS = ("beta_hat", "se", "z", "p_two_sided")
 
 
 def _library_inference(table):
-    """The z-test of ``fit_poisson``, then the bonds with their z-test."""
-    fit = fit_poisson(table)
-    test = additive_zero_test(fit)
-    bonds = linearity_bonds(fit_causal(table), fit)
+    """The z-test of ``fit_poisson``, then the bonds of ``fit_causal``."""
+    test = additive_zero_test(fit_poisson(table))
+    bonds = linearity_bonds(fit_causal(table))
     return (_bits(_fields(test, _TEST_FIELDS)),
-            _bits([bonds.bond1_residual, bonds.bond2_residual]),
-            _bits(_fields(bonds.bond1_test, _TEST_FIELDS)))
+            _bits([bonds.bond1_residual, bonds.bond2_residual]))
 
 
 def _reference_inference(table):
@@ -284,12 +286,11 @@ def _reference_inference(table):
     m, params, _, _ = reference_fit(n)
     test = reference_z_test(m, params)
     bonds = reference_bonds(reference_causal_params(n))
-    return _bits(test), _bits(bonds), _bits(test)
+    return _bits(test), _bits(bonds)
 
 
 def _library_bonds(table):
     bonds = linearity_bonds(fit_causal(table))
-    assert bonds.bond1_test is None
     return _bits([bonds.bond1_residual, bonds.bond2_residual])
 
 
@@ -304,6 +305,17 @@ class TestInferenceAgainstReference:
         assert (_outcome(lambda: _library_bonds(table))
                 == _outcome(lambda: _bits(reference_bonds(
                     reference_causal_params(table.counts)))))
+
+    @_two_way_cases([1e200, 1.0, 1.0, 1e200, 2.0, 3e150, 1e100, 1.0])
+    def test_bond1_is_beta_hat(self, counts):
+        assume(0.0 < sum(counts) < math.inf)
+        table = ContingencyTable(counts)
+        try:
+            bond1 = linearity_bonds(fit_causal(table)).bond1_residual
+            beta_hat = additive_zero_test(fit_poisson(table)).beta_hat
+        except (FitError, CausalModelError, TestError):
+            return
+        assert bond1.hex() == beta_hat.hex()
 
 
 def reference_covariance(fit):

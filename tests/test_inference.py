@@ -9,7 +9,6 @@ from loglin_effects import (
     CausalParams,
     ContingencyTable,
     NoCausalParams,
-    TestError as ZeroTestError,
     additive_zero_test,
     causal_from_nocausal,
     fit_poisson,
@@ -19,6 +18,7 @@ from loglin_effects import (
     two_sided_p,
     two_way_spec,
 )
+from loglin_effects.inference import TestError, TestResult
 from conftest import TABLE5
 
 
@@ -145,7 +145,7 @@ class TestAdditiveZeroTest:
     def test_saturated_fit_rejected(self):
         nc = NoCausalParams(100.0, 1.2, 0.9, 1.1, 1.3, 0.8, 1.4, 1.2)
         fit = fit_poisson(nc.as_table(), saturated_spec())
-        with pytest.raises(ZeroTestError, match="two-way"):
+        with pytest.raises(TestError, match="two-way"):
             additive_zero_test(fit)
 
 
@@ -158,7 +158,6 @@ class TestLinearityBonds:
         rep = linearity_bonds(cp)
         assert rep.bond1_residual == pytest.approx(0.0, abs=1e-12)
         assert rep.bond2_residual == pytest.approx(0.0, abs=1e-12)
-        assert rep.bond1_test is None
 
     def test_first_empirical_model_residual(self):
         rep = linearity_bonds(TABLE5)
@@ -170,16 +169,14 @@ class TestLinearityBonds:
         cp = CausalParams(xc=1.0, zc=0.5, xzc=4.0, y=1.0, xy=1.0, zy=1.0)
         assert linearity_bonds(cp).bond2_residual == pytest.approx(0.0, abs=1e-12)
 
-    def test_with_fit_populates_test(self):
+    def test_bond1_is_the_z_test_beta_hat(self):
         fit = fit_poisson(balanced_table(), two_way_spec())
         cp = causal_from_nocausal(fit.params)
-        rep = linearity_bonds(cp, fit)
-        assert rep.bond1_test is not None
-        assert abs(rep.bond1_test.z) < 1e-6
-        # bond 1 residual and the test statistic share a numerator
-        assert rep.bond1_residual == pytest.approx(
-            rep.bond1_test.beta_hat, abs=1e-10
-        )
+        res = additive_zero_test(fit)
+        assert abs(res.z) < 1e-6
+        # one expression on the same Y-block: the same bits, not just close
+        assert linearity_bonds(cp, fit).bond1_residual == res.beta_hat
+        assert linearity_bonds(cp).bond1_residual == res.beta_hat
 
     def test_interaction_model_rejected(self):
         cp = CausalParams(1, 1, 1, 1, 1, 1, 2.0, with_interaction=True)
@@ -202,10 +199,11 @@ def test_json_shapes():
 
     fit = fit_poisson(balanced_table(), two_way_spec())
     res = additive_zero_test(fit)
+    assert isinstance(res, TestResult)
     assert set(json.loads(res.to_json())) == {
         "beta_hat", "se", "z", "p", "constraint"
     }
-    rep = linearity_bonds(causal_from_nocausal(fit.params), fit)
+    rep = linearity_bonds(causal_from_nocausal(fit.params))
     assert set(json.loads(rep.to_json())) == {
-        "bond1_residual", "bond2_residual", "bond1_test"
+        "bond1_residual", "bond2_residual"
     }

@@ -36,7 +36,7 @@ from loglin_effects import (
     margin,
     saturated_spec,
 )
-from loglin_effects import inference  # not TestResult: pytest would collect it
+from loglin_effects.inference import TestResult
 
 README_COUNTS = (42, 18, 25, 31, 17, 23, 12, 48)
 
@@ -74,9 +74,8 @@ def _records():
                            "decomposition_residual", "direction", "source")),
         "TestResult": (test, ("beta_hat", "se", "z", "p_two_sided",
                               "combination")),
-        "LinearityReport": (linearity_bonds(cp, fit),
-                            ("bond1_residual", "bond2_residual",
-                             "bond1_test")),
+        "LinearityReport": (linearity_bonds(cp),
+                            ("bond1_residual", "bond2_residual")),
     }
 
 
@@ -219,10 +218,11 @@ def test_constructors_take_fields_by_keyword():
                            multiplicative_interaction=1.0,
                            decomposition_residual=0.0)
     assert report.direction == (0, 1) and report.source is None
-    result = inference.TestResult(beta_hat=0.0, se=1.0, z=0.0,
-                                  p_two_sided=1.0, combination="c")
-    assert LinearityReport(0.0, 0.0).bond1_test is None
-    assert LinearityReport(0.0, 0.0, result).bond1_test is result
+    result = TestResult(beta_hat=0.0, se=1.0, z=0.0, p_two_sided=1.0,
+                        combination="c")
+    assert result.combination == "c"
+    bonds = LinearityReport(bond1_residual=0.0, bond2_residual=1.0)
+    assert bonds.bond2_residual == 1.0
 
 
 # ---------------------------------------------------------------------------

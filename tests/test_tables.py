@@ -114,6 +114,20 @@ def positive_counts():
 
 
 class TestParse:
+    @pytest.mark.parametrize("text, fmt", [
+        (CSV_FULL, "csv"),
+        (json.dumps({"cells": [4 * x + 2 * z + y + 1 for x, z, y in CELLS]}),
+         "json"),
+        (json.dumps({"cells": [{"x": x, "z": z, "y": y,
+                                "count": 4 * x + 2 * z + y + 1}
+                               for x, z, y in CELLS]}), "json"),
+    ], ids=["csv", "json-flat", "json-objects"])
+    def test_leading_byte_order_mark_is_ignored(self, text, fmt):
+        # as spreadsheet programs write "CSV UTF-8", in bytes or decoded
+        want = parse_table(text, fmt).counts
+        for source in ("\ufeff" + text, ("\ufeff" + text).encode()):
+            assert parse_table(source, fmt).counts == want
+
     def test_csv_all_cells(self):
         t = parse_table(CSV_FULL, "csv")
         assert t.total == 36
@@ -360,6 +374,13 @@ class TestOneMatchPath:
         assert parse_table(text, "csv").counts == (42, 18, 25, 31, 17, 23, 12, 48)
         assert row_reads == [text]
 
+    def test_canonical_text_after_a_byte_order_mark_takes_one_match(
+            self, row_reads):
+        for source in ("\ufeff" + README_CSV, ("\ufeff" + README_CSV).encode()):
+            assert parse_table(source, "csv").counts == (
+                42, 18, 25, 31, 17, 23, 12, 48)
+        assert row_reads == []
+
     @pytest.mark.parametrize("count, message", [
         ("nan", "non-finite count 'nan'"),
         ("-1", "negative count '-1'"),
@@ -410,6 +431,12 @@ def _parsed(source, fmt="csv"):
     (_parsed("\r0"), "malformed CSV: " + _csv_error("\r0")),
     (_parsed(b"\xff"), "input is not UTF-8: 'utf-8' codec can't decode byte 0xff"
                        " in position 0: invalid start byte"),
+    # the mark counts in the position, as it does in the file
+    (_parsed(b"\xef\xbb\xbf\xff"), "input is not UTF-8: 'utf-8' codec can't "
+                                   "decode byte 0xff in position 3: invalid "
+                                   "start byte"),
+    (_parsed("\ufeff\ufeffx,z,y,count\n"),
+     "expected header x,z,y,count, got ['\\ufeffx', 'z', 'y', 'count']"),
     (_parsed("", "xml"), "unknown table format 'xml'"),
     (_parsed("[]", "json"), "JSON table must be an object with a 'cells' list"),
     (_parsed('{"cells": [1]}', "json"), "malformed cell entry 1"),
@@ -580,6 +607,12 @@ class TestDichotomize:
         assert t.count(1, 1, 1) == 1
         assert t.count(0, 0, 0) == 1
 
+    def test_array_thresholds(self):
+        # an array is never compared with "mean", which would not be a bool
+        t = dichotomize([(5, 5, 5), (1, 1, 1)], thresholds=np.array([3.0] * 3))
+        assert t.count(1, 1, 1) == 1
+        assert t.count(0, 0, 0) == 1
+
     @pytest.mark.parametrize("records, message", [
         ([(1, 0, 0), (2, 1, 1), (math.nan, 0, 1), (0, 1, 0)],
          "non-finite value nan for X in record 2"),
@@ -600,6 +633,27 @@ class TestDichotomize:
     def test_non_finite_threshold_rejected(self, thresholds, message):
         with pytest.raises(TableError) as got:
             dichotomize([(0, 0, 0), (2, 2, 2)], thresholds)
+        assert str(got.value) == message
+
+    @pytest.mark.parametrize("records, thresholds, message", [
+        ([(0, 0, 0), (2, 2, 2)], "median",
+         "thresholds must give one cut point per variable"),
+        ([(0, 0, 0), (2, 2, 2)], "123",
+         "thresholds must give one cut point per variable"),
+        ([(0, 0, 0), (2, 2, 2)], None,
+         "thresholds must give one cut point per variable"),
+        ([(0, 0, 0), (2, 2, 2)], (1, "a", 1),
+         "thresholds must give one cut point per variable"),
+        ([(0, 0, 0), (2, "q", 2)], "mean",
+         "records must hold numbers: could not convert string to float: 'q'"),
+        ([(0, 0, 0), 2], "mean",
+         "records must hold numbers: 'int' object is not iterable"),
+    ], ids=["median", "digit-string", "none", "cut-point-a", "value-q",
+            "record-not-a-tuple"])
+    def test_unusable_input_is_a_table_error(self, records, thresholds,
+                                             message):
+        with pytest.raises(TableError) as got:
+            dichotomize(records, thresholds)
         assert str(got.value) == message
 
     def test_linear_relation_concentrates_concordant_cells(self):
