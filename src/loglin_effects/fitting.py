@@ -11,7 +11,11 @@ MLE is the one among them with no three-way term, ``sum u log m = 0``
 (Bartlett, 1935): one unknown in one increasing equation.  The positive
 tables ``n + t*u`` form an interval of ``t``, which is empty exactly when
 the MLE does not exist (Haberman, 1974); otherwise the equation has one root
-in it, found by Newton's method.  The saturated model reproduces the counts.
+in it, found by Newton's method in the log of the root's distance from the
+nearer end.  Newton starts from an estimate that takes no log, three Newton
+steps on the equation's cubic form, and falls back to the interval's
+midpoint where that estimate is unusable (see ``_solve_two_way``).  The
+saturated model reproduces the counts.
 Both models read their Y-block off the cells with the same ratios, and the
 intercept and the X, Z and XZ terms with ``_cell_ratios``.
 
@@ -238,7 +242,10 @@ class NoCausalParams(_Record):
 class FitResult(_Record):
     """A maximum likelihood fit: its parameters, fitted counts, deviance
     and Newton steps under ``spec``; ``covariance`` is computed on first
-    use."""
+    use.  ``iterations`` counts the two-way solve's Newton steps in the log
+    of ``t``'s distance from an end of its interval (about one on typical
+    tables), not the log-free steps that estimate where they start; the
+    saturated closed form takes 0."""
 
     __slots__ = ("params", "fitted_counts", "deviance", "iterations", "spec",
                  "_covariance")
@@ -397,8 +404,9 @@ def _two_way_mle(n) -> tuple:
             )
     k = _scale_exponent(n)
     scaled, iterations = _solve_two_way([math.ldexp(c, k) for c in n])
-    y_block = _y_ratios(scaled)
-    if not all(0.0 < r < math.inf for r in y_block):
+    y_block = y, xy, zy = _y_ratios(scaled)
+    inf = math.inf
+    if not (0.0 < y < inf and 0.0 < xy < inf and 0.0 < zy < inf):
         raise FitError("a loglinear Y-block parameter overflows or underflows")
     m = tuple([math.ldexp(c, -k) for c in scaled])
     if min(m) < _TINY:
@@ -422,18 +430,35 @@ def _scale_exponent(n) -> int:
 
 def _solve_two_way(n) -> tuple:
     """The two-way MLE ``m = n + t*u`` of counts ``n``, and the Newton
-    steps it took.
+    steps in ``v = log s`` it took.
 
     ``t`` is the root of ``sum_even log(n + t) = sum_odd log(n - t)`` in
-    ``(-lo, hi)``, lo and hi the least even and odd counts.  The sign of
-    the equation at the midpoint picks the end nearer the root, and ``s``
-    is the root's distance from it: each fitted count is then a
-    non-negative ``a + s`` or a ``b - s`` with b >= 2s, so none cancels.
-    In ``v = log s`` the equation ``g = sum log(a + s) - sum log(b - s)``
-    is convex and increasing, with g' >= 1 (one ``a`` is 0) and g'' <= 2g',
-    so Newton's method from the midpoint descends to the root
-    monotonically, and after a step of at most ``_TOL`` the error in v is
-    below round-off.
+    ``(-lo, hi)``, lo and hi the least even and odd counts, and ``s`` is
+    its distance from one end: each fitted count is then a non-negative
+    ``a + s`` or a ``b - s``, with every b at least ``lo + hi = 2 mid``.
+    In v the equation ``g = sum log(a + s) - sum log(b - s)`` has the terms'
+    slopes ``s / (a + s)`` and ``s / (b - s)``, which rise with s, so g is
+    convex and increasing; one a is 0, so g' >= 1.  For ``s <= mid`` each
+    curvature ``a s / (a + s)^2`` or ``b s / (b - s)^2`` is at most twice its
+    slope, so g'' <= 2g'.  Hence, while s stays in ``(0, mid]``:
+
+    - a step from left of the root lands at or right of it, since g lies
+      above its tangents, and from there every step descends monotonically;
+    - ``log g'`` has slope at most 2, so after a step dv, from either side,
+      the error in v is at most ``-log(1 - 2|dv|)/2 - |dv|``, which is below
+      ``2 dv^2`` for ``|dv| <= 1/4`` and below round-off once
+      ``|dv| <= _TOL``;
+    - every ``b >= 2s``, so no fitted count cancels.
+
+    Newton starts from an estimate: three Newton steps from ``t = 0`` on
+    the cubic ``prod_even (n + t) - prod_odd (n - t)`` (its t^4 terms
+    cancel), which take no log.  The estimate picks the end, the even cells
+    rising when ``t + lo <= mid``.  The midpoint ``s = mid`` is the start
+    instead when the estimate is not finite (the products leave the float
+    range, or a count is 0), when its ``s`` is outside ``[_TINY, mid]``, or
+    when a step from it leaves the near half (``s > mid``, or ``exp``
+    overflows).  The sign of g at the midpoint picks the end from which
+    the midpoint is right of the root, so those steps only descend.
 
     The even cells, where u = +1, are 0, 3, 5 and 6, the odd ones 1, 2, 4
     and 7.  The four rising counts ``a + s`` are ``r0..r3`` and the four
@@ -442,41 +467,76 @@ def _solve_two_way(n) -> tuple:
     """
     n0, n1, n2, n3, n4, n5, n6, n7 = n
     lo, hi = min(n0, n3, n5, n6), min(n1, n2, n4, n7)
-    s = (lo + hi) / 2.0
-    if not s >= _TINY:
+    mid = (lo + hi) / 2.0
+    if not mid >= _TINY:
         raise FitError("a fitted count underflows")
-    log = math.log
-    r0, r1, r2, r3 = n0 - lo + s, n3 - lo + s, n5 - lo + s, n6 - lo + s
-    f0, f1, f2, f3 = n1 - hi + s, n2 - hi + s, n4 - hi + s, n7 - hi + s
-    g = ((log(r0) + log(r1) + log(r2) + log(r3))
-         - (log(f0) + log(f1) + log(f2) + log(f3)))
-    even_rises = g >= 0.0
-    if even_rises:  # t = -lo + s: even counts (n - lo) + s, odd (n + lo) - s
-        a0, a1, a2, a3 = n0 - lo, n3 - lo, n5 - lo, n6 - lo
-        b0, b1, b2, b3 = n1 + lo, n2 + lo, n4 + lo, n7 + lo
-    else:  # t = hi - s: odd counts (n - hi) + s, even (n + hi) - s
-        r0, r1, r2, r3, f0, f1, f2, f3 = f0, f1, f2, f3, r0, r1, r2, r3
-        g = -g
-        a0, a1, a2, a3 = n1 - hi, n2 - hi, n4 - hi, n7 - hi
-        b0, b1, b2, b3 = n0 + hi, n3 + hi, n5 + hi, n6 + hi
-    for iterations in range(1, _MAX_ITER + 1):
-        dv = g / (s * (1.0 / r0 + 1.0 / r1 + 1.0 / r2 + 1.0 / r3
-                       + 1.0 / f0 + 1.0 / f1 + 1.0 / f2 + 1.0 / f3))
-        s *= math.exp(-dv)
-        if not s >= _TINY:
-            raise FitError("a fitted count underflows")
-        r0, r1, r2, r3 = a0 + s, a1 + s, a2 + s, a3 + s
-        f0, f1, f2, f3 = b0 - s, b1 - s, b2 - s, b3 - s
-        if abs(dv) <= _TOL:
-            break
-        g = ((log(r0) + log(r1) + log(r2) + log(r3))
-             - (log(f0) + log(f1) + log(f2) + log(f3)))
-    else:
-        raise FitError(f"the two-way fit did not converge in {_MAX_ITER} "
-                       "steps")
-    if even_rises:
-        return (r0, f0, f1, r1, f2, r2, r3, f3), iterations
-    return (f0, r0, r1, f1, r2, f2, f3, r3), iterations
+    t = 0.0
+    try:
+        for _ in range(3):
+            r0, r1, r2, r3 = n0 + t, n3 + t, n5 + t, n6 + t
+            f0, f1, f2, f3 = n1 - t, n2 - t, n4 - t, n7 - t
+            pr, pf = r0 * r1 * r2 * r3, f0 * f1 * f2 * f3
+            t -= (pr - pf) / (
+                pr * (1.0 / r0 + 1.0 / r1 + 1.0 / r2 + 1.0 / r3)
+                + pf * (1.0 / f0 + 1.0 / f1 + 1.0 / f2 + 1.0 / f3))
+    except ZeroDivisionError:
+        t = math.nan
+    even_rises = t + lo <= mid
+    s = t + lo if even_rises else hi - t
+    log, exp = math.log, math.exp
+    iterations = 0
+    while True:  # from the estimate, then if need be from the midpoint
+        if _TINY <= s <= mid:  # nan fails it too
+            top = mid
+            if even_rises:
+                a0, a1, a2, a3 = n0 - lo, n3 - lo, n5 - lo, n6 - lo
+                b0, b1, b2, b3 = n1 + lo, n2 + lo, n4 + lo, n7 + lo
+            else:
+                a0, a1, a2, a3 = n1 - hi, n2 - hi, n4 - hi, n7 - hi
+                b0, b1, b2, b3 = n0 + hi, n3 + hi, n5 + hi, n6 + hi
+            r0, r1, r2, r3 = a0 + s, a1 + s, a2 + s, a3 + s
+            f0, f1, f2, f3 = b0 - s, b1 - s, b2 - s, b3 - s
+            g = ((log(r0) + log(r1) + log(r2) + log(r3))
+                 - (log(f0) + log(f1) + log(f2) + log(f3)))
+        else:  # its steps never rise, so no limit applies
+            s, top = mid, math.inf
+            r0, r1, r2, r3 = n0 - lo + s, n3 - lo + s, n5 - lo + s, n6 - lo + s
+            f0, f1, f2, f3 = n1 - hi + s, n2 - hi + s, n4 - hi + s, n7 - hi + s
+            g = ((log(r0) + log(r1) + log(r2) + log(r3))
+                 - (log(f0) + log(f1) + log(f2) + log(f3)))
+            even_rises = g >= 0.0
+            if even_rises:  # t = -lo + s: even (n - lo) + s, odd (n + lo) - s
+                a0, a1, a2, a3 = n0 - lo, n3 - lo, n5 - lo, n6 - lo
+                b0, b1, b2, b3 = n1 + lo, n2 + lo, n4 + lo, n7 + lo
+            else:  # t = hi - s: odd counts (n - hi) + s, even (n + hi) - s
+                r0, r1, r2, r3, f0, f1, f2, f3 = f0, f1, f2, f3, r0, r1, r2, r3
+                g = -g
+                a0, a1, a2, a3 = n1 - hi, n2 - hi, n4 - hi, n7 - hi
+                b0, b1, b2, b3 = n0 + hi, n3 + hi, n5 + hi, n6 + hi
+        for _ in range(_MAX_ITER):
+            dv = g / (s * (1.0 / r0 + 1.0 / r1 + 1.0 / r2 + 1.0 / r3
+                           + 1.0 / f0 + 1.0 / f1 + 1.0 / f2 + 1.0 / f3))
+            iterations += 1
+            try:
+                s *= exp(-dv)
+            except OverflowError:
+                break
+            if s > top:
+                break
+            if not s >= _TINY:
+                raise FitError("a fitted count underflows")
+            r0, r1, r2, r3 = a0 + s, a1 + s, a2 + s, a3 + s
+            f0, f1, f2, f3 = b0 - s, b1 - s, b2 - s, b3 - s
+            if abs(dv) <= _TOL:
+                if even_rises:
+                    return (r0, f0, f1, r1, f2, r2, r3, f3), iterations
+                return (f0, r0, r1, f1, r2, f2, f3, r3), iterations
+            g = ((log(r0) + log(r1) + log(r2) + log(r3))
+                 - (log(f0) + log(f1) + log(f2) + log(f3)))
+        else:
+            raise FitError(f"the two-way fit did not converge in {_MAX_ITER} "
+                           "steps")
+        s = math.nan
 
 
 def _y_ratios(m) -> tuple:

@@ -300,14 +300,24 @@ def dichotomize(records, thresholds="mean") -> ContingencyTable:
 
 
 def parse_table(source, fmt: str = "csv") -> ContingencyTable:
-    """Parse a table from bytes, text, or a readable stream.
+    """Parse a table from text, UTF-8 bytes or any bytes-like object, or a
+    readable stream of either.
 
     CSV: header ``x,z,y,count``.  JSON: ``{"labels": [...], "cells": [...]}``
     where cells is either 8 objects ``{x,z,y,count}`` or a flat 8-array in
     canonical order.  Missing cells count 0; a leading BOM is ignored.
+    Any other source raises ``TableError``.
     """
     if hasattr(source, "read"):
         source = source.read()
+    if not isinstance(source, (str, bytes)):
+        try:
+            source = bytes(memoryview(source))
+        except TypeError:
+            raise TableError(
+                f"cannot read a table from {type(source).__name__}: expected "
+                "text, bytes or a readable stream"
+            ) from None
     if isinstance(source, bytes):
         try:
             source = source.decode("utf-8")

@@ -1,13 +1,22 @@
-"""Effects against an exact rational reference and at extreme odds.
+"""Effects and two-way fits against exact rational references, and effects
+at extreme odds.
 
 Under the saturated model the fitted table is the observed one, so for an
 integer count table every conditional probability is a ratio of count
 sums and every effect is rational in the counts.  ``exact_effects``
 evaluates the definitions in ``fractions.Fraction`` arithmetic; it shares
 no code with the engine or the oracle.
+
+The two-way MLE is ``n + t*u``, u = +1 on the even cells (0, 3, 5, 6) and
+-1 on the odd ones, with ``t`` the root in ``(-lo, hi)`` of the cubic
+``prod_even (n + t) - prod_odd (n - t)`` (its t^4 terms cancel), lo and hi
+the least even and odd counts.  Every float count is a dyadic rational, so
+``exact_two_way_mle`` brackets the root by the exact sign of the cubic.
 """
 
 import math
+import random
+import struct
 from fractions import Fraction
 
 import pytest
@@ -18,9 +27,11 @@ from loglin_effects import (
     CausalParams,
     ContingencyTable,
     DegenerateProbabilityError,
+    FitError,
     conditional_probabilities,
     effects_report,
     fit_causal,
+    fit_poisson,
     lde,
     oracle_effects,
 )
@@ -75,6 +86,100 @@ counts_1e12 = st.lists(
     st.floats(0.0, 12.0).map(lambda e: max(1, round(10.0 ** e))),
     min_size=8, max_size=8,
 )
+
+
+_EVEN = (0, 3, 5, 6)
+_ODD = (1, 2, 4, 7)
+
+
+def _float_bits(x: float) -> int:
+    """The bits of a float >= 0, which order such floats as they are."""
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _bits_float(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def exact_two_way_mle(counts, extra_bits=40) -> list:
+    """The two-way MLE of ``counts`` as Fractions; the MLE must exist.
+
+    ``s``, the root's distance from the end of ``(-lo, hi)`` nearer to it,
+    is bracketed between adjacent floats by bisection on their bits, and
+    the bracket is then halved ``extra_bits`` times in Fractions: for a
+    normal ``s`` a relative width of 2^-(52 + extra_bits).  Every fitted
+    count is ``a + s`` or ``b - s`` with ``a >= 0`` and ``b >= 2s``, so
+    each is as relatively exact as ``s``.
+    """
+    n = [Fraction(c) for c in counts]
+    lo, hi = min(n[i] for i in _EVEN), min(n[i] for i in _ODD)
+
+    def cubic(t):
+        return (math.prod(n[i] + t for i in _EVEN)
+                - math.prod(n[i] - t for i in _ODD))
+
+    # the cubic rises through its one root on (-lo, hi); from the end
+    # nearer the root, s is at or beyond it when ``beyond(s)``
+    mid = (lo + hi) / 2
+    sign = 1 if cubic(mid - lo) >= 0 else -1
+    end = -lo if sign > 0 else hi
+
+    def beyond(s):
+        return sign * cubic(end + sign * s) >= 0
+
+    below, above = 0, _float_bits(math.nextafter(float(mid), math.inf))
+    assert not beyond(0) and beyond(Fraction(_bits_float(above)))
+    while above - below > 1:
+        half = (below + above) // 2
+        if beyond(Fraction(_bits_float(half))):
+            above = half
+        else:
+            below = half
+    below, above = Fraction(_bits_float(below)), Fraction(_bits_float(above))
+    for _ in range(extra_bits):
+        half = (below + above) / 2
+        below, above = (below, half) if beyond(half) else (half, above)
+    t = end + sign * (below + above) / 2
+    return [c + t if i in _EVEN else c - t for i, c in enumerate(n)]
+
+
+def _two_way_tables() -> list:
+    """A fixed list of 160 tables in four strata of 40: integer counts
+    log-uniform on 1..1e6; integers 0..40 with a zero in one parity class
+    only; 10^U(-5, 5); 10^U(-300, 300)."""
+    rng = random.Random(1817)
+    tables = []
+    for _ in range(40):
+        tables.append([float(round(10.0 ** rng.uniform(0.0, 6.0)))
+                       for _ in range(8)])
+    for _ in range(40):
+        counts = [float(rng.randint(1, 40)) for _ in range(8)]
+        cells = rng.choice((_EVEN, _ODD))
+        for i in rng.sample(cells, rng.randint(1, 3)):
+            counts[i] = 0.0
+        tables.append(counts)
+    for exponent in (5.0, 300.0):
+        for _ in range(40):
+            tables.append([10.0 ** rng.uniform(-exponent, exponent)
+                           for _ in range(8)])
+    return tables
+
+
+class TestExactTwoWayReference:
+    def test_fits_within_1e12_of_exact(self):
+        fitted = 0
+        for counts in _two_way_tables():
+            try:
+                fit = fit_poisson(ContingencyTable(tuple(counts)))
+            except FitError:
+                continue
+            fitted += 1
+            exact = exact_two_way_mle(counts)
+            for got, want in zip(fit.fitted_counts, exact):
+                assert abs(Fraction(got) - want) <= want * Fraction(1, 10**12), (
+                    counts, got, float(want))
+        # the first three strata, 120 tables, always fit
+        assert fitted >= 120
 
 
 class TestExactReference:

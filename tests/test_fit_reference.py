@@ -4,7 +4,10 @@
 the Newton loop was unrolled and ``fit_causal`` stopped building a
 ``FitResult``: the existence check, the scaled solve with its lists of
 rising and falling counts, the Y-block and underflow checks, the deviance
-and the cell-ratio parameters, in that order; ``reference_covariance``
+and the cell-ratio parameters, in that order.  Its solve starts Newton's
+method where the library does: at the estimate from three Newton steps on
+the cubic, or at the midpoint when that estimate is unusable or a step
+from it leaves the near half of the interval.  ``reference_covariance``
 computes every entry of the covariance on its own.  Its sums are explicit
 left folds, which is how ``sum`` added floats before Python 3.12, so the
 reference gives the same bits on every supported version.  ``fit_poisson``
@@ -51,23 +54,36 @@ def _fold(values):
     return reduce(operator.add, values, 0.0)
 
 
-def _reference_solve(n):
-    lo, hi = min(n[i] for i in _EVEN), min(n[i] for i in _ODD)
-    s = (lo + hi) / 2.0
-    if not s >= sys.float_info.min:
-        raise FitError("a fitted count underflows")
-    rising = [n[i] - lo + s for i in _EVEN]
-    falling = [n[i] - hi + s for i in _ODD]
-    g = _fold(map(math.log, rising)) - _fold(map(math.log, falling))
-    if g >= 0.0:
-        rise, fall, end = _EVEN, _ODD, lo
-    else:
-        rise, fall, end = _ODD, _EVEN, hi
-        rising, falling, g = falling, rising, -g
+def _reference_estimate(n):
+    """``t`` after three Newton steps from 0 on the cubic
+    ``prod_even (n + t) - prod_odd (n - t)``, or nan on a zero divisor."""
+    t = 0.0
+    try:
+        for _ in range(3):
+            rising = [n[i] + t for i in _EVEN]
+            falling = [n[i] - t for i in _ODD]
+            up = reduce(operator.mul, rising)
+            down = reduce(operator.mul, falling)
+            t -= (up - down) / (up * _fold([1.0 / c for c in rising])
+                                + down * _fold([1.0 / c for c in falling]))
+    except ZeroDivisionError:
+        return math.nan
+    return t
+
+
+def _reference_newton(n, rise, fall, end, s, rising, falling, g, top):
+    """Newton's method in log s from ``s``, the counts of ``rise`` rising
+    from ``n - end``: the fitted counts and the steps, or ``None`` and the
+    steps when a step leaves ``(0, top]``."""
     up, down = [n[i] - end for i in rise], [n[i] + end for i in fall]
     for iterations in range(1, 101):
         dv = g / (s * _fold([1.0 / c for c in rising + falling]))
-        s *= math.exp(-dv)
+        try:
+            s *= math.exp(-dv)
+        except OverflowError:
+            return None, iterations
+        if s > top:
+            return None, iterations
         if not s >= sys.float_info.min:
             raise FitError("a fitted count underflows")
         rising, falling = [a + s for a in up], [b - s for b in down]
@@ -78,6 +94,40 @@ def _reference_solve(n):
         raise FitError("the two-way fit did not converge in 100 steps")
     m = dict(zip(rise + fall, rising + falling))
     return [m[i] for i in range(8)], iterations
+
+
+def _reference_solve(n):
+    lo, hi = min(n[i] for i in _EVEN), min(n[i] for i in _ODD)
+    mid = (lo + hi) / 2.0
+    if not mid >= sys.float_info.min:
+        raise FitError("a fitted count underflows")
+    steps = 0
+    t = _reference_estimate(n)
+    if t + lo <= mid:
+        rise, fall, end, s = _EVEN, _ODD, lo, t + lo
+    else:
+        rise, fall, end, s = _ODD, _EVEN, hi, hi - t
+    if sys.float_info.min <= s <= mid:
+        rising = [n[i] - end + s for i in rise]
+        falling = [n[i] + end - s for i in fall]
+        g = _fold(map(math.log, rising)) - _fold(map(math.log, falling))
+        m, steps = _reference_newton(n, rise, fall, end, s, rising, falling,
+                                     g, mid)
+        if m is not None:
+            return m, steps
+    # from the midpoint, on the side the sign of the equation there picks
+    s = mid
+    rising = [n[i] - lo + s for i in _EVEN]
+    falling = [n[i] - hi + s for i in _ODD]
+    g = _fold(map(math.log, rising)) - _fold(map(math.log, falling))
+    if g >= 0.0:
+        rise, fall, end = _EVEN, _ODD, lo
+    else:
+        rise, fall, end = _ODD, _EVEN, hi
+        rising, falling, g = falling, rising, -g
+    m, more = _reference_newton(n, rise, fall, end, s, rising, falling, g,
+                                math.inf)
+    return m, steps + more
 
 
 def _reference_log_ratio(c, f):

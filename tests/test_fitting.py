@@ -15,6 +15,7 @@ from loglin_effects import (
     FitError,
     ModelSpec,
     NoCausalParams,
+    additive_zero_test,
     design_matrix,
     effects_report,
     fit_causal,
@@ -393,6 +394,19 @@ class TestTwoWayMleByDefinition:
               1.98e-171, 1.07e200, 2.40e267, 2.99e-228))
     @example((1e202, 3.39e222, 2.39e39, 5.63e103,
               3.55e69, 5.07e-193, 1.56e-132, 1.75e178))
+    # Newton starts at the midpoint, not at the cubic's estimate, when the
+    # cubic's products overflow (FAR_OFF's underflow), at a zero count, when
+    # the estimate lies outside the near half, when a step from it leaves
+    # the near half, and when that step overflows exp
+    @example((1.12e90, 4.38e189, 1.92e-290, 8.66e265,
+              4.77e137, 7.35e63, 1.56e243, 6.42e230))
+    @example((0, 5, 3, 7, 2, 4, 6, 1))
+    @example((1.13e-48, 7.49e37, 1.1e32, 8.8e-37,
+              2.04e29, 2.22e10, 9.54e-38, 3.18e36))
+    @example((3.88e11, 6.63e15, 3.82e238, 1.47e173,
+              5.58e-151, 8.66e239, 1.72e41, 1.02e182))
+    @example((5.12e-9, 9.4e-36, 1.19e267, 4.81e265,
+              3.03e-149, 2.12e-45, 2.84e76, 5.81e-263))
     def test_fit_is_the_mle_or_a_fit_error(self, counts):
         try:
             fit = fit_poisson(ContingencyTable(counts))
@@ -406,25 +420,52 @@ class TestTwoWayMleByDefinition:
         _assert_two_way_mle(FAR_OFF, fit.fitted_counts)
         assert fit.iterations <= 10
 
+    def test_newton_steps_from_the_cubic_estimate(self):
+        # multinomial tables like the benchmark's, every count positive: the
+        # estimate is nearly the root, so about one log step is left
+        rng = np.random.default_rng(18)
+        steps = []
+        for _ in range(500):
+            p = np.asarray(random_nocausal(rng).expected_counts())
+            total = round(math.exp(rng.uniform(math.log(50), math.log(1e6))))
+            counts = rng.multinomial(total, p / p.sum())
+            if counts.min() > 0:
+                table = ContingencyTable(tuple(map(float, counts)))
+                steps.append(fit_poisson(table).iterations)
+        assert len(steps) >= 450
+        assert sum(steps) / len(steps) <= 1.2
+        assert max(steps) <= 3
+
     def test_readme_fit_matches_a_decimal_reference(self):
-        # bisection on t for sum_even log(n + t) = sum_odd log(n - t)
-        ctx = decimal.Context(prec=60)
-        n = [decimal.Decimal(c) for c in README_COUNTS]
+        # bisection on t for sum_even log(n + t) = sum_odd log(n - t) in 60
+        # digits; each fitted count, and the z-test's beta_hat, SE and z, is
+        # within 2 ulps
+        fit = fit_poisson(ContingencyTable(README_COUNTS))
+        test = additive_zero_test(fit)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            n = [decimal.Decimal(c) for c in README_COUNTS]
 
-        def three_way(t):
-            return sum(ctx.ln(c + t) if i in _EVEN_CELLS else -ctx.ln(c - t)
-                       for i, c in enumerate(n))
+            def three_way(t):
+                return sum((c + t).ln() if i in _EVEN_CELLS else -(c - t).ln()
+                           for i, c in enumerate(n))
 
-        lo = -min(n[i] for i in _EVEN_CELLS)
-        hi = min(c for i, c in enumerate(n) if i not in _EVEN_CELLS)
-        for _ in range(200):
-            mid = (lo + hi) / 2
-            lo, hi = (lo, mid) if three_way(mid) > 0 else (mid, hi)
-        want = [c + lo if i in _EVEN_CELLS else c - lo
-                for i, c in enumerate(n)]
-        got = fit_poisson(ContingencyTable(README_COUNTS)).fitted_counts
-        for g, w in zip(got, want):
-            assert abs(decimal.Decimal(g) - w) <= decimal.Decimal("1e-15") * w
+            lo = -min(n[i] for i in _EVEN_CELLS)
+            hi = min(c for i, c in enumerate(n) if i not in _EVEN_CELLS)
+            for _ in range(200):
+                mid = (lo + hi) / 2
+                lo, hi = (lo, mid) if three_way(mid) > 0 else (mid, hi)
+            m = [c + lo if i in _EVEN_CELLS else c - lo
+                 for i, c in enumerate(n)]
+            beta_hat = (m[3] * m[5] / (m[2] * m[4])).ln()
+            se = (1 / (1 / sum(1 / m[i] for i in (0, 1, 6, 7))
+                       + 1 / sum(1 / m[i] for i in (2, 3, 4, 5)))).sqrt()
+            pairs = list(zip(fit.fitted_counts, m))
+            pairs += [(test.beta_hat, beta_hat), (test.se, se),
+                      (test.z, beta_hat / se)]
+            for got, want in pairs:
+                error = abs(decimal.Decimal(got) - want)
+                assert error <= 2 * decimal.Decimal(math.ulp(got)), (got, want)
 
 
 def _exact_covariance(fit):

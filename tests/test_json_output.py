@@ -7,8 +7,13 @@ JSON), recorded before the commands built their JSON documents from
 ``to_dict`` instead of reparsing ``to_json``.  The covariance values of the
 two ``fit`` JSON cases were re-recorded when the covariance became a closed
 form; the ``test`` JSON case was re-recorded when its ``linearity`` object
-lost its copy of the z-test and bond 1 became ``beta_hat``'s expression;
-every byte is compared.
+lost its copy of the z-test and bond 1 became ``beta_hat``'s expression.
+The two-way ``fit`` cases and the ``test`` JSON case were re-recorded when
+the two-way solve began to start Newton's method at the cubic's estimate:
+``iterations`` went from 4 to 1, and the last bits of the fitted counts
+and what follows from them moved, the z-test's SE and z nearer their
+60-digit values (``test_fitting.py`` holds them within 2 ulps of those).
+Every byte is compared.
 """
 
 import json

@@ -177,6 +177,13 @@ class TestParse:
         t = parse_table(CSV_FULL.replace("\n", "\r\n").encode(), "csv")
         assert t.total == 36
 
+    @pytest.mark.parametrize("wrap", [bytearray, memoryview])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_bytes_like_source_reads_as_bytes(self, wrap, fmt):
+        data = serialize_table(ContingencyTable(tuple(range(1, 9))),
+                               fmt).encode()
+        assert parse_table(wrap(data), fmt) == parse_table(data, fmt)
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_roundtrip(self, fmt, rng):
         t = ContingencyTable(tuple(rng.uniform(0.5, 50, 8)))
@@ -435,6 +442,17 @@ def _parsed(source, fmt="csv"):
     (_parsed(b"\xef\xbb\xbf\xff"), "input is not UTF-8: 'utf-8' codec can't "
                                    "decode byte 0xff in position 3: invalid "
                                    "start byte"),
+    # a bytes-like source decodes as bytes do; any other is no table source
+    (_parsed(bytearray(b"\xff")), "input is not UTF-8: 'utf-8' codec can't "
+                                  "decode byte 0xff in position 0: invalid "
+                                  "start byte"),
+    (_parsed(123), "cannot read a table from int: expected text, bytes or a "
+                   "readable stream"),
+    (_parsed(None), "cannot read a table from NoneType: expected text, bytes "
+                    "or a readable stream"),
+    (_parsed(memoryview(b"\xef\xbb\xbf\xff")),
+     "input is not UTF-8: 'utf-8' codec can't decode byte 0xff in position 3:"
+     " invalid start byte"),
     (_parsed("\ufeff\ufeffx,z,y,count\n"),
      "expected header x,z,y,count, got ['\\ufeffx', 'z', 'y', 'count']"),
     (_parsed("", "xml"), "unknown table format 'xml'"),
