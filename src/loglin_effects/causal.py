@@ -26,7 +26,6 @@ from .tables import (
     JointProbabilityTable,
     _left_sum,
     _Record,
-    _set,
 )
 
 
@@ -41,10 +40,11 @@ class CausalParams(_Record):
     ``xzy`` drive P(Y|X,Z) and coincide with the plain loglinear Y-block.
     """
 
-    __slots__ = ("xc", "zc", "xzc", "y", "xy", "zy", "xzy", "with_interaction")
+    __slots__ = ()
+    _fields = ("xc", "zc", "xzc", "y", "xy", "zy", "xzy", "with_interaction")
 
-    def __init__(self, xc: float, zc: float, xzc: float, y: float, xy: float,
-                 zy: float, xzy: float = 1.0, with_interaction: bool = False):
+    def __new__(cls, xc: float, zc: float, xzc: float, y: float, xy: float,
+                zy: float, xzy: float = 1.0, with_interaction: bool = False):
         # one chained test of all seven (nan fails it too); only a failing
         # set is searched for the name to report
         inf = math.inf
@@ -58,14 +58,8 @@ class CausalParams(_Record):
             raise CausalModelError(
                 "three-way parameter must be 1 without interaction"
             )
-        _set(self, "xc", xc)
-        _set(self, "zc", zc)
-        _set(self, "xzc", xzc)
-        _set(self, "y", y)
-        _set(self, "xy", xy)
-        _set(self, "zy", zy)
-        _set(self, "xzy", xzy)
-        _set(self, "with_interaction", with_interaction)
+        return tuple.__new__(
+            cls, (xc, zc, xzc, y, xy, zy, xzy, with_interaction))
 
     def to_dict(self) -> dict:
         cond = conditional_probabilities(self)
@@ -95,12 +89,11 @@ class NormalizationFactors(_Record):
     """The seven normalization factors of the causal decomposition:
     ``z_given_x`` is indexed by x and ``y_given_xz`` keyed by (x, z)."""
 
-    __slots__ = ("x_norm", "z_given_x", "y_given_xz")
+    __slots__ = ()
+    _fields = ("x_norm", "z_given_x", "y_given_xz")
 
-    def __init__(self, x_norm: float, z_given_x: tuple, y_given_xz: dict):
-        _set(self, "x_norm", x_norm)
-        _set(self, "z_given_x", z_given_x)
-        _set(self, "y_given_xz", y_given_xz)
+    def __new__(cls, x_norm: float, z_given_x: tuple, y_given_xz: dict):
+        return tuple.__new__(cls, (x_norm, z_given_x, y_given_xz))
 
 
 def eta_factors(cp: CausalParams) -> NormalizationFactors:
@@ -124,17 +117,14 @@ class ConditionalProbabilities(_Record):
     accuracy of its complement.
     """
 
-    __slots__ = ("p_x1", "p_z1_given_x", "p_y1_given_xz", "p_x0",
-                 "p_z0_given_x", "p_y0_given_xz")
+    __slots__ = ()
+    _fields = ("p_x1", "p_z1_given_x", "p_y1_given_xz", "p_x0",
+               "p_z0_given_x", "p_y0_given_xz")
 
-    def __init__(self, p_x1: float, p_z1_given_x: tuple, p_y1_given_xz: dict,
-                 p_x0: float, p_z0_given_x: tuple, p_y0_given_xz: dict):
-        _set(self, "p_x1", p_x1)
-        _set(self, "p_z1_given_x", p_z1_given_x)
-        _set(self, "p_y1_given_xz", p_y1_given_xz)
-        _set(self, "p_x0", p_x0)
-        _set(self, "p_z0_given_x", p_z0_given_x)
-        _set(self, "p_y0_given_xz", p_y0_given_xz)
+    def __new__(cls, p_x1: float, p_z1_given_x: tuple, p_y1_given_xz: dict,
+                p_x0: float, p_z0_given_x: tuple, p_y0_given_xz: dict):
+        return tuple.__new__(cls, (p_x1, p_z1_given_x, p_y1_given_xz, p_x0,
+                                   p_z0_given_x, p_y0_given_xz))
 
     def joint(self) -> JointProbabilityTable:
         y0, y1 = self.p_y0_given_xz, self.p_y1_given_xz

@@ -28,7 +28,8 @@ Y-block, so it neither checks the other parameters nor builds a
 
 The covariance of the additive parameters, ``(D' diag(m) D)^-1`` over the
 dummy-coded design matrix ``D``, is computed on first use in closed form,
-from index tables that are built on the first such use.
+from index tables that are built on the first such use, and kept in the
+``FitResult``'s cache, a list after its fields.
 ``C``, the inverse of the saturated dummy coding, maps the log counts to the
 parameters, and the saturated covariance is ``C diag(1/m) C'``.  The two-way
 model's log counts have the covariance ``diag(1/m) - (u/m)(u/m)' / sum(1/m)``,
@@ -52,7 +53,6 @@ from .tables import (
     ContingencyTable,
     _left_sum,
     _Record,
-    _set,
 )
 
 #: term order shared by design matrices, parameter vectors, and covariances;
@@ -79,12 +79,13 @@ class ModelSpec(_Record):
     """The two-way model ``[XZ][XY][ZY]``, or with ``with_three_way`` the
     saturated model."""
 
-    __slots__ = ("with_three_way",)
+    __slots__ = ()
+    _fields = ("with_three_way",)
 
-    def __init__(self, with_three_way: bool = False):
+    def __new__(cls, with_three_way: bool = False):
         if not isinstance(with_three_way, bool):
             raise ValueError("with_three_way must be a bool")
-        _set(self, "with_three_way", with_three_way)
+        return tuple.__new__(cls, (with_three_way,))
 
     @property
     def ordered_terms(self) -> tuple:
@@ -179,10 +180,11 @@ class NoCausalParams(_Record):
     the componentwise log.
     """
 
-    __slots__ = _FIELDS
+    __slots__ = ()
+    _fields = _FIELDS
 
-    def __init__(self, eta: float, x: float, z: float, y: float, xz: float,
-                 xy: float, zy: float, xzy: float = 1.0):
+    def __new__(cls, eta: float, x: float, z: float, y: float, xz: float,
+                xy: float, zy: float, xzy: float = 1.0):
         # one chained test of all eight (nan fails it too); only a failing
         # set is searched for the name to report
         inf = math.inf
@@ -190,14 +192,7 @@ class NoCausalParams(_Record):
                 and 0.0 < y < inf and 0.0 < xz < inf and 0.0 < xy < inf
                 and 0.0 < zy < inf and 0.0 < xzy < inf):
             _check_positive((eta, x, z, y, xz, xy, zy, xzy))
-        _set(self, "eta", eta)
-        _set(self, "x", x)
-        _set(self, "z", z)
-        _set(self, "y", y)
-        _set(self, "xz", xz)
-        _set(self, "xy", xy)
-        _set(self, "zy", zy)
-        _set(self, "xzy", xzy)
+        return tuple.__new__(cls, (eta, x, z, y, xz, xy, zy, xzy))
 
     @property
     def multiplicative(self) -> dict:
@@ -245,18 +240,16 @@ class FitResult(_Record):
     use.  ``iterations`` counts the two-way solve's Newton steps in the log
     of ``t``'s distance from an end of its interval (about one on typical
     tables), not the log-free steps that estimate where they start; the
-    saturated closed form takes 0."""
+    saturated closed form takes 0.  A private list after the five fields
+    keeps the covariance once computed."""
 
-    __slots__ = ("params", "fitted_counts", "deviance", "iterations", "spec",
-                 "_covariance")
+    __slots__ = ()
+    _fields = ("params", "fitted_counts", "deviance", "iterations", "spec")
 
-    def __init__(self, params: NoCausalParams, fitted_counts: tuple,
-                 deviance: float, iterations: int, spec: ModelSpec):
-        _set(self, "params", params)
-        _set(self, "fitted_counts", fitted_counts)
-        _set(self, "deviance", deviance)
-        _set(self, "iterations", iterations)
-        _set(self, "spec", spec)
+    def __new__(cls, params: NoCausalParams, fitted_counts: tuple,
+                deviance: float, iterations: int, spec: ModelSpec):
+        return tuple.__new__(
+            cls, (params, fitted_counts, deviance, iterations, spec, []))
 
     @property
     def covariance(self) -> tuple:
@@ -266,10 +259,9 @@ class FitResult(_Record):
         closed form (see the module docstring) and kept.  An entry out of the
         float range raises ``FitError``.
         """
-        try:
-            return self._covariance
-        except AttributeError:
-            pass
+        cache = self[5]
+        if cache:
+            return cache[0]
         m = self.fitted_counts
         terms = _covariance_terms(self.spec.with_three_way)
         if self.spec.with_three_way:
@@ -301,7 +293,7 @@ class FitResult(_Record):
         if not all(math.isfinite(v) for row in cov for v in row):
             raise FitError("the covariance leaves the float range")
         cov = tuple(map(tuple, cov))
-        _set(self, "_covariance", cov)
+        cache.append(cov)
         return cov
 
     def to_dict(self) -> dict:

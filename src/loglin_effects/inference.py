@@ -17,7 +17,7 @@ import math
 
 from .causal import CausalParams, CausalModelError
 from .fitting import FitResult
-from .tables import _Record, _set
+from .tables import _Record
 
 
 class TestError(ValueError):
@@ -38,15 +38,12 @@ class TestResult(_Record):
     """A z-test of the linear ``combination`` of parameters being 0."""
 
     __test__ = False  # not a pytest test class
-    __slots__ = ("beta_hat", "se", "z", "p_two_sided", "combination")
+    __slots__ = ()
+    _fields = ("beta_hat", "se", "z", "p_two_sided", "combination")
 
-    def __init__(self, beta_hat: float, se: float, z: float,
-                 p_two_sided: float, combination: str):
-        _set(self, "beta_hat", beta_hat)
-        _set(self, "se", se)
-        _set(self, "z", z)
-        _set(self, "p_two_sided", p_two_sided)
-        _set(self, "combination", combination)
+    def __new__(cls, beta_hat: float, se: float, z: float,
+                p_two_sided: float, combination: str):
+        return tuple.__new__(cls, (beta_hat, se, z, p_two_sided, combination))
 
     def to_dict(self) -> dict:
         return {
@@ -61,11 +58,11 @@ class TestResult(_Record):
 class LinearityReport(_Record):
     """The log-scale residuals of the two linearity bonds."""
 
-    __slots__ = ("bond1_residual", "bond2_residual")
+    __slots__ = ()
+    _fields = ("bond1_residual", "bond2_residual")
 
-    def __init__(self, bond1_residual: float, bond2_residual: float):
-        _set(self, "bond1_residual", bond1_residual)
-        _set(self, "bond2_residual", bond2_residual)
+    def __new__(cls, bond1_residual: float, bond2_residual: float):
+        return tuple.__new__(cls, (bond1_residual, bond2_residual))
 
     def to_dict(self) -> dict:
         return {

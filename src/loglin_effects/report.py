@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .tables import _Record, _set
+from .tables import _Record
 
 
 class EffectsReport(_Record):
@@ -13,26 +13,21 @@ class EffectsReport(_Record):
     ``to_dict`` emits it only when set.
     """
 
-    __slots__ = ("te", "lde", "cell", "ie", "ie_reverse", "nde",
-                 "additive_interaction", "multiplicative_interaction",
-                 "decomposition_residual", "direction", "source")
+    __slots__ = ()
+    _fields = ("te", "lde", "cell", "ie", "ie_reverse", "nde",
+               "additive_interaction", "multiplicative_interaction",
+               "decomposition_residual", "direction", "source")
 
-    def __init__(self, te: float, lde: tuple, cell: tuple, ie: float,
-                 ie_reverse: float, nde: float, additive_interaction: float,
-                 multiplicative_interaction: float,
-                 decomposition_residual: float, direction: tuple = (0, 1),
-                 source: str | None = None):
-        _set(self, "te", te)
-        _set(self, "lde", lde)
-        _set(self, "cell", cell)
-        _set(self, "ie", ie)
-        _set(self, "ie_reverse", ie_reverse)
-        _set(self, "nde", nde)
-        _set(self, "additive_interaction", additive_interaction)
-        _set(self, "multiplicative_interaction", multiplicative_interaction)
-        _set(self, "decomposition_residual", decomposition_residual)
-        _set(self, "direction", direction)
-        _set(self, "source", source)
+    def __new__(cls, te: float, lde: tuple, cell: tuple, ie: float,
+                ie_reverse: float, nde: float, additive_interaction: float,
+                multiplicative_interaction: float,
+                decomposition_residual: float, direction: tuple = (0, 1),
+                source: str | None = None):
+        return tuple.__new__(cls, (
+            te, lde, cell, ie, ie_reverse, nde, additive_interaction,
+            multiplicative_interaction, decomposition_residual, direction,
+            source,
+        ))
 
     def to_dict(self) -> dict:
         doc = {

@@ -13,6 +13,7 @@ import io
 import json
 import math
 import re
+from collections import _tuplegetter
 
 VARIABLES = ("X", "Z", "Y")
 
@@ -26,6 +27,19 @@ class TableError(ValueError):
 
 def cell_index(x: int, z: int, y: int) -> int:
     return 4 * x + 2 * z + y
+
+
+#: the flat index of each cell, keyed by its levels
+_INDEX = {cell: i for i, cell in enumerate(CELLS)}
+
+
+def _at(mapping: dict, variables: tuple, levels: tuple):
+    """``mapping[levels]``, where ``levels`` gives one level of each of
+    ``variables``; one that is not 0 or 1 raises ``TableError``."""
+    for name, level in zip(variables, levels):
+        if not (level == 0 or level == 1):
+            raise TableError(f"non-binary level for {name}: {level!r}")
+    return mapping[levels]
 
 
 def _left_sum(values) -> float:
@@ -42,30 +56,30 @@ def _left_sum(values) -> float:
     return total
 
 
-#: sets a field of a record in its ``__init__``, past ``_Record.__setattr__``
-_set = object.__setattr__
-
-
-class _Record:
-    """An immutable record whose fields are the public names of its
-    ``__slots__``; its ``__init__`` takes them in that order.
+class _Record(tuple):
+    """An immutable record: the tuple of its fields, named in ``_fields`` in
+    constructor order, each read through a C accessor that
+    ``__init_subclass__`` installs.  A record class declares
+    ``__slots__ = ()``, and its ``__new__`` validates the fields and ends in
+    one ``tuple.__new__``.
 
     Assignment and deletion raise ``AttributeError``.  Records of one class
-    compare and hash by their fields, repr as ``Name(field=value, ...)``,
-    and pickle and copy by calling the class with their fields.  A private
-    slot, named with a leading underscore, holds a cache and takes part in
-    none of this.
+    compare and hash by ``_key()``, their fields unless a class says
+    otherwise; a record equals no other tuple.  They repr as
+    ``Name(field=value, ...)``, and pickle and copy by calling the class
+    with their fields, so validation runs again.  A record may hold a cache
+    after its fields, which takes part in none of this.
     """
 
     __slots__ = ()
 
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__
-                      if name[0] != "_"])
+    def __init_subclass__(cls):
+        for i, name in enumerate(cls._fields):
+            setattr(cls, name, _tuplegetter(i, f"Alias for field number {i}"))
 
     def _key(self) -> tuple:
         """The values that equality and hashing compare."""
-        return self._values()
+        return self[:len(self._fields)]
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -74,20 +88,25 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() != other._key()
+        return True if isinstance(other, tuple) else NotImplemented
 
     def __hash__(self):
         return hash(self._key())
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}"
-                           for name in self.__slots__ if name[0] != "_")
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self._fields, self))
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
-        return type(self), self._values()
+        return type(self), self[:len(self._fields)]
 
     def to_json(self) -> str:
         """``to_dict``, for the records that have one, as sorted-key JSON."""
@@ -97,9 +116,10 @@ class _Record:
 class ContingencyTable(_Record):
     """Observed counts n(x, z, y) over three binary variables."""
 
-    __slots__ = ("counts", "labels")
+    __slots__ = ()
+    _fields = ("counts", "labels")
 
-    def __init__(self, counts, labels: tuple | None = None):
+    def __new__(cls, counts, labels: tuple | None = None):
         counts = tuple(map(float, counts))
         if len(counts) != 8:
             raise TableError(f"expected 8 cells, got {len(counts)}")
@@ -115,23 +135,23 @@ class ContingencyTable(_Record):
             raise TableError("table total must be positive")
         if labels is not None and len(labels) != 3:
             raise TableError("labels must name exactly X, Z, Y")
-        _set(self, "counts", counts)
-        _set(self, "labels", labels)
+        return tuple.__new__(cls, (counts, labels))
 
     @property
     def total(self) -> float:
         return _left_sum(self.counts)
 
     def count(self, x: int, z: int, y: int) -> float:
-        return self.counts[cell_index(x, z, y)]
+        return self.counts[_at(_INDEX, VARIABLES, (x, z, y))]
 
 
 class JointProbabilityTable(_Record):
     """Joint probabilities pi(x, z, y), canonical cell order, summing to 1."""
 
-    __slots__ = ("probs",)
+    __slots__ = ()
+    _fields = ("probs",)
 
-    def __init__(self, probs):
+    def __new__(cls, probs):
         probs = tuple(map(float, probs))
         if len(probs) != 8:
             raise TableError(f"expected 8 probabilities, got {len(probs)}")
@@ -140,10 +160,10 @@ class JointProbabilityTable(_Record):
         total = _left_sum(probs)
         if not abs(total - 1.0) <= 1e-12:  # also a nan probability
             raise TableError(f"probabilities sum to {total!r}, not 1")
-        _set(self, "probs", probs)
+        return tuple.__new__(cls, (probs,))
 
     def prob(self, x: int, z: int, y: int) -> float:
-        return self.probs[cell_index(x, z, y)]
+        return self.probs[_at(_INDEX, VARIABLES, (x, z, y))]
 
 
 class MarginalTable(_Record):
@@ -154,19 +174,18 @@ class MarginalTable(_Record):
     hashing compare ``variables`` and ``condition`` only.
     """
 
-    __slots__ = ("variables", "probs", "condition")
+    __slots__ = ()
+    _fields = ("variables", "probs", "condition")
 
-    def __init__(self, variables: tuple, probs: dict,
-                 condition: tuple | None = None):
-        _set(self, "variables", variables)
-        _set(self, "probs", probs)
-        _set(self, "condition", condition)
+    def __new__(cls, variables: tuple, probs: dict,
+                condition: tuple | None = None):
+        return tuple.__new__(cls, (variables, probs, condition))
 
     def _key(self) -> tuple:
         return self.variables, self.condition
 
     def prob(self, *levels: int) -> float:
-        return self.probs[tuple(levels)]
+        return _at(self.probs, self.variables, levels)
 
 
 def joint_probabilities(table: ContingencyTable) -> JointProbabilityTable:

@@ -10,6 +10,7 @@ import dataclasses
 import math
 import pickle
 import timeit
+import unittest.mock
 
 import pytest
 
@@ -35,6 +36,7 @@ from loglin_effects import (
     linearity_bonds,
     margin,
     saturated_spec,
+    two_way_spec,
 )
 from loglin_effects.inference import TestResult
 
@@ -120,6 +122,36 @@ def test_records_compare_by_value(name):
             hash(record)
     else:
         assert hash(twin) == hash(record)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_a_record_is_the_tuple_of_its_fields(name):
+    record, fields = _records()[name]
+    assert record._fields == fields
+    assert tuple(record)[:len(fields)] == tuple(getattr(record, f)
+                                                for f in fields)
+    if name != "FitResult":  # its covariance cache follows its fields
+        assert len(record) == len(fields)
+    # a record equals no other tuple, from either side, even its own
+    assert record != tuple(record) and tuple(record) != record
+    assert not record == tuple(record) and not tuple(record) == record
+    # against a non-tuple it defers to the other operand
+    assert record == unittest.mock.ANY
+
+
+@pytest.mark.parametrize("spec", [two_way_spec(), saturated_spec()],
+                         ids=["two-way", "saturated"])
+def test_a_fit_whose_covariance_was_read_is_a_fresh_fit(spec):
+    table = ContingencyTable(README_COUNTS)
+    fit, fresh = fit_poisson(table, spec), fit_poisson(table, spec)
+    cov = fit.covariance
+    assert fit == fresh and not fit != fresh
+    assert hash(fit) == hash(fresh)
+    assert repr(fit) == repr(fresh)
+    assert pickle.dumps(fit) == pickle.dumps(fresh)
+    for twin in _round_trips(fit):
+        assert twin == fresh
+        assert twin.covariance == cov
 
 
 def test_a_differing_field_makes_records_unequal():
@@ -288,5 +320,7 @@ def test_records_build_no_slower_than_frozen_dataclasses(
               _best_us("twin" + args, namespace)) for _ in range(3)]
     ours = min(t[0] for t in times)
     theirs = min(t[1] for t in times)
-    # a margin for timer noise; the records measure 15-25% faster
+    # a margin for timer noise; on a 2-CPU VM with Python 3.11 the records
+    # take 0.3-0.55 (CausalParams) and 0.2-0.25 (EffectsReport) of the
+    # dataclasses' time
     assert ours <= 1.1 * theirs, (ours, theirs)

@@ -418,6 +418,10 @@ def _parsed(source, fmt="csv"):
     return lambda: parse_table(source, fmt)
 
 
+_README_TABLE = ContingencyTable((42, 18, 25, 31, 17, 23, 12, 48))
+_README_JOINT = joint_probabilities(_README_TABLE)
+
+
 @pytest.mark.parametrize("make, message", [
     (_parsed(""), "empty CSV input"),
     (_parsed(" \n,,\n"), "empty CSV input"),
@@ -474,6 +478,14 @@ def _parsed(source, fmt="csv"):
     (_table_of((1e308, 1e308, 1, 1, 1, 1, 1, 1)), "table total overflows"),
     (_table_of((0,) * 8), "table total must be positive"),
     (_table_of((-0.0,) * 8), "table total must be positive"),
+    # a level other than 0 or 1 names no cell, not the cell its index
+    # 4x + 2z + y would fall on
+    (lambda: _README_TABLE.count(-1, 1, 1), "non-binary level for X: -1"),
+    (lambda: _README_TABLE.count(0, 0, 2), "non-binary level for Y: 2"),
+    (lambda: _README_JOINT.prob(1, 1, -1), "non-binary level for Y: -1"),
+    (lambda: _README_TABLE.count(2, 0, 0), "non-binary level for X: 2"),
+    (lambda: margin(_README_JOINT, ("X", "Y")).prob(2, 0),
+     "non-binary level for X: 2"),
 ])
 def test_table_error_messages(make, message):
     with pytest.raises(TableError) as exc:
