@@ -13,9 +13,10 @@ tables ``n + t*u`` form an interval of ``t``, which is empty exactly when
 the MLE does not exist (Haberman, 1974); otherwise the equation has one root
 in it, found by Newton's method in the log of the root's distance from the
 nearer end.  Newton starts from an estimate that takes no log, three Newton
-steps on the equation's cubic form, and falls back to the interval's
-midpoint where that estimate is unusable (see ``_solve_two_way``).  The
-saturated model reproduces the counts.
+steps on the equation's cubic form; where that estimate is unusable or a
+step leaves the near half of the interval, the next step of the same loop
+starts at the midpoint (see ``_solve_two_way``).  The saturated model
+reproduces the counts.
 Both models read their Y-block off the cells with the same ratios, and the
 intercept and the X, Z and XZ terms with ``_cell_ratios``.
 
@@ -239,9 +240,10 @@ class FitResult(_Record):
     and Newton steps under ``spec``; ``covariance`` is computed on first
     use.  ``iterations`` counts the two-way solve's Newton steps in the log
     of ``t``'s distance from an end of its interval (about one on typical
-    tables), not the log-free steps that estimate where they start; the
-    saturated closed form takes 0.  A private list after the five fields
-    keeps the covariance once computed."""
+    tables), a step that left the near half included, but not the log-free
+    steps that estimate where they start; the saturated closed form takes
+    0.  A private list after the five fields keeps the covariance once
+    computed."""
 
     __slots__ = ()
     _fields = ("params", "fitted_counts", "deviance", "iterations", "spec")
@@ -427,30 +429,27 @@ def _solve_two_way(n) -> tuple:
     ``t`` is the root of ``sum_even log(n + t) = sum_odd log(n - t)`` in
     ``(-lo, hi)``, lo and hi the least even and odd counts, and ``s`` is
     its distance from one end: each fitted count is then a non-negative
-    ``a + s`` or a ``b - s``, with every b at least ``lo + hi = 2 mid``.
-    In v the equation ``g = sum log(a + s) - sum log(b - s)`` has the terms'
-    slopes ``s / (a + s)`` and ``s / (b - s)``, which rise with s, so g is
-    convex and increasing; one a is 0, so g' >= 1.  For ``s <= mid`` each
-    curvature ``a s / (a + s)^2`` or ``b s / (b - s)^2`` is at most twice its
-    slope, so g'' <= 2g'.  Hence, while s stays in ``(0, mid]``:
+    ``a + s`` or a ``b - s``, every ``b >= lo + hi = 2 mid``, so none
+    cancels while ``s <= mid``.  In v, ``g = sum log(a + s) - sum log(b - s)``
+    is convex and increasing, since its terms' slopes ``s / (a + s)`` and
+    ``s / (b - s)`` rise with s; one a is 0, so g' >= 1, and on ``(0, mid]``
+    each term's curvature is at most twice its slope, so g'' <= 2g'.  So a
+    step from left of the root lands right of it, the steps from there
+    descend, and after a step dv (``|dv| <= 1/4``) the error in v is at
+    most ``2 dv^2``, below round-off once ``|dv| <= _TOL``.
 
-    - a step from left of the root lands at or right of it, since g lies
-      above its tangents, and from there every step descends monotonically;
-    - ``log g'`` has slope at most 2, so after a step dv, from either side,
-      the error in v is at most ``-log(1 - 2|dv|)/2 - |dv|``, which is below
-      ``2 dv^2`` for ``|dv| <= 1/4`` and below round-off once
-      ``|dv| <= _TOL``;
-    - every ``b >= 2s``, so no fitted count cancels.
-
-    Newton starts from an estimate: three Newton steps from ``t = 0`` on
-    the cubic ``prod_even (n + t) - prod_odd (n - t)`` (its t^4 terms
-    cancel), which take no log.  The estimate picks the end, the even cells
-    rising when ``t + lo <= mid``.  The midpoint ``s = mid`` is the start
-    instead when the estimate is not finite (the products leave the float
-    range, or a count is 0), when its ``s`` is outside ``[_TINY, mid]``, or
-    when a step from it leaves the near half (``s > mid``, or ``exp``
-    overflows).  The sign of g at the midpoint picks the end from which
-    the midpoint is right of the root, so those steps only descend.
+    Newton starts at an estimate, three log-free Newton steps from ``t = 0``
+    on the cubic ``prod_even (n + t) - prod_odd (n - t)``; the even cells
+    rise when ``t + lo <= mid``.  A step whose ``s`` is outside
+    ``[_TINY, mid]`` starts at the midpoint instead: an estimate that is
+    not finite (a zero count, or products out of the float range) or out of
+    range, or a last step that left the near half or overflowed ``exp``.
+    The sign of g at the midpoint picks the end from which the midpoint is
+    right of the root, so the steps from it descend and the loop restarts
+    at most once.  A converged step returns before the range is checked: it
+    passes mid only by round-off, at a root at the midpoint, where
+    ``b >= 2 mid`` keeps every ``b - s`` positive.  All steps share
+    ``_MAX_ITER``.
 
     The even cells, where u = +1, are 0, 3, 5 and 6, the odd ones 1, 2, 4
     and 7.  The four rising counts ``a + s`` are ``r0..r3`` and the four
@@ -476,59 +475,38 @@ def _solve_two_way(n) -> tuple:
     even_rises = t + lo <= mid
     s = t + lo if even_rises else hi - t
     log, exp = math.log, math.exp
-    iterations = 0
-    while True:  # from the estimate, then if need be from the midpoint
-        if _TINY <= s <= mid:  # nan fails it too
-            top = mid
+    for iterations in range(1, _MAX_ITER + 1):
+        if not _TINY <= s <= mid:  # nan fails it too
+            s = mid
+            even_rises = (log(n0 - lo + s) + log(n3 - lo + s)
+                          + log(n5 - lo + s) + log(n6 - lo + s)
+                          >= log(n1 - hi + s) + log(n2 - hi + s)
+                          + log(n4 - hi + s) + log(n7 - hi + s))
+        if even_rises:  # t = s - lo: even (n - lo) + s, odd (n + lo) - s
+            a0, a1, a2, a3 = n0 - lo, n3 - lo, n5 - lo, n6 - lo
+            b0, b1, b2, b3 = n1 + lo, n2 + lo, n4 + lo, n7 + lo
+        else:  # t = hi - s: odd (n - hi) + s, even (n + hi) - s
+            a0, a1, a2, a3 = n1 - hi, n2 - hi, n4 - hi, n7 - hi
+            b0, b1, b2, b3 = n0 + hi, n3 + hi, n5 + hi, n6 + hi
+        r0, r1, r2, r3 = a0 + s, a1 + s, a2 + s, a3 + s
+        f0, f1, f2, f3 = b0 - s, b1 - s, b2 - s, b3 - s
+        g = ((log(r0) + log(r1) + log(r2) + log(r3))
+             - (log(f0) + log(f1) + log(f2) + log(f3)))
+        dv = g / (s * (1.0 / r0 + 1.0 / r1 + 1.0 / r2 + 1.0 / r3
+                       + 1.0 / f0 + 1.0 / f1 + 1.0 / f2 + 1.0 / f3))
+        try:
+            s *= exp(-dv)
+        except OverflowError:  # s leaves the float range: restart
+            s = math.inf
+        if not s >= _TINY:
+            raise FitError("a fitted count underflows")
+        if abs(dv) <= _TOL:
             if even_rises:
-                a0, a1, a2, a3 = n0 - lo, n3 - lo, n5 - lo, n6 - lo
-                b0, b1, b2, b3 = n1 + lo, n2 + lo, n4 + lo, n7 + lo
-            else:
-                a0, a1, a2, a3 = n1 - hi, n2 - hi, n4 - hi, n7 - hi
-                b0, b1, b2, b3 = n0 + hi, n3 + hi, n5 + hi, n6 + hi
-            r0, r1, r2, r3 = a0 + s, a1 + s, a2 + s, a3 + s
-            f0, f1, f2, f3 = b0 - s, b1 - s, b2 - s, b3 - s
-            g = ((log(r0) + log(r1) + log(r2) + log(r3))
-                 - (log(f0) + log(f1) + log(f2) + log(f3)))
-        else:  # its steps never rise, so no limit applies
-            s, top = mid, math.inf
-            r0, r1, r2, r3 = n0 - lo + s, n3 - lo + s, n5 - lo + s, n6 - lo + s
-            f0, f1, f2, f3 = n1 - hi + s, n2 - hi + s, n4 - hi + s, n7 - hi + s
-            g = ((log(r0) + log(r1) + log(r2) + log(r3))
-                 - (log(f0) + log(f1) + log(f2) + log(f3)))
-            even_rises = g >= 0.0
-            if even_rises:  # t = -lo + s: even (n - lo) + s, odd (n + lo) - s
-                a0, a1, a2, a3 = n0 - lo, n3 - lo, n5 - lo, n6 - lo
-                b0, b1, b2, b3 = n1 + lo, n2 + lo, n4 + lo, n7 + lo
-            else:  # t = hi - s: odd counts (n - hi) + s, even (n + hi) - s
-                r0, r1, r2, r3, f0, f1, f2, f3 = f0, f1, f2, f3, r0, r1, r2, r3
-                g = -g
-                a0, a1, a2, a3 = n1 - hi, n2 - hi, n4 - hi, n7 - hi
-                b0, b1, b2, b3 = n0 + hi, n3 + hi, n5 + hi, n6 + hi
-        for _ in range(_MAX_ITER):
-            dv = g / (s * (1.0 / r0 + 1.0 / r1 + 1.0 / r2 + 1.0 / r3
-                           + 1.0 / f0 + 1.0 / f1 + 1.0 / f2 + 1.0 / f3))
-            iterations += 1
-            try:
-                s *= exp(-dv)
-            except OverflowError:
-                break
-            if s > top:
-                break
-            if not s >= _TINY:
-                raise FitError("a fitted count underflows")
-            r0, r1, r2, r3 = a0 + s, a1 + s, a2 + s, a3 + s
-            f0, f1, f2, f3 = b0 - s, b1 - s, b2 - s, b3 - s
-            if abs(dv) <= _TOL:
-                if even_rises:
-                    return (r0, f0, f1, r1, f2, r2, r3, f3), iterations
-                return (f0, r0, r1, f1, r2, f2, f3, r3), iterations
-            g = ((log(r0) + log(r1) + log(r2) + log(r3))
-                 - (log(f0) + log(f1) + log(f2) + log(f3)))
-        else:
-            raise FitError(f"the two-way fit did not converge in {_MAX_ITER} "
-                           "steps")
-        s = math.nan
+                return (a0 + s, b0 - s, b1 - s, a1 + s, b2 - s, a2 + s,
+                        a3 + s, b3 - s), iterations
+            return (b0 - s, a0 + s, a1 + s, b1 - s, a2 + s, b2 - s,
+                    b3 - s, a3 + s), iterations
+    raise FitError(f"the two-way fit did not converge in {_MAX_ITER} steps")
 
 
 def _y_ratios(m) -> tuple:

@@ -35,7 +35,11 @@ _INDEX = {cell: i for i, cell in enumerate(CELLS)}
 
 def _at(mapping: dict, variables: tuple, levels: tuple):
     """``mapping[levels]``, where ``levels`` gives one level of each of
-    ``variables``; one that is not 0 or 1 raises ``TableError``."""
+    ``variables``; another number of levels, or a level that is not 0 or 1,
+    raises ``TableError``."""
+    if len(levels) != len(variables):
+        raise TableError(f"expected {len(variables)} levels "
+                         f"({', '.join(variables)}), got {len(levels)}")
     for name, level in zip(variables, levels):
         if not (level == 0 or level == 1):
             raise TableError(f"non-binary level for {name}: {level!r}")
@@ -133,8 +137,12 @@ class ContingencyTable(_Record):
             raise TableError("table total overflows")
         if total <= 0:
             raise TableError("table total must be positive")
-        if labels is not None and len(labels) != 3:
-            raise TableError("labels must name exactly X, Z, Y")
+        if labels is not None:
+            if not (isinstance(labels, (list, tuple)) and len(labels) == 3
+                    and all(isinstance(name, str) for name in labels)):
+                raise TableError("labels must be a list or tuple of three "
+                                 "strings")
+            labels = tuple(labels)
         return tuple.__new__(cls, (counts, labels))
 
     @property
@@ -244,9 +252,10 @@ def validate(
 ) -> ContingencyTable:
     """Apply the zero-cell policy: ``error``, ``correct``, or ``allow``.
 
-    Under ``correct`` the correction amount is added to every cell, not just
-    the zero ones, so odds-ratio structure is shifted uniformly; it must be
-    finite and > 0 whether or not the table has a zero cell.
+    Under ``correct`` a table with a zero cell gets the correction amount
+    added to every cell, not just the zero ones, so odds-ratio structure is
+    shifted uniformly; a table without one is returned as it is.  The
+    amount must be finite and > 0 whether or not the table has a zero cell.
     """
     if policy not in ("error", "correct", "allow"):
         raise TableError(f"unknown zero-cell policy {policy!r}")
@@ -452,11 +461,6 @@ def _parse_json(text: str) -> ContingencyTable:
     if not isinstance(doc, dict) or not isinstance(doc.get("cells"), list):
         raise TableError("JSON table must be an object with a 'cells' list")
     labels = doc.get("labels")
-    if labels is not None:
-        if not (isinstance(labels, list) and len(labels) == 3
-                and all(isinstance(s, str) for s in labels)):
-            raise TableError("'labels' must be a list of three strings")
-        labels = tuple(labels)
     cells = doc["cells"]
     if len(cells) == 8 and not any(isinstance(c, dict) for c in cells):
         return ContingencyTable(list(map(_json_count, cells)), labels=labels)

@@ -4,13 +4,14 @@
 the Newton loop was unrolled and ``fit_causal`` stopped building a
 ``FitResult``: the existence check, the scaled solve with its lists of
 rising and falling counts, the Y-block and underflow checks, the deviance
-and the cell-ratio parameters, in that order.  Its solve starts Newton's
-method where the library does: at the estimate from three Newton steps on
-the cubic, or at the midpoint when that estimate is unusable or a step
-from it leaves the near half of the interval.  ``reference_covariance``
-computes every entry of the covariance on its own.  Its sums are explicit
-left folds, which is how ``sum`` added floats before Python 3.12, so the
-reference gives the same bits on every supported version.  ``fit_poisson``
+and the cell-ratio parameters, in that order.  Its solve is the library's
+one Newton loop: it starts at the estimate from three Newton steps on the
+cubic, and a step starts at the midpoint instead when that estimate is
+unusable or the last step left the near half of the interval.
+``reference_covariance`` computes every entry of the covariance on its
+own.  Its sums are explicit left folds, which is how ``sum`` added floats
+before Python 3.12, so the reference gives the same bits on every
+supported version.  ``fit_poisson``
 must agree with it bit for bit, or raise the same error with the same
 message; so must the two-way ``fit_causal`` with the causal parameters of the
 reference Y-block, since it does not check the fit's other parameters.
@@ -71,63 +72,39 @@ def _reference_estimate(n):
     return t
 
 
-def _reference_newton(n, rise, fall, end, s, rising, falling, g, top):
-    """Newton's method in log s from ``s``, the counts of ``rise`` rising
-    from ``n - end``: the fitted counts and the steps, or ``None`` and the
-    steps when a step leaves ``(0, top]``."""
-    up, down = [n[i] - end for i in rise], [n[i] + end for i in fall]
+def _reference_solve(n):
+    """The fitted counts and the steps of Newton's method in log s from the
+    estimate, where a step whose s is outside ``[tiny, mid]`` starts at the
+    midpoint, on the side the sign of the equation there picks."""
+    tiny = sys.float_info.min
+    lo, hi = min(n[i] for i in _EVEN), min(n[i] for i in _ODD)
+    mid = (lo + hi) / 2.0
+    if not mid >= tiny:
+        raise FitError("a fitted count underflows")
+    t = _reference_estimate(n)
+    even_rises = t + lo <= mid
+    s = t + lo if even_rises else hi - t
     for iterations in range(1, 101):
+        if not tiny <= s <= mid:
+            s = mid
+            even_rises = (_fold(math.log(n[i] - lo + s) for i in _EVEN)
+                          >= _fold(math.log(n[i] - hi + s) for i in _ODD))
+        rise, fall, end = (_EVEN, _ODD, lo) if even_rises else (_ODD, _EVEN, hi)
+        up, down = [n[i] - end for i in rise], [n[i] + end for i in fall]
+        rising, falling = [a + s for a in up], [b - s for b in down]
+        g = _fold(map(math.log, rising)) - _fold(map(math.log, falling))
         dv = g / (s * _fold([1.0 / c for c in rising + falling]))
         try:
             s *= math.exp(-dv)
         except OverflowError:
-            return None, iterations
-        if s > top:
-            return None, iterations
-        if not s >= sys.float_info.min:
+            s = math.inf
+        if not s >= tiny:
             raise FitError("a fitted count underflows")
-        rising, falling = [a + s for a in up], [b - s for b in down]
         if abs(dv) <= 1e-8:
-            break
-        g = _fold(map(math.log, rising)) - _fold(map(math.log, falling))
-    else:
-        raise FitError("the two-way fit did not converge in 100 steps")
-    m = dict(zip(rise + fall, rising + falling))
-    return [m[i] for i in range(8)], iterations
-
-
-def _reference_solve(n):
-    lo, hi = min(n[i] for i in _EVEN), min(n[i] for i in _ODD)
-    mid = (lo + hi) / 2.0
-    if not mid >= sys.float_info.min:
-        raise FitError("a fitted count underflows")
-    steps = 0
-    t = _reference_estimate(n)
-    if t + lo <= mid:
-        rise, fall, end, s = _EVEN, _ODD, lo, t + lo
-    else:
-        rise, fall, end, s = _ODD, _EVEN, hi, hi - t
-    if sys.float_info.min <= s <= mid:
-        rising = [n[i] - end + s for i in rise]
-        falling = [n[i] + end - s for i in fall]
-        g = _fold(map(math.log, rising)) - _fold(map(math.log, falling))
-        m, steps = _reference_newton(n, rise, fall, end, s, rising, falling,
-                                     g, mid)
-        if m is not None:
-            return m, steps
-    # from the midpoint, on the side the sign of the equation there picks
-    s = mid
-    rising = [n[i] - lo + s for i in _EVEN]
-    falling = [n[i] - hi + s for i in _ODD]
-    g = _fold(map(math.log, rising)) - _fold(map(math.log, falling))
-    if g >= 0.0:
-        rise, fall, end = _EVEN, _ODD, lo
-    else:
-        rise, fall, end = _ODD, _EVEN, hi
-        rising, falling, g = falling, rising, -g
-    m, more = _reference_newton(n, rise, fall, end, s, rising, falling, g,
-                                math.inf)
-    return m, steps + more
+            m = dict(zip(rise + fall,
+                         [a + s for a in up] + [b - s for b in down]))
+            return [m[i] for i in range(8)], iterations
+    raise FitError("the two-way fit did not converge in 100 steps")
 
 
 def _reference_log_ratio(c, f):
@@ -234,6 +211,7 @@ def _tables(cell):
 _TWO_WAY_TABLES = st.one_of(
     _tables(_counts((-300, 300))),
     _tables(st.one_of(st.just(0.0), _counts((-300, 300)))),
+    _tables(_counts((-30, 30))),
     _tables(_counts((-5, 5))),
     _tables(st.integers(0, 40).map(float)),
 )
@@ -252,6 +230,9 @@ _TWO_WAY_EXAMPLES = (
      1.4118171754011321e+55, 7.632977356421863e-213,
      1.1262998667873243e-61, 1.5242942212882254e-184,
      3.636872862625773e+16, 1.0493567549073163e+41],
+    # the root lies at the midpoint, so a converged step may pass it
+    [10 ** 0.375, 1.0, 10 ** -0.96875, 10 ** -0.96875, 10 ** -0.96875, 1.0,
+     10 ** -0.96875, 10 ** 0.375],
 )
 
 

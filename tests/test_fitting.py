@@ -407,6 +407,9 @@ class TestTwoWayMleByDefinition:
               5.58e-151, 8.66e239, 1.72e41, 1.02e182))
     @example((5.12e-9, 9.4e-36, 1.19e267, 4.81e265,
               3.03e-149, 2.12e-45, 2.84e76, 5.81e-263))
+    # the root lies at the midpoint, so a converged step may pass it
+    @example((10 ** 0.375, 1, 10 ** -0.96875, 10 ** -0.96875,
+              10 ** -0.96875, 1, 10 ** -0.96875, 10 ** 0.375))
     def test_fit_is_the_mle_or_a_fit_error(self, counts):
         try:
             fit = fit_poisson(ContingencyTable(counts))

@@ -207,6 +207,12 @@ class TestParse:
         with pytest.raises(TableError):
             parse_table(doc, "json")
 
+    def test_list_labels_are_stored_as_a_tuple(self):
+        listed = ContingencyTable(range(1, 9), labels=["A", "B", "C"])
+        tupled = ContingencyTable(range(1, 9), labels=("A", "B", "C"))
+        assert listed.labels == ("A", "B", "C")
+        assert listed == tupled and hash(listed) == hash(tupled)
+
     def test_json_null_labels_mean_none(self):
         t = parse_table('{"cells": [1,2,3,4,5,6,7,8], "labels": null}', "json")
         assert t.labels is None
@@ -486,6 +492,22 @@ _README_JOINT = joint_probabilities(_README_TABLE)
     (lambda: _README_TABLE.count(2, 0, 0), "non-binary level for X: 2"),
     (lambda: margin(_README_JOINT, ("X", "Y")).prob(2, 0),
      "non-binary level for X: 2"),
+    # one level for each variable of the margin, no more and no fewer
+    (lambda: margin(_README_JOINT, ("X", "Y")).prob(0),
+     "expected 2 levels (X, Y), got 1"),
+    (lambda: margin(_README_JOINT, ("X", "Y")).prob(0, 1, 1),
+     "expected 2 levels (X, Y), got 3"),
+    (lambda: margin(_README_JOINT, ("X", "Y")).prob(),
+     "expected 2 levels (X, Y), got 0"),
+    # labels are None or a list or tuple of three strings
+    (lambda: ContingencyTable(_README_TABLE.counts, labels=5),
+     "labels must be a list or tuple of three strings"),
+    (lambda: ContingencyTable(_README_TABLE.counts, labels="abc"),
+     "labels must be a list or tuple of three strings"),
+    (lambda: ContingencyTable(_README_TABLE.counts, labels=(1, 2, 3)),
+     "labels must be a list or tuple of three strings"),
+    (lambda: ContingencyTable(_README_TABLE.counts, labels=["A", "B"]),
+     "labels must be a list or tuple of three strings"),
 ])
 def test_table_error_messages(make, message):
     with pytest.raises(TableError) as exc:
