@@ -9,8 +9,7 @@ from loglin_effects import (
     NoCausalParams,
     causal_from_nocausal,
     conditional_probabilities,
-    eta_factors,
-    indirect_effect,
+    effects_report,
     nocausal_from_causal,
 )
 
@@ -20,7 +19,7 @@ nc = NoCausalParams(eta=1.0, x=1.5, z=2.0, y=0.2, xz=1.0, xy=0.02, zy=0.01)
 cp = causal_from_nocausal(nc)
 print("plain mu^XZ     =", nc.xz)
 print("causal mu_c^XZ  =", round(cp.xzc, 4))
-print("indirect effect =", round(indirect_effect(cp), 4))
+print("indirect effect =", round(effects_report(cp).ie, 4))
 
 # Tuning the plain parameter to ~0.8383 makes the causal one exactly 1,
 # which switches the mediated pathway off.
@@ -29,12 +28,12 @@ nc_off = NoCausalParams(eta=1.0, x=1.5, z=2.0, y=0.2, xz=0.8383,
 cp_off = causal_from_nocausal(nc_off)
 print("\nwith plain mu^XZ = 0.8383:")
 print("causal mu_c^XZ  =", round(cp_off.xzc, 6))
-print("indirect effect =", round(indirect_effect(cp_off), 6))
+print("indirect effect =", round(effects_report(cp_off).ie, 6))
 
-# The normalization factors make each conditional block sum to one.
-eta = eta_factors(cp)
+# The normalization factors, the level-0 probabilities, make each
+# conditional block sum to one.
 cond = conditional_probabilities(cp)
-for (x, z), factor in sorted(eta.y_given_xz.items()):
+for (x, z), factor in sorted(cond.p_y0_given_xz.items()):
     p1 = cond.p_y1_given_xz[(x, z)]
     print(f"eta(Y|X={x},Z={z}) = {factor:.4f}   "
           f"P(Y=1|{x},{z}) + P(Y=0|{x},{z}) = {p1 + factor:.6f}")

@@ -4,8 +4,7 @@ The causal form keeps the Y-block parameters of the plain loglinear model
 (they are shared between the two parameterizations) and replaces the X- and
 Z-block parameters with causal ones, written with a ``c`` suffix here.
 Normalization factors make each conditional block sum to one; they are the
-level-0 probabilities, written once, in ``conditional_probabilities``, and
-``eta_factors`` reads them from there.
+level-0 probabilities, written once, in ``conditional_probabilities``.
 """
 
 from __future__ import annotations
@@ -83,28 +82,6 @@ class CausalParams(_Record):
                 "Y|X=1,Z=1": y0[1, 1],
             },
         }
-
-
-class NormalizationFactors(_Record):
-    """The seven normalization factors of the causal decomposition:
-    ``z_given_x`` is indexed by x and ``y_given_xz`` keyed by (x, z)."""
-
-    __slots__ = ()
-    _fields = ("x_norm", "z_given_x", "y_given_xz")
-
-    def __new__(cls, x_norm: float, z_given_x: tuple, y_given_xz: dict):
-        return tuple.__new__(cls, (x_norm, z_given_x, y_given_xz))
-
-
-def eta_factors(cp: CausalParams) -> NormalizationFactors:
-    """The normalization factors of every conditional block: the level-0
-    probabilities of ``conditional_probabilities``."""
-    cond = conditional_probabilities(cp)
-    return NormalizationFactors(
-        x_norm=cond.p_x0,
-        z_given_x=cond.p_z0_given_x,
-        y_given_xz=cond.p_y0_given_xz,
-    )
 
 
 class ConditionalProbabilities(_Record):

@@ -164,13 +164,19 @@ def _report_lines(args, source, report):
     ]
 
 
+def _fit(table, spec) -> tuple:
+    """The loglinear fit of ``table`` under ``spec``, and the causal
+    parameters of the fit's Y-block on the table's XZ margins."""
+    fit = fit_poisson(table, spec)
+    p = fit.params
+    return fit, _causal_params(_xz_margins(table.counts), p.y, p.xy, p.zy,
+                               p.xzy, spec.with_three_way)
+
+
 def cmd_fit(args) -> int:
     table = _load_table(args)
     spec = saturated_spec() if args.model == "saturated" else two_way_spec()
-    fit = fit_poisson(table, spec)
-    p = fit.params
-    cp = _causal_params(_xz_margins(table.counts), p.y, p.xy, p.zy, p.xzy,
-                        spec.with_three_way)
+    fit, cp = _fit(table, spec)
 
     if args.output == "json":
         # only the JSON document holds the covariance, computed on first use
@@ -234,9 +240,7 @@ def cmd_test(args) -> int:
     table = _load_table(args)
     if args.model != "two-way":
         raise TestError("test defined for two-way model")
-    fit = fit_poisson(table, two_way_spec())
-    p = fit.params
-    cp = _causal_params(_xz_margins(table.counts), p.y, p.xy, p.zy)
+    fit, cp = _fit(table, two_way_spec())
     result = additive_zero_test(fit)
     bonds = linearity_bonds(cp)
 

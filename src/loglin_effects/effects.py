@@ -18,6 +18,7 @@ probability table for cross-checking.
 from __future__ import annotations
 
 import math
+import operator
 
 from .causal import CausalParams
 from .report import EffectsReport
@@ -27,14 +28,16 @@ class DegenerateProbabilityError(ValueError):
     """An odds product over- or underflowed, so an effect is 0, inf or nan."""
 
 
-def _check_direction(x: int, xp: int):
+def _direction(x, xp) -> tuple:
+    """``(x, xp)`` as plain ints; ``ValueError`` unless they are two
+    distinct integer levels in {0, 1} (a bool or numpy integer is one)."""
+    try:
+        x, xp = operator.index(x), operator.index(xp)
+    except TypeError:
+        x = None  # a float or other non-integer level
     if x not in (0, 1) or xp not in (0, 1) or x == xp:
         raise ValueError("direction must be two distinct levels in {0, 1}")
-
-
-def _check_z(z: int):
-    if z not in (0, 1):
-        raise ValueError("z must be 0 or 1")
+    return x, xp
 
 
 def effects_report(cp: CausalParams, x: int = 0, xp: int = 1) -> EffectsReport:
@@ -44,7 +47,7 @@ def effects_report(cp: CausalParams, x: int = 0, xp: int = 1) -> EffectsReport:
     levels; the reverse-direction IE is evaluated from its definition,
     not inverted.
     """
-    _check_direction(x, xp)
+    x, xp = _direction(x, xp)
     o00, o10 = cp.y, cp.y * cp.xy  # o(x,z), as o[x][z]
     o01, o11 = o00 * cp.zy, o10 * cp.zy * cp.xzy
     o = ((o00, o01), (o10, o11))
@@ -93,38 +96,7 @@ def effects_report(cp: CausalParams, x: int = 0, xp: int = 1) -> EffectsReport:
     )
 
 
-def total_effect(cp: CausalParams, x: int = 0, xp: int = 1) -> float:
-    """Odds ratio of Y between X=xp and X=x, marginalizing the mediator."""
-    return effects_report(cp, x, xp).te
-
-
-def lde(cp: CausalParams, x: int = 0, xp: int = 1, z: int = 0) -> float:
-    """Conditional odds ratio of Y across X at fixed Z (controlled direct)."""
-    _check_z(z)
-    return effects_report(cp, x, xp).lde[z]
-
-
-def cell_effect(cp: CausalParams, x: int = 0, xp: int = 1, z: int = 0) -> float:
-    """Ratio of the natural direct effect to the Z=z LDE."""
-    _check_z(z)
-    return effects_report(cp, x, xp).cell[z]
-
-
 def indirect_effect(cp: CausalParams, x: int = 0, xp: int = 1) -> float:
     """Odds ratio from shifting only the mediator distribution to X=xp."""
     return effects_report(cp, x, xp).ie
 
-
-def natural_direct_effect(cp: CausalParams, x: int = 0, xp: int = 1) -> float:
-    """Odds ratio when X changes but the mediator keeps its baseline law."""
-    return effects_report(cp, x, xp).nde
-
-
-def additive_interaction(cp: CausalParams) -> float:
-    """Double difference of P(Y=1|x,z) across the four (X, Z) cells."""
-    return effects_report(cp).additive_interaction
-
-
-def multiplicative_interaction_or(cp: CausalParams) -> float:
-    """Four-cell conditional cross odds ratio; the three-way parameter."""
-    return effects_report(cp).multiplicative_interaction

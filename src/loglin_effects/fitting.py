@@ -204,13 +204,6 @@ class NoCausalParams(_Record):
     def additive(self) -> dict:
         return {k: math.log(v) for k, v in self.multiplicative.items()}
 
-    @classmethod
-    def from_additive(cls, lambdas: dict) -> "NoCausalParams":
-        full = {t: float(lambdas.get(t, 0.0)) for t in TERM_ORDER}
-        mult = {t: math.exp(v) for t, v in full.items()}
-        return cls(mult["eta"], mult["X"], mult["Z"], mult["Y"],
-                   mult["XZ"], mult["XY"], mult["ZY"], mult["XZY"])
-
     def expected_counts(self) -> tuple:
         """Expected cell counts m(x,z,y) in canonical order.
 

@@ -25,11 +25,6 @@ class TestError(ValueError):
     __test__ = False  # not a pytest test class
 
 
-def normal_cdf(x: float) -> float:
-    """Standard normal CDF via erfc; absolutely accurate to ~1e-15."""
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-
 def two_sided_p(z: float) -> float:
     return math.erfc(abs(z) / math.sqrt(2.0))
 

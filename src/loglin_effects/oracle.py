@@ -10,6 +10,7 @@ to cross-validate the closed-form engine.
 from __future__ import annotations
 
 import math
+import operator
 
 from .report import EffectsReport
 from .tables import JointProbabilityTable
@@ -66,6 +67,10 @@ def oracle_effects(
     joint: JointProbabilityTable, x: int = 0, xp: int = 1
 ) -> EffectsReport:
     """Evaluate every effect definition literally on the joint table."""
+    try:  # a bool or numpy integer level is kept, as a plain int
+        x, xp = operator.index(x), operator.index(xp)
+    except TypeError:
+        x = None  # a float or other non-integer level
     if x not in (0, 1) or xp not in (0, 1) or x == xp:
         raise ValueError("direction must be two distinct levels in {0, 1}")
     pz, (p0, p1) = _conditionals(joint)

@@ -57,3 +57,25 @@ TABLE6 = CausalParams(
     y=0.2826, xy=1.4042, zy=3.5385,
     xzy=2.8826, with_interaction=True,
 )
+
+
+# direction levels (x, xp) for ``effects_report`` and ``oracle_effects``:
+# a level that is not an integer 0 or 1 raises ValueError, a float too
+
+BAD_LEVELS = [
+    pytest.param(0.0, 1, id="float-x"),
+    pytest.param(0, 1.0, id="float-xp"),
+    pytest.param(1.0, 0.0, id="float-both"),
+    pytest.param(0.5, 1, id="half"),
+    pytest.param(None, 1, id="none"),
+    pytest.param("0", 1, id="str"),
+    pytest.param(2, 1, id="two"),
+    pytest.param(0, -1, id="minus-one"),
+]
+
+# integer levels of other types: the report's direction holds plain ints
+INTEGER_LEVELS = [
+    pytest.param(True, False, id="bool"),
+    pytest.param(np.int64(1), np.int64(0), id="int64"),
+    pytest.param(np.int8(1), 0, id="int8"),
+]

@@ -10,7 +10,6 @@ from loglin_effects import (
     NoCausalParams,
     causal_from_nocausal,
     conditional_probabilities,
-    eta_factors,
     fit_causal,
     fit_poisson,
     joint_probabilities,
@@ -61,39 +60,40 @@ class TestCausalParamsValidation:
 
 
 class TestEtaFactors:
+    # the normalization factors are the level-0 probabilities
     def test_symmetric_params(self):
         cp = CausalParams(1, 1, 1, 1, 1, 1)
-        eta = eta_factors(cp)
-        assert eta.x_norm == 0.5
-        assert eta.z_given_x == (0.5, 0.5)
-        assert all(v == 0.5 for v in eta.y_given_xz.values())
+        cond = conditional_probabilities(cp)
+        assert cond.p_x0 == 0.5
+        assert cond.p_z0_given_x == (0.5, 0.5)
+        assert all(v == 0.5 for v in cond.p_y0_given_xz.values())
 
     def test_closed_form_values(self):
         cp = CausalParams(1.5, 2.0, 1.0, 0.2, 0.02, 0.01)
-        eta = eta_factors(cp)
-        assert eta.y_given_xz[(0, 0)] == pytest.approx(1 / 1.2)
-        assert eta.y_given_xz[(1, 0)] == pytest.approx(1 / 1.004)
-        assert eta.y_given_xz[(0, 1)] == pytest.approx(1 / 1.002)
-        assert eta.y_given_xz[(1, 1)] == pytest.approx(1 / 1.00004)
+        y0 = conditional_probabilities(cp).p_y0_given_xz
+        assert y0[(0, 0)] == pytest.approx(1 / 1.2)
+        assert y0[(1, 0)] == pytest.approx(1 / 1.004)
+        assert y0[(0, 1)] == pytest.approx(1 / 1.002)
+        assert y0[(1, 1)] == pytest.approx(1 / 1.00004)
 
     def test_normalization_identity(self, rng):
         for _ in range(50):
             cp = random_causal(rng, with_interaction=bool(rng.integers(2)))
             cond = conditional_probabilities(cp)
-            eta = eta_factors(cp)
             for (x, z), p1 in cond.p_y1_given_xz.items():
                 # P(Y=0|x,z) is the bare factor; the two levels sum to 1
-                assert p1 + eta.y_given_xz[(x, z)] == pytest.approx(
+                assert p1 + cond.p_y0_given_xz[(x, z)] == pytest.approx(
                     1.0, abs=1e-12
                 )
 
     def test_interaction_enters_only_11_factor(self):
         no = CausalParams(1, 1, 1, 0.5, 2.0, 3.0)
         yes = CausalParams(1, 1, 1, 0.5, 2.0, 3.0, 2.0, with_interaction=True)
-        eno, eyes = eta_factors(no), eta_factors(yes)
-        assert eno.y_given_xz[(1, 0)] == eyes.y_given_xz[(1, 0)]
-        assert eno.y_given_xz[(0, 1)] == eyes.y_given_xz[(0, 1)]
-        assert eyes.y_given_xz[(1, 1)] == pytest.approx(1 / (1 + 0.5 * 2 * 3 * 2))
+        eno = conditional_probabilities(no).p_y0_given_xz
+        eyes = conditional_probabilities(yes).p_y0_given_xz
+        assert eno[(1, 0)] == eyes[(1, 0)]
+        assert eno[(0, 1)] == eyes[(0, 1)]
+        assert eyes[(1, 1)] == pytest.approx(1 / (1 + 0.5 * 2 * 3 * 2))
 
 
 class TestConditionalProbabilities:
@@ -284,15 +284,11 @@ def test_mediator_block_log_residual_helper():
     # sanity: the conversion ratio is a pure function of the outcome block
     nc = SEC3_NC
     cp = causal_from_nocausal(nc)
-    e = eta_factors(cp)
-    assert cp.zc == pytest.approx(
-        nc.z * e.y_given_xz[(0, 0)] / e.y_given_xz[(0, 1)], rel=1e-12
-    )
+    e = conditional_probabilities(cp).p_y0_given_xz
+    assert cp.zc == pytest.approx(nc.z * e[(0, 0)] / e[(0, 1)], rel=1e-12)
     assert math.isclose(
         cp.xzc,
-        nc.xz
-        * e.y_given_xz[(1, 0)] * e.y_given_xz[(0, 1)]
-        / (e.y_given_xz[(0, 0)] * e.y_given_xz[(1, 1)]),
+        nc.xz * e[(1, 0)] * e[(0, 1)] / (e[(0, 0)] * e[(1, 1)]),
         rel_tol=1e-12,
     )
 
@@ -360,9 +356,10 @@ FAR_SATURATED = (2.3273788978915495e+51, 1.3526378281095588e-52,
 
 @pytest.mark.xfail(
     strict=True, raises=FitError,
-    reason="ROADMAP item 1: bench/selftest.py pins the saturated fit_causal "
-           "to saturated_closed_form, which checks mu, mu^X, mu^Z and mu^XZ "
-           "though no effect uses them",
+    reason="ROADMAP item 4 (one fit through every command), which waits on "
+           "item 3's selftest edit: bench/selftest.py pins the saturated "
+           "fit_causal to saturated_closed_form, which checks mu, mu^X, mu^Z "
+           "and mu^XZ though no effect uses them",
 )
 def test_saturated_fit_causal_checks_only_its_y_block():
     n = FAR_SATURATED

@@ -2,10 +2,10 @@
 
 The reference transcribes the path from the causal parameters to the joint
 as it stood before it was written as straight-line code: the field check of
-``CausalParams``, ``eta_factors``, ``conditional_probabilities`` built on
-them, ``ConditionalProbabilities.joint`` with its loops and the checks of
-``JointProbabilityTable``, the saturated ``fit_causal`` route through
-``saturated_closed_form``, and the checks and the last steps of
+``CausalParams``, the normalization factors, ``conditional_probabilities``
+built on them, ``ConditionalProbabilities.joint`` with its loops and the
+checks of ``JointProbabilityTable``, the saturated ``fit_causal`` route
+through ``saturated_closed_form``, and the checks and the last steps of
 ``effects_report``.  Its sums are explicit left folds, so it gives
 the same bits on every supported Python version.  The library must agree
 with it bit for bit, or raise the same error with the same message.
@@ -28,7 +28,6 @@ from loglin_effects import (
     TableError,
     conditional_probabilities,
     effects_report,
-    eta_factors,
     fit_causal,
     saturated_closed_form,
 )
@@ -212,12 +211,12 @@ def _outcome(compute):
 def _library(values, with_interaction):
     cp = CausalParams(*values, with_interaction=with_interaction)
     cond = conditional_probabilities(cp)
-    eta = eta_factors(cp)
     return (
         _cond_bits(cond.p_x1, cond.p_z1_given_x, cond.p_y1_given_xz,
                    cond.p_x0, cond.p_z0_given_x, cond.p_y0_given_xz),
-        (_bits([eta.x_norm, *eta.z_given_x]),
-         _bits(eta.y_given_xz[k] for k in _YX)),
+        # the normalization factors are the level-0 probabilities
+        (_bits([cond.p_x0, *cond.p_z0_given_x]),
+         _bits(cond.p_y0_given_xz[k] for k in _YX)),
         _outcome(lambda: _bits(cond.joint().probs)),
         [_outcome(lambda: _report_bits(effects_report(cp, x, xp)))
          for x, xp in ((0, 1), (1, 0))],

@@ -1,17 +1,16 @@
+import json
+
 import pytest
 
 from loglin_effects import (
     CausalParams,
-    additive_interaction,
-    cell_effect,
+    conditional_probabilities,
     effects_report,
     indirect_effect,
-    lde,
-    multiplicative_interaction_or,
-    natural_direct_effect,
-    total_effect,
 )
-from conftest import TABLE5, TABLE6, random_causal
+from conftest import (
+    BAD_LEVELS, INTEGER_LEVELS, TABLE5, TABLE6, random_causal,
+)
 
 UNIT = CausalParams(1, 1, 1, 1, 1, 1)
 
@@ -23,88 +22,93 @@ SEC3 = CausalParams(
 
 class TestTotalEffect:
     def test_unit_params(self):
-        assert total_effect(UNIT) == pytest.approx(1.0)
+        assert effects_report(UNIT).te == pytest.approx(1.0)
 
     def test_first_empirical_model(self):
-        assert total_effect(TABLE5) == pytest.approx(2.4008, abs=5e-3)
+        assert effects_report(TABLE5).te == pytest.approx(2.4008, abs=5e-3)
 
     def test_second_empirical_model(self):
-        assert total_effect(TABLE6) == pytest.approx(3.1886, abs=5e-3)
+        assert effects_report(TABLE6).te == pytest.approx(3.1886, abs=5e-3)
 
     def test_reciprocity(self, rng):
         cp = random_causal(rng)
-        assert total_effect(cp, 1, 0) == pytest.approx(
-            1.0 / total_effect(cp, 0, 1), rel=1e-10
+        assert effects_report(cp, 1, 0).te == pytest.approx(
+            1.0 / effects_report(cp, 0, 1).te, rel=1e-10
         )
 
 
 class TestLde:
     def test_equals_two_effect_parameter_without_interaction(self):
         for z in (0, 1):
-            assert lde(TABLE5, z=z) == pytest.approx(1.9240, rel=1e-10)
+            assert effects_report(TABLE5).lde[z] == pytest.approx(
+                1.9240, rel=1e-10
+            )
 
     def test_interaction_multiplies_at_z1(self):
-        assert lde(TABLE6, z=1) == pytest.approx(1.4042 * 2.8826, rel=1e-10)
-        assert lde(TABLE6, z=0) == pytest.approx(1.4042, rel=1e-10)
+        lde = effects_report(TABLE6).lde
+        assert lde[1] == pytest.approx(1.4042 * 2.8826, rel=1e-10)
+        assert lde[0] == pytest.approx(1.4042, rel=1e-10)
 
     def test_unit_params(self):
-        assert lde(UNIT, z=0) == pytest.approx(1.0)
+        assert effects_report(UNIT).lde[0] == pytest.approx(1.0)
 
     def test_reciprocity(self, rng):
         cp = random_causal(rng, with_interaction=True)
         for z in (0, 1):
-            assert lde(cp, 1, 0, z) == pytest.approx(
-                1.0 / lde(cp, 0, 1, z), rel=1e-10
+            assert effects_report(cp, 1, 0).lde[z] == pytest.approx(
+                1.0 / effects_report(cp, 0, 1).lde[z], rel=1e-10
             )
 
 
 class TestCellEffect:
     def test_first_empirical_model(self):
-        assert cell_effect(TABLE5, z=0) == pytest.approx(0.9741, abs=5e-3)
-        assert cell_effect(TABLE5, z=1) == pytest.approx(0.9741, abs=5e-3)
+        cell = effects_report(TABLE5).cell
+        assert cell[0] == pytest.approx(0.9741, abs=5e-3)
+        assert cell[1] == pytest.approx(0.9741, abs=5e-3)
 
     def test_second_empirical_model(self):
-        assert cell_effect(TABLE6, z=1) == pytest.approx(0.4270, abs=5e-3)
-        assert cell_effect(TABLE6, z=0) == pytest.approx(1.231002, abs=5e-3)
+        cell = effects_report(TABLE6).cell
+        assert cell[1] == pytest.approx(0.4270, abs=5e-3)
+        assert cell[0] == pytest.approx(1.231002, abs=5e-3)
 
     def test_unit_mediator_outcome_link_gives_one(self, rng):
         cp = random_causal(rng)
         no_zy = CausalParams(cp.xc, cp.zc, cp.xzc, cp.y, cp.xy, 1.0)
         for z in (0, 1):
-            assert cell_effect(no_zy, z=z) == pytest.approx(1.0, abs=1e-12)
+            assert effects_report(no_zy).cell[z] == pytest.approx(
+                1.0, abs=1e-12
+            )
 
     def test_unit_direct_link_gives_one(self, rng):
         cp = random_causal(rng)
         no_xy = CausalParams(cp.xc, cp.zc, cp.xzc, cp.y, 1.0, cp.zy)
         for z in (0, 1):
-            assert cell_effect(no_xy, z=z) == pytest.approx(1.0, abs=1e-12)
+            assert effects_report(no_xy).cell[z] == pytest.approx(
+                1.0, abs=1e-12
+            )
 
     def test_constant_in_z_without_interaction(self, rng):
-        cp = random_causal(rng)
-        assert cell_effect(cp, z=0) == pytest.approx(
-            cell_effect(cp, z=1), rel=1e-10
-        )
+        cell = effects_report(random_causal(rng)).cell
+        assert cell[0] == pytest.approx(cell[1], rel=1e-10)
 
     def test_matches_eta_closed_form(self, rng):
         # the no-interaction display in normalization factors
-        from loglin_effects import eta_factors
-
         cp = random_causal(rng)
-        e = eta_factors(cp).y_given_xz
+        e = conditional_probabilities(cp).p_y0_given_xz
         expected = (
             (e[(0, 0)] + e[(0, 1)] * cp.zc)
             / (e[(0, 0)] + e[(0, 1)] * cp.zc * cp.zy)
             * (e[(1, 0)] + e[(1, 1)] * cp.zc * cp.zy)
             / (e[(1, 0)] + e[(1, 1)] * cp.zc)
         )
-        assert cell_effect(cp, z=0) == pytest.approx(expected, rel=1e-10)
+        assert effects_report(cp).cell[0] == pytest.approx(expected,
+                                                           rel=1e-10)
 
     def test_interaction_closed_form_ratio(self, rng):
         # with the three-way term, Cell(z=1) = Cell(z=0) / that term
         cp = random_causal(rng, with_interaction=True)
-        assert cell_effect(cp, z=1) == pytest.approx(
-            cell_effect(cp, z=0) / cp.xzy, rel=1e-10
-        )
+        cell = effects_report(cp).cell
+        assert cell[1] == pytest.approx(cell[0] / cp.xzy, rel=1e-10)
 
 
 class TestIndirectEffect:
@@ -134,27 +138,28 @@ class TestIndirectEffect:
 
 class TestNaturalDirectEffect:
     def test_first_empirical_model(self):
-        assert natural_direct_effect(TABLE5) == pytest.approx(1.8741, abs=5e-3)
+        assert effects_report(TABLE5).nde == pytest.approx(1.8741, abs=5e-3)
 
     def test_second_empirical_model(self):
-        assert natural_direct_effect(TABLE6) == pytest.approx(1.7286, abs=5e-3)
+        assert effects_report(TABLE6).nde == pytest.approx(1.7286, abs=5e-3)
 
     def test_unit_params(self):
-        assert natural_direct_effect(UNIT) == pytest.approx(1.0)
+        assert effects_report(UNIT).nde == pytest.approx(1.0)
 
     def test_factorizes_into_lde_and_cell(self, rng):
         for with_int in (False, True):
             cp = random_causal(rng, with_interaction=with_int)
-            nde = natural_direct_effect(cp)
+            rep = effects_report(cp)
             for z in (0, 1):
-                assert nde == pytest.approx(
-                    lde(cp, z=z) * cell_effect(cp, z=z), rel=1e-10
-                )
+                assert rep.nde == pytest.approx(rep.lde[z] * rep.cell[z],
+                                                rel=1e-10)
 
 
 class TestAdditiveInteraction:
     def test_unit_params(self):
-        assert additive_interaction(UNIT) == pytest.approx(0.0, abs=1e-15)
+        assert effects_report(UNIT).additive_interaction == pytest.approx(
+            0.0, abs=1e-15
+        )
 
     def test_balanced_mediator_link_zero(self, rng):
         cp = random_causal(rng)
@@ -162,28 +167,33 @@ class TestAdditiveInteraction:
             cp.xc, cp.zc, cp.xzc, cp.y, cp.xy,
             cp.y ** -2 * cp.xy ** -1,
         )
-        assert additive_interaction(balanced) == pytest.approx(0.0, abs=1e-12)
+        assert effects_report(balanced).additive_interaction == pytest.approx(
+            0.0, abs=1e-12
+        )
 
     def test_interaction_model_nonzero(self):
-        assert abs(additive_interaction(TABLE6)) > 1e-6
+        assert abs(effects_report(TABLE6).additive_interaction) > 1e-6
 
     def test_sign_for_second_empirical_model(self):
         # frozen from direct evaluation of the four conditionals
-        assert additive_interaction(TABLE6) == pytest.approx(0.2381, abs=5e-4)
+        assert effects_report(TABLE6).additive_interaction == pytest.approx(
+            0.2381, abs=5e-4
+        )
 
 
 class TestMultiplicativeInteraction:
     def test_no_interaction_model_gives_one(self, rng):
-        cp = random_causal(rng)
-        assert multiplicative_interaction_or(cp) == pytest.approx(1.0, abs=1e-12)
+        rep = effects_report(random_causal(rng))
+        assert rep.multiplicative_interaction == pytest.approx(1.0, abs=1e-12)
 
     def test_equals_three_way_parameter(self):
-        assert multiplicative_interaction_or(TABLE6) == pytest.approx(
-            2.8826, rel=1e-10
-        )
+        rep = effects_report(TABLE6)
+        assert rep.multiplicative_interaction == pytest.approx(2.8826,
+                                                               rel=1e-10)
 
     def test_unit_params(self):
-        assert multiplicative_interaction_or(UNIT) == pytest.approx(1.0)
+        rep = effects_report(UNIT)
+        assert rep.multiplicative_interaction == pytest.approx(1.0)
 
 
 class TestEffectsReport:
@@ -220,9 +230,19 @@ class TestEffectsReport:
         with pytest.raises(ValueError):
             effects_report(UNIT, 1, 1)
 
-    def test_json_keys(self):
-        import json
+    @pytest.mark.parametrize("x, xp", BAD_LEVELS)
+    def test_non_integer_direction_level_rejected(self, x, xp):
+        with pytest.raises(ValueError, match="direction"):
+            effects_report(UNIT, x, xp)
 
+    @pytest.mark.parametrize("x, xp", INTEGER_LEVELS)
+    def test_integer_levels_give_a_plain_int_direction(self, x, xp):
+        rep = effects_report(TABLE5, x, xp)
+        assert rep == effects_report(TABLE5, 1, 0)
+        assert [type(v) for v in rep.direction] == [int, int]
+        assert json.loads(rep.to_json())["direction"] == [1, 0]
+
+    def test_json_keys(self):
         doc = json.loads(effects_report(TABLE5).to_json())
         assert set(doc) == {
             "TE", "LDE", "cell", "IE", "IE_reverse", "NDE",

@@ -32,7 +32,6 @@ from loglin_effects import (
     effects_report,
     fit_causal,
     fit_poisson,
-    lde,
     oracle_effects,
 )
 
@@ -213,7 +212,7 @@ class TestExtremeOdds:
         # P(Y=1|x,z) = 1 - 2e-9 and 1 - 7e-13: p / (1 - p) loses ~3e-4
         cp = CausalParams(1.0, 1.0, 1.0, math.exp(20), math.exp(8), 1.0)
         for z in (0, 1):
-            assert lde(cp, z=z) == pytest.approx(
+            assert effects_report(cp).lde[z] == pytest.approx(
                 math.exp(8), rel=1e-14, abs=0.0
             )
 

@@ -1,8 +1,11 @@
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -93,3 +96,63 @@ def test_oracle_imports_neither_engine_module():
     imported = _imported_modules(SRC / "loglin_effects" / "oracle.py")
     assert not [m for m in imported
                 if m.split(".")[-1] in ("effects", "causal")]
+
+
+#: the package's public names; an API change is a deliberate edit here
+PUBLIC_API = (
+    "CELLS", "CausalModelError", "CausalParams", "ConditionalProbabilities",
+    "ContingencyTable", "DegenerateProbabilityError", "EffectsReport",
+    "FitError", "FitResult", "JointProbabilityTable", "LinearityReport",
+    "MarginalTable", "ModelSpec", "NoCausalParams", "OracleError",
+    "TableError", "TestError", "TestResult", "additive_zero_test",
+    "causal_from_nocausal", "conditional_probabilities", "design_matrix",
+    "dichotomize", "effects_report", "fit_causal", "fit_poisson",
+    "indirect_effect", "joint_probabilities", "linearity_bonds", "margin",
+    "nocausal_from_causal", "oracle_effects", "parse_table",
+    "saturated_closed_form", "saturated_spec", "serialize_table",
+    "two_sided_p", "two_way_spec", "validate",
+)
+
+#: names removed in 0.2.0; README's "Changes in 0.2.0" gives each one's
+#: replacement
+REMOVED_NAMES = (
+    "total_effect", "lde", "cell_effect", "natural_direct_effect",
+    "additive_interaction", "multiplicative_interaction_or", "eta_factors",
+    "NormalizationFactors", "normal_cdf",
+)
+
+
+def test_public_api_is_pinned():
+    import loglin_effects
+
+    assert tuple(sorted(loglin_effects.__all__)) == PUBLIC_API
+    namespace = {}
+    exec("from loglin_effects import *", namespace)
+    assert sorted(k for k in namespace if k != "__builtins__") == list(
+        PUBLIC_API)
+
+
+@pytest.mark.parametrize("name", REMOVED_NAMES)
+def test_removed_name_does_not_import(name):
+    with pytest.raises(ImportError):
+        exec(f"from loglin_effects import {name}", {})
+
+
+def test_no_causal_params_has_no_from_additive():
+    from loglin_effects import NoCausalParams
+
+    assert not hasattr(NoCausalParams, "from_additive")
+
+
+def test_one_version_everywhere(capsys):
+    import loglin_effects
+    from loglin_effects.cli import main
+
+    # a regex, not tomllib, which Python 3.10 lacks
+    pyproject = (SRC.parent / "pyproject.toml").read_text()
+    (declared,) = re.findall(r'(?m)^version = "([^"]+)"$', pyproject)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--version"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out == f"{declared}\n"
+    assert loglin_effects.__version__ == declared

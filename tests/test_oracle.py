@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -10,7 +11,7 @@ from loglin_effects import (
     joint_probabilities,
     oracle_effects,
 )
-from conftest import TABLE5, random_causal
+from conftest import BAD_LEVELS, INTEGER_LEVELS, TABLE5, random_causal
 
 FIELDS = (
     "te", "ie", "ie_reverse", "nde", "additive_interaction",
@@ -92,8 +93,22 @@ def test_underflowing_ratio_rejected():
         oracle_effects(joint)
 
 
-def test_json_flags_source():
-    import json
+@pytest.mark.parametrize("x, xp", BAD_LEVELS)
+def test_non_integer_direction_level_rejected(x, xp):
+    joint = joint_probabilities(ContingencyTable((3,) * 8))
+    with pytest.raises(ValueError, match="direction"):
+        oracle_effects(joint, x, xp)
 
+
+@pytest.mark.parametrize("x, xp", INTEGER_LEVELS)
+def test_integer_levels_give_a_plain_int_direction(x, xp):
+    joint = conditional_probabilities(TABLE5).joint()
+    rep = oracle_effects(joint, x, xp)
+    assert rep == oracle_effects(joint, 1, 0)
+    assert [type(v) for v in rep.direction] == [int, int]
+    assert json.loads(rep.to_json())["direction"] == [1, 0]
+
+
+def test_json_flags_source():
     rep = oracle_effects(joint_probabilities(ContingencyTable((3,) * 8)))
     assert json.loads(rep.to_json())["source"] == "oracle"

@@ -25,11 +25,9 @@ from loglin_effects import (
     MarginalTable,
     ModelSpec,
     NoCausalParams,
-    NormalizationFactors,
     additive_zero_test,
     conditional_probabilities,
     effects_report,
-    eta_factors,
     fit_causal,
     fit_poisson,
     joint_probabilities,
@@ -62,8 +60,6 @@ def _records():
                             "iterations", "spec")),
         "CausalParams": (cp, ("xc", "zc", "xzc", "y", "xy", "zy", "xzy",
                               "with_interaction")),
-        "NormalizationFactors": (eta_factors(cp), ("x_norm", "z_given_x",
-                                                   "y_given_xz")),
         "ConditionalProbabilities": (
             conditional_probabilities(cp),
             ("p_x1", "p_z1_given_x", "p_y1_given_xz", "p_x0",
@@ -84,11 +80,11 @@ def _records():
 NAMES = list(_records())
 
 #: the records holding a dict in a compared field, which cannot be hashed
-UNHASHABLE = {"NormalizationFactors", "ConditionalProbabilities"}
+UNHASHABLE = {"ConditionalProbabilities"}
 
 
 def test_every_record_is_covered():
-    assert len(NAMES) == 12
+    assert len(NAMES) == 11
     for name, (record, _) in _records().items():
         assert type(record).__name__ == name
 
@@ -237,9 +233,6 @@ def test_constructors_take_fields_by_keyword():
     params = NoCausalParams(eta=2.0, x=1.0, z=1.0, y=1.0, xz=1.0, xy=1.0,
                             zy=1.0)
     assert params.xzy == 1.0
-    nf = NormalizationFactors(x_norm=0.5, z_given_x=(0.5, 0.5),
-                              y_given_xz={})
-    assert nf.x_norm == 0.5
     cond = ConditionalProbabilities(
         p_x1=0.5, p_z1_given_x=(0.5, 0.5), p_y1_given_xz={}, p_x0=0.5,
         p_z0_given_x=(0.5, 0.5), p_y0_given_xz={},
