@@ -17,7 +17,7 @@ from .fitting import (
     NoCausalParams,
     _cell_ratios,
     _check_positive,
-    _two_way_mle,
+    _fit,
     saturated_closed_form,
 )
 from .tables import (
@@ -180,21 +180,20 @@ def fit_causal(table: ContingencyTable, with_interaction: bool = False) -> Causa
 
     The Y-block is the saturated conditional odds ratios when the three-way
     term is requested, otherwise the Y-involving terms of the two-way MLE,
-    the logistic regression of Y on X and Z.  The two-way fit's other
-    parameters (mu, mu^X, mu^Z, mu^XZ) are neither returned nor checked:
-    no effect uses them, so one that leaves the float range raises nothing
-    here, though it raises ``FitError`` in ``fit_poisson``.  The saturated
+    the logistic regression of Y on X and Z.  The two-way route reads only
+    the fit's Y-block: the other parameters (mu, mu^X, mu^Z, mu^XZ) are
+    neither returned nor checked, since no effect uses them.  The saturated
     route still reads its Y-block through ``saturated_closed_form``, which
-    checks all eight parameters, so there such a parameter raises
-    ``FitError`` although the causal parameters are in range.
+    checks all eight, so there one of those four raises ``FitError``
+    although the causal parameters are in range (the ``effects`` command
+    reads the fit's Y-block on both routes).
     """
     n = table.counts
     m = _xz_margins(n)
     if with_interaction:
         p = saturated_closed_form(table)
         return _causal_params(m, p.y, p.xy, p.zy, p.xzy, True)
-    y_block = _two_way_mle(n)[1]
-    return _causal_params(m, *y_block)
+    return _causal_params(m, *_fit(n, False)[1])
 
 
 def causal_from_nocausal(nc: NoCausalParams) -> CausalParams:

@@ -26,7 +26,6 @@ from .causal import (
     _causal_params,
     _xz_margins,
     conditional_probabilities,
-    fit_causal,
 )
 from .effects import DegenerateProbabilityError, effects_report
 from .fitting import FitError, fit_poisson, saturated_spec, two_way_spec
@@ -164,19 +163,18 @@ def _report_lines(args, source, report):
     ]
 
 
-def _fit(table, spec) -> tuple:
-    """The loglinear fit of ``table`` under ``spec``, and the causal
-    parameters of the fit's Y-block on the table's XZ margins."""
-    fit = fit_poisson(table, spec)
-    p = fit.params
-    return fit, _causal_params(_xz_margins(table.counts), p.y, p.xy, p.zy,
-                               p.xzy, spec.with_three_way)
+def _fit(table, model) -> tuple:
+    """The loglinear fit of ``table`` under ``model``, and then the causal
+    parameters of the fit's Y-block on the table's XZ margins: the one fit
+    of every command that fits."""
+    saturated = model == "saturated"
+    fit = fit_poisson(table, saturated_spec() if saturated else two_way_spec())
+    return fit, _causal_params(_xz_margins(table.counts), *fit.y_block,
+                               saturated)
 
 
 def cmd_fit(args) -> int:
-    table = _load_table(args)
-    spec = saturated_spec() if args.model == "saturated" else two_way_spec()
-    fit, cp = _fit(table, spec)
+    fit, cp = _fit(_load_table(args), args.model)
 
     if args.output == "json":
         # only the JSON document holds the covariance, computed on first use
@@ -185,7 +183,7 @@ def cmd_fit(args) -> int:
         return EXIT_OK
     lines = []
     # the loglinear blocks print in sorted term order: X, XY, ..., eta
-    terms = sorted(spec.ordered_terms)
+    terms = sorted(fit.spec.ordered_terms)
     for kind, values in (("multiplicative", fit.params.multiplicative),
                          ("additive", fit.params.additive)):
         lines += _param_lines(f"loglinear parameters ({kind}):",
@@ -206,7 +204,7 @@ def cmd_effects(args) -> int:
     table = _load_table(args)
     if args.from_level == args.to_level:
         raise TableError("--from and --to must differ")
-    cp = fit_causal(table, with_interaction=(args.model == "saturated"))
+    cp = _fit(table, args.model)[1]
     report = effects_report(cp, args.from_level, args.to_level)
 
     discrepancy = None
@@ -240,7 +238,7 @@ def cmd_test(args) -> int:
     table = _load_table(args)
     if args.model != "two-way":
         raise TestError("test defined for two-way model")
-    fit, cp = _fit(table, two_way_spec())
+    fit, cp = _fit(table, args.model)
     result = additive_zero_test(fit)
     bonds = linearity_bonds(cp)
 

@@ -17,20 +17,19 @@ steps on the equation's cubic form; where that estimate is unusable or a
 step leaves the near half of the interval, the next step of the same loop
 starts at the midpoint (see ``_solve_two_way``).  The saturated model
 reproduces the counts.
-Both models read their Y-block off the cells with the same ratios, and the
-intercept and the X, Z and XZ terms with ``_cell_ratios``.
 
-``_two_way_mle`` is the one two-way fit: it checks that the MLE exists,
-solves for ``t`` on counts scaled by a power of two, and returns the fitted
-counts, the Y-block and the Newton steps.  ``fit_poisson`` adds the
-deviance and the other parameters; ``causal.fit_causal`` needs only the
-Y-block, so it neither checks the other parameters nor builds a
-``FitResult``.
+``_fit`` is the one fit of both models: it checks that the MLE exists and
+returns the fitted counts, the Y-block, read off them with the same ratios
+in both models, and the Newton steps.  ``fit_poisson`` adds the deviance.
+Its ``FitResult`` reads the intercept and the X, Z and XZ terms off the
+fitted counts (``_cell_ratios``) when ``params`` is first read, so only a
+reader of ``params`` sees one of them leave the float range;
+``causal.fit_causal`` needs only the Y-block.
 
 The covariance of the additive parameters, ``(D' diag(m) D)^-1`` over the
 dummy-coded design matrix ``D``, is computed on first use in closed form,
 from index tables that are built on the first such use, and kept in the
-``FitResult``'s cache, a list after its fields.
+``FitResult``'s cache, a dict after its fields that keeps ``params`` too.
 ``C``, the inverse of the saturated dummy coding, maps the log counts to the
 parameters, and the saturated covariance is ``C diag(1/m) C'``.  The two-way
 model's log counts have the covariance ``diag(1/m) - (u/m)(u/m)' / sum(1/m)``,
@@ -229,22 +228,32 @@ class NoCausalParams(_Record):
 
 
 class FitResult(_Record):
-    """A maximum likelihood fit: its parameters, fitted counts, deviance
-    and Newton steps under ``spec``; ``covariance`` is computed on first
-    use.  ``iterations`` counts the two-way solve's Newton steps in the log
-    of ``t``'s distance from an end of its interval (about one on typical
-    tables), a step that left the near half included, but not the log-free
-    steps that estimate where they start; the saturated closed form takes
-    0.  A private list after the five fields keeps the covariance once
-    computed."""
+    """A maximum likelihood fit under ``spec``: its fitted counts, Y-block
+    ``(mu^Y, mu^XY, mu^ZY, mu^XZY)``, deviance and Newton steps, the record
+    of ``_fit``; ``params`` and ``covariance`` are computed on first use
+    and kept in a private dict after the five fields.  ``iterations``
+    counts the two-way solve's Newton steps in the log of ``t``'s distance
+    from an end of its interval (about one on typical tables), a step that
+    left the near half included, but not the log-free steps that estimate
+    where they start; the saturated closed form takes 0."""
 
     __slots__ = ()
-    _fields = ("params", "fitted_counts", "deviance", "iterations", "spec")
+    _fields = ("fitted_counts", "y_block", "deviance", "iterations", "spec")
 
-    def __new__(cls, params: NoCausalParams, fitted_counts: tuple,
-                deviance: float, iterations: int, spec: ModelSpec):
+    def __new__(cls, fitted_counts: tuple, y_block: tuple, deviance: float,
+                iterations: int, spec: ModelSpec):
         return tuple.__new__(
-            cls, (params, fitted_counts, deviance, iterations, spec, []))
+            cls, (fitted_counts, y_block, deviance, iterations, spec, {}))
+
+    @property
+    def params(self) -> NoCausalParams:
+        """The multiplicative parameters: the Y-block, and the intercept and
+        the X, Z and XZ terms read off the fitted counts.  One out of the
+        float range raises ``FitError``."""
+        cache = self[5]
+        if "params" not in cache:
+            cache["params"] = _cell_ratios(self.fitted_counts, *self.y_block)
+        return cache["params"]
 
     @property
     def covariance(self) -> tuple:
@@ -255,8 +264,8 @@ class FitResult(_Record):
         float range raises ``FitError``.
         """
         cache = self[5]
-        if cache:
-            return cache[0]
+        if "covariance" in cache:
+            return cache["covariance"]
         m = self.fitted_counts
         terms = _covariance_terms(self.spec.with_three_way)
         if self.spec.with_three_way:
@@ -287,8 +296,7 @@ class FitResult(_Record):
                 cov[i][j] = cov[j][i] = a - b
         if not all(math.isfinite(v) for row in cov for v in row):
             raise FitError("the covariance leaves the float range")
-        cov = tuple(map(tuple, cov))
-        cache.append(cov)
+        cov = cache["covariance"] = tuple(map(tuple, cov))
         return cov
 
     def to_dict(self) -> dict:
@@ -324,24 +332,15 @@ def fit_poisson(
 ) -> FitResult:
     """Maximum likelihood fit of the two-way (default) or saturated model.
 
-    The two-way fit solves for its one free parameter and raises
-    ``FitError`` when its MLE does not exist; the saturated fit is the
-    closed form.  The covariance of the additive parameters is the lazy
-    ``FitResult.covariance``.
+    Raises ``FitError`` as ``_fit`` does; a parameter out of the float
+    range raises only where ``FitResult.params`` is read.  The covariance
+    of the additive parameters is the lazy ``FitResult.covariance``.
     """
-    if spec.with_three_way:
-        return FitResult(
-            params=saturated_closed_form(table),
-            fitted_counts=table.counts,
-            deviance=0.0,
-            iterations=0,
-            spec=spec,
-        )
     n = table.counts
-    m, y_block, iterations = _two_way_mle(n)
+    m, y_block, iterations = _fit(n, spec.with_three_way)
     # each term is c log(c / f) - (c - f), with log(c / f) taken as
     # log c - log f when c / f leaves the normal float range; a zero count
-    # adds f
+    # adds f.  The saturated fit reproduces n, so every term is 0.0
     log = math.log
     total = 0.0
     for c, f in zip(n, m):
@@ -351,8 +350,7 @@ def fit_poisson(
                           else log(c) - log(f)) - (c - f)
         else:
             total += f
-    return FitResult(_cell_ratios(m, *y_block), m, 2.0 * total, iterations,
-                     _TWO_WAY)
+    return FitResult(m, y_block, 2.0 * total, iterations, spec)
 
 
 def _cell_ratios(m, y, xy, zy, xzy=1.0) -> NoCausalParams:
@@ -372,33 +370,44 @@ def _cell_ratios(m, y, xy, zy, xzy=1.0) -> NoCausalParams:
         raise FitError(str(exc)) from None
 
 
-def _two_way_mle(n) -> tuple:
-    """The two-way MLE of counts ``n``: its fitted counts, its Y-block
-    ``(mu^Y, mu^XY, mu^ZY)`` and the Newton steps it took.
+def _fit(n, with_three_way: bool) -> tuple:
+    """The MLE of counts ``n`` under the two-way or, ``with_three_way``, the
+    saturated model: its fitted counts, its Y-block ``(mu^Y, mu^XY, mu^ZY,
+    mu^XZY)`` and the Newton steps it took.
 
-    Raises ``FitError`` when the MLE does not exist, or when a fitted
-    count or a Y-block parameter leaves the float range.
+    The saturated fit is ``n`` itself, with no step, and its Y-block is
+    not checked.  Raises ``FitError`` when the MLE does not exist, or when
+    a two-way fitted count or Y-block parameter leaves the float range.
     """
-    # the positive tables n + t*u have t in (-min_even n, min_odd n), which
-    # is empty exactly when both parity classes hold a zero count
+    # the saturated MLE needs every count positive; the positive two-way
+    # tables n + t*u have t in (-min_even n, min_odd n), which is empty
+    # exactly when both parity classes hold a zero count
     if 0.0 in n:
         zeros = [cell for cell, c in zip(CELLS, n) if c == 0]
+        if with_three_way:
+            raise FitError(
+                f"zero count at cells {zeros}: the saturated MLE does not "
+                "exist (its estimate is divergent)"
+            )
         if len({sum(cell) % 2 for cell in zeros}) == 2:
             raise FitError(
                 f"the two-way MLE does not exist: the zero counts at cells "
                 f"{zeros} make a zero margin n(x,z,+) or separate Y=1 from "
                 "Y=0"
             )
+    if with_three_way:
+        xzy = ((n[7] / n[6]) * (n[4] / n[5])) * ((n[2] / n[3]) * (n[1] / n[0]))
+        return n, (*_y_ratios(n), xzy), 0
     k = _scale_exponent(n)
     scaled, iterations = _solve_two_way([math.ldexp(c, k) for c in n])
-    y_block = y, xy, zy = _y_ratios(scaled)
+    y, xy, zy = _y_ratios(scaled)
     inf = math.inf
     if not (0.0 < y < inf and 0.0 < xy < inf and 0.0 < zy < inf):
         raise FitError("a loglinear Y-block parameter overflows or underflows")
     m = tuple([math.ldexp(c, -k) for c in scaled])
     if min(m) < _TINY:
         raise FitError("a fitted count underflows")
-    return m, y_block, iterations
+    return m, (y, xy, zy, 1.0), iterations
 
 
 def _scale_exponent(n) -> int:
@@ -510,20 +519,7 @@ def _y_ratios(m) -> tuple:
 
 
 def saturated_closed_form(table: ContingencyTable) -> NoCausalParams:
-    """Invert the eight cell formulas of the saturated model directly.
-
-    Each parameter is a ratio of cell ratios, so no product of counts
-    over- or underflows.
-    """
-    n = table.counts
-    if 0.0 in n:
-        zero = [cell for cell, c in zip(CELLS, n) if c == 0]
-        raise FitError(
-            f"zero count at cells {zero}: the saturated MLE does not exist "
-            "(its estimate is divergent)"
-        )
-    return _cell_ratios(
-        n,
-        *_y_ratios(n),
-        xzy=((n[7] / n[6]) * (n[4] / n[5])) * ((n[2] / n[3]) * (n[1] / n[0])),
-    )
+    """The saturated model's parameters: the cell formulas inverted, each a
+    ratio of cell ratios, so no product of counts over- or underflows."""
+    m, y_block, _ = _fit(table.counts, True)
+    return _cell_ratios(m, *y_block)

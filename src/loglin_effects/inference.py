@@ -66,16 +66,17 @@ class LinearityReport(_Record):
         }
 
 
-def _bond1(p) -> float:
-    """Bond 1, log(mu^XY (mu^Y)^2 mu^ZY), of ``p``'s Y-block: beta_hat."""
-    return 2.0 * math.log(p.y) + math.log(p.xy) + math.log(p.zy)
+def _bond1(y, xy, zy) -> float:
+    """Bond 1, log(mu^XY (mu^Y)^2 mu^ZY), of a Y-block: beta_hat."""
+    return 2.0 * math.log(y) + math.log(xy) + math.log(zy)
 
 
 def additive_zero_test(fit: FitResult) -> TestResult:
-    """z-test of lambda^ZY + 2 lambda^Y + lambda^XY = 0 on a two-way fit."""
+    """z-test of lambda^ZY + 2 lambda^Y + lambda^XY = 0 on a two-way fit,
+    from its Y-block and fitted counts alone."""
     if fit.spec.with_three_way:
         raise TestError("test defined for two-way model")
-    beta_hat = _bond1(fit.params)
+    beta_hat = _bond1(*fit.y_block[:3])
     # 1/A + 1/B, each taken relative to its least count so that no
     # reciprocal of a count over- or underflows
     m0, m1, m2, m3, m4, m5, m6, m7 = fit.fitted_counts
@@ -104,4 +105,5 @@ def linearity_bonds(cp: CausalParams, fit=None) -> LinearityReport:
     if cp.with_interaction:
         raise CausalModelError("linearity bonds defined without interaction")
     log_zc = math.log(cp.zc)
-    return LinearityReport(_bond1(cp), math.log(cp.xzc) + log_zc + log_zc)
+    return LinearityReport(_bond1(cp.y, cp.xy, cp.zy),
+                           math.log(cp.xzc) + log_zc + log_zc)

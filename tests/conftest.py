@@ -59,6 +59,21 @@ TABLE6 = CausalParams(
 )
 
 
+# tables whose fits have a parameter out of the float range that no effect,
+# z-test or bond reads: only ``FitResult.params`` raises on it
+
+#: the two-way mu^X overflows, while the fitted counts, the Y-block, the
+#: z-test (beta_hat 0.0, se 2e-100) and both bonds are finite
+FAR_TWO_WAY = (1e-200, 1e100, 1e200, 1e200, 1e200, 1e200, 1e200, 1e-100)
+
+#: the saturated mu^XZ overflows, while the saturated Y-block, the causal
+#: parameters and every effect are finite (TE 8.1e-06)
+FAR_SATURATED = (2.3273788978915495e+51, 1.3526378281095588e-52,
+                 2.032840969205263e-30, 2.4741696820367624e-39,
+                 1.1782784837051244e-64, 3.993190800873706e-38,
+                 3.771918813730145e+172, 3.2465111233412937e+77)
+
+
 # direction levels (x, xp) for ``effects_report`` and ``oracle_effects``:
 # a level that is not an integer 0 or 1 raises ValueError, a float too
 

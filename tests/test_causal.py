@@ -19,7 +19,7 @@ from loglin_effects import (
 from loglin_effects import FitError, saturated_closed_form, saturated_spec
 from loglin_effects import causal, fitting
 from loglin_effects.causal import _causal_params, _xz_margins
-from conftest import random_causal, random_nocausal
+from conftest import FAR_SATURATED, random_causal, random_nocausal
 
 # single-letter-free aliases for the worked conversion values
 SEC3_NC = NoCausalParams(
@@ -249,6 +249,17 @@ class TestConversions:
                     getattr(cp, name), rel=1e-12
                 )
 
+    def test_out_of_range_parameter_is_a_causal_model_error(self):
+        # every joint cell is normal, but the cross ratio mu^XZ of the four
+        # y = 0 cells overflows: the FitError of the cell ratios is mapped
+        cp = CausalParams(0.0013373363149965934, 6.138812008661915e-196,
+                          1.0171737280855518e+283, 0.13855286393513366,
+                          1.4024178875967488e+155, 3.065807506414767e-85)
+        with pytest.raises(CausalModelError) as exc:
+            nocausal_from_causal(cp)
+        assert str(exc.value) == (
+            "multiplicative parameter xz must be finite and > 0")
+
     @pytest.mark.parametrize("big", [1e155, 1e200])
     def test_underflowing_joint_rejected(self, big):
         # P(0,0,0) is 5e-311 (subnormal, few digits left) or 0
@@ -334,8 +345,10 @@ class TestOneParameterCheck:
     def test_one_check_on_a_failing_fit(self, checks, counts, name,
                                         causal_name):
         table = ContingencyTable(counts)
+        fit = fit_poisson(table)  # builds no NoCausalParams
+        assert checks == []
         with pytest.raises(FitError) as exc:
-            fit_poisson(table)
+            fit.params
         assert str(exc.value) == (
             f"multiplicative parameter {name} must be finite and > 0")
         assert len(checks) == 1
@@ -346,20 +359,13 @@ class TestOneParameterCheck:
         assert len(checks) == 1
 
 
-#: counts whose saturated mu^XZ overflows, while the saturated Y-block,
-#: the causal parameters and every effect are finite (TE 8.1e-06)
-FAR_SATURATED = (2.3273788978915495e+51, 1.3526378281095588e-52,
-                 2.032840969205263e-30, 2.4741696820367624e-39,
-                 1.1782784837051244e-64, 3.993190800873706e-38,
-                 3.771918813730145e+172, 3.2465111233412937e+77)
-
-
 @pytest.mark.xfail(
     strict=True, raises=FitError,
-    reason="ROADMAP item 4 (one fit through every command), which waits on "
-           "item 3's selftest edit: bench/selftest.py pins the saturated "
+    reason="the library route only, which waits on ROADMAP item 3's "
+           "selftest edit: bench/selftest.py pins the library's saturated "
            "fit_causal to saturated_closed_form, which checks mu, mu^X, mu^Z "
-           "and mu^XZ though no effect uses them",
+           "and mu^XZ though no effect uses them; the effects command reads "
+           "the fit's Y-block alone (TestUnprintedParameters in test_cli.py)",
 )
 def test_saturated_fit_causal_checks_only_its_y_block():
     n = FAR_SATURATED

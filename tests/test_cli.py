@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from loglin_effects import CELLS, NoCausalParams, serialize_table
 from loglin_effects.cli import main
-from conftest import TABLE5
+from conftest import FAR_SATURATED, FAR_TWO_WAY, TABLE5
 from loglin_effects.causal import conditional_probabilities
 from loglin_effects.tables import ContingencyTable
 
@@ -448,6 +448,19 @@ class TestMleExistence:
         ) == 2
         assert "does not exist" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model", ["two-way", "saturated"])
+    def test_zero_margin_effects_is_the_fit_error(self, tmp_path, model,
+                                                  capsys):
+        # effects fits first, as fit and test do, so the fit reports it
+        path = tmp_path / "margin.csv"
+        path.write_text(_counts_csv((5, 1, 0, 0, 3, 4, 6, 8)))
+        assert main(["effects", "--input", str(path), "--zero-cells",
+                     "allow", "--model", model]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("fit error: ")
+        assert f"the {model} MLE does not exist" in captured.err
+
 
 class TestParameterRange:
     # valid tables whose loglinear parameters under- or overflow: the fit
@@ -525,17 +538,17 @@ class TestTestCommand:
         import loglin_effects.causal
         import loglin_effects.fitting
 
-        # every two-way fit, fit_poisson's or fit_causal's, is one
-        # _two_way_mle call
+        # every fit, fit_poisson's or fit_causal's, is one call of the fit
+        # core
         calls = []
-        real = loglin_effects.fitting._two_way_mle
+        real = loglin_effects.fitting._fit
 
         def counting(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
         for module in (loglin_effects.fitting, loglin_effects.causal):
-            monkeypatch.setattr(module, "_two_way_mle", counting)
+            monkeypatch.setattr(module, "_fit", counting)
         assert main(["test", "--input", table5_csv]) == 0
         assert len(calls) == 1
 
@@ -575,6 +588,51 @@ class TestOracleCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["source"] == "oracle"
         assert doc["TE"] == pytest.approx(2.4008, abs=5e-3)
+
+
+class TestDirectionLevels:
+    @pytest.mark.parametrize("command", ["effects", "oracle"])
+    def test_equal_levels_exit_1(self, uniform_csv, command, capsys):
+        assert main([command, "--input", uniform_csv, "--from", "1",
+                     "--to", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --from and --to must differ\n"
+
+
+class TestUnprintedParameters:
+    """``test`` and ``effects`` print no mu, mu^X, mu^Z or mu^XZ, so one of
+    them out of the float range fails ``fit`` alone."""
+
+    def test_test_exits_0(self, tmp_path, capsys):
+        path = tmp_path / "far.csv"
+        path.write_text(_counts_csv(FAR_TWO_WAY))
+        assert main(["test", "--input", str(path), "--output", "json"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["additive_zero_test"]["beta_hat"] == 0.0
+
+    def test_saturated_effects_verify_exits_0(self, tmp_path, capsys):
+        path = tmp_path / "far.csv"
+        path.write_text(_counts_csv(FAR_SATURATED))
+        assert main(["effects", "--model", "saturated", "--verify",
+                     "--input", str(path)]) == 0
+        assert capsys.readouterr().err.startswith("oracle max discrepancy:")
+
+    @pytest.mark.parametrize("counts, model, name", [
+        (FAR_TWO_WAY, "two-way", "x"),
+        (FAR_SATURATED, "saturated", "xz"),
+    ], ids=["two-way", "saturated"])
+    def test_fit_exits_2_on_the_parameter(self, tmp_path, capsys, counts,
+                                          model, name):
+        path = tmp_path / "far.csv"
+        path.write_text(_counts_csv(counts))
+        assert main(["fit", "--model", model, "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"fit error: multiplicative parameter {name} must be finite and "
+            "> 0\n")
 
 
 class TestJsonInput:

@@ -11,15 +11,16 @@ unusable or the last step left the near half of the interval.
 ``reference_covariance`` computes every entry of the covariance on its
 own.  Its sums are explicit left folds, which is how ``sum`` added floats
 before Python 3.12, so the reference gives the same bits on every
-supported version.  ``fit_poisson``
-must agree with it bit for bit, or raise the same error with the same
-message; so must the two-way ``fit_causal`` with the causal parameters of the
-reference Y-block, since it does not check the fit's other parameters.
-``reference_z_test`` and ``reference_bonds`` copy the z-test and the
-linearity bonds as they stood before their sums were written out, with a
-generator per group of cells and a fold of logs, bond 1 in ``beta_hat``'s
-order; ``additive_zero_test`` and ``linearity_bonds`` must agree with them
-bit for bit on the reference fit.  Bond 1 and ``beta_hat`` are one
+supported version.  ``fit_poisson`` and
+its ``params`` must agree with it bit for bit, or raise the same error with
+the same message; so must the two-way ``fit_causal`` with the causal
+parameters of the reference Y-block, since it does not check the fit's
+other parameters.  ``reference_z_test`` and ``reference_bonds`` copy the
+z-test and the linearity bonds as they stood before their sums were written
+out, with a generator per group of cells and a fold of logs, bond 1 in
+``beta_hat``'s order; ``additive_zero_test`` and ``linearity_bonds`` must
+agree with them bit for bit on the reference MLE, whose fitted counts and
+Y-block are all the z-test reads.  Bond 1 and ``beta_hat`` are one
 expression, so wherever both succeed they are the same bits.
 """
 
@@ -259,8 +260,8 @@ class TestTwoWayFitAgainstReference:
                 == _outcome(lambda: _reference_causal(table)))
 
     def test_examples_reach_each_parameter_error(self):
-        # fit_causal does not check mu^X, mu^Z or mu^XZ; on these tables it
-        # fails on a causal parameter instead
+        # only a read of params checks mu^X, mu^Z and mu^XZ; fit_causal does
+        # not, and on these tables it fails on a causal parameter instead
         for counts, name, causal_name in (
             ((1e-300, 1e-300, 1, 1, 1e300, 1e300, 1, 1), "x", "xzc"),
             ((1e-300, 1e-300, 1e300, 1e300, 1, 1, 1, 1), "z", "zc"),
@@ -270,17 +271,18 @@ class TestTwoWayFitAgainstReference:
             message = f"multiplicative parameter {name} must be finite and > 0"
             causal = f"parameter {causal_name} must be finite and > 0"
             table = ContingencyTable(counts)
-            assert _outcome(lambda: fit_poisson(table)) == ("FitError", message)
+            assert (_outcome(lambda: fit_poisson(table).params)
+                    == ("FitError", message))
             assert (_outcome(lambda: fit_causal(table))
                     == ("CausalModelError", causal))
 
 
-def reference_z_test(m, params):
+def reference_z_test(m, y_block):
     """(beta_hat, se, z, p) of the z-test on the two-way fit with fitted
-    counts ``m`` and parameters ``params``, as computed with a generator
-    per group of cells, or its ``TestError``."""
-    beta_hat = (2.0 * math.log(params.y) + math.log(params.xy)
-                + math.log(params.zy))
+    counts ``m`` and Y-block ``(mu^Y, mu^XY, mu^ZY)``, as computed with a
+    generator per group of cells, or its ``TestError``."""
+    y, xy, zy = y_block
+    beta_hat = 2.0 * math.log(y) + math.log(xy) + math.log(zy)
     inverse = 0.0
     for cells in ((0, 1, 6, 7), (2, 3, 4, 5)):
         least = min(m[i] for i in cells)
@@ -314,8 +316,8 @@ def _library_inference(table):
 
 def _reference_inference(table):
     n = table.counts
-    m, params, _, _ = reference_fit(n)
-    test = reference_z_test(m, params)
+    m, y_block, _ = reference_mle(n)
+    test = reference_z_test(m, y_block)
     bonds = reference_bonds(reference_causal_params(n))
     return _bits(test), _bits(bonds)
 

@@ -25,7 +25,7 @@ from loglin_effects import (
     two_way_spec,
 )
 from loglin_effects.fitting import TERM_ORDER
-from conftest import random_nocausal, table_from_params
+from conftest import FAR_TWO_WAY, random_nocausal, table_from_params
 
 README_COUNTS = (42, 18, 25, 31, 17, 23, 12, 48)
 
@@ -102,6 +102,18 @@ class TestFitPoisson:
         t = ContingencyTable((5, 5, 5, 5, 5, 5, 5, 0))
         with pytest.raises(FitError, match="divergent"):
             fit_poisson(t, saturated_spec())
+
+    def test_parameters_raise_only_where_read(self):
+        # the fit and its Y-block are finite; mu^X = m(1,0,0)/m(0,0,0)
+        # overflows, and only reading params says so
+        fit = fit_poisson(ContingencyTable(FAR_TWO_WAY))
+        assert all(0.0 < v < math.inf for v in fit.y_block)
+        assert fit.y_block[3] == 1.0
+        for _ in range(2):  # a failed read caches nothing
+            with pytest.raises(FitError) as exc:
+                fit.params
+            assert str(exc.value) == (
+                "multiplicative parameter x must be finite and > 0")
 
     def test_covariance_symmetric_psd(self, rng):
         fit = fit_poisson(

@@ -56,7 +56,7 @@ def _records():
         "ModelSpec": (saturated_spec(), ("with_three_way",)),
         "NoCausalParams": (fit.params, ("eta", "x", "z", "y", "xz", "xy",
                                         "zy", "xzy")),
-        "FitResult": (fit, ("params", "fitted_counts", "deviance",
+        "FitResult": (fit, ("fitted_counts", "y_block", "deviance",
                             "iterations", "spec")),
         "CausalParams": (cp, ("xc", "zc", "xzc", "y", "xy", "zy", "xzy",
                               "with_interaction")),
@@ -181,7 +181,9 @@ def test_repr_names_every_field(name):
 def test_repr_nests():
     assert repr(ModelSpec()) == "ModelSpec(with_three_way=False)"
     fit = fit_poisson(ContingencyTable(README_COUNTS), saturated_spec())
-    assert repr(fit).startswith("FitResult(params=NoCausalParams(eta=42.0, ")
+    assert repr(fit).startswith(
+        "FitResult(fitted_counts=(42.0, 18.0, 25.0, 31.0, 17.0, 23.0, 12.0, "
+        "48.0), y_block=(0.42857142857142855, ")
     assert repr(fit).endswith(
         ", deviance=0.0, iterations=0, spec=ModelSpec(with_three_way=True))"
     )
@@ -217,6 +219,17 @@ def test_fit_result_covariance_is_kept_and_survives_copies():
         fit.covariance = ()
 
 
+def test_fit_result_params_are_kept_and_survive_copies():
+    fit = fit_poisson(ContingencyTable(README_COUNTS))
+    params = fit.params
+    assert fit.params is params
+    assert params.y == fit.y_block[0] and params.xzy == fit.y_block[3]
+    for other in _round_trips(fit):
+        assert other.params == params
+    with pytest.raises(AttributeError):
+        fit.params = params
+
+
 def test_fit_result_has_no_converged_field():
     # every fit that returns has converged; a failure raises FitError
     fit = fit_poisson(ContingencyTable(README_COUNTS))
@@ -226,7 +239,7 @@ def test_fit_result_has_no_converged_field():
 
 def test_constructors_take_fields_by_keyword():
     fit = fit_poisson(ContingencyTable(README_COUNTS))
-    again = FitResult(params=fit.params, fitted_counts=fit.fitted_counts,
+    again = FitResult(fitted_counts=fit.fitted_counts, y_block=fit.y_block,
                       deviance=fit.deviance, iterations=fit.iterations,
                       spec=fit.spec)
     assert again == fit

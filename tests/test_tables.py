@@ -185,6 +185,23 @@ class TestParse:
         assert parse_table(wrap(data), fmt) == parse_table(data, fmt)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_stream_source_reads_as_its_content(self, fmt):
+        text = serialize_table(ContingencyTable(tuple(range(1, 9))), fmt)
+        want = parse_table(text, fmt)
+        assert parse_table(io.StringIO(text), fmt) == want
+        assert parse_table(io.BytesIO(text.encode()), fmt) == want
+
+    def test_json_keeps_the_labels(self):
+        t = ContingencyTable(tuple(range(1, 9)), labels=("A", "B", "C"))
+        again = parse_table(serialize_table(t, "json"), "json")
+        assert again == t and again.labels == ("A", "B", "C")
+
+    def test_unknown_serialization_format_rejected(self):
+        with pytest.raises(TableError) as exc:
+            serialize_table(ContingencyTable((1,) * 8), "xml")
+        assert str(exc.value) == "unknown table format 'xml'"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_roundtrip(self, fmt, rng):
         t = ContingencyTable(tuple(rng.uniform(0.5, 50, 8)))
         assert parse_table(serialize_table(t, fmt), fmt).counts == pytest.approx(
@@ -700,8 +717,11 @@ class TestDichotomize:
          "records must hold numbers: could not convert string to float: 'q'"),
         ([(0, 0, 0), 2], "mean",
          "records must hold numbers: 'int' object is not iterable"),
+        ([(0, 0, 0)], "mean", "need at least 2 records to dichotomize"),
+        ([(0, 0, 0), (2, 2)], "mean",
+         "each record must have exactly 3 values"),
     ], ids=["median", "digit-string", "none", "cut-point-a", "value-q",
-            "record-not-a-tuple"])
+            "record-not-a-tuple", "one-record", "two-values"])
     def test_unusable_input_is_a_table_error(self, records, thresholds,
                                              message):
         with pytest.raises(TableError) as got:
@@ -765,3 +785,13 @@ class TestMarginVariables:
         m = margin(self.JOINT, "YX")
         assert m.variables == ("X", "Y")
         assert m.probs == margin(self.JOINT, ("X", "Y")).probs
+
+    @pytest.mark.parametrize("keep, condition, message", [
+        ((), None, "keep must name at least one variable"),
+        (("X",), ("Q", 0), "unknown conditioning variable 'Q'"),
+        (("X",), ("Z", 2), "conditioning level must be 0 or 1"),
+    ], ids=["empty-keep", "unknown-condition", "level-2"])
+    def test_bad_request_rejected(self, keep, condition, message):
+        with pytest.raises(TableError) as exc:
+            margin(self.JOINT, keep, condition)
+        assert str(exc.value) == message
