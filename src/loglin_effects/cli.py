@@ -150,16 +150,22 @@ def _param_lines(title, mapping):
     return [title, *(f"  {k:<6} {v:.6g}" for k, v in mapping.items())]
 
 
-def _report_lines(args, source, report):
+def _num(v) -> str:
+    """``v`` to four decimals, or in ``e`` notation to four when it is
+    nonzero and below 1e-3 or from 1e6 up in magnitude."""
+    return f"{v:.4e}" if v and not 1e-3 <= abs(v) < 1e6 else f"{v:.4f}"
+
+
+def _report_lines(args, source, r):
     return [
         f"direction: X {args.from_level} -> {args.to_level}  ({source})",
-        f"TE    {report.te:.4f}",
-        f"LDE   z=0: {report.lde[0]:.4f}  z=1: {report.lde[1]:.4f}",
-        f"cell  z=0: {report.cell[0]:.4f}  z=1: {report.cell[1]:.4f}",
-        f"IE    {report.ie:.4f}   IE(reverse) {report.ie_reverse:.4f}",
-        f"NDE   {report.nde:.4f}",
-        f"additive interaction       {report.additive_interaction:.4f}",
-        f"multiplicative interaction {report.multiplicative_interaction:.4f}",
+        f"TE    {_num(r.te)}",
+        f"LDE   z=0: {_num(r.lde[0])}  z=1: {_num(r.lde[1])}",
+        f"cell  z=0: {_num(r.cell[0])}  z=1: {_num(r.cell[1])}",
+        f"IE    {_num(r.ie)}   IE(reverse) {_num(r.ie_reverse)}",
+        f"NDE   {_num(r.nde)}",
+        f"additive interaction       {_num(r.additive_interaction)}",
+        f"multiplicative interaction {_num(r.multiplicative_interaction)}",
     ]
 
 
@@ -250,10 +256,10 @@ def cmd_test(args) -> int:
         return EXIT_OK
     print(
         f"H0: {result.combination}",
-        f"beta_hat {result.beta_hat:.4f}  se {result.se:.4f}  "
-        f"z {result.z:.4f}  p {result.p_two_sided:.4f}",
-        f"linearity bond 1 residual {bonds.bond1_residual:.4f}",
-        f"linearity bond 2 residual {bonds.bond2_residual:.4f}",
+        f"beta_hat {_num(result.beta_hat)}  se {_num(result.se)}  "
+        f"z {_num(result.z)}  p {_num(result.p_two_sided)}",
+        f"linearity bond 1 residual {_num(bonds.bond1_residual)}",
+        f"linearity bond 2 residual {_num(bonds.bond2_residual)}",
         sep="\n",
     )
     return EXIT_OK

@@ -15,12 +15,13 @@ in it, found by Newton's method in the log of the root's distance from the
 nearer end.  Newton starts from an estimate that takes no log, three Newton
 steps on the equation's cubic form; where that estimate is unusable or a
 step leaves the near half of the interval, the next step of the same loop
-starts at the midpoint (see ``_solve_two_way``).  The saturated model
-reproduces the counts.
+starts at the midpoint.  The saturated model reproduces the counts.
 
 ``_fit`` is the one fit of both models: it checks that the MLE exists and
 returns the fitted counts, the Y-block, read off them with the same ratios
-in both models, and the Newton steps.  ``fit_poisson`` adds the deviance.
+in both models, and the Newton steps; its two-way branch is one straight
+line over eight local counts that scales, solves, reads the Y-block and
+unscales.  ``fit_poisson`` adds the deviance.
 Its ``FitResult`` reads the intercept and the X, Z and XZ terms off the
 fitted counts (``_cell_ratios``) when ``params`` is first read, so only a
 reader of ``params`` sees one of them leave the float range;
@@ -341,12 +342,12 @@ def fit_poisson(
     # each term is c log(c / f) - (c - f), with log(c / f) taken as
     # log c - log f when c / f leaves the normal float range; a zero count
     # adds f.  The saturated fit reproduces n, so every term is 0.0
-    log = math.log
+    log, tiny, inf = math.log, _TINY, math.inf
     total = 0.0
     for c, f in zip(n, m):
         if c > 0:
             r = c / f
-            total += c * (log(r) if _TINY <= r < math.inf
+            total += c * (log(r) if tiny <= r < inf
                           else log(c) - log(f)) - (c - f)
         else:
             total += f
@@ -375,9 +376,46 @@ def _fit(n, with_three_way: bool) -> tuple:
     saturated model: its fitted counts, its Y-block ``(mu^Y, mu^XY, mu^ZY,
     mu^XZY)`` and the Newton steps it took.
 
-    The saturated fit is ``n`` itself, with no step, and its Y-block is
-    not checked.  Raises ``FitError`` when the MLE does not exist, or when
-    a two-way fitted count or Y-block parameter leaves the float range.
+    The Y-block is the odds of Y at x = z = 0, the odds ratios of Y with X
+    at z = 0 and with Z at x = 0, and the ratio of the XY odds ratios at
+    z = 1 and 0, each a ratio of ratios of the fitted counts.  The saturated
+    fit is ``n`` itself, with no step, and its Y-block is not checked.
+    Raises ``FitError`` when the MLE does not exist, or when a two-way
+    fitted count or Y-block parameter leaves the float range.
+
+    The two-way kernel scales the counts by the ``2^k`` that centres the
+    binary exponents of the greatest and the least positive count on 1, so
+    the logs stay small: up only while every count stays below 2^1020, so
+    no sum of two counts overflows, and down only as far as the centre, so
+    no positive count becomes 0.  The Y-block's ratios are scale-free, so
+    it reads them off the scaled fitted counts.
+
+    ``t`` is the root of ``sum_even log(n + t) = sum_odd log(n - t)`` in
+    ``(-lo, hi)``, lo and hi the least even and odd counts, and ``s`` is
+    its distance from one end: each fitted count is then a non-negative
+    ``a + s`` or a ``b - s``, every ``b >= lo + hi = 2 mid``, so none
+    cancels while ``s <= mid``.  In v = log s, ``g = sum log(a + s) - sum
+    log(b - s)`` is convex and increasing, since its terms' slopes
+    ``s / (a + s)`` and ``s / (b - s)`` rise with s; one a is 0, so
+    g' >= 1, and on ``(0, mid]`` each term's curvature is at most twice its
+    slope, so g'' <= 2g'.  So a step from left of the root lands right of
+    it, the steps from there descend, and after a step dv (``|dv| <= 1/4``)
+    the error in v is at most ``2 dv^2``, below round-off once
+    ``|dv| <= _TOL``.
+
+    Newton starts at an estimate, three log-free Newton steps from ``t = 0``
+    on the cubic ``prod_even (n + t) - prod_odd (n - t)``; the even cells
+    rise when ``t + lo <= mid``.  A step whose ``s`` is outside
+    ``[_TINY, mid]`` starts at the midpoint instead: an estimate not finite
+    (a zero count, or products out of the float range) or out of range, or
+    a last step that left the near half or overflowed ``exp``.  The sign of
+    g at the midpoint picks the end from which the midpoint is right of the
+    root, so the steps from it descend and the loop restarts at most once.
+    A converged step ends the loop before the range is checked: it passes
+    mid only by round-off, at a root at the midpoint, where ``b >= 2 mid``
+    keeps every ``b - s`` positive.  All steps share ``_MAX_ITER``.  u = +1
+    at cells 0, 3, 5 and 6; ``r0..r3`` rise and ``f0..f3`` fall, in cell
+    order; every sum adds left to right.
     """
     # the saturated MLE needs every count positive; the positive two-way
     # tables n + t*u have t in (-min_even n, min_odd n), which is empty
@@ -395,73 +433,20 @@ def _fit(n, with_three_way: bool) -> tuple:
                 f"{zeros} make a zero margin n(x,z,+) or separate Y=1 from "
                 "Y=0"
             )
+    n0, n1, n2, n3, n4, n5, n6, n7 = n
     if with_three_way:
-        xzy = ((n[7] / n[6]) * (n[4] / n[5])) * ((n[2] / n[3]) * (n[1] / n[0]))
-        return n, (*_y_ratios(n), xzy), 0
-    k = _scale_exponent(n)
-    scaled, iterations = _solve_two_way([math.ldexp(c, k) for c in n])
-    y, xy, zy = _y_ratios(scaled)
-    inf = math.inf
-    if not (0.0 < y < inf and 0.0 < xy < inf and 0.0 < zy < inf):
-        raise FitError("a loglinear Y-block parameter overflows or underflows")
-    m = tuple([math.ldexp(c, -k) for c in scaled])
-    if min(m) < _TINY:
-        raise FitError("a fitted count underflows")
-    return m, (y, xy, zy, 1.0), iterations
-
-
-def _scale_exponent(n) -> int:
-    """The power of two that centres the binary exponents of the positive
-    counts on 1, so the logs in the equation stay small.
-
-    It scales up only while every count stays below 2^1020, so no sum of
-    two counts overflows, and down only as far as the centre, so no
-    positive count becomes 0.
-    """
+        return n, (n1 / n0, (n5 / n4) * (n0 / n1), (n3 / n2) * (n0 / n1),
+                   ((n7 / n6) * (n4 / n5)) * ((n2 / n3) * (n1 / n0))), 0
+    ldexp, log, exp, tiny, inf = math.ldexp, math.log, math.exp, _TINY, math.inf
     top = math.frexp(max(n))[1]
     # the least count, or when it is 0 the least positive one
     bottom = math.frexp(min(n) or min(c for c in n if c > 0))[1]
-    return min(-((top + bottom) // 2), max(0, 1020 - top))
-
-
-def _solve_two_way(n) -> tuple:
-    """The two-way MLE ``m = n + t*u`` of counts ``n``, and the Newton
-    steps in ``v = log s`` it took.
-
-    ``t`` is the root of ``sum_even log(n + t) = sum_odd log(n - t)`` in
-    ``(-lo, hi)``, lo and hi the least even and odd counts, and ``s`` is
-    its distance from one end: each fitted count is then a non-negative
-    ``a + s`` or a ``b - s``, every ``b >= lo + hi = 2 mid``, so none
-    cancels while ``s <= mid``.  In v, ``g = sum log(a + s) - sum log(b - s)``
-    is convex and increasing, since its terms' slopes ``s / (a + s)`` and
-    ``s / (b - s)`` rise with s; one a is 0, so g' >= 1, and on ``(0, mid]``
-    each term's curvature is at most twice its slope, so g'' <= 2g'.  So a
-    step from left of the root lands right of it, the steps from there
-    descend, and after a step dv (``|dv| <= 1/4``) the error in v is at
-    most ``2 dv^2``, below round-off once ``|dv| <= _TOL``.
-
-    Newton starts at an estimate, three log-free Newton steps from ``t = 0``
-    on the cubic ``prod_even (n + t) - prod_odd (n - t)``; the even cells
-    rise when ``t + lo <= mid``.  A step whose ``s`` is outside
-    ``[_TINY, mid]`` starts at the midpoint instead: an estimate that is
-    not finite (a zero count, or products out of the float range) or out of
-    range, or a last step that left the near half or overflowed ``exp``.
-    The sign of g at the midpoint picks the end from which the midpoint is
-    right of the root, so the steps from it descend and the loop restarts
-    at most once.  A converged step returns before the range is checked: it
-    passes mid only by round-off, at a root at the midpoint, where
-    ``b >= 2 mid`` keeps every ``b - s`` positive.  All steps share
-    ``_MAX_ITER``.
-
-    The even cells, where u = +1, are 0, 3, 5 and 6, the odd ones 1, 2, 4
-    and 7.  The four rising counts ``a + s`` are ``r0..r3`` and the four
-    falling ones ``f0..f3``, each in cell order, and every sum is written
-    out left to right.
-    """
-    n0, n1, n2, n3, n4, n5, n6, n7 = n
+    k = min(-((top + bottom) // 2), max(0, 1020 - top))
+    n0, n1, n2, n3 = ldexp(n0, k), ldexp(n1, k), ldexp(n2, k), ldexp(n3, k)
+    n4, n5, n6, n7 = ldexp(n4, k), ldexp(n5, k), ldexp(n6, k), ldexp(n7, k)
     lo, hi = min(n0, n3, n5, n6), min(n1, n2, n4, n7)
     mid = (lo + hi) / 2.0
-    if not mid >= _TINY:
+    if not mid >= tiny:
         raise FitError("a fitted count underflows")
     t = 0.0
     try:
@@ -476,9 +461,8 @@ def _solve_two_way(n) -> tuple:
         t = math.nan
     even_rises = t + lo <= mid
     s = t + lo if even_rises else hi - t
-    log, exp = math.log, math.exp
     for iterations in range(1, _MAX_ITER + 1):
-        if not _TINY <= s <= mid:  # nan fails it too
+        if not tiny <= s <= mid:  # nan fails it too
             s = mid
             even_rises = (log(n0 - lo + s) + log(n3 - lo + s)
                           + log(n5 - lo + s) + log(n6 - lo + s)
@@ -499,23 +483,29 @@ def _solve_two_way(n) -> tuple:
         try:
             s *= exp(-dv)
         except OverflowError:  # s leaves the float range: restart
-            s = math.inf
-        if not s >= _TINY:
+            s = inf
+        if not s >= tiny:
             raise FitError("a fitted count underflows")
         if abs(dv) <= _TOL:
-            if even_rises:
-                return (a0 + s, b0 - s, b1 - s, a1 + s, b2 - s, a2 + s,
-                        a3 + s, b3 - s), iterations
-            return (b0 - s, a0 + s, a1 + s, b1 - s, a2 + s, b2 - s,
-                    b3 - s, a3 + s), iterations
-    raise FitError(f"the two-way fit did not converge in {_MAX_ITER} steps")
-
-
-def _y_ratios(m) -> tuple:
-    """mu^Y, mu^XY and mu^ZY of cells ``m``: the odds of Y at x = z = 0 and
-    the odds ratios of Y with X at z = 0 and with Z at x = 0."""
-    return (m[1] / m[0], (m[5] / m[4]) * (m[0] / m[1]),
-            (m[3] / m[2]) * (m[0] / m[1]))
+            break
+    else:
+        raise FitError(f"the two-way fit did not converge in {_MAX_ITER} steps")
+    # the scaled fitted counts, in cell order
+    if even_rises:
+        m0, m1, m2, m3 = a0 + s, b0 - s, b1 - s, a1 + s
+        m4, m5, m6, m7 = b2 - s, a2 + s, a3 + s, b3 - s
+    else:
+        m0, m1, m2, m3 = b0 - s, a0 + s, a1 + s, b1 - s
+        m4, m5, m6, m7 = a2 + s, b2 - s, b3 - s, a3 + s
+    r = m0 / m1
+    y, xy, zy = m1 / m0, (m5 / m4) * r, (m3 / m2) * r
+    if not (0.0 < y < inf and 0.0 < xy < inf and 0.0 < zy < inf):
+        raise FitError("a loglinear Y-block parameter overflows or underflows")
+    m = (ldexp(m0, -k), ldexp(m1, -k), ldexp(m2, -k), ldexp(m3, -k),
+         ldexp(m4, -k), ldexp(m5, -k), ldexp(m6, -k), ldexp(m7, -k))
+    if min(m) < tiny:
+        raise FitError("a fitted count underflows")
+    return m, (y, xy, zy, 1.0), iterations
 
 
 def saturated_closed_form(table: ContingencyTable) -> NoCausalParams:

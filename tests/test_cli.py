@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loglin_effects import CELLS, NoCausalParams, serialize_table
-from loglin_effects.cli import main
+from loglin_effects.cli import _num, main
 from conftest import FAR_SATURATED, FAR_TWO_WAY, TABLE5
 from loglin_effects.causal import conditional_probabilities
 from loglin_effects.tables import ContingencyTable
@@ -633,6 +634,45 @@ class TestUnprintedParameters:
         assert captured.err == (
             f"fit error: multiplicative parameter {name} must be finite and "
             "> 0\n")
+
+
+class TestTextNumbers:
+    """Text output prints a nonzero value below 1e-3 or from 1e6 up in
+    magnitude in ``e`` notation, and every other value with four
+    decimals."""
+
+    @pytest.mark.parametrize("value, text", [
+        (0.0, "0.0000"), (-0.0, "-0.0000"), (1e-3, "0.0010"),
+        (-0.0332, "-0.0332"), (999999.0, "999999.0000"),
+        (9.99e-4, "9.9900e-04"), (-2e-5, "-2.0000e-05"), (1e6, "1.0000e+06"),
+        (2e-100, "2.0000e-100"), (math.inf, "inf"), (math.nan, "nan"),
+    ])
+    def test_num(self, value, text):
+        assert _num(value) == text
+
+    def test_saturated_effects_far_from_1(self, tmp_path, capsys):
+        path = tmp_path / "far.csv"
+        path.write_text(_counts_csv(FAR_SATURATED))
+        assert main(["effects", "--model", "saturated",
+                     "--input", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:3] == ["TE    8.0964e-06",
+                              "LDE   z=0: 5.8312e+129  z=1: 7.0718e-87"]
+        assert lines[-1] == "multiplicative interaction 1.2127e-216"
+
+    def test_test_prints_a_tiny_se(self, tmp_path, capsys):
+        path = tmp_path / "far.csv"
+        path.write_text(_counts_csv(FAR_TWO_WAY))
+        assert main(["test", "--input", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == (
+            "beta_hat 0.0000  se 2.0000e-100  z 0.0000  p 1.0000")
+
+    def test_test_prints_a_huge_z(self, tmp_path, capsys):
+        path = tmp_path / "far.csv"
+        path.write_text(_counts_csv((1e200, 1, 1, 1e200, 2, 3e150, 1e100, 1)))
+        assert main(["test", "--input", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == (
+            "beta_hat 346.4864  se 1.4142e-50  z 2.4500e+52  p 0.0000")
 
 
 class TestJsonInput:

@@ -15,10 +15,12 @@ supported version.  ``fit_poisson`` and
 its ``params`` must agree with it bit for bit, or raise the same error with
 the same message; so must the two-way ``fit_causal`` with the causal
 parameters of the reference Y-block, since it does not check the fit's
-other parameters.  ``reference_z_test`` and ``reference_bonds`` copy the
-z-test and the linearity bonds as they stood before their sums were written
-out, with a generator per group of cells and a fold of logs, bond 1 in
-``beta_hat``'s order; ``additive_zero_test`` and ``linearity_bonds`` must
+other parameters.  The commands' route, ``cli._fit``, must succeed on the
+same tables as ``fit_causal``, with the same bits.  ``reference_z_test`` and
+``reference_bonds`` copy the z-test and the linearity bonds as they stood
+before their sums were written out, with a generator per group of cells
+and a fold of logs, bond 1 in ``beta_hat``'s order;
+``additive_zero_test`` and ``linearity_bonds`` must
 agree with them bit for bit on the reference MLE, whose fitted counts and
 Y-block are all the z-test reads.  Bond 1 and ``beta_hat`` are one
 expression, so wherever both succeed they are the same bits.
@@ -29,6 +31,7 @@ import operator
 import sys
 from functools import reduce
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -45,6 +48,7 @@ from loglin_effects import (
     fit_poisson,
     linearity_bonds,
 )
+from loglin_effects import cli
 from loglin_effects.causal import _causal_params, _xz_margins
 from loglin_effects.fitting import _FIELDS, _PAIRS, _covariance_terms
 
@@ -217,6 +221,15 @@ _TWO_WAY_TABLES = st.one_of(
     _tables(st.integers(0, 40).map(float)),
 )
 
+_SUBNORMAL = [3e-320, 1e-321, 2e-320, 5e-321, 4e-320, 1e-320, 6e-321,
+              2.5e-320]
+_NEAR_MAX = [1.5e307, 2e306, 3e307, 1e307, 2.5e307, 1.2e306, 4e306, 3.3e307]
+_MIXED = [1e-310, 1.0, 2.0, 1e-315, 3.0, 1e-312, 1e-311, 5.0]
+_SPURIOUS_UNDERFLOW = [
+    1.090515879411044e+37, 9.905708736435144e+155, 3.1104397823752685e+247,
+    8.892751294204288e-35, 3.286477071171664e+67, 2147.2297254063187,
+    19809953.73141923, 4.351124689073013e+115]
+
 #: the tables both two-way reference tests always run
 _TWO_WAY_EXAMPLES = (
     [42.0, 18.0, 25.0, 31.0, 17.0, 23.0, 12.0, 48.0],
@@ -234,6 +247,17 @@ _TWO_WAY_EXAMPLES = (
     # the root lies at the midpoint, so a converged step may pass it
     [10 ** 0.375, 1.0, 10 ** -0.96875, 10 ** -0.96875, 10 ** -0.96875, 1.0,
      10 ** -0.96875, 10 ** 0.375],
+    # the scale's edges, which the drawn tables do not reach.  Every count
+    # subnormal: the scale is 2^1064, beyond the float range as a number,
+    # and a fitted count underflows
+    _SUBNORMAL,
+    # counts near the float maximum: the scale is 2^-1019
+    _NEAR_MAX,
+    # subnormal and normal counts: the scale is 2^522
+    _MIXED,
+    # a fitted count underflows although every effect is a normal float:
+    # the scale centres on the counts, not on the fitted counts
+    _SPURIOUS_UNDERFLOW,
 )
 
 
@@ -255,9 +279,29 @@ class TestTwoWayFitAgainstReference:
         table = ContingencyTable(counts)
         want = _outcome(lambda: _reference_fit(table))
         assert _outcome(lambda: _library_fit(table)) == want
-        assert (_outcome(lambda: _bits(_fields(fit_causal(table),
-                                               _CAUSAL_FIELDS)))
-                == _outcome(lambda: _reference_causal(table)))
+        causal = _outcome(lambda: _bits(_fields(fit_causal(table),
+                                                _CAUSAL_FIELDS)))
+        assert causal == _outcome(lambda: _reference_causal(table))
+        # the command line's route, the fit first and then the margins,
+        # succeeds on the same tables with the same bits
+        command = _outcome(lambda: _bits(_fields(cli._fit(table, "two-way")[1],
+                                                 _CAUSAL_FIELDS)))
+        assert (command[0] == "ok") == (causal[0] == "ok")
+        if causal[0] == "ok":
+            assert command == causal
+
+    @pytest.mark.parametrize("counts, want", [
+        (_SUBNORMAL, ("FitError", "a fitted count underflows")),
+        (_NEAR_MAX, ("ok", 2)),
+        (_MIXED, ("ok", 6)),
+        (_SPURIOUS_UNDERFLOW, ("FitError", "a fitted count underflows")),
+    ], ids=["subnormal", "near-max", "mixed", "spurious-underflow"])
+    def test_scale_edges(self, counts, want):
+        # the Newton steps, or the error, at the scale's edges
+        table = ContingencyTable(counts)
+        assert _outcome(lambda: fit_poisson(table).iterations) == want
+        if want[0] == "FitError":
+            assert _outcome(lambda: fit_causal(table)) == want
 
     def test_examples_reach_each_parameter_error(self):
         # only a read of params checks mu^X, mu^Z and mu^XZ; fit_causal does
