@@ -145,16 +145,12 @@ def conditional_probabilities(cp: CausalParams) -> ConditionalProbabilities:
     )
 
 
-#: the message of a zero XZ margin n(x,z,+)
-_ZERO_MARGIN = "zero margin; causal blocks are not estimable"
-
-
 def _xz_margins(n) -> tuple:
     """n(x,z,+) for (x,z) = 00, 01, 10, 11 of counts ``n`` in canonical
     order; raises on a zero margin."""
     m = (n[0] + n[1], n[2] + n[3], n[4] + n[5], n[6] + n[7])
     if min(m) <= 0:
-        raise CausalModelError(_ZERO_MARGIN)
+        raise CausalModelError("zero margin; causal blocks are not estimable")
     return m
 
 
@@ -186,17 +182,11 @@ def fit_causal(table: ContingencyTable, with_interaction: bool = False) -> Causa
     reads the fit's Y-block on both routes).
     """
     n = table.counts
+    m = _xz_margins(n)
     if with_interaction:
-        m = _xz_margins(n)
         p = saturated_closed_form(table)
         return _causal_params(m, p.y, p.xy, p.zy, p.xzy, True)
-    n0, n1, n2, n3, n4, n5, n6, n7 = n
-    m0, m1, m2, m3 = n0 + n1, n2 + n3, n4 + n5, n6 + n7
-    if m0 <= 0 or m1 <= 0 or m2 <= 0 or m3 <= 0:
-        raise CausalModelError(_ZERO_MARGIN)
-    y, xy, zy, _ = _fit(n, False)[1]
-    return CausalParams((m2 + m3) / (m0 + m1), m1 / m0, (m3 / m2) * (m0 / m1),
-                        y, xy, zy)
+    return _causal_params(m, *_fit(n, False)[1])
 
 
 def causal_from_nocausal(nc: NoCausalParams) -> CausalParams:
