@@ -5,6 +5,11 @@ odds-ratio effect report, optionally oracle-verified), ``test``
 (additive-interaction z-test and linearity bonds), and ``oracle``
 (probability-space effects straight from the table).
 
+Each command's options are declared once, as data (``_COMMANDS`` and
+``_ARGUMENTS``).  A plain command line is parsed from that table alone;
+``argparse`` is imported, and ``build_parser`` builds its parser from the
+same table, only for any other line (help, version, a usage error, ...).
+
 Exit codes: 0 success, 1 input error, 2 fit/computation failure,
 3 verification failure.  A usage error (an unknown option, a bad or
 missing value) also exits with 2: argparse raises ``SystemExit(2)`` after
@@ -14,11 +19,11 @@ JSON mode emits exactly one document on stdout; diagnostics go to stderr.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from . import __version__
 from .causal import (
@@ -45,75 +50,29 @@ _RATIO_FIELDS = ("te", "ie", "ie_reverse", "nde", "multiplicative_interaction")
 VERIFY_TOL = 1e-8
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The ``argparse`` parser of every command line, built from
+    ``_COMMANDS``: ``main`` builds it only for a line that is not plain."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="loglin-effects",
         description="Causal odds-ratio effects for 2x2x2 contingency tables.",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    # each command's actions by option string, as ``add_argument`` returns
-    # them: the option table ``_parse_plain`` parses a plain line by, which
-    # holds only ``store`` and ``store_true`` actions
-    parser.options = {}
-
-    def add_command(name, help, model=True, direction=False):
-        """Add a command and its options; return the function that adds one
-        more option to it."""
+    for name, (_, help, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help)
-        options = parser.options[name] = {}
+        for option in options:
+            p.add_argument(option, **_ARGUMENTS[option])
 
-        def add(option, **kwargs):
-            options[option] = p.add_argument(option, **kwargs)
-
-        add("--input", required=True, help="table file path")
-        add(
-            "--format", choices=("csv", "json"), default=None,
-            help="input format (default: by file extension)",
-        )
-        add(
-            "--zero-cells", default="error", metavar="error|allow|correct[:C]",
-            help="zero-cell policy (default: error)",
-        )
-        add(
-            "--output", choices=("text", "json"), default="text",
-        )
-        if model:
-            add(
-                "--model", choices=("two-way", "saturated"), default="two-way",
-            )
-        if direction:
-            add(
-                "--from", dest="from_level", type=int, choices=(0, 1), default=0,
-            )
-            add(
-                "--to", dest="to_level", type=int, choices=(0, 1), default=1,
-            )
-        return add
-
-    add_command("fit", "fit loglinear and causal parameters")
-
-    add_effects = add_command("effects", "compute the effect report",
-                              direction=True)
-    add_effects(
-        "--verify", action="store_true",
-        help="cross-check against the probability-space oracle",
-    )
-
-    add_command("test", "additive-interaction z-test")
-
-    add_command("oracle", "probability-space effects directly from the table",
-                model=False, direction=True)
-
-    # each command's own parser, by name: ``main`` parses a command line
-    # that starts with a command by that parser alone
+    # each command's own parser, for a line that starts with the command
     parser.commands = sub.choices
     return parser
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
+def _parser():
     """The parser ``main`` uses, built once per process: it depends on no
     input, parsing does not change it, and it looks up ``sys.stdout`` and
     ``sys.stderr`` only when it prints."""
@@ -199,7 +158,7 @@ def cmd_fit(args) -> int:
                    for k in ("Xc", "Zc", "XZc", "Y", "XY", "ZY", "XZY")}
     lines += _param_lines("causal parameters (multiplicative):", causal_mult)
     lines.append(
-        f"deviance {fit.deviance:.6g}  iterations {fit.iterations}  "
+        f"deviance {fit._deviance():.6g}  iterations {fit.iterations}  "
         "converged True"
     )
     print(*lines, sep="\n")
@@ -278,18 +237,62 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+#: every option, as the keyword arguments of its ``add_argument``
+_ARGUMENTS = {
+    "--input": {"required": True, "help": "table file path"},
+    "--format": {"choices": ("csv", "json"), "default": None,
+                 "help": "input format (default: by file extension)"},
+    "--zero-cells": {"default": "error", "metavar": "error|allow|correct[:C]",
+                     "help": "zero-cell policy (default: error)"},
+    "--output": {"choices": ("text", "json"), "default": "text"},
+    "--model": {"choices": ("two-way", "saturated"), "default": "two-way"},
+    "--from": {"dest": "from_level", "type": int, "choices": (0, 1),
+               "default": 0},
+    "--to": {"dest": "to_level", "type": int, "choices": (0, 1), "default": 1},
+    "--verify": {"action": "store_true",
+                 "help": "cross-check against the probability-space oracle"},
+}
+
+_COMMON = ("--input", "--format", "--zero-cells", "--output")
+
+#: each command's function, help and options, in the order ``build_parser``
+#: adds them: the one option table of both parsers
 _COMMANDS = {
-    "fit": cmd_fit,
-    "effects": cmd_effects,
-    "test": cmd_test,
-    "oracle": cmd_oracle,
+    "fit": (cmd_fit, "fit loglinear and causal parameters",
+            (*_COMMON, "--model")),
+    "effects": (cmd_effects, "compute the effect report",
+                (*_COMMON, "--model", "--from", "--to", "--verify")),
+    "test": (cmd_test, "additive-interaction z-test", (*_COMMON, "--model")),
+    "oracle": (cmd_oracle, "probability-space effects directly from the table",
+               (*_COMMON, "--from", "--to")),
 }
 
 
-def _parse_plain(parser, argv):
-    """The namespace ``parser.parse_args(argv)`` returns for a plain command
-    line, in one pass over the command's option table; ``None`` for any
-    other line.
+def _plain_form(options) -> tuple:
+    """A command's options as argparse reads ``_ARGUMENTS``: ``(dest, flag,
+    type, choices)`` by option string, the required dests, the defaults."""
+    table, required, defaults = {}, [], {}
+    for option in options:
+        kwargs = _ARGUMENTS[option]
+        dest = kwargs.get("dest", option[2:].replace("-", "_"))
+        flag = kwargs.get("action") == "store_true"
+        table[option] = dest, flag, kwargs.get("type"), kwargs.get("choices")
+        if kwargs.get("required"):
+            required.append(dest)
+        else:
+            defaults[dest] = False if flag else kwargs.get("default")
+    return table, required, defaults
+
+
+#: each command's ``_plain_form``, by name
+_PLAIN = {name: _plain_form(options)
+          for name, (_, _, options) in _COMMANDS.items()}
+
+
+def _parse_plain(argv):
+    """The options ``build_parser().parse_args(argv)`` returns for a plain
+    command line, in one pass over the command's ``_plain_form``; ``None``
+    for any other line.
 
     A plain line is a command, then tokens each of which is a whole option
     string of that command (no abbreviation, no ``--opt=value``): a
@@ -299,56 +302,52 @@ def _parse_plain(parser, argv):
     each such value as the option's argument, and the last of a repeated
     option wins, as here.  Nothing is printed or raised.
     """
-    options = parser.options.get(argv[0]) if argv else None
-    if options is None:
+    form = _PLAIN.get(argv[0]) if argv else None
+    if form is None:
         return None
-    values = {}
-    tokens = iter(argv[1:])
+    table, required, defaults = form
+    values, tokens = {}, iter(argv[1:])
     for token in tokens:
-        action = options.get(token)
-        if action is None:
+        entry = table.get(token)
+        if entry is None:
             return None
-        if action.nargs == 0:  # store_true
-            values[action.dest] = action.const
+        dest, flag, convert, choices = entry
+        if flag:
+            values[dest] = True
             continue
         value = next(tokens, "")
         if not value or value[0] == "-":
             return None
-        if action.type is not None:
+        if convert is not None:
             try:
-                value = action.type(value)
-            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                value = convert(value)
+            except ValueError:
                 return None
-        if action.choices is not None and value not in action.choices:
+        if choices is not None and value not in choices:
             return None
-        values[action.dest] = value
-    for action in options.values():
-        if action.dest not in values:
-            if action.required:
-                return None
-            values[action.dest] = action.default
-    return argparse.Namespace(subcommand=argv[0], **values)
+        values[dest] = value
+    if not all(dest in values for dest in required):
+        return None
+    return SimpleNamespace(subcommand=argv[0], **{**defaults, **values})
 
 
 def _parse_args(argv):
     """``_parser().parse_args(argv)``, parsing each token once.
 
-    A plain command line, such as ``effects --input t.csv --verify``, is
-    parsed in one pass over the command's option table (``_parse_plain``),
-    without argparse.  Any other line that starts with a command (an
-    abbreviation, ``--opt=value``, ``-h``, a value that starts with ``-``, is
-    empty or is invalid, a missing value or ``--input``, an unknown token)
-    goes to that command's parser alone; the full parser would pass it all
-    the other tokens anyway, after classifying each of them for its own
-    ``--help`` and ``--version``.  Every other command line, and every one
-    that leaves a token over, goes to the full parser.  So help, version,
-    usage and every error come from argparse and read as before.
+    A plain line (``_parse_plain``) never reaches argparse.  Any other line
+    that starts with a command (an abbreviation, ``--opt=value``, ``-h``, a
+    bad or missing value, an unknown token) goes to that command's parser
+    alone; the full parser would pass it all the other tokens anyway, after
+    classifying each of them for its own ``--help`` and ``--version``.
+    Every other line, and every one that leaves a token over, goes to the
+    full parser.  So help, version, usage and every error come from
+    argparse and read as before.
     """
-    parser = _parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _parse_plain(parser, argv)
+    args = _parse_plain(argv)
     if args is not None:
         return args
+    parser = _parser()
     if argv and argv[0] in _COMMANDS:
         args, extra = parser.commands[argv[0]].parse_known_args(argv[1:])
         if not extra:
@@ -360,7 +359,7 @@ def _parse_args(argv):
 def main(argv=None) -> int:
     args = _parse_args(argv)
     try:
-        return _COMMANDS[args.subcommand](args)
+        return _COMMANDS[args.subcommand][0](args)
     except FitError as exc:
         print(f"fit error: {exc}", file=sys.stderr)
         return EXIT_FIT

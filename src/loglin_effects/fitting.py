@@ -130,14 +130,17 @@ _U = tuple((-1) ** sum(cell) for cell in CELLS)
 def _outer_terms(vectors) -> tuple:
     """Entry (i, j) of ``sum_k v_k g_k g_k'`` over ``vectors`` g_k with
     entries 0, 1 and -1, as the indices k where g_ki g_kj is 1 and those
-    where it is -1."""
+    where it is -1; each k is visited at the nonzero entries of g_k only."""
     size = len(vectors[0])
-    return tuple(
-        tuple(tuple(tuple(k for k, g in enumerate(vectors)
-                          if g[i] * g[j] == sign) for sign in (1, -1))
-              for j in range(size))
-        for i in range(size)
-    )
+    entries = [[([], []) for _ in range(size)] for _ in range(size)]
+    for k, g in enumerate(vectors):
+        nonzero = [(i, a) for i, a in enumerate(g) if a]
+        for i, a in nonzero:
+            row = entries[i]
+            for j, b in nonzero:
+                row[j][a * b < 0].append(k)
+    return tuple(tuple((tuple(plus), tuple(minus)) for plus, minus in row)
+                 for row in entries)
 
 
 #: the cell pairs c < d of the two-way covariance, in the order of its terms
@@ -153,15 +156,12 @@ def _covariance_terms(with_three_way: bool) -> tuple:
     over the seven two-way terms, p_t(c) = C[t][c] u(c); p_t(c) is
     (-1)^|t| or 0, so g is 0, 1 or -1.
     """
+    # C[t][c], read once
+    coding = [[_inverse_coding(t, cell) for cell in CELLS] for t in TERM_ORDER]
     if with_three_way:
-        return _outer_terms(
-            [[_inverse_coding(t, cell) for t in TERM_ORDER] for cell in CELLS]
-        )
-    return _outer_terms([
-        [_inverse_coding(t, CELLS[c]) * _U[c]
-         - _inverse_coding(t, CELLS[d]) * _U[d] for t in TERM_ORDER[:-1]]
-        for c, d in _PAIRS
-    ])
+        return _outer_terms(list(zip(*coding)))
+    p = [[row[c] * _U[c] for c in range(8)] for row in coding[:-1]]
+    return _outer_terms([[pt[c] - pt[d] for pt in p] for c, d in _PAIRS])
 
 
 def _check_positive(params, error=ValueError, names=_FIELDS,
@@ -300,6 +300,14 @@ class FitResult(_Record):
         cov = cache["covariance"] = tuple(map(tuple, cov))
         return cov
 
+    def _deviance(self) -> float:
+        """The deviance, for a report that prints it: ``FitError`` where
+        it leaves the float range.  ``fit_poisson`` still returns such a
+        fit, since the effects and the z-test do not read the deviance."""
+        if not math.isfinite(self.deviance):
+            raise FitError("the deviance leaves the float range")
+        return self.deviance
+
     def to_dict(self) -> dict:
         terms = self.spec.ordered_terms
         add = self.params.additive
@@ -312,7 +320,7 @@ class FitResult(_Record):
                 "terms": list(terms),
                 "values": [v for row in self.covariance for v in row],
             },
-            "deviance": self.deviance,
+            "deviance": self._deviance(),
             "iterations": self.iterations,
             # every fit that returns has converged; a failed one raises
             "converged": True,

@@ -73,6 +73,11 @@ FAR_SATURATED = (2.3273788978915495e+51, 1.3526378281095588e-52,
                  1.1782784837051244e-64, 3.993190800873706e-38,
                  3.771918813730145e+172, 3.2465111233412937e+77)
 
+#: a valid table whose two-way deviance, 1.8526e308 exactly, leaves the
+#: float range, while the fit, its parameters and covariance, the effects
+#: and the z-test are finite
+DEVIANCE_OVERFLOW = (1, 1.5e307, 5e307, 1, 5e307, 1, 1, 5e307)
+
 
 # direction levels (x, xp) for ``effects_report`` and ``oracle_effects``:
 # a level that is not an integer 0 or 1 raises ValueError, a float too

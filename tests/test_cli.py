@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from loglin_effects import CELLS, NoCausalParams, serialize_table
 from loglin_effects.cli import _num, main
-from conftest import FAR_SATURATED, FAR_TWO_WAY, TABLE5
+from conftest import DEVIANCE_OVERFLOW, FAR_SATURATED, FAR_TWO_WAY, TABLE5
 from loglin_effects.causal import conditional_probabilities
 from loglin_effects.tables import ContingencyTable
 
@@ -47,7 +47,8 @@ def zero_cell_csv(tmp_path):
 
 
 class TestInProcessMain:
-    def test_parser_built_once_per_process(self, uniform_csv, monkeypatch):
+    def test_parser_built_once_per_process(self, uniform_csv, monkeypatch,
+                                           capsys):
         import loglin_effects.cli as cli
 
         calls = []
@@ -60,11 +61,52 @@ class TestInProcessMain:
         monkeypatch.setattr(cli, "build_parser", counting)
         cli._parser.cache_clear()
         try:
+            # no plain line builds a parser
+            for command in ("fit", "effects", "test"):
+                assert main([command, "--input", uniform_csv]) == 0
+            assert calls == []
+            # the first line that is not plain builds it once, and later
+            # lines reuse it
+            assert main(["fit", "--input=" + uniform_csv]) == 0
+            assert len(calls) == 1
+            assert main(["effects", "--inp", uniform_csv]) == 0
+            with pytest.raises(SystemExit):
+                main(["test", "-h"])
             for command in ("fit", "effects", "test"):
                 assert main([command, "--input", uniform_csv]) == 0
         finally:
             cli._parser.cache_clear()
         assert len(calls) == 1
+
+    def test_plain_lines_import_no_argparse(self, uniform_csv):
+        # a fresh interpreter runs three plain lines without importing
+        # argparse or gettext; help still comes from argparse
+        program = (
+            "import contextlib, io, sys\n"
+            "from loglin_effects.cli import main\n"
+            f"path = {uniform_csv!r}\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    for argv in (['effects', '--verify', '--input', path],\n"
+            "                 ['test', '--input', path],\n"
+            "                 ['fit', '--input', path, '--output', 'json']):\n"
+            "        assert main(argv) == 0, argv\n"
+            "print(sorted({'argparse', 'gettext'} & set(sys.modules)))\n"
+            "try:\n"
+            "    main(['fit', '-h'])\n"
+            "except SystemExit as exc:\n"
+            "    print(exc.code)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", program], env=env, capture_output=True,
+            text=True, timeout=60, check=True,
+        ).stdout.splitlines()
+        assert out[0] == "[]"
+        assert out[1].startswith("usage: loglin-effects fit [-h]")
+        assert out[-1] == "0"
 
     @pytest.mark.parametrize("command", ["effects --verify", "oracle"])
     def test_json_output_formats_no_text_lines(self, table5_csv, command,
@@ -158,6 +200,13 @@ _PARSE_CORPUS = (
     ["test", "--input", "a b.csv", "--format", "JSON"],
     ["fit", "--output", "json", "--input", "t.csv", "--output", "text"],
     ["effects", "--input", "t.csv", "--zero-cells", "-5"],
+    # plain lines that, with those above, give each option of each command
+    ["fit", "--format", "csv", "--zero-cells", "correct", "--model",
+     "saturated", "--input", "t.csv"],
+    ["effects", "--input", "t.csv", "--output", "json", "--to", "0"],
+    ["test", "--input", "t.json", "--format", "json", "--model", "two-way"],
+    ["oracle", "--input", "t.csv", "--format", "csv", "--zero-cells",
+     "allow", "--output", "json", "--from", "1", "--to", "0"],
 )
 
 #: the tokens of the corpus, for command lines drawn at random
@@ -187,6 +236,15 @@ class TestParseOnce:
         full = cli.build_parser().parse_args
         assert (_parse_outcome(cli._parse_args, argv)
                 == _parse_outcome(full, argv))
+
+    def test_corpus_gives_every_option_in_a_plain_line(self):
+        import loglin_effects.cli as cli
+
+        plain = {(argv[0], token) for argv in _PARSE_CORPUS
+                 if cli._parse_plain(argv) is not None for token in argv}
+        for name, (_, _, options) in cli._COMMANDS.items():
+            for option in options:
+                assert (name, option) in plain
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.sampled_from(_PARSE_TOKENS), max_size=8))
@@ -634,6 +692,29 @@ class TestUnprintedParameters:
         assert captured.err == (
             f"fit error: multiplicative parameter {name} must be finite and "
             "> 0\n")
+
+
+class TestOverflowedDeviance:
+    """``fit`` prints the deviance, so it fails where the deviance leaves the
+    float range; ``effects`` and ``test`` do not read it."""
+
+    @pytest.mark.parametrize("output", ["text", "json"])
+    def test_fit_exits_2(self, tmp_path, capsys, output):
+        path = tmp_path / "overflow.csv"
+        path.write_text(_counts_csv(DEVIANCE_OVERFLOW))
+        assert main(["fit", "--output", output, "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "fit error: the deviance leaves the float range\n")
+
+    @pytest.mark.parametrize("command", ["test", "effects --verify"])
+    def test_commands_without_the_deviance_exit_0(self, tmp_path, capsys,
+                                                  command):
+        path = tmp_path / "overflow.csv"
+        path.write_text(_counts_csv(DEVIANCE_OVERFLOW))
+        assert main([*command.split(), "--input", str(path)]) == 0
+        assert capsys.readouterr().out
 
 
 class TestTextNumbers:

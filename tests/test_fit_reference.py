@@ -23,7 +23,8 @@ and a fold of logs, bond 1 in ``beta_hat``'s order; ``additive_zero_test``
 and ``linearity_bonds`` must agree with them bit for bit on the reference
 MLE, whose fitted counts and Y-block are all the z-test reads.  Bond 1 and
 ``beta_hat`` are one expression, so wherever both succeed they are the same
-bits.
+bits.  ``reference_covariance_terms`` builds the covariance's index tables
+by their definition, a comprehension over every entry of every vector.
 """
 
 import math
@@ -31,6 +32,7 @@ import operator
 import sys
 from functools import reduce
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -49,7 +51,14 @@ from loglin_effects import (
 )
 from loglin_effects import cli
 from loglin_effects.causal import _causal_params, _xz_margins
-from loglin_effects.fitting import _FIELDS, _PAIRS, _covariance_terms
+from loglin_effects.fitting import (
+    _FIELDS,
+    _PAIRS,
+    _U,
+    TERM_ORDER,
+    _covariance_terms,
+    _inverse_coding,
+)
 
 _EVEN = (0, 3, 5, 6)
 _ODD = (1, 2, 4, 7)
@@ -395,7 +404,38 @@ def reference_covariance(fit):
     return cov
 
 
+def reference_outer_terms(vectors):
+    """``fitting._outer_terms`` as one comprehension over every entry of
+    every vector: its definition."""
+    size = len(vectors[0])
+    return tuple(
+        tuple(tuple(tuple(k for k, g in enumerate(vectors)
+                          if g[i] * g[j] == sign) for sign in (1, -1))
+              for j in range(size))
+        for i in range(size)
+    )
+
+
+def reference_covariance_terms(with_three_way):
+    """``fitting._covariance_terms`` with ``C[t][c]`` read where it is
+    used: 64 reads for the saturated model and 392 for the two-way one."""
+    if with_three_way:
+        return reference_outer_terms(
+            [[_inverse_coding(t, cell) for t in TERM_ORDER] for cell in CELLS]
+        )
+    return reference_outer_terms([
+        [_inverse_coding(t, CELLS[c]) * _U[c]
+         - _inverse_coding(t, CELLS[d]) * _U[d] for t in TERM_ORDER[:-1]]
+        for c, d in _PAIRS
+    ])
+
+
 class TestCovarianceAgainstReference:
+    @pytest.mark.parametrize("saturated", [False, True])
+    def test_terms_match_the_comprehension(self, saturated):
+        assert _covariance_terms(saturated) == reference_covariance_terms(
+            saturated)
+
     @settings(max_examples=300, deadline=None)
     @given(_tables(st.one_of(_counts((-300, 300)), _counts((-5, 5)))),
            st.booleans())

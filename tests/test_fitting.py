@@ -25,7 +25,12 @@ from loglin_effects import (
     two_way_spec,
 )
 from loglin_effects.fitting import TERM_ORDER
-from conftest import FAR_TWO_WAY, random_nocausal, table_from_params
+from conftest import (
+    DEVIANCE_OVERFLOW,
+    FAR_TWO_WAY,
+    random_nocausal,
+    table_from_params,
+)
 
 README_COUNTS = (42, 18, 25, 31, 17, 23, 12, 48)
 
@@ -96,6 +101,22 @@ class TestFitPoisson:
         m = fit_poisson(t, two_way_spec()).fitted_counts
         cross = (m[7] * m[4] * m[2] * m[1]) / (m[6] * m[5] * m[3] * m[0])
         assert cross == pytest.approx(1.0, abs=1e-8)
+
+    def test_to_dict_raises_on_an_overflowed_deviance(self):
+        fit = fit_poisson(ContingencyTable(DEVIANCE_OVERFLOW))
+        D = decimal.Decimal
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            exact = 2 * sum(D(c) * (D(c) / D(f)).ln() - (D(c) - D(f))
+                            for c, f in zip(DEVIANCE_OVERFLOW,
+                                            fit.fitted_counts))
+        assert exact > D(sys.float_info.max)
+        assert fit.deviance == math.inf
+        # the parameters and the covariance are finite; the deviance is not
+        assert all(math.isfinite(v) for row in fit.covariance for v in row)
+        with pytest.raises(FitError) as exc:
+            fit.to_dict()
+        assert str(exc.value) == "the deviance leaves the float range"
 
     def test_divergence_detected(self):
         # a zero cell drives the three-way estimate to -inf
