@@ -126,7 +126,13 @@ class ConditionalProbabilities(_Record):
 
 def conditional_probabilities(cp: CausalParams) -> ConditionalProbabilities:
     """Evaluate the three conditional blocks at both levels; each level-0
-    probability is the reciprocal of one plus its block's level-1 product."""
+    probability is the reciprocal of one plus its block's level-1 product.
+
+    Where a two-factor product overflows, its level-0 probability is 0.0
+    and the level-1 one 1.0.  The chained product of Y at (1, 1) is left as
+    it is: it can overflow part-way while the odds are in range, and its
+    nan makes ``joint`` raise.
+    """
     xc, zc, xzc, y, xy, zy = cp.xc, cp.zc, cp.xzc, cp.y, cp.xy, cp.zy
     y11 = y * xy * zy * cp.xzy
     x0 = 1.0 / (1.0 + xc)
@@ -135,9 +141,11 @@ def conditional_probabilities(cp: CausalParams) -> ConditionalProbabilities:
     y0_01, y0_11 = 1.0 / (1.0 + y * zy), 1.0 / (1.0 + y11)
     return ConditionalProbabilities(
         p_x1=x0 * xc,
-        p_z1_given_x=(z0_0 * zc, z0_1 * zc * xzc),
-        p_y1_given_xz={(0, 0): y0_00 * y, (1, 0): y0_10 * y * xy,
-                       (0, 1): y0_01 * y * zy, (1, 1): y0_11 * y11},
+        p_z1_given_x=(z0_0 * zc, z0_1 * zc * xzc if z0_1 else 1.0),
+        p_y1_given_xz={(0, 0): y0_00 * y,
+                       (1, 0): y0_10 * y * xy if y0_10 else 1.0,
+                       (0, 1): y0_01 * y * zy if y0_01 else 1.0,
+                       (1, 1): y0_11 * y11},
         p_x0=x0,
         p_z0_given_x=(z0_0, z0_1),
         p_y0_given_xz={(0, 0): y0_00, (1, 0): y0_10, (0, 1): y0_01,

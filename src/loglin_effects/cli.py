@@ -19,7 +19,6 @@ JSON mode emits exactly one document on stdout; diagnostics go to stderr.
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import sys
@@ -65,18 +64,7 @@ def build_parser():
         p = sub.add_parser(name, help=help)
         for option in options:
             p.add_argument(option, **_ARGUMENTS[option])
-
-    # each command's own parser, for a line that starts with the command
-    parser.commands = sub.choices
     return parser
-
-
-@functools.cache
-def _parser():
-    """The parser ``main`` uses, built once per process: it depends on no
-    input, parsing does not change it, and it looks up ``sys.stdout`` and
-    ``sys.stderr`` only when it prints."""
-    return build_parser()
 
 
 def _load_table(args):
@@ -142,15 +130,16 @@ def cmd_fit(args) -> int:
     fit, cp = _fit(_load_table(args), args.model)
 
     if args.output == "json":
-        # only the JSON document holds the covariance, computed on first use
+        # only the JSON document holds the covariance
         _print_json({"model": args.model, "loglinear": fit.to_dict(),
                      "causal": cp.to_dict()})
         return EXIT_OK
     lines = []
     # the loglinear blocks print in sorted term order: X, XY, ..., eta
     terms = sorted(fit.spec.ordered_terms)
-    for kind, values in (("multiplicative", fit.params.multiplicative),
-                         ("additive", fit.params.additive)):
+    params = fit.params
+    for kind, values in (("multiplicative", params.multiplicative),
+                         ("additive", params.additive)):
         lines += _param_lines(f"loglinear parameters ({kind}):",
                               {t: values[t] for t in terms})
     causal = cp.to_dict()
@@ -332,28 +321,15 @@ def _parse_plain(argv):
 
 
 def _parse_args(argv):
-    """``_parser().parse_args(argv)``, parsing each token once.
+    """``build_parser().parse_args(argv)``, by one of two routes.
 
     A plain line (``_parse_plain``) never reaches argparse.  Any other line
-    that starts with a command (an abbreviation, ``--opt=value``, ``-h``, a
-    bad or missing value, an unknown token) goes to that command's parser
-    alone; the full parser would pass it all the other tokens anyway, after
-    classifying each of them for its own ``--help`` and ``--version``.
-    Every other line, and every one that leaves a token over, goes to the
-    full parser.  So help, version, usage and every error come from
-    argparse and read as before.
+    (an abbreviation, ``--opt=value``, help, version, a bad or missing
+    value, an unknown token) goes to a parser built for it, so help,
+    version, usage and every error come from argparse.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _parse_plain(argv)
-    if args is not None:
-        return args
-    parser = _parser()
-    if argv and argv[0] in _COMMANDS:
-        args, extra = parser.commands[argv[0]].parse_known_args(argv[1:])
-        if not extra:
-            args.subcommand = argv[0]
-            return args
-    return parser.parse_args(argv)
+    return _parse_plain(argv) or build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

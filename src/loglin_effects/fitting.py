@@ -23,14 +23,13 @@ in both models, and the Newton steps; its two-way branch is one straight
 line over eight local counts that scales, solves, reads the Y-block and
 unscales.  ``fit_poisson`` adds the deviance.
 Its ``FitResult`` reads the intercept and the X, Z and XZ terms off the
-fitted counts (``_cell_ratios``) when ``params`` is first read, so only a
+fitted counts (``_cell_ratios``) each time ``params`` is read, so only a
 reader of ``params`` sees one of them leave the float range;
 ``causal.fit_causal`` needs only the Y-block.
 
 The covariance of the additive parameters, ``(D' diag(m) D)^-1`` over the
-dummy-coded design matrix ``D``, is computed on first use in closed form,
-from index tables that are built on the first such use, and kept in the
-``FitResult``'s cache, a dict after its fields that keeps ``params`` too.
+dummy-coded design matrix ``D``, is computed each time it is read, in
+closed form, from index tables that are built on the first such read.
 ``C``, the inverse of the saturated dummy coding, maps the log counts to the
 parameters, and the saturated covariance is ``C diag(1/m) C'``.  The two-way
 model's log counts have the covariance ``diag(1/m) - (u/m)(u/m)' / sum(1/m)``,
@@ -231,12 +230,12 @@ class NoCausalParams(_Record):
 class FitResult(_Record):
     """A maximum likelihood fit under ``spec``: its fitted counts, Y-block
     ``(mu^Y, mu^XY, mu^ZY, mu^XZY)``, deviance and Newton steps, the record
-    of ``_fit``; ``params`` and ``covariance`` are computed on first use
-    and kept in a private dict after the five fields.  ``iterations``
-    counts the two-way solve's Newton steps in the log of ``t``'s distance
-    from an end of its interval (about one on typical tables), a step that
-    left the near half included, but not the log-free steps that estimate
-    where they start; the saturated closed form takes 0."""
+    of ``_fit``; ``params`` and ``covariance`` are computed on each read.
+    ``iterations`` counts the two-way solve's Newton steps in the log of
+    ``t``'s distance from an end of its interval (about one on typical
+    tables), a step that left the near half included, but not the log-free
+    steps that estimate where they start; the saturated closed form takes
+    0."""
 
     __slots__ = ()
     _fields = ("fitted_counts", "y_block", "deviance", "iterations", "spec")
@@ -244,29 +243,23 @@ class FitResult(_Record):
     def __new__(cls, fitted_counts: tuple, y_block: tuple, deviance: float,
                 iterations: int, spec: ModelSpec):
         return tuple.__new__(
-            cls, (fitted_counts, y_block, deviance, iterations, spec, {}))
+            cls, (fitted_counts, y_block, deviance, iterations, spec))
 
     @property
     def params(self) -> NoCausalParams:
         """The multiplicative parameters: the Y-block, and the intercept and
         the X, Z and XZ terms read off the fitted counts.  One out of the
         float range raises ``FitError``."""
-        cache = self[5]
-        if "params" not in cache:
-            cache["params"] = _cell_ratios(self.fitted_counts, *self.y_block)
-        return cache["params"]
+        return _cell_ratios(self.fitted_counts, *self.y_block)
 
     @property
     def covariance(self) -> tuple:
         """Inverse Fisher information ``(D' diag(m) D)^-1`` at the fitted counts.
 
-        A tuple of rows over ``spec.ordered_terms``, computed on first use in
-        closed form (see the module docstring) and kept.  An entry out of the
-        float range raises ``FitError``.
+        A tuple of rows over ``spec.ordered_terms``, in closed form (see the
+        module docstring).  An entry out of the float range raises
+        ``FitError``.
         """
-        cache = self[5]
-        if "covariance" in cache:
-            return cache["covariance"]
         m = self.fitted_counts
         terms = _covariance_terms(self.spec.with_three_way)
         if self.spec.with_three_way:
@@ -297,8 +290,7 @@ class FitResult(_Record):
                 cov[i][j] = cov[j][i] = a - b
         if not all(math.isfinite(v) for row in cov for v in row):
             raise FitError("the covariance leaves the float range")
-        cov = cache["covariance"] = tuple(map(tuple, cov))
-        return cov
+        return tuple(map(tuple, cov))
 
     def _deviance(self) -> float:
         """The deviance, for a report that prints it: ``FitError`` where
@@ -310,8 +302,8 @@ class FitResult(_Record):
 
     def to_dict(self) -> dict:
         terms = self.spec.ordered_terms
-        add = self.params.additive
-        mult = self.params.multiplicative
+        params = self.params
+        add, mult = params.additive, params.multiplicative
         return {
             "additive": {t: add[t] for t in terms},
             "multiplicative": {t: mult[t] for t in terms},
@@ -343,7 +335,7 @@ def fit_poisson(
 
     Raises ``FitError`` as ``_fit`` does; a parameter out of the float
     range raises only where ``FitResult.params`` is read.  The covariance
-    of the additive parameters is the lazy ``FitResult.covariance``.
+    of the additive parameters is ``FitResult.covariance``.
     """
     n = table.counts
     m, y_block, iterations = _fit(n, spec.with_three_way)

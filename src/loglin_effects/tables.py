@@ -71,8 +71,7 @@ class _Record(tuple):
     compare and hash by ``_key()``, their fields unless a class says
     otherwise; a record equals no other tuple.  They repr as
     ``Name(field=value, ...)``, and pickle and copy by calling the class
-    with their fields, so validation runs again.  A record may hold a cache
-    after its fields, which takes part in none of this.
+    with their fields, so validation runs again.
     """
 
     __slots__ = ()
@@ -83,7 +82,7 @@ class _Record(tuple):
 
     def _key(self) -> tuple:
         """The values that equality and hashing compare."""
-        return self[:len(self._fields)]
+        return tuple(self)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -110,7 +109,7 @@ class _Record(tuple):
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
-        return type(self), self[:len(self._fields)]
+        return type(self), tuple(self)
 
     def to_json(self) -> str:
         """``to_dict``, for the records that have one, as sorted-key JSON."""
@@ -279,7 +278,8 @@ def dichotomize(records, thresholds="mean") -> ContingencyTable:
     ``thresholds`` is either ``"mean"`` (per-variable mean split) or a triple
     of explicit cut points.  Values below the threshold map to 0, values at
     or above it map to 1.  Every value and threshold must be finite: a nan
-    or inf has no level, and a nan would make its variable's mean nan.
+    or inf has no level, and a nan would make its variable's mean nan.  A
+    column whose sum would overflow is summed scaled down by a power of two.
     """
     try:
         records = [tuple(float(v) for v in r) for r in records]
@@ -303,7 +303,12 @@ def dichotomize(records, thresholds="mean") -> ContingencyTable:
                 raise TableError(
                     f"variable {VARIABLES[j]} is constant; mean split undefined"
                 )
-            cuts.append(_left_sum(col) / len(col))
+            # 2^-k keeps each partial sum of the len(col) values below 2^1024;
+            # k is 0, and the mean the plain one, on every ordinary column
+            k = max(0, math.frexp(max(map(abs, col)))[1]
+                    + len(col).bit_length() - 1024)
+            cuts.append(math.ldexp(
+                _left_sum([math.ldexp(v, -k) for v in col]) / len(col), k))
     else:
         try:
             cuts = [float(t) for t in thresholds]

@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+from fractions import Fraction
 
 import pytest
 
@@ -126,14 +128,54 @@ class TestConditionalProbabilities:
                     0.25e-20, rel=1e-14, abs=0.0
                 )
 
-    def test_joint_out_of_float_range_is_a_causal_model_error(self):
-        # every joint probability underflows to 0: the total was 0 and the
-        # division raised ZeroDivisionError
-        cp = CausalParams(1.387787036005161e295, 6.436591753309211e176,
-                          8.651822222387864e141, 9.244291379236444e244,
-                          8.24987848667008e-245, 5.723388001407132e123)
-        with pytest.raises(CausalModelError, match="sum to"):
-            conditional_probabilities(cp).joint()
+    def test_joint_near_the_float_range_matches_the_exact_joint(self):
+        # zc * xzc and y * zy overflow, so their level-1 probabilities are
+        # 1.0; the exact joint has five cells below the normal range
+        values = (1.387787036005161e295, 6.436591753309211e176,
+                  8.651822222387864e141, 9.244291379236444e244,
+                  8.24987848667008e-245, 5.723388001407132e123)
+        probs = conditional_probabilities(CausalParams(*values)).joint().probs
+        exact = _exact_joint(*map(Fraction, values))
+        assert sum(exact) == 1
+        normal = [i for i, p in enumerate(exact)
+                  if float(p) >= sys.float_info.min]
+        assert normal == [3, 6, 7]
+        for i in normal:
+            assert abs(Fraction(probs[i]) - exact[i]) <= exact[i] * 1e-15
+        # cells 4 and 5 are subnormal, and the first three round to 0
+        assert [probs[i] for i in (0, 1, 2, 4, 5)] == [0.0] * 5
+        assert 0.0 < float(exact[4]) < float(exact[5]) < sys.float_info.min
+
+    @pytest.mark.parametrize("values, want", [
+        ((1.0, 1e200, 1e200, 1.0, 1.0, 1.0),
+         (2.5e-201, 2.5e-201, 0.25, 0.25, 0.0, 0.0, 0.25, 0.25)),
+        ((1.0, 1.0, 1.0, 1e200, 1e-200, 1e200),
+         (2.5e-201, 0.25, 0.0, 0.25, 0.125, 0.125, 2.5e-201, 0.25)),
+    ])
+    def test_an_overflowing_odds_product_keeps_its_mass(self, values, want):
+        # the odds of Z at X=1 and of Y at (0, 1) overflow: the level-1
+        # probability is 1.0, so the joint keeps that block's mass
+        probs = conditional_probabilities(CausalParams(*values)).joint().probs
+        assert probs == pytest.approx(want, rel=1e-15, abs=0.0)
+        exact = _exact_joint(*map(Fraction, values))
+        for p, e in zip(probs, exact):
+            if float(e) >= sys.float_info.min:
+                assert abs(Fraction(p) - e) <= e * 1e-15
+            else:  # out of the float range, as 0.5 / (1 + 1e400) is
+                assert p == 0.0
+
+
+def _exact_joint(xc, zc, xzc, y, xy, zy):
+    """The joint of the two-way causal model, exactly, in cell order."""
+    w = (zc, zc * xzc)
+    odds = {(0, 0): y, (1, 0): y * xy, (0, 1): y * zy,
+            (1, 1): y * xy * zy}
+    probs = []
+    for x, px in enumerate((1 / (1 + xc), xc / (1 + xc))):
+        for z, pz in enumerate((1 / (1 + w[x]), w[x] / (1 + w[x]))):
+            o = odds[x, z]
+            probs += (px * pz / (1 + o), px * pz * o / (1 + o))
+    return probs
 
 
 class TestFitCausal:

@@ -68,16 +68,19 @@ def reference_eta(xc, zc, xzc, y, xy, zy, xzy):
 
 def reference_conditional(xc, zc, xzc, y, xy, zy, xzy):
     """(p_x1, p_z1_given_x, p_y1_given_xz, p_x0, p_z0_given_x,
-    p_y0_given_xz), each from the normalization factors."""
+    p_y0_given_xz), each from the normalization factors; where a two-factor
+    product overflows, its level-0 probability is 0.0 and the level-1 one
+    1.0."""
     x_norm, z_given_x, y_given_xz = reference_eta(xc, zc, xzc, y, xy, zy, xzy)
     y11 = y * xy * zy * xzy
+    z1, y10, y01 = z_given_x[1], y_given_xz[(1, 0)], y_given_xz[(0, 1)]
     return (
         x_norm * xc,
-        (z_given_x[0] * zc, z_given_x[1] * zc * xzc),
+        (z_given_x[0] * zc, z1 * zc * xzc if z1 != 0.0 else 1.0),
         {
             (0, 0): y_given_xz[(0, 0)] * y,
-            (1, 0): y_given_xz[(1, 0)] * y * xy,
-            (0, 1): y_given_xz[(0, 1)] * y * zy,
+            (1, 0): y10 * y * xy if y10 != 0.0 else 1.0,
+            (0, 1): y01 * y * zy if y01 != 0.0 else 1.0,
             (1, 1): y_given_xz[(1, 1)] * y11,
         },
         x_norm,

@@ -47,8 +47,8 @@ def zero_cell_csv(tmp_path):
 
 
 class TestInProcessMain:
-    def test_parser_built_once_per_process(self, uniform_csv, monkeypatch,
-                                           capsys):
+    def test_each_line_that_is_not_plain_builds_one_parser(
+            self, uniform_csv, monkeypatch, capsys):
         import loglin_effects.cli as cli
 
         calls = []
@@ -59,24 +59,21 @@ class TestInProcessMain:
             return real()
 
         monkeypatch.setattr(cli, "build_parser", counting)
-        cli._parser.cache_clear()
-        try:
-            # no plain line builds a parser
-            for command in ("fit", "effects", "test"):
-                assert main([command, "--input", uniform_csv]) == 0
-            assert calls == []
-            # the first line that is not plain builds it once, and later
-            # lines reuse it
-            assert main(["fit", "--input=" + uniform_csv]) == 0
-            assert len(calls) == 1
-            assert main(["effects", "--inp", uniform_csv]) == 0
-            with pytest.raises(SystemExit):
-                main(["test", "-h"])
-            for command in ("fit", "effects", "test"):
-                assert main([command, "--input", uniform_csv]) == 0
-        finally:
-            cli._parser.cache_clear()
+        # no plain line builds a parser
+        for command in ("fit", "effects", "test"):
+            assert main([command, "--input", uniform_csv]) == 0
+        assert calls == []
+        # each line that is not plain builds exactly one
+        assert main(["fit", "--input=" + uniform_csv]) == 0
         assert len(calls) == 1
+        assert main(["effects", "--inp", uniform_csv]) == 0
+        assert len(calls) == 2
+        with pytest.raises(SystemExit):
+            main(["test", "-h"])
+        assert len(calls) == 3
+        for command in ("fit", "effects", "test"):
+            assert main([command, "--input", uniform_csv]) == 0
+        assert len(calls) == 3
 
     def test_plain_lines_import_no_argparse(self, uniform_csv):
         # a fresh interpreter runs three plain lines without importing
@@ -226,8 +223,8 @@ def _parse_outcome(parse, argv):
 
 
 class TestParseOnce:
-    # main parses a command line that starts with a command by that
-    # command's parser alone, and must act as the full parser does
+    # main parses a plain command line from the option table alone, and
+    # must act as the full parser does
 
     @pytest.mark.parametrize("argv", _PARSE_CORPUS, ids=" ".join)
     def test_corpus_parses_as_the_full_parser(self, argv):
@@ -255,28 +252,39 @@ class TestParseOnce:
         assert (_parse_outcome(cli._parse_args, argv)
                 == _parse_outcome(full, argv))
 
-    def test_well_formed_lines_skip_the_full_parser(self, uniform_csv,
-                                                    monkeypatch, capsys):
+    def test_only_lines_that_are_not_plain_reach_the_full_parser(
+            self, uniform_csv, monkeypatch, capsys):
         import loglin_effects.cli as cli
 
         calls = []
-        parser = cli._parser()
-        real = parser.parse_args
+        real = cli.build_parser
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def building():
+            parser = real()
+            parse = parser.parse_args
 
-        monkeypatch.setattr(parser, "parse_args", counting)
+            def counting(*args, **kwargs):
+                calls.append(1)
+                return parse(*args, **kwargs)
+
+            parser.parse_args = counting
+            return parser
+
+        monkeypatch.setattr(cli, "build_parser", building)
         for argv in (["fit", "--input", uniform_csv, "--output", "json"],
-                     ["effects", "--verify", "--input", uniform_csv],
-                     ["test", "--input=" + uniform_csv],
-                     ["oracle", "--inp", uniform_csv, "--from", "1",
-                      "--to", "0"]):
+                     ["effects", "--verify", "--input", uniform_csv]):
             assert main(argv) == 0
         assert calls == []
+        # an abbreviation and ``--opt=value`` reach the full parser, once
+        for argv in (["test", "--input=" + uniform_csv],
+                     ["oracle", "--inp", uniform_csv, "--from", "1",
+                      "--to", "0"]):
+            calls.clear()
+            assert main(argv) == 0
+            assert calls == [1]
         capsys.readouterr()
-        # a leftover token goes to the full parser, which reports it
+        # so does a leftover token, which it reports
+        calls.clear()
         with pytest.raises(SystemExit):
             main(["fit", "--input", uniform_csv, "--bogus"])
         assert calls == [1]
@@ -286,24 +294,28 @@ class TestParseOnce:
         )
 
     def test_plain_lines_skip_argparse(self, monkeypatch, capsys):
+        import argparse
+
         import loglin_effects.cli as cli
 
-        parser = cli._parser()
         calls = []
+        parse = argparse.ArgumentParser.parse_known_args
 
-        def spy(parse, name):
-            def counting(*args, **kwargs):
-                calls.append(name)
-                return parse(*args, **kwargs)
-            return counting
+        def counting(self, *args, **kwargs):
+            calls.append(self.prog)
+            return parse(self, *args, **kwargs)
 
-        monkeypatch.setattr(parser, "parse_args",
-                            spy(parser.parse_args, "parse_args"))
-        for command in parser.commands.values():
-            monkeypatch.setattr(
-                command, "parse_known_args",
-                spy(command.parse_known_args, "parse_known_args"),
-            )
+        # every parse of every argparse parser, the command parsers too
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
+                            counting)
+        full = []
+        real = cli.build_parser
+
+        def building():
+            full.append(1)
+            return real()
+
+        monkeypatch.setattr(cli, "build_parser", building)
         common = ["--input", "t.csv", "--zero-cells", "correct:0.5",
                   "--output", "json"]
         for argv in (["effects", *common, "--verify"], ["test", *common],
@@ -311,15 +323,16 @@ class TestParseOnce:
                      ["effects", "--input", "t.csv", "--from", "1",
                       "--to", "0"]):
             cli._parse_args(argv)
-        assert calls == []
-        # an abbreviation, ``--opt=value`` and help go to the command's
-        # parser, once
+        assert calls == [] and full == []
+        # an abbreviation, ``--opt=value`` and help go to one full parser
         for argv in (["fit", "--inp", "t.csv"], ["fit", "--input=t.csv"],
                      ["fit", "-h"]):
             calls.clear()
+            full.clear()
             with contextlib.suppress(SystemExit):
                 cli._parse_args(argv)
-            assert calls == ["parse_known_args"]
+            assert full == [1]
+            assert calls.count("loglin-effects") == 1
         assert capsys.readouterr().out.startswith("usage: loglin-effects fit")
 
 

@@ -124,10 +124,11 @@ def test_records_compare_by_value(name):
 def test_a_record_is_the_tuple_of_its_fields(name):
     record, fields = _records()[name]
     assert record._fields == fields
-    assert tuple(record)[:len(fields)] == tuple(getattr(record, f)
-                                                for f in fields)
-    if name != "FitResult":  # its covariance cache follows its fields
-        assert len(record) == len(fields)
+    assert tuple(record) == tuple(getattr(record, f) for f in fields)
+    assert len(record) == len(fields)
+    # unpacking gives the fields
+    *values, = record
+    assert values == [getattr(record, f) for f in fields]
     # a record equals no other tuple, from either side, even its own
     assert record != tuple(record) and tuple(record) != record
     assert not record == tuple(record) and not tuple(record) == record
@@ -212,7 +213,7 @@ def test_pickle_and_copy_round_trip(name):
 def test_fit_result_covariance_is_kept_and_survives_copies():
     fit = fit_poisson(ContingencyTable(README_COUNTS))
     cov = fit.covariance
-    assert fit.covariance is cov
+    assert fit.covariance == cov
     for other in _round_trips(fit):
         assert other.covariance == cov
     with pytest.raises(AttributeError):
@@ -222,7 +223,7 @@ def test_fit_result_covariance_is_kept_and_survives_copies():
 def test_fit_result_params_are_kept_and_survive_copies():
     fit = fit_poisson(ContingencyTable(README_COUNTS))
     params = fit.params
-    assert fit.params is params
+    assert fit.params == params
     assert params.y == fit.y_block[0] and params.xzy == fit.y_block[3]
     for other in _round_trips(fit):
         assert other.params == params

@@ -671,6 +671,16 @@ class TestDichotomize:
         t = dichotomize([(0, 0, 0), (1, 1, 1), (2, 2, 2)])
         assert t.count(1, 1, 1) == 2
 
+    @pytest.mark.parametrize("xs, counts", [
+        # the mean is 1.2333e308, though the plain sum overflows to inf
+        ((1e308, 1.5e308, 1.2e308), (1, 1, 0, 0, 0, 0, 0, 1)),
+        # the mean is -0.5e308, though the plain sum overflows to -inf
+        ((-1e308, -1.5e308, 1e308), (1, 0, 0, 1, 0, 1, 0, 0)),
+    ])
+    def test_mean_split_of_a_column_whose_sum_overflows(self, xs, counts):
+        records = [(x, z, y) for x, z, y in zip(xs, (0, 1, 0), (0, 1, 1))]
+        assert dichotomize(records).counts == counts
+
     def test_explicit_thresholds(self):
         t = dichotomize([(5, 5, 5), (1, 1, 1)], thresholds=(3, 3, 3))
         assert t.count(1, 1, 1) == 1
