@@ -23,7 +23,6 @@ from .fitting import (
 from .tables import (
     ContingencyTable,
     JointProbabilityTable,
-    _left_sum,
     _Record,
 )
 
@@ -104,24 +103,30 @@ class ConditionalProbabilities(_Record):
                                    p_z0_given_x, p_y0_given_xz))
 
     def joint(self) -> JointProbabilityTable:
+        """The cell products over their finite, positive sum; built directly."""
         y0, y1 = self.p_y0_given_xz, self.p_y1_given_xz
         p00 = self.p_x0 * self.p_z0_given_x[0]
         p01 = self.p_x0 * self.p_z1_given_x[0]
         p10 = self.p_x1 * self.p_z0_given_x[1]
         p11 = self.p_x1 * self.p_z1_given_x[1]
-        probs = (p00 * y0[0, 0], p00 * y1[0, 0], p01 * y0[0, 1], p01 * y1[0, 1],
-                 p10 * y0[1, 0], p10 * y1[1, 0], p11 * y0[1, 1], p11 * y1[1, 1])
-        total = _left_sum(probs)
+        c0, c1, c2, c3 = (p00 * y0[0, 0], p00 * y1[0, 0],
+                          p01 * y0[0, 1], p01 * y1[0, 1])
+        c4, c5, c6, c7 = (p10 * y0[1, 0], p10 * y1[1, 0],
+                          p11 * y0[1, 1], p11 * y1[1, 1])
+        total = 0.0 + c0 + c1 + c2 + c3 + c4 + c5 + c6 + c7  # as _left_sum
         if not 0.0 < total < math.inf:  # also a nan probability
             raise CausalModelError(
                 f"the joint probabilities sum to {total}: the parameters "
                 "leave the float range"
             )
-        c0, c1, c2, c3, c4, c5, c6, c7 = probs
-        return JointProbabilityTable((
+        # JointProbabilityTable's checks hold: eight floats, none negative
+        # (each cell is a product of probabilities in [0, 1], and a nan
+        # would make ``total`` nan), whose quotients sum to within about
+        # 16 units of rounding of 1, far inside its 1e-12
+        return tuple.__new__(JointProbabilityTable, ((
             c0 / total, c1 / total, c2 / total, c3 / total,
             c4 / total, c5 / total, c6 / total, c7 / total,
-        ))
+        ),))
 
 
 def conditional_probabilities(cp: CausalParams) -> ConditionalProbabilities:
@@ -140,16 +145,15 @@ def conditional_probabilities(cp: CausalParams) -> ConditionalProbabilities:
     y0_00, y0_10 = 1.0 / (1.0 + y), 1.0 / (1.0 + y * xy)  # by (x, z)
     y0_01, y0_11 = 1.0 / (1.0 + y * zy), 1.0 / (1.0 + y11)
     return ConditionalProbabilities(
-        p_x1=x0 * xc,
-        p_z1_given_x=(z0_0 * zc, z0_1 * zc * xzc if z0_1 else 1.0),
-        p_y1_given_xz={(0, 0): y0_00 * y,
-                       (1, 0): y0_10 * y * xy if y0_10 else 1.0,
-                       (0, 1): y0_01 * y * zy if y0_01 else 1.0,
-                       (1, 1): y0_11 * y11},
-        p_x0=x0,
-        p_z0_given_x=(z0_0, z0_1),
-        p_y0_given_xz={(0, 0): y0_00, (1, 0): y0_10, (0, 1): y0_01,
-                       (1, 1): y0_11},
+        x0 * xc,
+        (z0_0 * zc, z0_1 * zc * xzc if z0_1 else 1.0),
+        {(0, 0): y0_00 * y,
+         (1, 0): y0_10 * y * xy if y0_10 else 1.0,
+         (0, 1): y0_01 * y * zy if y0_01 else 1.0,
+         (1, 1): y0_11 * y11},
+        x0,
+        (z0_0, z0_1),
+        {(0, 0): y0_00, (1, 0): y0_10, (0, 1): y0_01, (1, 1): y0_11},
     )
 
 

@@ -79,20 +79,14 @@ def effects_report(cp: CausalParams, x: int = 0, xp: int = 1) -> EffectsReport:
             "an odds product over- or underflows: the effects are not all "
             "positive and finite"
         )
+    # additive: the double difference of P(Y=1|x,z) = o / (1 + o)
     return EffectsReport(
-        te=te,
-        lde=(lde0, lde1),
-        cell=(cell0, cell1),
-        ie=ie,
-        ie_reverse=ie_rev,
-        nde=nde,
-        # the double difference of P(Y=1|x,z) = o / (1 + o)
-        additive_interaction=(o11 / (1.0 + o11) - o01 / (1.0 + o01)
-                              - o10 / (1.0 + o10) + o00 / (1.0 + o00)),
-        multiplicative_interaction=mult,
-        decomposition_residual=max(abs(te - lde0 * cell0 / ie_rev),
-                                   abs(te - lde1 * cell1 / ie_rev)),
-        direction=(x, xp),
+        te, (lde0, lde1), (cell0, cell1), ie, ie_rev, nde,
+        (o11 / (1.0 + o11) - o01 / (1.0 + o01)
+         - o10 / (1.0 + o10) + o00 / (1.0 + o00)),
+        mult,
+        max(abs(te - lde0 * cell0 / ie_rev), abs(te - lde1 * cell1 / ie_rev)),
+        (x, xp), None,
     )
 
 

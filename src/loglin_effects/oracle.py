@@ -109,16 +109,5 @@ def oracle_effects(
     additive = p1[1][1] - p1[0][1] - p1[1][0] + p1[0][0]
     residual = max(abs(te - lde[0] * cell[0] / ie_reverse),
                    abs(te - lde[1] * cell[1] / ie_reverse))
-    return EffectsReport(
-        te=te,
-        lde=lde,
-        cell=cell,
-        ie=ie,
-        ie_reverse=ie_reverse,
-        nde=nde,
-        additive_interaction=additive,
-        multiplicative_interaction=multiplicative,
-        decomposition_residual=residual,
-        direction=(x, xp),
-        source="oracle",
-    )
+    return EffectsReport(te, lde, cell, ie, ie_reverse, nde, additive,
+                         multiplicative, residual, (x, xp), "oracle")

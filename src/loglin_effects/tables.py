@@ -123,6 +123,10 @@ class ContingencyTable(_Record):
     _fields = ("counts", "labels")
 
     def __new__(cls, counts, labels: tuple | None = None):
+        # float would read each character or byte of a text as a count
+        if isinstance(counts, (str, bytes, bytearray, memoryview)):
+            raise TableError(
+                f"counts must be numbers, not {type(counts).__name__}")
         counts = tuple(map(float, counts))
         if len(counts) != 8:
             raise TableError(f"expected 8 cells, got {len(counts)}")
@@ -159,6 +163,9 @@ class JointProbabilityTable(_Record):
     _fields = ("probs",)
 
     def __new__(cls, probs):
+        if isinstance(probs, (str, bytes, bytearray, memoryview)):
+            raise TableError(
+                f"probabilities must be numbers, not {type(probs).__name__}")
         probs = tuple(map(float, probs))
         if len(probs) != 8:
             raise TableError(f"expected 8 probabilities, got {len(probs)}")
@@ -410,8 +417,10 @@ def _parse_csv(text: str) -> ContingencyTable:
 
     Both paths give the same counts, bit for bit, since the match finds the
     fields the CSV reader would and converts them as ``_coerce_count`` does.
-    A text whose match path fails is read again by ``_parse_csv_rows``, so
-    every error is its error, or ``ContingencyTable``'s on the same counts.
+    Having checked each count, the match path builds the table directly
+    when their total is finite and > 0, else calls ``ContingencyTable`` for
+    its error.  A text whose match path fails is read again by
+    ``_parse_csv_rows``, so every error is its error, or the constructor's.
     """
     m = _CANONICAL_CSV.fullmatch(text)
     # longer text may hold a field the CSV reader refuses
@@ -426,7 +435,10 @@ def _parse_csv(text: str) -> ContingencyTable:
             if (0.0 <= a < inf and 0.0 <= b < inf and 0.0 <= c < inf
                     and 0.0 <= d < inf and 0.0 <= e < inf and 0.0 <= f < inf
                     and 0.0 <= g < inf and 0.0 <= h < inf):
-                return ContingencyTable(counts)
+                total = 0.0 + a + b + c + d + e + f + g + h  # as _left_sum
+                if 0.0 < total < inf:
+                    return tuple.__new__(ContingencyTable, (counts, None))
+                return ContingencyTable(counts)  # raises its total's error
     return _parse_csv_rows(text)
 
 

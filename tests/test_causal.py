@@ -4,11 +4,14 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from loglin_effects import (
     CausalModelError,
     CausalParams,
     ContingencyTable,
+    JointProbabilityTable,
     NoCausalParams,
     causal_from_nocausal,
     conditional_probabilities,
@@ -163,6 +166,33 @@ class TestConditionalProbabilities:
                 assert abs(Fraction(p) - e) <= e * 1e-15
             else:  # out of the float range, as 0.5 / (1 + 1e400) is
                 assert p == 0.0
+
+
+#: a positive parameter at 10^U(-300, 300)
+_wide = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+#: causal parameters of either model with every field drawn from ``_wide``
+_wide_causal = st.one_of(
+    st.builds(CausalParams, _wide, _wide, _wide, _wide, _wide, _wide),
+    st.builds(CausalParams, _wide, _wide, _wide, _wide, _wide, _wide, _wide,
+              st.just(True)),
+)
+
+
+class TestDirectJoint:
+    """``joint`` builds its table without the constructor's checks; they
+    hold on every table it returns."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(_wide_causal)
+    @example(CausalParams(1, 1, 1, 1e200, 1e200, 1e-200))  # (1,1) overflows
+    def test_the_joint_passes_the_constructor_or_raises(self, cp):
+        try:
+            joint = conditional_probabilities(cp).joint()
+        except CausalModelError as exc:
+            assert "the joint probabilities sum to" in str(exc)
+        else:
+            assert type(joint) is JointProbabilityTable
+            assert JointProbabilityTable(joint.probs) == joint
 
 
 def _exact_joint(xc, zc, xzc, y, xy, zy):

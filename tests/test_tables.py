@@ -357,9 +357,16 @@ class TestOneMatchPath:
     @example(_with_count(1, "\r1"))
     @example(_with_count(1, "1\r "))
     @example(README_CSV.rstrip("\n"))
+    @example(_canonical_text(["0"] * 8, {}, "\n"))  # a total of 0
     def test_canonical_layout_matches_the_reference(self, text):
         new = _outcome(lambda s: parse_table(s, "csv").counts, text)
-        assert new == _outcome(reference_parse_csv, text)
+        want = _outcome(reference_parse_csv, text)
+        assert new == want
+        if want[0] == "ok":
+            # the table built directly is the constructor's: its type, no labels
+            table = parse_table(text, "csv")
+            assert type(table) is ContingencyTable and table.labels is None
+            assert table == ContingencyTable(reference_parse_csv(text))
 
     def test_field_over_the_limit_is_refused(self):
         with pytest.raises(TableError) as got:
@@ -530,6 +537,35 @@ def test_table_error_messages(make, message):
     with pytest.raises(TableError) as exc:
         make()
     assert str(exc.value) == message
+
+
+class TestTextIsNoCounts:
+    """Text or bytes are not eight numbers, though ``float`` reads each of
+    their characters or bytes as one."""
+
+    @pytest.mark.parametrize("text", [
+        "42183125", b"12345678", bytearray(b"12345678"),
+        memoryview(b"12345678"),
+    ], ids=["str", "bytes", "bytearray", "memoryview"])
+    def test_counts(self, text):
+        with pytest.raises(TableError) as exc:
+            ContingencyTable(text)
+        assert str(exc.value) == (
+            f"counts must be numbers, not {type(text).__name__}")
+
+    @pytest.mark.parametrize("text", [
+        "10000000", b"10000000", bytearray(b"10000000"),
+        memoryview(b"10000000"),
+    ], ids=["str", "bytes", "bytearray", "memoryview"])
+    def test_probabilities(self, text):
+        with pytest.raises(TableError) as exc:
+            JointProbabilityTable(text)
+        assert str(exc.value) == (
+            f"probabilities must be numbers, not {type(text).__name__}")
+
+    def test_a_sequence_of_numeric_strings_is_still_counts(self):
+        assert ContingencyTable(list("42183125")).counts == (
+            4.0, 2.0, 1.0, 8.0, 3.0, 1.0, 2.0, 5.0)
 
 
 class TestTotal:
