@@ -18,26 +18,13 @@ probability table for cross-checking.
 from __future__ import annotations
 
 import math
-import operator
 
 from .causal import CausalParams
-from .report import EffectsReport
+from .report import EffectsReport, _direction
 
 
 class DegenerateProbabilityError(ValueError):
     """An odds product over- or underflowed, so an effect is 0, inf or nan."""
-
-
-def _direction(x, xp) -> tuple:
-    """``(x, xp)`` as plain ints; ``ValueError`` unless they are two
-    distinct integer levels in {0, 1} (a bool or numpy integer is one)."""
-    try:
-        x, xp = operator.index(x), operator.index(xp)
-    except TypeError:
-        x = None  # a float or other non-integer level
-    if x not in (0, 1) or xp not in (0, 1) or x == xp:
-        raise ValueError("direction must be two distinct levels in {0, 1}")
-    return x, xp
 
 
 def effects_report(cp: CausalParams, x: int = 0, xp: int = 1) -> EffectsReport:

@@ -3,16 +3,16 @@
 This module deliberately shares no formula code with the engine and
 imports neither ``effects`` nor ``causal``: every conditional probability
 is obtained by dividing sums of joint cells, and every effect definition
-is transcribed independently.  Only the report type is shared.  It exists
-to cross-validate the closed-form engine.
+is transcribed independently.  It shares only the report type and the
+check of its direction, both in ``report``.  It exists to cross-validate
+the closed-form engine.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 
-from .report import EffectsReport
+from .report import EffectsReport, _direction
 from .tables import JointProbabilityTable
 
 
@@ -67,12 +67,7 @@ def oracle_effects(
     joint: JointProbabilityTable, x: int = 0, xp: int = 1
 ) -> EffectsReport:
     """Evaluate every effect definition literally on the joint table."""
-    try:  # a bool or numpy integer level is kept, as a plain int
-        x, xp = operator.index(x), operator.index(xp)
-    except TypeError:
-        x = None  # a float or other non-integer level
-    if x not in (0, 1) or xp not in (0, 1) or x == xp:
-        raise ValueError("direction must be two distinct levels in {0, 1}")
+    x, xp = _direction(x, xp)
     pz, (p0, p1) = _conditionals(joint)
 
     def odds(y_arm, z_arm):

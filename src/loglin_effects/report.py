@@ -1,8 +1,23 @@
-"""The effect report that both the engine and the oracle fill."""
+"""The effect report that both the engine and the oracle fill, and the
+check of its direction that both make."""
 
 from __future__ import annotations
 
+import operator
+
 from .tables import _Record
+
+
+def _direction(x, xp) -> tuple:
+    """``(x, xp)`` as plain ints; ``ValueError`` unless they are two
+    distinct integer levels in {0, 1} (a bool or numpy integer is one)."""
+    try:
+        x, xp = operator.index(x), operator.index(xp)
+    except TypeError:
+        x = None  # a float or other non-integer level
+    if x not in (0, 1) or xp not in (0, 1) or x == xp:
+        raise ValueError("direction must be two distinct levels in {0, 1}")
+    return x, xp
 
 
 class EffectsReport(_Record):

@@ -127,7 +127,10 @@ class ContingencyTable(_Record):
         if isinstance(counts, (str, bytes, bytearray, memoryview)):
             raise TableError(
                 f"counts must be numbers, not {type(counts).__name__}")
-        counts = tuple(map(float, counts))
+        try:
+            counts = tuple(map(float, counts))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise TableError(f"counts must be 8 numbers: {exc}") from None
         if len(counts) != 8:
             raise TableError(f"expected 8 cells, got {len(counts)}")
         total = _left_sum(counts)
@@ -166,7 +169,11 @@ class JointProbabilityTable(_Record):
         if isinstance(probs, (str, bytes, bytearray, memoryview)):
             raise TableError(
                 f"probabilities must be numbers, not {type(probs).__name__}")
-        probs = tuple(map(float, probs))
+        try:
+            probs = tuple(map(float, probs))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise TableError(
+                f"probabilities must be 8 numbers: {exc}") from None
         if len(probs) != 8:
             raise TableError(f"expected 8 probabilities, got {len(probs)}")
         if any(p < 0 for p in probs):

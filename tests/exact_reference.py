@@ -1,16 +1,19 @@
-"""Exact rational references for the effects and the two-way fit.
+"""Exact rational references for the effects, the causal layer and the
+two-way fit.
 
-Under the saturated model the fitted table is the observed one, so for an
-integer count table every conditional probability is a ratio of count
-sums and every effect is rational in the counts.  ``exact_effects``
-evaluates the definitions in ``fractions.Fraction`` arithmetic; it shares
-no code with the engine or the oracle.
+Every effect is a ratio of outcome odds, so it is a rational function of
+any table proportional to the joint: ``exact_effects`` evaluates the
+definitions in ``fractions.Fraction`` arithmetic on such a table, the
+counts under the saturated model, a two-way MLE, or ``exact_joint`` of a
+set of causal parameters.  It shares no code with the engine or the oracle.
 
 The two-way MLE is ``n + t*u``, u = +1 on the even cells (0, 3, 5, 6) and
 -1 on the odd ones, with ``t`` the root in ``(-lo, hi)`` of the cubic
 ``prod_even (n + t) - prod_odd (n - t)`` (its t^4 terms cancel), lo and hi
 the least even and odd counts.  Every float count is a dyadic rational, so
 ``exact_two_way_mle`` brackets the root by the exact sign of the cubic.
+``exact_contrast_variance`` is the z-test's variance at a fitted table,
+from the inverse of the logistic information of Y on X and Z.
 """
 
 import math
@@ -21,38 +24,87 @@ RATIO_FIELDS = ("te", "ie", "ie_reverse", "nde", "multiplicative_interaction")
 
 
 def exact_effects(counts, x=0, xp=1) -> dict:
-    """Every ratio effect of the saturated model, exactly, keyed by field."""
-    n = {(a, b, c): Fraction(counts[4 * a + 2 * b + c])
-         for a in (0, 1) for b in (0, 1) for c in (0, 1)}
-    nxz = {(a, b): n[(a, b, 0)] + n[(a, b, 1)] for a in (0, 1) for b in (0, 1)}
-    nx = {a: nxz[(a, 0)] + nxz[(a, 1)] for a in (0, 1)}
-
-    def p_y(y, a, b):
-        return n[(a, b, y)] / nxz[(a, b)]
-
-    def p_z(b, a):
-        return nxz[(a, b)] / nx[a]
-
-    def odds(y_arm, z_arm):
-        # sum_z P(Y=1|y_arm,z) P(z|z_arm) over the same sum at Y=0
-        return (sum(p_y(1, y_arm, b) * p_z(b, z_arm) for b in (0, 1))
-                / sum(p_y(0, y_arm, b) * p_z(b, z_arm) for b in (0, 1)))
-
-    def cond_odds(a, b):
-        return p_y(1, a, b) / p_y(0, a, b)
-
-    lde_z = [cond_odds(xp, b) / cond_odds(x, b) for b in (0, 1)]
-    nde = odds(xp, x) / odds(x, x)
+    """Every effect of the joint proportional to ``counts`` (floats, ints or
+    Fractions), exactly, keyed by field."""
+    n = [Fraction(c) for c in counts]  # cell (a, b, y) at 4a + 2b + y
+    nxz = [[n[4 * a + 2 * b] + n[4 * a + 2 * b + 1] for b in (0, 1)]
+           for a in (0, 1)]
+    # P(Y=y|X=a,Z=b) as p_y[y][a][b], P(Z=b|X=a) as p_z[a][b]
+    p_y = [[[n[4 * a + 2 * b + y] / nxz[a][b] for b in (0, 1)]
+            for a in (0, 1)] for y in (0, 1)]
+    p_z = [[nxz[a][b] / (nxz[a][0] + nxz[a][1]) for b in (0, 1)]
+           for a in (0, 1)]
+    # sum_z P(Y=1|y_arm,z) P(z|z_arm) over the same sum at Y=0, as
+    # odds[y_arm][z_arm], and the conditional odds of Y at (a, b)
+    odds = [[sum(p_y[1][a][b] * p_z[c][b] for b in (0, 1))
+             / sum(p_y[0][a][b] * p_z[c][b] for b in (0, 1)) for c in (0, 1)]
+            for a in (0, 1)]
+    cond = [[p_y[1][a][b] / p_y[0][a][b] for b in (0, 1)] for a in (0, 1)]
+    lde_z = [cond[xp][b] / cond[x][b] for b in (0, 1)]
+    nde = odds[xp][x] / odds[x][x]
     return {
-        "te": odds(xp, xp) / odds(x, x),
+        "te": odds[xp][xp] / odds[x][x],
         "lde": lde_z,
         "cell": [nde / v for v in lde_z],
-        "ie": odds(x, xp) / odds(x, x),
-        "ie_reverse": odds(xp, x) / odds(xp, xp),
+        "ie": odds[x][xp] / odds[x][x],
+        "ie_reverse": odds[xp][x] / odds[xp][xp],
         "nde": nde,
-        "multiplicative_interaction": (cond_odds(1, 1) / cond_odds(0, 1))
-        / (cond_odds(1, 0) / cond_odds(0, 0)),
+        "multiplicative_interaction": (cond[1][1] / cond[0][1])
+        / (cond[1][0] / cond[0][0]),
+        "additive_interaction": p_y[1][1][1] - p_y[1][0][1] - p_y[1][1][0]
+        + p_y[1][0][0],
     }
+
+
+def exact_conditionals(xc, zc, xzc, y, xy, zy, xzy=1) -> tuple:
+    """P(X=1), P(Z=1|X=x) by x and P(Y=1|X=x,Z=z) by (x, z) of a set of
+    causal parameters, exactly: each is its odds over one plus its odds."""
+    xc, zc, xzc, y, xy, zy, xzy = map(Fraction, (xc, zc, xzc, y, xy, zy, xzy))
+
+    def p(odds):
+        return odds / (1 + odds)
+
+    return (p(xc), (p(zc), p(zc * xzc)),
+            {(0, 0): p(y), (1, 0): p(y * xy), (0, 1): p(y * zy),
+             (1, 1): p(y * xy * zy * xzy)})
+
+
+def exact_joint(*params) -> list:
+    """The eight joint probabilities of a set of causal parameters, exactly,
+    in canonical cell order; they sum to 1."""
+    p_x1, p_z1, p_y1 = exact_conditionals(*params)
+    cells = []
+    for x, px in ((0, 1 - p_x1), (1, p_x1)):
+        for z, pz in ((0, 1 - p_z1[x]), (1, p_z1[x])):
+            cells += (px * pz * (1 - p_y1[x, z]), px * pz * p_y1[x, z])
+    return cells
+
+
+def exact_contrast_variance(m) -> Fraction:
+    """Var of lambda^ZY + 2 lambda^Y + lambda^XY at the fitted counts ``m``
+    of a two-way fit: c' I^-1 c, c = (2, 1, 1), with I the information of
+    the logistic regression of Y on (1, X, Z), sum_xz w r r' with
+    r = (1, x, z) and w = m(x,z,0) m(x,z,1) / m(x,z,+); the two-way MLE
+    fits the XZ margin, so this is the Y-block of the inverse Poisson
+    information.  Solved by elimination without pivoting, as I is
+    positive definite."""
+    info = [[Fraction(0)] * 3 for _ in range(3)]
+    for x in (0, 1):
+        for z in (0, 1):
+            m0, m1 = Fraction(m[4 * x + 2 * z]), Fraction(m[4 * x + 2 * z + 1])
+            r = (1, x, z)
+            for i in range(3):
+                for j in range(3):
+                    info[i][j] += m0 * m1 / (m0 + m1) * r[i] * r[j]
+    c = (2, 1, 1)
+    rows = [row + [ci] for row, ci in zip(info, c)]
+    for col in range(3):
+        rows[col] = [v / rows[col][col] for v in rows[col]]
+        for i in range(3):
+            if i != col:
+                rows[i] = [v - rows[i][col] * w
+                           for v, w in zip(rows[i], rows[col])]
+    return sum(ci * row[3] for ci, row in zip(c, rows))
 
 
 def worst_rel_err(report, exact) -> float:
@@ -75,43 +127,66 @@ def _bits_float(bits: int) -> float:
     return struct.unpack("<d", struct.pack("<q", bits))[0]
 
 
-def exact_two_way_mle(counts, extra_bits=40) -> list:
+def exact_two_way_mle(counts, extra_bits=12) -> list:
     """The two-way MLE of ``counts`` as Fractions; the MLE must exist.
 
     ``s``, the root's distance from the end of ``(-lo, hi)`` nearer to it,
     is bracketed between adjacent floats by bisection on their bits, and
-    the bracket is then halved ``extra_bits`` times in Fractions: for a
-    normal ``s`` a relative width of 2^-(52 + extra_bits).  Every fitted
-    count is ``a + s`` or ``b - s`` with ``a >= 0`` and ``b >= 2s``, so
-    each is as relatively exact as ``s``.
+    the bracket is then halved until its width is 2^-(52 + extra_bits) of
+    ``s``: by default a 2048th of the unit of rounding u = 2^-53.  Every
+    fitted count is ``a + s`` or ``b - s`` with ``a >= 0`` and ``b >= 2s``,
+    so each is as relatively exact as ``s``.  The cubic's sign is taken in
+    integers, the counts and the point tried over one common ``scale``;
+    far from the root the logs of its factors decide it.
     """
     n = [Fraction(c) for c in counts]
-    lo, hi = min(n[i] for i in _EVEN), min(n[i] for i in _ODD)
+    # every float is a whole multiple of 2^-1074
+    scale = math.lcm(*(c.denominator for c in n)) << 1074
+    big = [c.numerator * (scale // c.denominator) for c in n]
+    lo, hi = min(big[i] for i in _EVEN), min(big[i] for i in _ODD)
 
-    def cubic(t):
-        return (math.prod(n[i] + t for i in _EVEN)
-                - math.prod(n[i] - t for i in _ODD))
-
-    # the cubic rises through its one root on (-lo, hi); from the end
-    # nearer the root, s is at or beyond it when ``beyond(s)``
-    mid = (lo + hi) / 2
-    sign = 1 if cubic(mid - lo) >= 0 else -1
-    end = -lo if sign > 0 else hi
+    def scaled(x: float) -> int:
+        num, den = x.as_integer_ratio()
+        return num * (scale // den)
 
     def beyond(s):
-        return sign * cubic(end + sign * s) >= 0
+        # the cubic prod_even (n + t) - prod_odd (n - t) rises through its
+        # one root on (-lo, hi); from the end nearer the root, s is at or
+        # beyond it when this holds
+        t = end + sign * s
+        rise, fall = [big[i] + t for i in _EVEN], [big[i] - t for i in _ODD]
+        if min(rise) > 0 < min(fall):
+            # each log is within a few ulps, far inside this margin
+            gap = sum(map(math.log, rise)) - sum(map(math.log, fall))
+            if abs(gap) > 1e-12 * sum(map(abs, map(math.log, rise + fall))):
+                return sign * gap > 0
+        return sign * (math.prod(rise) - math.prod(fall)) >= 0
 
-    below, above = 0, _float_bits(math.nextafter(float(mid), math.inf))
-    assert not beyond(0) and beyond(Fraction(_bits_float(above)))
+    # one more bit of scale makes the half-length ``mid`` whole; the
+    # cubic's sign at the centre of (-lo, hi) picks the nearer end
+    mid = lo + hi
+    big, lo, hi, scale = [2 * c for c in big], 2 * lo, 2 * hi, 2 * scale
+    sign, end = 1, -lo
+    if not beyond(mid):
+        sign, end = -1, hi
+    below = 0
+    above = _float_bits(math.nextafter(mid / scale, math.inf))
+    assert not beyond(0) and beyond(scaled(_bits_float(above)))
     while above - below > 1:
         half = (below + above) // 2
-        if beyond(Fraction(_bits_float(half))):
+        if beyond(scaled(_bits_float(half))):
             above = half
         else:
             below = half
-    below, above = Fraction(_bits_float(below)), Fraction(_bits_float(above))
-    for _ in range(extra_bits):
-        half = (below + above) / 2
+    below, above = scaled(_bits_float(below)), scaled(_bits_float(above))
+    while below == 0 or (above - below) << (52 + extra_bits) > below:
+        # one more bit of scale keeps the half a whole number; below the
+        # least float, 64 more bits try 2^-64 of the bound instead
+        grow = 2 ** (64 if below == 0 else 1)
+        big, end, scale = [grow * c for c in big], grow * end, grow * scale
+        below, above = grow * below, grow * above
+        half = above // grow if below == 0 else (below + above) // 2
         below, above = (below, half) if beyond(half) else (half, above)
-    t = end + sign * (below + above) / 2
-    return [c + t if i in _EVEN else c - t for i, c in enumerate(n)]
+    t = 2 * end + sign * (below + above)  # over 2 * scale
+    return [Fraction(2 * c + t if i in _EVEN else 2 * c - t, 2 * scale)
+            for i, c in enumerate(big)]

@@ -25,6 +25,7 @@ from loglin_effects import FitError, saturated_closed_form, saturated_spec
 from loglin_effects import causal, fitting
 from loglin_effects.causal import _causal_params, _xz_margins
 from conftest import FAR_SATURATED, random_causal, random_nocausal
+from exact_reference import exact_joint
 
 # single-letter-free aliases for the worked conversion values
 SEC3_NC = NoCausalParams(
@@ -138,7 +139,7 @@ class TestConditionalProbabilities:
                   8.651822222387864e141, 9.244291379236444e244,
                   8.24987848667008e-245, 5.723388001407132e123)
         probs = conditional_probabilities(CausalParams(*values)).joint().probs
-        exact = _exact_joint(*map(Fraction, values))
+        exact = exact_joint(*values)
         assert sum(exact) == 1
         normal = [i for i, p in enumerate(exact)
                   if float(p) >= sys.float_info.min]
@@ -160,7 +161,7 @@ class TestConditionalProbabilities:
         # probability is 1.0, so the joint keeps that block's mass
         probs = conditional_probabilities(CausalParams(*values)).joint().probs
         assert probs == pytest.approx(want, rel=1e-15, abs=0.0)
-        exact = _exact_joint(*map(Fraction, values))
+        exact = exact_joint(*values)
         for p, e in zip(probs, exact):
             if float(e) >= sys.float_info.min:
                 assert abs(Fraction(p) - e) <= e * 1e-15
@@ -193,19 +194,6 @@ class TestDirectJoint:
         else:
             assert type(joint) is JointProbabilityTable
             assert JointProbabilityTable(joint.probs) == joint
-
-
-def _exact_joint(xc, zc, xzc, y, xy, zy):
-    """The joint of the two-way causal model, exactly, in cell order."""
-    w = (zc, zc * xzc)
-    odds = {(0, 0): y, (1, 0): y * xy, (0, 1): y * zy,
-            (1, 1): y * xy * zy}
-    probs = []
-    for x, px in enumerate((1 / (1 + xc), xc / (1 + xc))):
-        for z, pz in enumerate((1 / (1 + w[x]), w[x] / (1 + w[x]))):
-            o = odds[x, z]
-            probs += (px * pz / (1 + o), px * pz * o / (1 + o))
-    return probs
 
 
 class TestFitCausal:

@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +18,7 @@ from loglin_effects import (
 )
 from loglin_effects.inference import TestError, TestResult
 from conftest import TABLE5
+from exact_reference import exact_contrast_variance
 
 
 def balanced_table(scale=1000.0):
@@ -98,27 +98,9 @@ class TestAdditiveZeroTest:
     ] + [tuple(10.0 ** np.random.default_rng(seed).uniform(-30, 30, 8))
          for seed in range(20)])
     def test_variance_is_the_exact_inverse_y_block_information(self, counts):
-        # c' I^-1 c in exact rationals at the fitted counts, for the Y-block
-        # information I = sum w r r' over the four (x, z), r = (1, x, z),
-        # w = m(x,z,0) m(x,z,1) / m(x,z,+), and c = (2, 1, 1)
+        # c' I^-1 c of the Y-block information at the fitted counts
         fit = fit_poisson(ContingencyTable(counts))
-        m = [Fraction(v) for v in fit.fitted_counts]
-        info = [[Fraction(0)] * 3 for _ in range(3)]
-        for k, (x, z) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-            w = m[2 * k] * m[2 * k + 1] / (m[2 * k] + m[2 * k + 1])
-            r = (1, x, z)
-            for i in range(3):
-                for j in range(3):
-                    info[i][j] += w * r[i] * r[j]
-        contrast = [Fraction(2), Fraction(1), Fraction(1)]
-        rows = [row + [c] for row, c in zip(info, contrast)]
-        for i in range(3):  # Gauss-Jordan on a positive definite matrix
-            rows[i] = [v / rows[i][i] for v in rows[i]]
-            for j in range(3):
-                if j != i:
-                    f = rows[j][i]
-                    rows[j] = [a - f * b for a, b in zip(rows[j], rows[i])]
-        exact = sum(c * row[3] for c, row in zip(contrast, rows))
+        exact = exact_contrast_variance(fit.fitted_counts)
         se = additive_zero_test(fit).se
         assert se ** 2 == pytest.approx(float(exact), rel=1e-12)
 

@@ -568,6 +568,20 @@ class TestTextIsNoCounts:
             4.0, 2.0, 1.0, 8.0, 3.0, 1.0, 2.0, 5.0)
 
 
+@pytest.mark.parametrize("cells", [
+    ["a"] * 8, [None] * 8, 5, [1j] * 8, [10 ** 400] + [1] * 7,
+], ids=["text-cell", "none", "not-iterable", "complex", "huge-int"])
+def test_a_cell_float_refuses_is_a_table_error(cells):
+    # the message carries float's own, whose wording varies by version
+    with pytest.raises((TypeError, ValueError, OverflowError)) as refused:
+        list(map(float, cells))
+    for make, what in ((ContingencyTable, "counts"),
+                       (JointProbabilityTable, "probabilities")):
+        with pytest.raises(TableError) as exc:
+            make(cells)
+        assert str(exc.value) == f"{what} must be 8 numbers: {refused.value}"
+
+
 class TestTotal:
     def test_overflowing_total_rejected(self):
         with pytest.raises(TableError, match="total"):
