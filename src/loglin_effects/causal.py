@@ -26,6 +26,8 @@ from .tables import (
     _Record,
 )
 
+_MIN, _MAX = sys.float_info.min, sys.float_info.max
+
 
 class CausalModelError(ValueError):
     """Invalid causal parameterization or unsupported conversion."""
@@ -129,28 +131,47 @@ class ConditionalProbabilities(_Record):
         ),))
 
 
+def _odds(cp: CausalParams) -> tuple:
+    """The outcome odds ``o[x][z]`` and the mediator odds ``w[x]`` of ``cp``.
+    o(1,1) is the chain ``y * xy * zy * xzy`` unless ``y * xy`` or ``y * xy
+    * zy`` leaves the normal range, where the chain can lose digits; there
+    it is the exact product of the four, rounded once (inf on overflow)."""
+    _, zc, xzc, y, xy, zy, xzy, _ = cp
+    o10 = y * xy
+    o11 = o10 * zy
+    if _MIN <= o10 <= _MAX >= o11 >= _MIN:
+        o11 *= xzy
+    else:
+        (a, b), (c, d), (e, f), (g, h) = (
+            v.as_integer_ratio() for v in (y, xy, zy, xzy))
+        try:
+            o11 = a * c * e * g / (b * d * f * h)
+        except OverflowError:
+            o11 = math.inf
+    return ((y, y * zy), (o10, o11)), (zc, zc * xzc)
+
+
 def conditional_probabilities(cp: CausalParams) -> ConditionalProbabilities:
     """Evaluate the three conditional blocks at both levels; each level-0
-    probability is the reciprocal of one plus its block's level-1 product.
+    probability is the reciprocal of one plus its block's odds.
 
-    Where a two-factor product overflows, its level-0 probability is 0.0
-    and the level-1 one 1.0.  The chained product of Y at (1, 1) is left as
-    it is: it can overflow part-way while the odds are in range, and its
-    nan makes ``joint`` raise.
+    The odds come from ``_odds``.  Where one overflows, its level-0
+    probability is 0.0 and the level-1 one 1.0, except at (1, 1): there
+    the level-1 probability is nan, which makes ``joint`` raise.
     """
-    xc, zc, xzc, y, xy, zy = cp.xc, cp.zc, cp.xzc, cp.y, cp.xy, cp.zy
-    y11 = y * xy * zy * cp.xzy
+    xc, zc, xzc, y, xy, zy, _, _ = cp
+    ((o00, o01), (o10, o11)), (w0, w1) = _odds(cp)
     x0 = 1.0 / (1.0 + xc)
-    z0_0, z0_1 = 1.0 / (1.0 + zc), 1.0 / (1.0 + zc * xzc)  # by x
-    y0_00, y0_10 = 1.0 / (1.0 + y), 1.0 / (1.0 + y * xy)  # by (x, z)
-    y0_01, y0_11 = 1.0 / (1.0 + y * zy), 1.0 / (1.0 + y11)
+    z0_0, z0_1 = 1.0 / (1.0 + w0), 1.0 / (1.0 + w1)  # by x
+    y0_00, y0_10 = 1.0 / (1.0 + o00), 1.0 / (1.0 + o10)  # by (x, z)
+    y0_01, y0_11 = 1.0 / (1.0 + o01), 1.0 / (1.0 + o11)
     return ConditionalProbabilities(
         x0 * xc,
         (z0_0 * zc, z0_1 * zc * xzc if z0_1 else 1.0),
         {(0, 0): y0_00 * y,
          (1, 0): y0_10 * y * xy if y0_10 else 1.0,
          (0, 1): y0_01 * y * zy if y0_01 else 1.0,
-         (1, 1): y0_11 * y11},
+         (1, 1): y0_11 * o11},
         x0,
         (z0_0, z0_1),
         {(0, 0): y0_00, (1, 0): y0_10, (0, 1): y0_01, (1, 1): y0_11},

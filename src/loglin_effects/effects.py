@@ -1,9 +1,9 @@
 """Odds-ratio causal effects computed from the causal parameterization.
 
 Every effect is a ratio of outcome odds under P(X) P(Z|X) P(Y|X,Z), so one
-pass gives them all.  It reads the four conditional outcome odds
-``o(x,z)`` and the two mediator odds ``w(x)`` straight off the parameters
-and forms each mixed odds, outcome arm ``a`` and mediator arm ``b``, as
+pass gives them all.  It takes the four conditional outcome odds
+``o(x,z)`` and the two mediator odds ``w(x)`` from ``causal._odds`` and
+forms each mixed odds, outcome arm ``a`` and mediator arm ``b``, as
 
     sum_z P(Y=1|a,z) P(z|b)   o0 (1 + o1) + o1 w (1 + o0)
     ----------------------- = ---------------------------,
@@ -11,15 +11,16 @@ and forms each mixed odds, outcome arm ``a`` and mediator arm ``b``, as
 
 with ``o0, o1 = o(a,0), o(a,1)`` and ``w = w(b)``: a ratio of positive
 sums, so no odds is ever formed as ``p / (1 - p)`` and no digit cancels.
-The ``oracle`` module recomputes the same quantities from a raw joint
-probability table for cross-checking.
+The kernel ``_effects`` uses only +, *, / and comparisons, so it works in
+any number type: ``Fraction`` odds give exact effects.  The ``oracle``
+module recomputes them from a raw joint probability table.
 """
 
 from __future__ import annotations
 
 import math
 
-from .causal import CausalParams
+from .causal import CausalParams, _odds
 from .report import EffectsReport, _direction
 
 
@@ -35,14 +36,16 @@ def effects_report(cp: CausalParams, x: int = 0, xp: int = 1) -> EffectsReport:
     not inverted.
     """
     x, xp = _direction(x, xp)
-    o00, o10 = cp.y, cp.y * cp.xy  # o(x,z), as o[x][z]
-    o01, o11 = o00 * cp.zy, o10 * cp.zy * cp.xzy
-    o = ((o00, o01), (o10, o11))
-    w = (cp.zc, cp.zc * cp.xzc)  # w[x]
+    return _effects(*_odds(cp), x, xp)
+
+
+def _effects(o, w, x: int, xp: int) -> EffectsReport:
+    """``effects_report`` of the odds ``o[x][z]`` and ``w[x]``, in their type."""
+    (o00, o01), (o10, o11) = o
 
     def mixed(a, b):
         o0, o1 = o[a]
-        u, v = 1.0 + o0, 1.0 + o1
+        u, v = 1 + o0, 1 + o1
         return (o0 * v + o1 * w[b] * u) / (v + w[b] * u)
 
     try:
@@ -69,8 +72,8 @@ def effects_report(cp: CausalParams, x: int = 0, xp: int = 1) -> EffectsReport:
     # additive: the double difference of P(Y=1|x,z) = o / (1 + o)
     return EffectsReport(
         te, (lde0, lde1), (cell0, cell1), ie, ie_rev, nde,
-        (o11 / (1.0 + o11) - o01 / (1.0 + o01)
-         - o10 / (1.0 + o10) + o00 / (1.0 + o00)),
+        (o11 / (1 + o11) - o01 / (1 + o01)
+         - o10 / (1 + o10) + o00 / (1 + o00)),
         mult,
         max(abs(te - lde0 * cell0 / ie_rev), abs(te - lde1 * cell1 / ie_rev)),
         (x, xp), None,

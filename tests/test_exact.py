@@ -25,6 +25,7 @@ right answer.
 import math
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -48,6 +49,8 @@ from loglin_effects import (
     saturated_closed_form,
 )
 from loglin_effects import cli
+from loglin_effects.causal import _odds
+from loglin_effects.effects import _effects
 from exact_reference import (
     _EVEN,
     _ODD,
@@ -386,6 +389,23 @@ class TestExactReference:
             exact_cp = check_causal(cp, n, exact, bounds)
             check_effects(cp, exact_cp, gamma(K_CAUSAL["xzc"]))
 
+    @settings(max_examples=200, deadline=None)
+    @given(counts_1e12, st.booleans())
+    @example([42, 18, 25, 31, 17, 23, 12, 48], False)
+    def test_kernel_on_exact_odds_is_exact(self, counts, reverse):
+        # the odds of the counts, o(x,z) = n(x,z,1) / n(x,z,0) and
+        # w(x) = n(x,1,+) / n(x,0,+), as Fractions
+        x, xp = (1, 0) if reverse else (0, 1)
+        n = list(map(Fraction, counts))
+        o = ((n[1] / n[0], n[3] / n[2]), (n[5] / n[4], n[7] / n[6]))
+        w = ((n[2] + n[3]) / (n[0] + n[1]), (n[6] + n[7]) / (n[4] + n[5]))
+        report = _effects(o, w, x, xp)
+        want = exact_effects(counts, x, xp)
+        assert {f: getattr(report, f) for f in want} == {
+            **want, "lde": tuple(want["lde"]), "cell": tuple(want["cell"])}
+        assert report.decomposition_residual == 0
+        assert report.direction == (x, xp)
+
     @settings(max_examples=300, deadline=None)
     @given(counts_1e12, st.booleans())
     def test_oracle_within_1e12_of_exact(self, counts, reverse):
@@ -544,7 +564,7 @@ class TestTwoWayFit:
 
 #: the silent tables: the two-way mu^XY passes through m5 / m4 = 8.6e-324,
 #: so TE is 14.5% off; the saturated o(1,1) through o(1,0) zy = 7.2e-321,
-#: so TE is 2.1e-4 off
+#: so the float chain puts TE 2.1e-4 off
 SILENT_TWO_WAY = (2.7273980743346266e+198, 8.19565826022456e-09,
                   4.0529971057776215e+74, 3.135249356757005e+286,
                   9.007277266263948e-197, 1.6447246914038178e+137,
@@ -555,9 +575,25 @@ SILENT_SATURATED = (6.7511640127902735e-108, 1.2940180135811937e-89,
                     3.372621782897062e+151, 4.27178336139234e+124)
 
 
+#: o(1,1) is 1e200, but y xy = 1e400 overflows on the way to it
+CHAINED = (1, 1, 1, 1e200, 1e200, 1e-200, 1)
+
+
+def check_normal_joint_cells(values):
+    """The joint of ``CausalParams(*values)`` within gamma_93 of the exact
+    one at each cell whose exact value is a normal float; returns that."""
+    joint = exact_joint(*values)
+    got = conditional_probabilities(CausalParams(*values)).joint().probs
+    for cell, want in zip(got, joint):
+        if want >= sys.float_info.min:
+            _check(cell, want, gamma(K_JOINT))
+    return joint
+
+
 class TestKnownDefects:
-    """Tables where the answer is representable but the engine misses it
-    today, each asserting the answer it should give."""
+    """Tables where the answer is representable but the engine missed it,
+    each asserting the answer it should give; a strict xfail where it still
+    does."""
 
     @pytest.mark.xfail(strict=True, raises=AssertionError,
                        reason="mu^XY passes through a subnormal ratio")
@@ -566,22 +602,16 @@ class TestKnownDefects:
         want = exact_effects(exact_two_way_mle(SILENT_TWO_WAY))
         assert worst_rel_err(effects_report(cp), want) <= 1e-12
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="o(1,1) passes through a subnormal product")
     def test_silent_saturated_table(self):
         cp = fit_causal(ContingencyTable(SILENT_SATURATED), True)
         want = exact_effects(SILENT_SATURATED)
         assert worst_rel_err(effects_report(cp), want) <= 1e-12
 
-    @pytest.mark.xfail(strict=True, raises=CausalModelError,
-                       reason="y xy overflows in the chain of the (1,1) odds")
+    @pytest.mark.xfail(strict=True, raises=DegenerateProbabilityError,
+                       reason="o(1,0) = y xy = 1e400 overflows by itself")
     def test_chained_odds_in_range(self):
-        values = (1, 1, 1, 1e200, 1e200, 1e-200, 1)
-        cp = CausalParams(*values)
-        joint = exact_joint(*values)
-        for got, want in zip(conditional_probabilities(cp).joint().probs,
-                             joint):
-            _check(got, want, gamma(K_JOINT))
+        joint = check_normal_joint_cells(CHAINED)
+        cp = CausalParams(*CHAINED)
         assert worst_rel_err(effects_report(cp), exact_effects(joint)) <= 1e-12
 
     @pytest.mark.xfail(strict=True, raises=FitError,
@@ -595,6 +625,44 @@ class TestKnownDefects:
             _check(got, want, 1e-12)
         cp = fit_causal(ContingencyTable(counts))
         assert worst_rel_err(effects_report(cp), exact_effects(m)) <= 1e-12
+
+
+class TestOddsChain:
+    """``causal._odds`` keeps the float chain y xy zy xzy of o(1,1) where
+    y xy and y xy zy are normal, and rounds the exact product once
+    elsewhere."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_logs(300), min_size=4, max_size=4))
+    @example([1e200, 1e200, 1e-200, 1.0])  # y xy overflows
+    @example([1e-200, 1e-100, 1e-10, 1e20])  # y xy zy is subnormal
+    @example([1e-200, 1e-110, 1e-100, 1e300])  # y xy is subnormal
+    @example([1e200, 1e108, 1e-100, 1e-200])  # y xy is near the greatest float
+    @example([1e200, 1e200, 1e200, 1.0])  # the exact product overflows
+    def test_o11(self, values):
+        y, xy, zy, xzy = values
+        got = _odds(CausalParams(1.0, 1.0, 1.0, y, xy, zy, xzy, True))[0][1][1]
+        if all(sys.float_info.min <= p <= sys.float_info.max
+               for p in (y * xy, y * xy * zy)):
+            assert got.hex() == (y * xy * zy * xzy).hex()
+        else:
+            try:  # a Fraction's float is its correctly rounded value
+                want = float(math.prod(map(Fraction, values)))
+            except OverflowError:
+                want = math.inf
+            assert got.hex() == want.hex()
+
+    def test_silent_saturated_o11(self):
+        # the chain passes through o(1,0) zy = 7.2e-321 and loses digits
+        cp = fit_causal(ContingencyTable(SILENT_SATURATED), True)
+        exact = math.prod(map(Fraction, (cp.y, cp.xy, cp.zy, cp.xzy)))
+        chain = cp.y * cp.xy * cp.zy * cp.xzy
+        got = _odds(cp)[0][1][1]
+        assert got == float(exact) == 1.266606111321176e-27
+        assert chain == 1.2668682057716702e-27
+
+    def test_chained_odds_joint_within_its_bound(self):
+        check_normal_joint_cells(CHAINED)
 
 
 class TestExtremeOdds:
