@@ -13,10 +13,13 @@ import math
 import sys
 
 from .fitting import (
+    _HUGE,
+    _TINY,
     FitError,
     NoCausalParams,
     _cell_ratios,
     _check_positive,
+    _exact_ratio,
     _fit,
     saturated_closed_form,
 )
@@ -25,8 +28,6 @@ from .tables import (
     JointProbabilityTable,
     _Record,
 )
-
-_MIN, _MAX = sys.float_info.min, sys.float_info.max
 
 
 class CausalModelError(ValueError):
@@ -139,15 +140,10 @@ def _odds(cp: CausalParams) -> tuple:
     _, zc, xzc, y, xy, zy, xzy, _ = cp
     o10 = y * xy
     o11 = o10 * zy
-    if _MIN <= o10 <= _MAX >= o11 >= _MIN:
+    if _TINY <= o10 <= _HUGE >= o11 >= _TINY:
         o11 *= xzy
     else:
-        (a, b), (c, d), (e, f), (g, h) = (
-            v.as_integer_ratio() for v in (y, xy, zy, xzy))
-        try:
-            o11 = a * c * e * g / (b * d * f * h)
-        except OverflowError:
-            o11 = math.inf
+        o11 = _exact_ratio((y, xy, zy, xzy), ())
     return ((y, y * zy), (o10, o11)), (zc, zc * xzc)
 
 
@@ -156,8 +152,7 @@ def conditional_probabilities(cp: CausalParams) -> ConditionalProbabilities:
     probability is the reciprocal of one plus its block's odds.
 
     The odds come from ``_odds``.  Where one overflows, its level-0
-    probability is 0.0 and the level-1 one 1.0, except at (1, 1): there
-    the level-1 probability is nan, which makes ``joint`` raise.
+    probability is 0.0 and the level-1 one 1.0.
     """
     xc, zc, xzc, y, xy, zy, _, _ = cp
     ((o00, o01), (o10, o11)), (w0, w1) = _odds(cp)
@@ -165,17 +160,18 @@ def conditional_probabilities(cp: CausalParams) -> ConditionalProbabilities:
     z0_0, z0_1 = 1.0 / (1.0 + w0), 1.0 / (1.0 + w1)  # by x
     y0_00, y0_10 = 1.0 / (1.0 + o00), 1.0 / (1.0 + o10)  # by (x, z)
     y0_01, y0_11 = 1.0 / (1.0 + o01), 1.0 / (1.0 + o11)
-    return ConditionalProbabilities(
+    # built directly: ``ConditionalProbabilities`` checks nothing
+    return tuple.__new__(ConditionalProbabilities, (
         x0 * xc,
         (z0_0 * zc, z0_1 * zc * xzc if z0_1 else 1.0),
         {(0, 0): y0_00 * y,
          (1, 0): y0_10 * y * xy if y0_10 else 1.0,
          (0, 1): y0_01 * y * zy if y0_01 else 1.0,
-         (1, 1): y0_11 * o11},
+         (1, 1): y0_11 * o11 if y0_11 else 1.0},
         x0,
         (z0_0, z0_1),
         {(0, 0): y0_00, (1, 0): y0_10, (0, 1): y0_01, (1, 1): y0_11},
-    )
+    ))
 
 
 def _xz_margins(n) -> tuple:

@@ -40,21 +40,29 @@ def effects_report(cp: CausalParams, x: int = 0, xp: int = 1) -> EffectsReport:
 
 
 def _effects(o, w, x: int, xp: int) -> EffectsReport:
-    """``effects_report`` of the odds ``o[x][z]`` and ``w[x]``, in their type."""
+    """``effects_report`` of the odds ``o[x][z]`` and ``w[x]``, in their type.
+
+    The four mixed odds are formed once each, arm (outcome, mediator) =
+    (0,0), (0,1), (1,0) and (1,1), then read in the direction's order."""
     (o00, o01), (o10, o11) = o
-
-    def mixed(a, b):
-        o0, o1 = o[a]
-        u, v = 1 + o0, 1 + o1
-        return (o0 * v + o1 * w[b] * u) / (v + w[b] * u)
-
+    w0, w1 = w
+    u0, v0, u1, v1 = 1 + o00, 1 + o01, 1 + o10, 1 + o11
+    a0, a1 = o00 * v0, o10 * v1
     try:
-        at_x, at_xp, held = mixed(x, x), mixed(xp, xp), mixed(xp, x)
+        m00 = (a0 + o01 * w0 * u0) / (v0 + w0 * u0)
+        m01 = (a0 + o01 * w1 * u0) / (v0 + w1 * u0)
+        m10 = (a1 + o11 * w0 * u1) / (v1 + w0 * u1)
+        m11 = (a1 + o11 * w1 * u1) / (v1 + w1 * u1)
+        if x:
+            at_x, at_xp, held, shifted = m11, m00, m01, m10
+            lde0, lde1 = o00 / o10, o01 / o11
+        else:
+            at_x, at_xp, held, shifted = m00, m11, m10, m01
+            lde0, lde1 = o10 / o00, o11 / o01
         te = at_xp / at_x
         nde = held / at_x
-        ie = mixed(x, xp) / at_x
+        ie = shifted / at_x
         ie_rev = held / at_xp
-        lde0, lde1 = o[xp][0] / o[x][0], o[xp][1] / o[x][1]
         cell0, cell1 = nde / lde0, nde / lde1
         mult = (o11 / o01) / (o10 / o00)
         inf = math.inf
@@ -69,15 +77,15 @@ def _effects(o, w, x: int, xp: int) -> EffectsReport:
             "an odds product over- or underflows: the effects are not all "
             "positive and finite"
         )
-    # additive: the double difference of P(Y=1|x,z) = o / (1 + o)
-    return EffectsReport(
+    # every field is checked, so the record is built directly; additive:
+    # the double difference of P(Y=1|x,z) = o / (1 + o)
+    return tuple.__new__(EffectsReport, (
         te, (lde0, lde1), (cell0, cell1), ie, ie_rev, nde,
-        (o11 / (1 + o11) - o01 / (1 + o01)
-         - o10 / (1 + o10) + o00 / (1 + o00)),
+        o11 / v1 - o01 / v0 - o10 / u1 + o00 / u0,
         mult,
         max(abs(te - lde0 * cell0 / ie_rev), abs(te - lde1 * cell1 / ie_rev)),
         (x, xp), None,
-    )
+    ))
 
 
 def indirect_effect(cp: CausalParams, x: int = 0, xp: int = 1) -> float:

@@ -64,8 +64,8 @@ TERM_ORDER = ("eta", "X", "Z", "Y", "XZ", "XY", "ZY", "XZY")
 _TOL = 1e-8
 _MAX_ITER = 100
 
-#: the least positive normal float
-_TINY = sys.float_info.min
+#: the least and the greatest positive normal float
+_TINY, _HUGE = sys.float_info.min, sys.float_info.max
 
 #: the multiplicative parameters, in the order of ``NoCausalParams``' fields
 _FIELDS = ("eta", "x", "z", "y", "xz", "xy", "zy", "xzy")
@@ -354,6 +354,22 @@ def fit_poisson(
     return FitResult(m, y_block, 2.0 * total, iterations, spec)
 
 
+def _exact_ratio(num, den) -> float:
+    """The product of the floats ``num`` over the product of the floats
+    ``den``, computed exactly and rounded once: inf where it overflows."""
+    p = q = 1
+    for v in num:
+        a, b = v.as_integer_ratio()
+        p, q = p * a, q * b
+    for v in den:
+        a, b = v.as_integer_ratio()
+        p, q = p * b, q * a
+    try:
+        return p / q
+    except OverflowError:
+        return math.inf
+
+
 def _cell_ratios(m, y, xy, zy, xzy=1.0) -> NoCausalParams:
     """The multiplicative parameters with the Y-block ``y, xy, zy, xzy``
     whose intercept and X, Z and XZ terms are read off the cells ``m``.
@@ -379,7 +395,9 @@ def _fit(n, with_three_way: bool) -> tuple:
     The Y-block is the odds of Y at x = z = 0, the odds ratios of Y with X
     at z = 0 and with Z at x = 0, and the ratio of the XY odds ratios at
     z = 1 and 0, each a ratio of ratios of the fitted counts.  The saturated
-    fit is ``n`` itself, with no step, and its Y-block is not checked.
+    fit is ``n`` itself, with no step, and its Y-block is not checked; its
+    mu^XZY is the exact ratio, rounded once, where the partial product
+    mu^ZY mu^XZY alone leaves the normal range.
     Raises ``FitError`` when the MLE does not exist, or when a two-way
     fitted count or Y-block parameter leaves the float range.
 
@@ -435,8 +453,20 @@ def _fit(n, with_three_way: bool) -> tuple:
             )
     n0, n1, n2, n3, n4, n5, n6, n7 = n
     if with_three_way:
-        return n, (n1 / n0, (n5 / n4) * (n0 / n1), (n3 / n2) * (n0 / n1),
-                   ((n7 / n6) * (n4 / n5)) * ((n2 / n3) * (n1 / n0))), 0
+        y, r = n1 / n0, n0 / n1
+        r76, r45, r23 = n7 / n6, n4 / n5, n2 / n3
+        p, q = r76 * r45, r23 * y
+        # p = mu^ZY mu^XZY is the one value on the way that the effects do
+        # not read: the four ratios are the outcome odds or their
+        # reciprocals, and q is 1 / mu^ZY.  Where p alone leaves the normal
+        # range, it loses digits silently, and mu^XZY is the exact ratio
+        if _TINY <= p <= _HUGE or not (
+                _TINY <= r76 <= _HUGE >= r45 >= _TINY <= r23 <= _HUGE >= y
+                >= _TINY <= q <= _HUGE):
+            xzy = p * q
+        else:
+            xzy = _exact_ratio((n7, n4, n2, n1), (n6, n5, n3, n0))
+        return n, (y, (n5 / n4) * r, (n3 / n2) * r, xzy), 0
     ldexp, log, exp, tiny, inf = math.ldexp, math.log, math.exp, _TINY, math.inf
     top = math.frexp(max(n))[1]
     # the least count, or when it is 0 the least positive one

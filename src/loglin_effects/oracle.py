@@ -20,27 +20,6 @@ class OracleError(ValueError):
     """Zero-probability conditioning event or degenerate conditional."""
 
 
-def _conditionals(joint: JointProbabilityTable):
-    """P(Z=z|X=x) as ``pz[x][z]`` and P(Y=y|X=x,Z=z) as ``py[y][x][z]``.
-
-    Each is a joint cell or cell sum divided by the sum of its conditioning
-    slice; both outcome levels are divided out of their own cells, so no
-    conditional is formed as ``1 - p``.  A zero slice or conditional raises
-    ``OracleError``; only then does ``_check_conditioning`` look for which.
-    """
-    p = joint.probs
-    c0, c1, c2, c3, c4, c5, c6, c7 = p  # cell (x, z, y) at 4x + 2z + y
-    s00, s01, s10, s11 = c0 + c1, c2 + c3, c4 + c5, c6 + c7  # P(X=x,Z=z)
-    if not min(s00, s01, s10, s11) > 0.0:
-        _check_conditioning(p)
-    y0 = ((c0 / s00, c2 / s01), (c4 / s10, c6 / s11))
-    y1 = ((c1 / s00, c3 / s01), (c5 / s10, c7 / s11))
-    if not min(y0[0] + y0[1] + y1[0] + y1[1]) > 0.0:
-        _check_conditioning(p)
-    px0, px1 = s00 + s01, s10 + s11
-    return ((s00 / px0, s01 / px0), (s10 / px1, s11 / px1)), (y0, y1)
-
-
 def _check_conditioning(p) -> None:
     """Raise the ``OracleError`` of the first zero slice or conditional of
     the joint cells ``p``, if any, in the order x, then the slices, then
@@ -66,34 +45,56 @@ def _check_conditioning(p) -> None:
 def oracle_effects(
     joint: JointProbabilityTable, x: int = 0, xp: int = 1
 ) -> EffectsReport:
-    """Evaluate every effect definition literally on the joint table."""
+    """Evaluate every effect definition literally on the joint table.
+
+    P(Z=z|X=x) is ``z<x><z>`` and P(Y=y|X=x,Z=z) is ``y<y>_<x><z>``, each a
+    joint cell or cell sum divided by the sum of its conditioning slice;
+    both outcome levels are divided out of their own cells, so no
+    conditional is formed as ``1 - p``.  A zero slice or conditional
+    raises ``OracleError``; only then does ``_check_conditioning`` look for
+    which.
+    """
     x, xp = _direction(x, xp)
-    pz, (p0, p1) = _conditionals(joint)
-
-    def odds(y_arm, z_arm):
-        # sum_z P(Y=1|X=y_arm,Z=z) P(Z=z|X=z_arm), over the same sum at Y=0
-        w0, w1 = pz[z_arm]
-        return ((p1[y_arm][0] * w0 + p1[y_arm][1] * w1)
-                / (p0[y_arm][0] * w0 + p0[y_arm][1] * w1))
-
+    p = joint.probs
+    c0, c1, c2, c3, c4, c5, c6, c7 = p  # cell (x, z, y) at 4x + 2z + y
+    s00, s01, s10, s11 = c0 + c1, c2 + c3, c4 + c5, c6 + c7  # P(X=x,Z=z)
+    if not min(s00, s01, s10, s11) > 0.0:
+        _check_conditioning(p)
+    y0_00, y0_01, y0_10, y0_11 = c0 / s00, c2 / s01, c4 / s10, c6 / s11
+    y1_00, y1_01, y1_10, y1_11 = c1 / s00, c3 / s01, c5 / s10, c7 / s11
+    if not min(y0_00, y0_01, y0_10, y0_11, y1_00, y1_01, y1_10, y1_11) > 0.0:
+        _check_conditioning(p)
+    px0, px1 = s00 + s01, s10 + s11
+    z00, z01, z10, z11 = s00 / px0, s01 / px0, s10 / px1, s11 / px1
     try:
-        # the conditional odds P(Y=1|x,z) / P(Y=0|x,z), as odds_xz[x][z]
-        odds_xz = ((p1[0][0] / p0[0][0], p1[0][1] / p0[0][1]),
-                   (p1[1][0] / p0[1][0], p1[1][1] / p0[1][1]))
-        marginal_x, marginal_xp, held = odds(x, x), odds(xp, xp), odds(xp, x)
+        # the conditional odds P(Y=1|x,z) / P(Y=0|x,z)
+        q00, q01 = y1_00 / y0_00, y1_01 / y0_01
+        q10, q11 = y1_10 / y0_10, y1_11 / y0_11
+        # sum_z P(Y=1|X=a,Z=z) P(Z=z|X=b), over the same sum at Y=0, as
+        # odds_<a><b>
+        odds_00 = (y1_00 * z00 + y1_01 * z01) / (y0_00 * z00 + y0_01 * z01)
+        odds_01 = (y1_00 * z10 + y1_01 * z11) / (y0_00 * z10 + y0_01 * z11)
+        odds_10 = (y1_10 * z00 + y1_11 * z01) / (y0_10 * z00 + y0_11 * z01)
+        odds_11 = (y1_10 * z10 + y1_11 * z11) / (y0_10 * z10 + y0_11 * z11)
+        if x:
+            marginal_x, marginal_xp, held, shifted = (
+                odds_11, odds_00, odds_01, odds_10)
+            lde0, lde1 = q00 / q10, q01 / q11
+        else:
+            marginal_x, marginal_xp, held, shifted = (
+                odds_00, odds_11, odds_10, odds_01)
+            lde0, lde1 = q10 / q00, q11 / q01
         te = marginal_xp / marginal_x
-        lde = (odds_xz[xp][0] / odds_xz[x][0], odds_xz[xp][1] / odds_xz[x][1])
         nde = held / marginal_x
-        ie = odds(x, xp) / marginal_x
+        ie = shifted / marginal_x
         ie_reverse = held / marginal_xp
-        cell = (nde / lde[0], nde / lde[1])
-        multiplicative = ((odds_xz[1][1] / odds_xz[0][1])
-                          / (odds_xz[1][0] / odds_xz[0][0]))
+        cell0, cell1 = nde / lde0, nde / lde1
+        multiplicative = (q11 / q01) / (q10 / q00)
         inf = math.inf
         finite = (0.0 < te < inf and 0.0 < nde < inf and 0.0 < ie < inf
                   and 0.0 < ie_reverse < inf and 0.0 < multiplicative < inf
-                  and 0.0 < lde[0] < inf and 0.0 < lde[1] < inf
-                  and 0.0 < cell[0] < inf and 0.0 < cell[1] < inf)
+                  and 0.0 < lde0 < inf and 0.0 < lde1 < inf
+                  and 0.0 < cell0 < inf and 0.0 < cell1 < inf)
     except ZeroDivisionError:
         finite = False
     if not finite:
@@ -101,8 +102,11 @@ def oracle_effects(
             "a probability ratio over- or underflows: the effects are not "
             "all positive and finite"
         )
-    additive = p1[1][1] - p1[0][1] - p1[1][0] + p1[0][0]
-    residual = max(abs(te - lde[0] * cell[0] / ie_reverse),
-                   abs(te - lde[1] * cell[1] / ie_reverse))
-    return EffectsReport(te, lde, cell, ie, ie_reverse, nde, additive,
-                         multiplicative, residual, (x, xp), "oracle")
+    # every field is checked, so the record is built directly
+    return tuple.__new__(EffectsReport, (
+        te, (lde0, lde1), (cell0, cell1), ie, ie_reverse, nde,
+        y1_11 - y1_01 - y1_10 + y1_00, multiplicative,
+        max(abs(te - lde0 * cell0 / ie_reverse),
+            abs(te - lde1 * cell1 / ie_reverse)),
+        (x, xp), "oracle",
+    ))

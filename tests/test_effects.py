@@ -1,13 +1,16 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from loglin_effects import (
     CausalParams,
+    DegenerateProbabilityError,
     conditional_probabilities,
     effects_report,
     indirect_effect,
 )
+from loglin_effects.effects import _effects
 from conftest import (
     BAD_LEVELS, INTEGER_LEVELS, TABLE5, TABLE6, random_causal,
 )
@@ -234,6 +237,24 @@ class TestEffectsReport:
     def test_non_integer_direction_level_rejected(self, x, xp):
         with pytest.raises(ValueError, match="direction"):
             effects_report(UNIT, x, xp)
+
+    @pytest.mark.parametrize("o, w", [
+        # a zero odds: an LDE divides by 0, in floats and in Fractions
+        (((0.0, 1.0), (1.0, 1.0)), (1.0, 1.0)),
+        (((Fraction(0), Fraction(1)), (Fraction(1), Fraction(1))),
+         (Fraction(1), Fraction(1))),
+        # LDE(z=0) overflows one way and underflows the other
+        (((1e-200, 1.0), (1e200, 1.0)), (1.0, 1.0)),
+        # a mixed-odds product overflows
+        (((1.0, 1e300), (1.0, 1.0)), (1e300, 1.0)),
+    ])
+    @pytest.mark.parametrize("x, xp", [(0, 1), (1, 0)])
+    def test_degenerate_odds_rejected(self, o, w, x, xp):
+        with pytest.raises(DegenerateProbabilityError) as exc:
+            _effects(o, w, x, xp)
+        assert str(exc.value) == (
+            "an odds product over- or underflows: the effects are not all "
+            "positive and finite")
 
     @pytest.mark.parametrize("x, xp", INTEGER_LEVELS)
     def test_integer_levels_give_a_plain_int_direction(self, x, xp):

@@ -51,6 +51,7 @@ from loglin_effects import (
 from loglin_effects import cli
 from loglin_effects.causal import _odds
 from loglin_effects.effects import _effects
+from loglin_effects.fitting import _fit
 from exact_reference import (
     _EVEN,
     _ODD,
@@ -577,13 +578,18 @@ SILENT_SATURATED = (6.7511640127902735e-108, 1.2940180135811937e-89,
 
 #: o(1,1) is 1e200, but y xy = 1e400 overflows on the way to it
 CHAINED = (1, 1, 1, 1e200, 1e200, 1e-200, 1)
+#: o(1,1) = 1e310 itself overflows; P(Y=0|1,1) is 1e-310, so the joint
+#: has seven normal cells and one subnormal one
+OVERFLOWED_O11 = (1, 1, 1, 1e150, 1e150, 1.0, 1e10)
 
 
-def check_normal_joint_cells(values):
-    """The joint of ``CausalParams(*values)`` within gamma_93 of the exact
-    one at each cell whose exact value is a normal float; returns that."""
+def check_normal_joint_cells(values, with_interaction=False):
+    """The joint of ``CausalParams(*values, with_interaction)`` within
+    gamma_93 of the exact one at each cell whose exact value is a normal
+    float; returns that."""
     joint = exact_joint(*values)
-    got = conditional_probabilities(CausalParams(*values)).joint().probs
+    cp = CausalParams(*values, with_interaction=with_interaction)
+    got = conditional_probabilities(cp).joint().probs
     for cell, want in zip(got, joint):
         if want >= sys.float_info.min:
             _check(cell, want, gamma(K_JOINT))
@@ -663,6 +669,69 @@ class TestOddsChain:
 
     def test_chained_odds_joint_within_its_bound(self):
         check_normal_joint_cells(CHAINED)
+
+    def test_overflowed_o11_joint_within_its_bound(self):
+        # P(Y=1|1,1) is 1.0 where o(1,1) overflows, not 0.0 * inf
+        check_normal_joint_cells(OVERFLOWED_O11, True)
+
+
+#: saturated tables whose mu^XZY chain passes through a subnormal first
+#: product (n7/n6)(n4/n5), 2.5e-313 and 6.2e-316: the float chain put every
+#: effect through mu^XZY 6.7e-12 and 2.9e-9 off
+SUBNORMAL_XZY = (
+    (1.9420280315902935e-62, 6.684410964349262e-94, 9.41179349530486e-70,
+     1.6792888301519967e-225, 4.129447953589069e-68, 1.1227306625803366e-30,
+     2.4073454340995656e+134, 1.60895916434372e-141),
+    (459950.69909841707, 2.2030248176424313e+58, 2.1188998757109886e+72,
+     5.179252860038487e-99, 1.788401641709543e+73, 1.2491369471830019e+259,
+     4.556105538472459e+118, 1.9729444879599854e-11),
+)
+
+
+def _is_normal(v) -> bool:
+    return sys.float_info.min <= v <= sys.float_info.max
+
+
+class TestSaturatedXZY:
+    """``_fit(n, True)`` keeps the float chain (n7/n6 n4/n5)(n2/n3 n1/n0) of
+    mu^XZY unless its first product alone leaves the normal range, and
+    rounds the exact ratio once there."""
+
+    @pytest.mark.parametrize("counts", SUBNORMAL_XZY)
+    def test_effects_within_1e12_of_exact(self, counts):
+        table = ContingencyTable(counts)
+        cp = fit_causal(table, True)
+        assert cli._fit(table, "saturated")[1] == cp
+        for x, xp in ((0, 1), (1, 0)):
+            want = exact_effects(counts, x, xp)
+            assert worst_rel_err(effects_report(cp, x, xp), want) <= 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(_tables(_logs(300)))
+    @example(list(SUBNORMAL_XZY[0]))
+    @example(list(SUBNORMAL_XZY[1]))
+    # the first product is 1e400, mu^XZY 1e200
+    @example([1.0, 1.0, 1e-200, 1.0, 1e200, 1.0, 1.0, 1e200])
+    # the first product and mu^XZY overflow
+    @example([1.0, 1.0, 1.0, 1.0, 1e200, 1.0, 1.0, 1e200])
+    # the second product overflows too: the chain stands
+    @example([1.0, 1e200, 1e200, 1.0, 1e200, 1.0, 1.0, 1e200])
+    def test_xzy(self, counts):
+        n0, n1, n2, n3, n4, n5, n6, n7 = counts
+        p, q = (n7 / n6) * (n4 / n5), (n2 / n3) * (n1 / n0)
+        got = _fit(counts, True)[1][3]
+        if _is_normal(p) or not all(
+                map(_is_normal, (n7 / n6, n4 / n5, n2 / n3, n1 / n0, q))):
+            assert got.hex() == (p * q).hex()
+        else:
+            exact = (Fraction(n7) * Fraction(n4) * Fraction(n2) * Fraction(n1)
+                     / (Fraction(n6) * Fraction(n5) * Fraction(n3)
+                        * Fraction(n0)))
+            try:  # a Fraction's float is its correctly rounded value
+                want = float(exact)
+            except OverflowError:
+                want = math.inf
+            assert got.hex() == want.hex()
 
 
 class TestExtremeOdds:

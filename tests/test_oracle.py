@@ -4,7 +4,9 @@ import math
 import pytest
 
 from loglin_effects import (
+    CELLS,
     ContingencyTable,
+    JointProbabilityTable,
     OracleError,
     conditional_probabilities,
     effects_report,
@@ -81,8 +83,9 @@ def test_degenerate_conditional_rejected():
 
 def test_zero_conditioning_slice_rejected():
     joint = joint_probabilities(ContingencyTable((0, 0, 1, 1, 1, 1, 1, 1)))
-    with pytest.raises(OracleError):
+    with pytest.raises(OracleError) as exc:
         oracle_effects(joint)
+    assert str(exc.value) == "P(X=0,Z=0) = 0; conditioning undefined"
 
 
 def test_underflowing_ratio_rejected():
@@ -91,6 +94,45 @@ def test_underflowing_ratio_rejected():
     joint = joint_probabilities(ContingencyTable(counts))
     with pytest.raises(OracleError, match="over- or underflows"):
         oracle_effects(joint)
+
+
+def _zero_cells(*zeros):
+    """The joint with the cells ``zeros`` at 0 and the rest equal."""
+    p = 1 / (8 - len(zeros))
+    return JointProbabilityTable([0.0 if i in zeros else p for i in range(8)])
+
+
+RATIO_ERROR = ("a probability ratio over- or underflows: the effects are not "
+               "all positive and finite")
+
+#: one joint per message, in the order the checks run: P(X=x), then the
+#: slices at x, then Y=1 and Y=0 at each z
+ORACLE_ERRORS = [
+    (_zero_cells(0, 1, 2, 3), "P(X=0) = 0; conditioning undefined"),
+    (_zero_cells(4, 5, 6, 7), "P(X=1) = 0; conditioning undefined"),
+    *[(_zero_cells(4 * x + 2 * z, 4 * x + 2 * z + 1),
+       f"P(X={x},Z={z}) = 0; conditioning undefined")
+      for x in (0, 1) for z in (0, 1)],
+    *[(_zero_cells(4 * x + 2 * z + y), f"P(Y={y}|X={x},Z={z}) = 0.0 is degenerate")
+      for x, z, y in CELLS],
+    # the odds ratio at z=0 underflows to 0: LDE(z=0) is 0 one way and
+    # inf the other
+    (joint_probabilities(ContingencyTable(
+        (1.0, 1.0354286453990213e307, 1, 1, 3.909535518583441e16, 1, 1, 1))),
+     RATIO_ERROR),
+    # P(Y=1|0,0) = 1e-300 against P(Y=1|1,0) near 1: the odds ratio at
+    # z=0 overflows, so the multiplicative interaction is 0 both ways
+    (joint_probabilities(ContingencyTable((1, 1e-300, 1, 1, 1, 1e10, 1, 1))),
+     RATIO_ERROR),
+]
+
+
+@pytest.mark.parametrize("joint, message", ORACLE_ERRORS)
+@pytest.mark.parametrize("x, xp", [(0, 1), (1, 0)])
+def test_every_error_message(joint, message, x, xp):
+    with pytest.raises(OracleError) as exc:
+        oracle_effects(joint, x, xp)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("x, xp", BAD_LEVELS)
