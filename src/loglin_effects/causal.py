@@ -209,6 +209,10 @@ def fit_causal(table: ContingencyTable, with_interaction: bool = False) -> Causa
     checks all eight, so there one of those four raises ``FitError``
     although the causal parameters are in range (the ``effects`` command
     reads the fit's Y-block on both routes).
+
+    The two-way route reuses the last successful two-way solve when it was
+    of this table's very ``counts`` tuple, as after ``fit_poisson(table)``
+    (see ``fitting._fit``); a table rebuilt from equal counts solves again.
     """
     n = table.counts
     m = _xz_margins(n)

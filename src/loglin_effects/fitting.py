@@ -27,6 +27,14 @@ fitted counts (``_cell_ratios``) each time ``params`` is read, so only a
 reader of ``params`` sees one of them leave the float range;
 ``causal.fit_causal`` needs only the Y-block.
 
+``_fit`` keeps one entry: the counts tuple of its last successful two-way
+solve, and that solve's result.  A two-way call on that very tuple, by
+identity and not by equal counts, returns the stored result without
+solving, so ``fit_poisson(t)`` then ``causal.fit_causal(t)`` solves once;
+a table rebuilt from the same counts has a new tuple and solves again.  The
+entry holds its tuple, so no other object can take that tuple's id.  A
+failed solve and the saturated closed form are not stored.
+
 The covariance of the additive parameters, ``(D' diag(m) D)^-1`` over the
 dummy-coded design matrix ``D``, is computed each time it is read, in
 closed form, from index tables that are built on the first such read.
@@ -66,6 +74,9 @@ _MAX_ITER = 100
 
 #: the least and the greatest positive normal float
 _TINY, _HUGE = sys.float_info.min, sys.float_info.max
+
+#: the last successful two-way solve, ``(counts, result of _fit)``
+_last_two_way = (None, None)
 
 #: the multiplicative parameters, in the order of ``NoCausalParams``' fields
 _FIELDS = ("eta", "x", "z", "y", "xz", "xy", "zy", "xzy")
@@ -434,7 +445,18 @@ def _fit(n, with_three_way: bool) -> tuple:
     keeps every ``b - s`` positive.  All steps share ``_MAX_ITER``.  u = +1
     at cells 0, 3, 5 and 6; ``r0..r3`` rise and ``f0..f3`` fall, in cell
     order; every sum adds left to right.
+
+    A two-way call whose ``n`` is the tuple of the last successful two-way
+    solve, the same object and not merely equal counts, returns that
+    solve's result: the same tuples, so the same bits.  The entry is one
+    tuple, read and replaced whole, so a thread never reads another
+    table's fit; only a solve that returns replaces it.
     """
+    global _last_two_way
+    if not with_three_way:
+        last = _last_two_way
+        if last[0] is n:
+            return last[1]
     # the saturated MLE needs every count positive; the positive two-way
     # tables n + t*u have t in (-min_even n, min_odd n), which is empty
     # exactly when both parity classes hold a zero count
@@ -535,7 +557,9 @@ def _fit(n, with_three_way: bool) -> tuple:
          ldexp(m4, -k), ldexp(m5, -k), ldexp(m6, -k), ldexp(m7, -k))
     if min(m) < tiny:
         raise FitError("a fitted count underflows")
-    return m, (y, xy, zy, 1.0), iterations
+    result = m, (y, xy, zy, 1.0), iterations
+    _last_two_way = n, result
+    return result
 
 
 def saturated_closed_form(table: ContingencyTable) -> NoCausalParams:

@@ -529,6 +529,10 @@ class TestTwoWayFit:
         test = fit and _outcome(lambda: additive_zero_test(fit), False)
         causal_normal = normal and _normal(margins_path(n))
         cp = _outcome(lambda: fit_causal(table), causal_normal)
+        # after fit_poisson(table), fit_causal(table) reuses its solve; a
+        # table of fresh counts solves again, and gives the same parameters
+        assert _outcome(lambda: fit_causal(ContingencyTable(counts)),
+                        False) == cp
         # the commands' route, the fit and then the margins, gives the same
         # causal parameters on the same tables, and bond 1 is beta_hat
         assert _outcome(lambda: cli._fit(table, "two-way")[1], False) == cp

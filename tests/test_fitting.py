@@ -2,6 +2,7 @@ import decimal
 import itertools
 import math
 import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from loglin_effects import (
     CELLS,
+    CausalModelError,
     ContingencyTable,
     FitError,
     ModelSpec,
@@ -371,6 +373,14 @@ _EVEN_CELLS = (0, 3, 5, 6)
 #: far-off logits that a Newton fit of the Y-block could not reach
 FAR_OFF = (1e200, 1, 1, 1e200, 2, 3e150, 1e100, 1)
 
+#: tables with counts 10^U(-300, 300), and small integer tables, many with
+#: zero cells
+COUNTS = st.one_of(
+    st.lists(st.floats(-300.0, 300.0), min_size=8, max_size=8).map(
+        lambda exponents: tuple(10.0 ** e for e in exponents)),
+    st.lists(st.integers(0, 40), min_size=8, max_size=8).filter(any),
+)
+
 
 def _assert_two_way_mle(counts, fitted):
     """The two-way MLE by its definition: the fitted counts keep the twelve
@@ -391,11 +401,7 @@ def _assert_two_way_mle(counts, fitted):
 
 class TestTwoWayMleByDefinition:
     @settings(max_examples=300, deadline=None)
-    @given(st.one_of(
-        st.lists(st.floats(-300.0, 300.0), min_size=8, max_size=8).map(
-            lambda exponents: tuple(10.0 ** e for e in exponents)),
-        st.lists(st.integers(0, 40), min_size=8, max_size=8).filter(any),
-    ))
+    @given(COUNTS)
     @example(FAR_OFF)
     # counts near 1, where the three-way sum is at its float floor
     @example((1.0, 1.0, 1.0, 1.0, 1.0, 1.0001405485169472, 1.0, 1.0))
@@ -503,11 +509,7 @@ def _exact_covariance(fit):
 class TestCovariance:
     @settings(max_examples=150, deadline=None)
     @given(
-        st.one_of(
-            st.lists(st.floats(-300.0, 300.0), min_size=8, max_size=8).map(
-                lambda exponents: tuple(10.0 ** e for e in exponents)),
-            st.lists(st.integers(0, 40), min_size=8, max_size=8).filter(any),
-        ),
+        COUNTS,
         st.booleans(),
     )
     @example(FAR_OFF, False)
@@ -577,3 +579,121 @@ class TestScaleSafety:
             assert rb.additive_interaction == pytest.approx(
                 ra.additive_interaction, abs=1e-12
             )
+
+
+def _fit_causal_bits(table, with_interaction=False):
+    """``fit_causal``'s parameters as hex strings, or its error's type and
+    message."""
+    try:
+        cp = fit_causal(table, with_interaction)
+    except (FitError, CausalModelError) as exc:
+        return type(exc), str(exc)
+    return tuple(v.hex() for v in cp[:7])
+
+
+def _fit_bits(fit):
+    return (tuple(v.hex() for v in fit.fitted_counts),
+            tuple(v.hex() for v in fit.y_block), fit.iterations)
+
+
+class TestTwoWaySolveReuse:
+    """``_fit`` keeps the last successful two-way solve, keyed by the
+    identity of the counts tuple: ``fit_causal(t)`` after ``fit_poisson(t)``
+    does not solve again."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(COUNTS)
+    @example(FAR_OFF)
+    @example(README_COUNTS)
+    def test_a_reused_solve_equals_a_new_one(self, counts):
+        t = ContingencyTable(counts)
+        try:
+            fit_poisson(t)
+        except FitError:
+            pass
+        # a fresh tuple of equal counts solves again
+        assert _fit_causal_bits(t) == _fit_causal_bits(
+            ContingencyTable(t.counts))
+
+    def test_the_same_table_does_not_solve_again(self):
+        t = ContingencyTable(README_COUNTS)
+        fit = fit_poisson(t)
+        # the Y-block's floats are the stored ones, not equal new ones
+        assert fit_causal(t).y is fit.y_block[0]
+        assert fit_poisson(t).y_block is fit.y_block
+        assert fit_causal(ContingencyTable(t.counts)).y is not fit.y_block[0]
+
+    def test_each_model_gets_its_own_fit(self):
+        t = ContingencyTable(README_COUNTS)
+        fresh = ContingencyTable(README_COUNTS)
+        two_way = fit_poisson(t)
+        saturated = fit_poisson(t, saturated_spec())
+        assert _fit_bits(saturated) == _fit_bits(
+            fit_poisson(fresh, saturated_spec()))
+        assert saturated.y_block != two_way.y_block
+        assert _fit_causal_bits(t, True) == _fit_causal_bits(
+            ContingencyTable(README_COUNTS), True)
+        # a saturated fit between leaves the two-way solve stored
+        again = fit_poisson(t)
+        assert again.y_block is two_way.y_block
+        assert _fit_bits(again) == _fit_bits(
+            fit_poisson(ContingencyTable(README_COUNTS)))
+
+    @pytest.mark.parametrize("counts, message", [
+        ((1.413206146113962e-101, 1.2888925180744533e-107,
+          4.1098455412908226e71, 4.10984554129082e71,
+          7.669454141975074e94, 1.0, 1.0, 7.459106318111507e127),
+         "a fitted count underflows"),
+        ((0.009234292562400749, 0.0019505349237660058, 1e-300, 1.0,
+          0.9999999999999987, 1.3083909595959356e-15, 1e-300, 1.0),
+         "a loglinear Y-block parameter overflows or underflows"),
+    ])
+    def test_a_failed_solve_is_not_stored(self, counts, message):
+        good = ContingencyTable(README_COUNTS)
+        fit = fit_poisson(good)
+        bad = ContingencyTable(counts)
+        for _ in range(2):
+            with pytest.raises(FitError) as exc:
+                fit_poisson(bad)
+            assert str(exc.value) == message
+        # the failure left the last successful solve in place
+        assert fit_causal(good).y is fit.y_block[0]
+
+    def test_one_entry_only(self):
+        # counted outside the asserts, whose rewriting holds a reference
+        old = ContingencyTable(README_COUNTS)
+        before = sys.getrefcount(old.counts)
+        fit_poisson(old)
+        held = sys.getrefcount(old.counts)
+        fit_poisson(ContingencyTable(FAR_OFF))
+        after = sys.getrefcount(old.counts)
+        assert (held, after) == (before + 1, before)
+
+    def test_threads_get_their_own_fits(self):
+        tables = [ContingencyTable(c) for c in (
+            README_COUNTS, FAR_OFF, FAR_TWO_WAY, DEVIANCE_OVERFLOW)]
+        want = [(_fit_bits(fit_poisson(ContingencyTable(t.counts))),
+                 _fit_causal_bits(ContingencyTable(t.counts)))
+                for t in tables]
+        got = [[] for _ in tables]
+
+        def work(i):
+            t = tables[i]
+            for _ in range(300):
+                got[i].append((_fit_bits(fit_poisson(t)), _fit_causal_bits(t)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,))
+                       for i in range(len(tables))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for results, expected in zip(got, want):
+            assert len(results) == 300
+            assert all(r == expected for r in results)
