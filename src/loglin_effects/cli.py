@@ -142,10 +142,9 @@ def cmd_fit(args) -> int:
                          ("additive", params.additive)):
         lines += _param_lines(f"loglinear parameters ({kind}):",
                               {t: values[t] for t in terms})
-    causal = cp.to_dict()
-    causal_mult = {k: causal[k]
-                   for k in ("Xc", "Zc", "XZc", "Y", "XY", "ZY", "XZY")}
-    lines += _param_lines("causal parameters (multiplicative):", causal_mult)
+    # the seven multiplicative fields of ``cp``, in its order
+    lines += _param_lines("causal parameters (multiplicative):", dict(zip(
+        ("Xc", "Zc", "XZc", "Y", "XY", "ZY", "XZY"), cp)))
     lines.append(
         f"deviance {fit._deviance():.6g}  iterations {fit.iterations}  "
         "converged True"

@@ -37,15 +37,19 @@ failed solve and the saturated closed form are not stored.
 
 The covariance of the additive parameters, ``(D' diag(m) D)^-1`` over the
 dummy-coded design matrix ``D``, is computed each time it is read, in
-closed form, from index tables that are built on the first such read.
-``C``, the inverse of the saturated dummy coding, maps the log counts to the
-parameters, and the saturated covariance is ``C diag(1/m) C'``.  The two-way
-model's log counts have the covariance ``diag(1/m) - (u/m)(u/m)' / sum(1/m)``,
-which is the sum over the cell pairs c < d of ``w_cd g g'``, with
-``w_cd = 1 / (m_c m_d sum(1/m))`` and ``g = e_c - u_c u_d e_d``.  Either way
-each variance is a sum of non-negative terms, so no entry loses digits to
-cancellation, as an inverse of the information in floats does when the
-fitted counts span more than ~1e16.
+closed form, from index tables that are built on the first such read.  A
+cell's index 4x + 2z + y is the bit mask of its variables at level 1, and a
+term is the mask of its variables (``_MASKS``): term t is 1 at cell c when
+``t & c == t``, and c lies under t when ``c | t == t``.  The inverse coding
+C[t][c], (-1)^(|t| - |c|) for c under t and 0 otherwise, maps the log counts
+to the parameters.  The saturated log counts have the covariance
+``diag(1/m)``, and the two-way ones ``diag(1/m) - (u/m)(u/m)' / sum(1/m)``,
+u_c = (-1)^|c|: the sum over the cell pairs c < d of ``w_cd g g'``, with
+``w_cd = 1 / (m_c m_d sum(1/m))`` and ``g = e_c - u_c u_d e_d``.  So each
+entry adds and subtracts the weights of the cells or pairs that
+``_covariance_terms`` lists for it, and each variance is a sum of
+non-negative terms: no entry loses digits to cancellation, as an inverse of
+the information in floats does when the fitted counts span more than ~1e16.
 """
 
 from __future__ import annotations
@@ -57,7 +61,6 @@ import sys
 
 from .tables import (
     CELLS,
-    VARIABLES,
     ContingencyTable,
     _left_sum,
     _Record,
@@ -66,6 +69,9 @@ from .tables import (
 #: term order shared by design matrices, parameter vectors, and covariances;
 #: each term but the intercept is named by its variables
 TERM_ORDER = ("eta", "X", "Z", "Y", "XZ", "XY", "ZY", "XZY")
+
+#: the mask of each term's variables over the cell index, in ``TERM_ORDER``
+_MASKS = (0, 4, 2, 1, 6, 5, 3, 7)
 
 #: the two-way fit's Newton iteration stops after a step in log s of at
 #: most ``_TOL``, and fails after ``_MAX_ITER`` steps
@@ -116,62 +122,42 @@ def saturated_spec() -> ModelSpec:
     return ModelSpec(with_three_way=True)
 
 
-def _term_on(term: str, cell: tuple) -> bool:
-    """Dummy coding: ``term`` is 1 at ``cell`` when its variables all are."""
-    return term == "eta" or all(cell[VARIABLES.index(v)] for v in term)
-
-
-def _inverse_coding(term: str, cell: tuple) -> int:
-    """``C[term][cell]`` of the inverse of the saturated dummy coding, so
-    that lambda_term = sum over cells of C[term][cell] log m(cell): the
-    sign (-1)^(|term| - |cell|) when every variable at level 1 in ``cell``
-    is one of ``term``'s, and 0 otherwise."""
-    ones = [v for v, level in zip(VARIABLES, cell) if level]
-    if not all(v in term for v in ones):
-        return 0
-    order = 0 if term == "eta" else len(term)
-    return (-1) ** (order - len(ones))
-
-
-#: u(x,z,y) = (-1)^(x+z+y), the one direction the two-way model leaves out
-_U = tuple((-1) ** sum(cell) for cell in CELLS)
-
-
-def _outer_terms(vectors) -> tuple:
-    """Entry (i, j) of ``sum_k v_k g_k g_k'`` over ``vectors`` g_k with
-    entries 0, 1 and -1, as the indices k where g_ki g_kj is 1 and those
-    where it is -1; each k is visited at the nonzero entries of g_k only."""
-    size = len(vectors[0])
-    entries = [[([], []) for _ in range(size)] for _ in range(size)]
-    for k, g in enumerate(vectors):
-        nonzero = [(i, a) for i, a in enumerate(g) if a]
-        for i, a in nonzero:
-            row = entries[i]
-            for j, b in nonzero:
-                row[j][a * b < 0].append(k)
-    return tuple(tuple((tuple(plus), tuple(minus)) for plus, minus in row)
-                 for row in entries)
-
-
 #: the cell pairs c < d of the two-way covariance, in the order of its terms
 _PAIRS = tuple(itertools.combinations(range(8), 2))
 
 
 @functools.cache
 def _covariance_terms(with_three_way: bool) -> tuple:
-    """The ``_outer_terms`` of a model's covariance, built on first use.
+    """Entry (s, t) of a model's covariance, over its terms' masks, as the
+    indices of the weights it adds and of those it subtracts; built on
+    first use, in one pass over the weights.
 
-    The saturated covariance has the weights v_c = 1/m_c and g_c column c
-    of C.  The two-way covariance has the weights w_cd and g = p(c) - p(d)
-    over the seven two-way terms, p_t(c) = C[t][c] u(c); p_t(c) is
-    (-1)^|t| or 0, so g is 0, 1 or -1.
+    The saturated covariance adds the weights 1/m_c of the cells c under
+    both terms.  The two-way covariance adds the weights w_cd of the pairs
+    with one cell under both terms and one under neither, and subtracts
+    those with one cell under s only and one under t only.  Either way the
+    entry has the sign (-1)^popcount(s ^ t), which swaps the two lists.
     """
-    # C[t][c], read once
-    coding = [[_inverse_coding(t, cell) for cell in CELLS] for t in TERM_ORDER]
+    masks = _MASKS if with_three_way else _MASKS[:-1]
     if with_three_way:
-        return _outer_terms(list(zip(*coding)))
-    p = [[row[c] * _U[c] for c in range(8)] for row in coding[:-1]]
-    return _outer_terms([[pt[c] - pt[d] for pt in p] for c, d in _PAIRS])
+        # cell c: 1 at the terms it lies under
+        vectors = [[c | t == t for t in masks] for c in range(8)]
+    else:
+        # pair (c, d): 1 at the terms over c only, -1 at those over d only
+        vectors = [[(c | t == t) - (d | t == t) for t in masks]
+                   for c, d in _PAIRS]
+    # (-1)^popcount(s ^ t) is (-1)^|s| (-1)^|t|: one sign per term
+    signs = [-1 if t.bit_count() % 2 else 1 for t in masks]
+    entries = [[([], []) for _ in masks] for _ in masks]
+    for k, g in enumerate(vectors):
+        nonzero = [(i, a * sign) for i, (a, sign) in enumerate(zip(g, signs))
+                   if a]
+        for i, a in nonzero:
+            row = entries[i]
+            for j, b in nonzero:
+                row[j][a * b < 0].append(k)
+    return tuple(tuple((tuple(plus), tuple(minus)) for plus, minus in row)
+                 for row in entries)
 
 
 def _check_positive(params, error=ValueError, names=_FIELDS,
@@ -222,12 +208,14 @@ class NoCausalParams(_Record):
         underflows and a count is rounded to its float range once, at the
         end; a count beyond that range is ``inf``.
         """
-        parts = {t: math.frexp(v) for t, v in self.multiplicative.items()}
+        parts = [(t, *math.frexp(v)) for t, v in zip(_MASKS, self)]
         counts = []
-        for cell in CELLS:
-            on = [parts[t] for t in TERM_ORDER if _term_on(t, cell)]
-            mantissa = math.prod(m for m, _ in on)
-            exponent = sum(e for _, e in on)
+        for c in range(8):
+            mantissa, exponent = 1.0, 0
+            for t, m, e in parts:
+                if t & c == t:
+                    mantissa *= m
+                    exponent += e
             try:
                 counts.append(math.ldexp(mantissa, exponent))
             except OverflowError:
@@ -333,10 +321,8 @@ class FitResult(_Record):
 def design_matrix(spec: ModelSpec) -> tuple:
     """Dummy-coded design matrix: a tuple of rows over ``CELLS``, columns
     over ``spec.ordered_terms``."""
-    terms = spec.ordered_terms
-    return tuple(
-        tuple(float(_term_on(t, cell)) for t in terms) for cell in CELLS
-    )
+    masks = _MASKS[:len(spec.ordered_terms)]
+    return tuple(tuple(float(t & c == t) for t in masks) for c in range(8))
 
 
 def fit_poisson(

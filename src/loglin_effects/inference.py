@@ -82,10 +82,12 @@ def additive_zero_test(fit: FitResult) -> TestResult:
     m0, m1, m2, m3, m4, m5, m6, m7 = fit.fitted_counts
     a = min(m0, m1, m6, m7)
     b = min(m2, m3, m4, m5)
-    inverse = (a / (a / m0 + a / m1 + a / m6 + a / m7)
-               + b / (b / m2 + b / m3 + b / m4 + b / m5))
-    var = 1.0 / inverse
-    if not 0.0 < var < math.inf:
+    try:
+        var = 1.0 / (a / (a / m0 + a / m1 + a / m6 + a / m7)
+                     + b / (b / m2 + b / m3 + b / m4 + b / m5))
+    except ZeroDivisionError:  # a zero count, or 1/A + 1/B underflows to 0
+        var = math.nan
+    if not 0.0 < var < math.inf:  # nan fails it too
         raise TestError("covariance is not positive on the test contrast")
     se = math.sqrt(var)
     z = beta_hat / se

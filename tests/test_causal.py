@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from loglin_effects import (
     CausalModelError,
     CausalParams,
+    ConditionalProbabilities,
     ContingencyTable,
     JointProbabilityTable,
     NoCausalParams,
@@ -194,6 +195,16 @@ class TestDirectJoint:
         else:
             assert type(joint) is JointProbabilityTable
             assert JointProbabilityTable(joint.probs) == joint
+
+    def test_nan_probability_is_rejected(self):
+        # a hand-built record: a nan P(X=1) makes the sum nan
+        halves = {(x, z): 0.5 for x in (0, 1) for z in (0, 1)}
+        cond = ConditionalProbabilities(math.nan, (0.5, 0.5), halves, 0.5,
+                                        (0.5, 0.5), halves)
+        with pytest.raises(CausalModelError, match=(
+                "^the joint probabilities sum to nan: the parameters leave "
+                "the float range$")):
+            cond.joint()
 
 
 class TestFitCausal:

@@ -511,6 +511,18 @@ class TestMleExistence:
         assert captured.out == ""
         assert "(0, 0, 1)" in captured.err and "(0, 1, 1)" in captured.err
 
+    def test_underflowing_fit_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "tiny.csv"
+        t = ContingencyTable((0.0, 5e-324, 1e300, 1e300, 1e300, 1e300,
+                              1e300, 1e300))
+        path.write_text(serialize_table(t, "csv"))
+        assert main(
+            ["effects", "--input", str(path), "--zero-cells", "allow"]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "a fitted count underflows" in captured.err
+
     def test_zero_margin_fit_exits_2(self, tmp_path, capsys):
         path = tmp_path / "margin.csv"
         t = ContingencyTable((5, 1, 0, 0, 3, 4, 6, 8))

@@ -5,7 +5,8 @@ on its own, row by row, each sum an explicit left fold, which is how
 ``sum`` added floats before Python 3.12, so it gives the same bits on
 every supported version.  ``reference_covariance_terms`` builds the
 covariance's index tables by their definition, a comprehension over every
-entry of every vector.
+entry of every vector, from this file's own inverse coding ``C[t][c]`` and
+``u(c)``, which name variables and not bit masks.
 """
 
 import math
@@ -23,13 +24,7 @@ from loglin_effects import (
     ModelSpec,
     fit_poisson,
 )
-from loglin_effects.fitting import (
-    _PAIRS,
-    _U,
-    TERM_ORDER,
-    _covariance_terms,
-    _inverse_coding,
-)
+from loglin_effects.fitting import _PAIRS, TERM_ORDER, _covariance_terms
 
 
 def _fold(values):
@@ -77,9 +72,26 @@ def reference_covariance(fit):
     return cov
 
 
+def reference_coding(term, cell):
+    """``C[term][cell]`` of the inverse of the saturated dummy coding, so
+    that lambda_term = sum over cells of C[term][cell] log m(cell): the
+    sign (-1)^(|term| - |cell|) when every variable at level 1 in ``cell``
+    is one of ``term``'s, and 0 otherwise."""
+    variables = set() if term == "eta" else set(term)
+    ones = {v for v, level in zip("XZY", cell) if level}
+    if not ones <= variables:
+        return 0
+    return (-1) ** (len(variables) - len(ones))
+
+
+#: u(x,z,y) = (-1)^(x+z+y), the one direction the two-way model leaves out
+U = tuple((-1) ** sum(cell) for cell in CELLS)
+
+
 def reference_outer_terms(vectors):
-    """``fitting._outer_terms`` as one comprehension over every entry of
-    every vector: its definition."""
+    """Entry (i, j) of ``sum_k v_k g_k g_k'`` over ``vectors`` g_k with
+    entries 0, 1 and -1, as the indices k where g_ki g_kj is 1 and those
+    where it is -1: one comprehension over every entry of every vector."""
     size = len(vectors[0])
     return tuple(
         tuple(tuple(tuple(k for k, g in enumerate(vectors)
@@ -90,15 +102,17 @@ def reference_outer_terms(vectors):
 
 
 def reference_covariance_terms(with_three_way):
-    """``fitting._covariance_terms`` with ``C[t][c]`` read where it is
-    used: 64 reads for the saturated model and 392 for the two-way one."""
+    """``fitting._covariance_terms`` by its definition: the saturated
+    covariance ``C diag(1/m) C'`` has the vectors g_c, column c of C; the
+    two-way one has, for each cell pair c < d, g = p(c) - p(d) over the
+    seven two-way terms, p_t(c) = C[t][c] u(c)."""
     if with_three_way:
         return reference_outer_terms(
-            [[_inverse_coding(t, cell) for t in TERM_ORDER] for cell in CELLS]
+            [[reference_coding(t, cell) for t in TERM_ORDER] for cell in CELLS]
         )
     return reference_outer_terms([
-        [_inverse_coding(t, CELLS[c]) * _U[c]
-         - _inverse_coding(t, CELLS[d]) * _U[d] for t in TERM_ORDER[:-1]]
+        [reference_coding(t, CELLS[c]) * U[c]
+         - reference_coding(t, CELLS[d]) * U[d] for t in TERM_ORDER[:-1]]
         for c, d in _PAIRS
     ])
 

@@ -335,6 +335,15 @@ class TestMleExistence:
         with pytest.raises(FitError, match="underflows"):
             fit_poisson(t)
 
+    def test_interval_below_the_normal_range_rejected(self):
+        # the least even count is 0 and the least odd one 5e-324: the
+        # interval of t is positive, but its midpoint, scaled, is below the
+        # least normal float, so the fit stops before its first step
+        t = ContingencyTable((0.0, 5e-324, 1e300, 1e300, 1e300, 1e300,
+                              1e300, 1e300))
+        with pytest.raises(FitError, match="^a fitted count underflows$"):
+            fit_poisson(t)
+
     def test_deviance_with_underflowing_count_ratio(self):
         # n(0,0,0) / m(0,0,0) = 1e-300 / 2.1e29 underflows to 0, which
         # made the deviance's log(c / f) raise "math domain error"

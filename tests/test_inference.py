@@ -7,6 +7,7 @@ from loglin_effects import (
     CausalModelError,
     CausalParams,
     ContingencyTable,
+    FitResult,
     NoCausalParams,
     additive_zero_test,
     causal_from_nocausal,
@@ -119,6 +120,19 @@ class TestAdditiveZeroTest:
         )
         assert b.z == pytest.approx(-a.z, rel=1e-9)
         assert b.se == pytest.approx(a.se, rel=1e-9)
+
+    @pytest.mark.parametrize("counts", [
+        # these two raised an untyped ZeroDivisionError
+        (0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0),  # a zero count
+        (5e-324,) * 8,  # 1/A + 1/B underflows to 0
+        (1e-310,) * 8,  # 1/A + 1/B = 5e-311: the variance overflows
+    ])
+    def test_unusable_variance_is_a_test_error(self, counts):
+        # fitted counts of a hand-built fit
+        fit = FitResult(counts, (1.0, 1.0, 1.0, 1.0), 0.0, 1, two_way_spec())
+        with pytest.raises(TestError, match="^covariance is not positive "
+                                            "on the test contrast$"):
+            additive_zero_test(fit)
 
     def test_saturated_fit_rejected(self):
         nc = NoCausalParams(100.0, 1.2, 0.9, 1.1, 1.3, 0.8, 1.4, 1.2)

@@ -200,7 +200,7 @@ def _round_trips(record):
 def test_pickle_and_copy_round_trip(name):
     record, fields = _records()[name]
     if name == "FitResult":
-        record.covariance  # computed and kept, but not part of the record
+        record.covariance  # computed on this read, not stored in the record
     for other in _round_trips(record):
         assert type(other) is type(record)
         assert other == record
@@ -210,7 +210,7 @@ def test_pickle_and_copy_round_trip(name):
                 setattr(other, field, 1.0)
 
 
-def test_fit_result_covariance_is_kept_and_survives_copies():
+def test_fit_result_covariance_reads_equal_after_copies_and_is_read_only():
     fit = fit_poisson(ContingencyTable(README_COUNTS))
     cov = fit.covariance
     assert fit.covariance == cov
@@ -220,7 +220,7 @@ def test_fit_result_covariance_is_kept_and_survives_copies():
         fit.covariance = ()
 
 
-def test_fit_result_params_are_kept_and_survive_copies():
+def test_fit_result_params_read_equal_after_copies_and_are_read_only():
     fit = fit_poisson(ContingencyTable(README_COUNTS))
     params = fit.params
     assert fit.params == params
