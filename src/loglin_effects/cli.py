@@ -1,9 +1,16 @@
 """Command-line interface over table files.
 
-Subcommands: ``fit`` (loglinear + causal parameters), ``effects`` (full
-odds-ratio effect report, optionally oracle-verified), ``test``
-(additive-interaction z-test and linearity bonds), and ``oracle``
-(probability-space effects straight from the table).
+Subcommands, each computing only what it prints:
+
+- ``fit``: the loglinear fit (``fit_poisson``) with its deviance, and in
+  JSON its covariance, and the causal parameters;
+- ``effects``: the odds-ratio effect report from the causal parameters of
+  the solve's Y-block alone (``fitting._fit``; no ``FitResult``, deviance
+  or covariance), and with ``--verify`` the largest scaled discrepancy
+  from the probability-space oracle on the same parameters' joint table;
+- ``test``: the additive-interaction z-test on the two-way ``fit_poisson``
+  fit, and the linearity bonds;
+- ``oracle``: the probability-space effects straight from the table.
 
 Each command's options are declared once, as data (``_COMMANDS`` and
 ``_ARGUMENTS``).  A plain command line is parsed from that table alone;
@@ -24,7 +31,7 @@ import os
 import sys
 from types import SimpleNamespace
 
-from . import __version__
+from . import __version__, fitting
 from .causal import (
     CausalModelError,
     _causal_params,
@@ -41,9 +48,6 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_FIT = 2
 EXIT_VERIFY = 3
-
-#: odds-ratio effects, checked against the oracle relative to max(1, |value|)
-_RATIO_FIELDS = ("te", "ie", "ie_reverse", "nde", "multiplicative_interaction")
 
 #: largest scaled engine-oracle discrepancy that ``--verify`` accepts
 VERIFY_TOL = 1e-8
@@ -72,7 +76,8 @@ def _load_table(args):
     if fmt is None:
         ext = os.path.splitext(args.input)[1]
         fmt = "json" if ext.lower() == ".json" else "csv"
-    with open(args.input, "rb") as f:
+    # unbuffered: the file is read whole by one ``read``
+    with open(args.input, "rb", buffering=0) as f:
         data = f.read()
     table = parse_table(data, fmt)
 
@@ -89,8 +94,13 @@ def _load_table(args):
     return validate(table, policy=policy, correction=correction)
 
 
+#: the encoder of every JSON document, built once: ``json.dumps`` with
+#: these options builds a new one on each call
+_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _print_json(doc: dict):
-    print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+    print(_JSON.encode(doc))
 
 
 def _param_lines(title, mapping):
@@ -117,9 +127,11 @@ def _report_lines(args, source, r):
 
 
 def _fit(table, model) -> tuple:
-    """The loglinear fit of ``table`` under ``model``, and then the causal
-    parameters of the fit's Y-block on the table's XZ margins: the one fit
-    of every command that fits."""
+    """The loglinear fit of ``table`` under ``model``, a ``FitResult`` with
+    its deviance, and then the causal parameters of the fit's Y-block on the
+    table's XZ margins: the one fit of ``fit`` and ``test``, which read the
+    ``FitResult``.  ``effects`` reads only the Y-block, so it takes the
+    same causal parameters from the bare solve instead."""
     saturated = model == "saturated"
     fit = fit_poisson(table, saturated_spec() if saturated else two_way_spec())
     return fit, _causal_params(_xz_margins(table.counts), *fit.y_block,
@@ -157,19 +169,35 @@ def cmd_effects(args) -> int:
     table = _load_table(args)
     if args.from_level == args.to_level:
         raise TableError("--from and --to must differ")
-    cp = _fit(table, args.model)[1]
+    # the causal parameters of ``_fit(table, model)[1]``, from the solve's
+    # Y-block: solved first, so a fit error comes before a zero margin
+    saturated = args.model == "saturated"
+    n = table.counts
+    y_block = fitting._fit(n, saturated)[1]
+    cp = _causal_params(_xz_margins(n), *y_block, saturated)
     report = effects_report(cp, args.from_level, args.to_level)
 
     discrepancy = None
     if args.verify:
         joint = conditional_probabilities(cp).joint()
         ora = oracle_effects(joint, args.from_level, args.to_level)
-        pairs = [(getattr(report, f), getattr(ora, f)) for f in _RATIO_FIELDS]
-        pairs += [(report.lde[z], ora.lde[z]) for z in (0, 1)]
-        pairs += [(report.cell[z], ora.cell[z]) for z in (0, 1)]
+        te, (lde0, lde1), (cell0, cell1), ie, ie_rev, nde, add, mult = (
+            report[:8])
+        (o_te, (o_lde0, o_lde1), (o_cell0, o_cell1), o_ie, o_ie_rev, o_nde,
+         o_add, o_mult) = ora[:8]
+        # the additive interaction absolutely, each ratio effect relative to
+        # max(1, |oracle value|), in this order
         discrepancy = max(
-            abs(report.additive_interaction - ora.additive_interaction),
-            *(abs(a - b) / max(1.0, abs(b)) for a, b in pairs),
+            abs(add - o_add),
+            abs(te - o_te) / max(1.0, abs(o_te)),
+            abs(ie - o_ie) / max(1.0, abs(o_ie)),
+            abs(ie_rev - o_ie_rev) / max(1.0, abs(o_ie_rev)),
+            abs(nde - o_nde) / max(1.0, abs(o_nde)),
+            abs(mult - o_mult) / max(1.0, abs(o_mult)),
+            abs(lde0 - o_lde0) / max(1.0, abs(o_lde0)),
+            abs(lde1 - o_lde1) / max(1.0, abs(o_lde1)),
+            abs(cell0 - o_cell0) / max(1.0, abs(o_cell0)),
+            abs(cell1 - o_cell1) / max(1.0, abs(o_cell1)),
         )
         print(f"oracle max discrepancy: {discrepancy:.3e}", file=sys.stderr)
 

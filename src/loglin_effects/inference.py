@@ -73,13 +73,25 @@ def _bond1(y, xy, zy) -> float:
 
 def additive_zero_test(fit: FitResult) -> TestResult:
     """z-test of lambda^ZY + 2 lambda^Y + lambda^XY = 0 on a two-way fit,
-    from its Y-block and fitted counts alone."""
+    from its Y-block and fitted counts alone.
+
+    A fit no solve returns, built by hand, raises ``TestError`` where a
+    fitted count is negative, infinite or nan, or mu^Y, mu^XY or mu^ZY is
+    not finite and > 0; a zero count leaves the contrast no variance."""
     if fit.spec.with_three_way:
         raise TestError("test defined for two-way model")
-    beta_hat = _bond1(*fit.y_block[:3])
+    y, xy, zy = fit.y_block[:3]
+    m0, m1, m2, m3, m4, m5, m6, m7 = fit.fitted_counts
+    inf = math.inf
+    # one chain, which nan fails too
+    if not (0.0 <= m0 < inf > m1 >= 0.0 <= m2 < inf > m3 >= 0.0 <= m4 < inf
+            > m5 >= 0.0 <= m6 < inf > m7 >= 0.0 < y < inf > xy > 0.0 < zy
+            < inf):
+        raise TestError("a fitted count is not finite and >= 0, or a Y-block "
+                        "parameter not finite and > 0")
+    beta_hat = _bond1(y, xy, zy)
     # 1/A + 1/B, each taken relative to its least count so that no
     # reciprocal of a count over- or underflows
-    m0, m1, m2, m3, m4, m5, m6, m7 = fit.fitted_counts
     a = min(m0, m1, m6, m7)
     b = min(m2, m3, m4, m5)
     try:
@@ -87,7 +99,7 @@ def additive_zero_test(fit: FitResult) -> TestResult:
                      + b / (b / m2 + b / m3 + b / m4 + b / m5))
     except ZeroDivisionError:  # a zero count, or 1/A + 1/B underflows to 0
         var = math.nan
-    if not 0.0 < var < math.inf:  # nan fails it too
+    if not 0.0 < var < inf:  # nan fails it too
         raise TestError("covariance is not positive on the test contrast")
     se = math.sqrt(var)
     z = beta_hat / se

@@ -438,6 +438,114 @@ class TestEffects:
         json.loads(out)
 
 
+README_COUNTS = (42, 18, 25, 31, 17, 23, 12, 48)
+
+GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "cli_golden_readme.json").read_text()
+)
+
+
+def _old_discrepancy(report, ora):
+    """The ``--verify`` discrepancy as the command once formed it: the
+    additive interaction absolutely, then each ratio effect by name,
+    relative to max(1, |oracle value|), through one generator."""
+    pairs = [(getattr(report, f), getattr(ora, f))
+             for f in ("te", "ie", "ie_reverse", "nde",
+                       "multiplicative_interaction")]
+    pairs += [(report.lde[z], ora.lde[z]) for z in (0, 1)]
+    pairs += [(report.cell[z], ora.cell[z]) for z in (0, 1)]
+    return max(
+        abs(report.additive_interaction - ora.additive_interaction),
+        *(abs(a - b) / max(1.0, abs(b)) for a, b in pairs),
+    )
+
+
+class TestEffectsReadsTheSolve:
+    """``effects`` takes its causal parameters from the bare solve, with no
+    ``FitResult``; ``fit`` and ``test`` keep ``fit_poisson``."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("case", [
+        c for c in GOLDEN if c["argv"][0] == "effects"
+    ], ids=lambda c: " ".join(c["argv"]))
+    def test_effects_prints_the_goldens_without_fit_poisson(
+            self, case, fmt, tmp_path, monkeypatch, capsys):
+        import loglin_effects.cli as cli
+
+        def refusing(*args, **kwargs):
+            raise AssertionError("effects called fit_poisson")
+
+        monkeypatch.setattr(cli, "fit_poisson", refusing)
+        path = tmp_path / f"readme.{fmt}"
+        path.write_text(serialize_table(ContingencyTable(README_COUNTS), fmt))
+        code = main([*case["argv"], "--input", str(path)])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (case["code"], case["stdout"],
+                                    case["stderr"])
+
+    @pytest.mark.parametrize("argv", [
+        ["fit"], ["fit", "--model", "saturated", "--output", "json"],
+        ["test"], ["test", "--output", "json"],
+    ])
+    def test_fit_and_test_call_fit_poisson_once(self, argv, table5_csv,
+                                                monkeypatch, capsys):
+        import loglin_effects.cli as cli
+
+        calls = []
+        real = cli.fit_poisson
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "fit_poisson", counting)
+        assert main([*argv, "--input", table5_csv]) == 0
+        assert len(calls) == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        # count exponents: each uniform on +-300, where most tables end in
+        # a typed error, or a spread of +-10 about a centre in +-290
+        st.one_of(
+            st.lists(st.floats(-300.0, 300.0), min_size=8, max_size=8),
+            st.tuples(
+                st.floats(-290.0, 290.0),
+                st.lists(st.floats(-10.0, 10.0), min_size=8, max_size=8),
+            ).map(lambda t: [t[0] + e for e in t[1]]),
+        ),
+        st.sampled_from(["two-way", "saturated"]),
+        st.sampled_from([(0, 1), (1, 0)]),
+    )
+    @example([0.0] * 8, "two-way", (0, 1))
+    @example([float(math.log10(c)) for c in README_COUNTS], "saturated",
+             (1, 0))
+    def test_discrepancy_is_the_old_formula_bit_for_bit(
+            self, exponents, model, direction):
+        import loglin_effects.cli as cli
+        from loglin_effects import effects_report, oracle_effects
+
+        counts = tuple(10.0 ** e for e in exponents)
+        x, xp = direction
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "table.csv"
+            path.write_text(_counts_csv(counts))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = main(["effects", "--input", str(path), "--verify",
+                             "--model", model, "--from", str(x), "--to",
+                             str(xp), "--output", "json"])
+        if code not in (0, 3):
+            # a typed error, before any discrepancy
+            assert code == 2 and out.getvalue() == "", err.getvalue()
+            return
+        cp = cli._fit(ContingencyTable(counts), model)[1]
+        report = effects_report(cp, x, xp)
+        ora = oracle_effects(conditional_probabilities(cp).joint(), x, xp)
+        got = json.loads(out.getvalue())["verify_max_discrepancy"]
+        assert got.hex() == _old_discrepancy(report, ora).hex()
+
+
 class TestVerifyThreshold:
     def test_large_effects_pass_relative_check(self, tmp_path, capsys):
         # LDE ~ 2.8e5: engine and oracle agree to ~3e-13 relative, which is

@@ -134,6 +134,23 @@ class TestAdditiveZeroTest:
                                             "on the test contrast$"):
             additive_zero_test(fit)
 
+    @pytest.mark.parametrize("counts, y_block", [
+        # a finite z-test from a negative count
+        ((-1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0), (1.0, 1.0, 1.0, 1.0)),
+        # a finite z-test from an infinite count
+        ((1.0, 1.0, 1.0, math.inf, 1.0, 1.0, 1.0, 1.0), (1.0, 1.0, 1.0, 1.0)),
+        # ValueError: math domain error
+        ((1.0,) * 8, (-1.0, 1.0, 1.0, 1.0)),
+        # a nan beta_hat, z and p
+        ((1.0,) * 8, (math.nan, 1.0, 1.0, 1.0)),
+    ])
+    def test_fit_out_of_range_is_a_test_error(self, counts, y_block):
+        # a hand-built fit that no solve returns
+        fit = FitResult(counts, y_block, 0.0, 1, two_way_spec())
+        with pytest.raises(TestError, match="^a fitted count is not finite "
+                                            "and >= 0, or a Y-block "):
+            additive_zero_test(fit)
+
     def test_saturated_fit_rejected(self):
         nc = NoCausalParams(100.0, 1.2, 0.9, 1.1, 1.3, 0.8, 1.4, 1.2)
         fit = fit_poisson(nc.as_table(), saturated_spec())
