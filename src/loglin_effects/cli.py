@@ -7,9 +7,10 @@ Subcommands, each computing only what it prints:
 - ``effects``: the odds-ratio effect report from the causal parameters of
   the solve's Y-block alone (``fitting._fit``; no ``FitResult``, deviance
   or covariance), and with ``--verify`` the largest scaled discrepancy
-  from the probability-space oracle on the same parameters' joint table;
-- ``test``: the additive-interaction z-test on the two-way ``fit_poisson``
-  fit, and the linearity bonds;
+  from the probability-space oracle on the solve's fitted counts, which
+  no causal parameter has touched, so it checks the causal layer too;
+- ``test``: the additive-interaction z-test on the two-way solve's fitted
+  counts and Y-block (``fitting._fit`` again), and the linearity bonds;
 - ``oracle``: the probability-space effects straight from the table.
 
 Each command's options are declared once, as data (``_COMMANDS`` and
@@ -32,17 +33,18 @@ import sys
 from types import SimpleNamespace
 
 from . import __version__, fitting
-from .causal import (
-    CausalModelError,
-    _causal_params,
-    _xz_margins,
-    conditional_probabilities,
-)
+from .causal import CausalModelError, _causal_params, _xz_margins
 from .effects import DegenerateProbabilityError, effects_report
 from .fitting import FitError, fit_poisson, saturated_spec, two_way_spec
-from .inference import TestError, additive_zero_test, linearity_bonds
+from .inference import TestError, _additive_zero_test, linearity_bonds
 from .oracle import OracleError, oracle_effects
-from .tables import TableError, joint_probabilities, parse_table, validate
+from .tables import (
+    ContingencyTable,
+    TableError,
+    joint_probabilities,
+    parse_table,
+    validate,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -129,13 +131,23 @@ def _report_lines(args, source, r):
 def _fit(table, model) -> tuple:
     """The loglinear fit of ``table`` under ``model``, a ``FitResult`` with
     its deviance, and then the causal parameters of the fit's Y-block on the
-    table's XZ margins: the one fit of ``fit`` and ``test``, which read the
-    ``FitResult``.  ``effects`` reads only the Y-block, so it takes the
-    same causal parameters from the bare solve instead."""
+    table's XZ margins: the one fit of ``fit``, which reads the
+    ``FitResult``.  ``effects`` and ``test`` read only the fitted counts and
+    the Y-block, so they take the same values from ``_solve`` instead."""
     saturated = model == "saturated"
     fit = fit_poisson(table, saturated_spec() if saturated else two_way_spec())
     return fit, _causal_params(_xz_margins(table.counts), *fit.y_block,
                                saturated)
+
+
+def _solve(table, saturated: bool) -> tuple:
+    """The bare solve of ``table`` (``fitting._fit``), with no ``FitResult``:
+    its fitted counts and Y-block, then the causal parameters ``_fit``
+    gives.  It solves first, so a fit error comes before a zero margin."""
+    n = table.counts
+    fitted, y_block, _ = fitting._fit(n, saturated)
+    return fitted, y_block, _causal_params(_xz_margins(n), *y_block,
+                                           saturated)
 
 
 def cmd_fit(args) -> int:
@@ -169,18 +181,16 @@ def cmd_effects(args) -> int:
     table = _load_table(args)
     if args.from_level == args.to_level:
         raise TableError("--from and --to must differ")
-    # the causal parameters of ``_fit(table, model)[1]``, from the solve's
-    # Y-block: solved first, so a fit error comes before a zero margin
-    saturated = args.model == "saturated"
-    n = table.counts
-    y_block = fitting._fit(n, saturated)[1]
-    cp = _causal_params(_xz_margins(n), *y_block, saturated)
+    fitted, _, cp = _solve(table, args.model == "saturated")
     report = effects_report(cp, args.from_level, args.to_level)
 
     discrepancy = None
     if args.verify:
-        joint = conditional_probabilities(cp).joint()
-        ora = oracle_effects(joint, args.from_level, args.to_level)
+        # the oracle reads the fitted counts, not ``cp``: the solve returns
+        # them positive and finite, and the oracle checks every slice and
+        # effect itself
+        ora = oracle_effects(tuple.__new__(ContingencyTable, (fitted, None)),
+                             args.from_level, args.to_level)
         te, (lde0, lde1), (cell0, cell1), ie, ie_rev, nde, add, mult = (
             report[:8])
         (o_te, (o_lde0, o_lde1), (o_cell0, o_cell1), o_ie, o_ie_rev, o_nde,
@@ -219,8 +229,9 @@ def cmd_test(args) -> int:
     table = _load_table(args)
     if args.model != "two-way":
         raise TestError("test defined for two-way model")
-    fit, cp = _fit(table, args.model)
-    result = additive_zero_test(fit)
+    # a fit error, then a zero margin, then the z-test's ``TestError``
+    fitted, y_block, cp = _solve(table, False)
+    result = _additive_zero_test(fitted, y_block)
     bonds = linearity_bonds(cp)
 
     if args.output == "json":

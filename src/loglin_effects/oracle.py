@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 from .report import EffectsReport, _direction
-from .tables import JointProbabilityTable
+from .tables import ContingencyTable, JointProbabilityTable
 
 
 class OracleError(ValueError):
@@ -43,7 +43,7 @@ def _check_conditioning(p) -> None:
 
 
 def oracle_effects(
-    joint: JointProbabilityTable, x: int = 0, xp: int = 1
+    joint: JointProbabilityTable | ContingencyTable, x: int = 0, xp: int = 1
 ) -> EffectsReport:
     """Evaluate every effect definition literally on the joint table.
 
@@ -53,9 +53,13 @@ def oracle_effects(
     conditional is formed as ``1 - p``.  A zero slice or conditional
     raises ``OracleError``; only then does ``_check_conditioning`` look for
     which.
+
+    Every value is a ratio within a slice, so ``joint`` may as well be a
+    ``ContingencyTable`` of counts on any positive scale, such as a fit's
+    fitted counts: its cells are read as the joint table's, unnormalized.
     """
     x, xp = _direction(x, xp)
-    p = joint.probs
+    p = joint[0]  # the cells: a joint's probs, or a table's counts
     c0, c1, c2, c3, c4, c5, c6, c7 = p  # cell (x, z, y) at 4x + 2z + y
     s00, s01, s10, s11 = c0 + c1, c2 + c3, c4 + c5, c6 + c7  # P(X=x,Z=z)
     if not min(s00, s01, s10, s11) > 0.0:

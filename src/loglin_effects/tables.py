@@ -145,7 +145,9 @@ class ContingencyTable(_Record):
             raise TableError("table total must be positive")
         if labels is not None:
             if not (isinstance(labels, (list, tuple)) and len(labels) == 3
-                    and all(isinstance(name, str) for name in labels)):
+                    and isinstance(labels[0], str)
+                    and isinstance(labels[1], str)
+                    and isinstance(labels[2], str)):
                 raise TableError("labels must be a list or tuple of three "
                                  "strings")
             labels = tuple(labels)
@@ -477,15 +479,58 @@ def _parse_csv_rows(text: str) -> ContingencyTable:
     return ContingencyTable(counts)
 
 
+def _canonical_json_counts(cells: list):
+    """The eight counts of JSON ``cells`` in the canonical shape, else None.
+
+    The canonical shape is the one ``serialize_table`` writes: eight objects
+    in ``CELLS`` order, whose levels are the ints 0 and 1 (not booleans) and
+    whose counts are ints or floats (not booleans), finite and >= 0 as
+    floats.  Its counts are those ``_parse_json_cells`` finds, bit for bit.
+    """
+    counts = []
+    inf = math.inf
+    for (x, z, y), entry in zip(CELLS, cells):
+        if type(entry) is not dict:
+            return None
+        ex, ez, ey, c = (entry.get("x"), entry.get("z"), entry.get("y"),
+                         entry.get("count"))
+        if not (type(ex) is int and type(ez) is int and type(ey) is int
+                and ex == x and ez == z and ey == y):
+            return None
+        kind = type(c)
+        if kind is int:
+            try:
+                c = float(c)
+            except OverflowError:
+                return None
+        elif kind is not float:
+            return None
+        if not 0.0 <= c < inf:  # nan fails it too
+            return None
+        counts.append(c)
+    return counts
+
+
 def _parse_json(text: str) -> ContingencyTable:
+    """The table of a JSON text: cells in the canonical shape read in one
+    pass (``_canonical_json_counts``), any others by ``_parse_json_cells``,
+    so every error is that reader's, or the constructor's."""
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:  # also too-long integers
         raise TableError(f"malformed JSON: {exc}") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("cells"), list):
         raise TableError("JSON table must be an object with a 'cells' list")
-    labels = doc.get("labels")
     cells = doc["cells"]
+    if len(cells) == 8:
+        counts = _canonical_json_counts(cells)
+        if counts is not None:
+            return ContingencyTable(counts, labels=doc.get("labels"))
+    return _parse_json_cells(cells, doc.get("labels"))
+
+
+def _parse_json_cells(cells: list, labels) -> ContingencyTable:
+    """The table of any JSON ``cells`` list, read entry by entry."""
     if len(cells) == 8 and not any(isinstance(c, dict) for c in cells):
         return ContingencyTable(list(map(_json_count, cells)), labels=labels)
     counts = [0.0] * 8

@@ -16,6 +16,7 @@ from loglin_effects import CELLS, NoCausalParams, serialize_table
 from loglin_effects.cli import _num, main
 from conftest import DEVIANCE_OVERFLOW, FAR_SATURATED, FAR_TWO_WAY, TABLE5
 from loglin_effects.causal import conditional_probabilities
+from loglin_effects.fitting import fit_poisson, saturated_spec, two_way_spec
 from loglin_effects.tables import ContingencyTable
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -461,19 +462,20 @@ def _old_discrepancy(report, ora):
 
 
 class TestEffectsReadsTheSolve:
-    """``effects`` takes its causal parameters from the bare solve, with no
-    ``FitResult``; ``fit`` and ``test`` keep ``fit_poisson``."""
+    """``effects`` and ``test`` take their values from the bare solve, with
+    no ``FitResult``; ``fit`` keeps ``fit_poisson``.  ``--verify`` checks
+    the effects against the oracle on the solve's fitted counts."""
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("case", [
-        c for c in GOLDEN if c["argv"][0] == "effects"
+        c for c in GOLDEN if c["argv"][0] in ("effects", "test")
     ], ids=lambda c: " ".join(c["argv"]))
-    def test_effects_prints_the_goldens_without_fit_poisson(
+    def test_effects_and_test_print_the_goldens_without_fit_poisson(
             self, case, fmt, tmp_path, monkeypatch, capsys):
         import loglin_effects.cli as cli
 
         def refusing(*args, **kwargs):
-            raise AssertionError("effects called fit_poisson")
+            raise AssertionError(f"{case['argv'][0]} called fit_poisson")
 
         monkeypatch.setattr(cli, "fit_poisson", refusing)
         path = tmp_path / f"readme.{fmt}"
@@ -485,10 +487,9 @@ class TestEffectsReadsTheSolve:
 
     @pytest.mark.parametrize("argv", [
         ["fit"], ["fit", "--model", "saturated", "--output", "json"],
-        ["test"], ["test", "--output", "json"],
     ])
-    def test_fit_and_test_call_fit_poisson_once(self, argv, table5_csv,
-                                                monkeypatch, capsys):
+    def test_fit_calls_fit_poisson_once(self, argv, table5_csv, monkeypatch,
+                                        capsys):
         import loglin_effects.cli as cli
 
         calls = []
@@ -539,11 +540,34 @@ class TestEffectsReadsTheSolve:
             # a typed error, before any discrepancy
             assert code == 2 and out.getvalue() == "", err.getvalue()
             return
-        cp = cli._fit(ContingencyTable(counts), model)[1]
+        table = ContingencyTable(counts)
+        cp = cli._fit(table, model)[1]
         report = effects_report(cp, x, xp)
-        ora = oracle_effects(conditional_probabilities(cp).joint(), x, xp)
+        fitted = fit_poisson(table, saturated_spec() if model == "saturated"
+                             else two_way_spec()).fitted_counts
+        ora = oracle_effects(ContingencyTable(fitted), x, xp)
         got = json.loads(out.getvalue())["verify_max_discrepancy"]
         assert got.hex() == _old_discrepancy(report, ora).hex()
+
+    @pytest.mark.parametrize("output", ["text", "json"])
+    @pytest.mark.parametrize("model", ["two-way", "saturated"])
+    def test_verify_catches_a_causal_parameter_off_by_1e6(
+            self, model, output, tmp_path, monkeypatch, capsys):
+        import loglin_effects.cli as cli
+
+        real = cli._causal_params
+
+        def off(m, y, xy, *rest):
+            return real(m, y, xy * (1 + 1e-6), *rest)
+
+        monkeypatch.setattr(cli, "_causal_params", off)
+        path = tmp_path / "readme.csv"
+        path.write_text(_counts_csv(README_COUNTS))
+        code = main(["effects", "--input", str(path), "--verify", "--model",
+                     model, "--output", output])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.endswith("oracle verification failed\n")
 
 
 class TestVerifyThreshold:
@@ -587,12 +611,10 @@ class TestVerifyThreshold:
         captured = capsys.readouterr()
         assert captured.out == "" and "error:" in captured.err
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "the oracle is 1.7e-7 off when a joint cell is subnormal; the "
-        "engine is exact to 2.2e-16"))
     def test_subnormal_joint_cell_verifies(self, tmp_path):
-        # joint cell (0,0,1) is 6.34e-318: the oracle's multiplicative
-        # interaction, cell[0] and lde[0] are 1.74e-7 off the exact effects
+        # joint cell (0,0,1) is 6.34e-318, where the oracle is 1.74e-7 off
+        # the exact effects; it reads the saturated fitted counts, which are
+        # the table's, all normal
         counts = (5.294549117035401e-149, 1.6890428118753416e-228,
                   3.4184915883909165e-142, 2.07836101088961e-08,
                   1.367043474049431e+52, 1.0274431970224637e+28,
@@ -749,15 +771,16 @@ class TestTestCommand:
         import loglin_effects.inference
 
         calls = []
-        real = loglin_effects.inference.additive_zero_test
+        real = loglin_effects.inference._additive_zero_test
 
         def counting(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        # a z-test run by ``cmd_test`` or inside ``linearity_bonds`` counts
+        # a z-test kernel run by ``cmd_test`` or by ``additive_zero_test``
+        # or ``linearity_bonds`` counts
         for module in (loglin_effects.cli, loglin_effects.inference):
-            monkeypatch.setattr(module, "additive_zero_test", counting)
+            monkeypatch.setattr(module, "_additive_zero_test", counting)
         assert main(["test", "--input", table5_csv, "--output", "json"]) == 0
         assert len(calls) == 1
         doc = json.loads(capsys.readouterr().out)

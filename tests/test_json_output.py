@@ -13,6 +13,9 @@ the two-way solve began to start Newton's method at the cubic's estimate:
 ``iterations`` went from 4 to 1, and the last bits of the fitted counts
 and what follows from them moved, the z-test's SE and z nearer their
 60-digit values (``test_fitting.py`` holds them within 2 ulps of those).
+The four ``effects --verify`` cases' discrepancy, in stdout and stderr,
+was re-recorded when ``--verify`` began to run the oracle on the solve's
+fitted counts instead of the causal parameters' joint table.
 Every byte is compared.
 """
 

@@ -431,6 +431,215 @@ class TestOneMatchPath:
         assert row_reads == [text]
 
 
+def reference_parse_json(text):
+    """The table of a JSON text, by the earlier entry-by-entry reader.
+
+    A transcription of that reader, kept as the reference the one-pass read
+    of canonical cells must agree with: the same table, labels included,
+    or the same ``TableError`` message.
+    """
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise TableError(f"malformed JSON: {exc}") from None
+    if not isinstance(doc, dict) or not isinstance(doc.get("cells"), list):
+        raise TableError("JSON table must be an object with a 'cells' list")
+    labels = doc.get("labels")
+    cells = doc["cells"]
+
+    def count(raw):
+        if raw is True or raw is False:
+            raise TableError(f"malformed count {raw!r}")
+        return _reference_coerce_count(raw)
+
+    if len(cells) == 8 and not any(isinstance(c, dict) for c in cells):
+        return ContingencyTable([count(c) for c in cells], labels=labels)
+    counts = [0.0] * 8
+    seen = set()
+    for entry in cells:
+        if not isinstance(entry, dict):
+            raise TableError(f"malformed cell entry {entry!r}")
+        levels = []
+        for name in ("x", "z", "y"):
+            raw = entry.get(name)
+            # an int 0 or 1 is its level; a bool is not
+            levels.append(raw if type(raw) is int and raw in (0, 1)
+                          else _reference_coerce_level(raw, name))
+        c = count(entry.get("count"))
+        if tuple(levels) in seen:
+            raise TableError("duplicate cell ({},{},{})".format(*levels))
+        seen.add(tuple(levels))
+        x, z, y = levels
+        counts[4 * x + 2 * z + y] = c
+    return ContingencyTable(counts, labels=labels)
+
+
+def _table_outcome(parse, text):
+    """``("ok", cell bits, labels)`` or ``("error", message)`` of one parse."""
+    try:
+        table = parse(text)
+    except TableError as exc:
+        return "error", str(exc)
+    return "ok", [float.hex(c) for c in table.counts], table.labels
+
+
+def _json_table(counts=(42, 18, 25, 31, 17, 23, 12, 48), levels=None,
+                cells=None, **doc):
+    """The JSON text of a document with ``doc``'s keys and object cells in
+    ``CELLS`` order: ``counts``, the levels of each cell (``levels`` maps a
+    cell index to other ones), and then ``cells`` edits the list."""
+    entries = []
+    for i, ((x, z, y), c) in enumerate(zip(CELLS, counts)):
+        x, z, y = (levels or {}).get(i, (x, z, y))
+        entries.append({"x": x, "z": z, "y": y, "count": c})
+    if cells is not None:
+        entries = cells(entries)
+    return json.dumps({**doc, "cells": entries})
+
+
+#: JSON values a level or a count may take: the ints and floats, booleans,
+#: strings, null, a negative zero, nan, infinities and a 400-digit integer
+json_scalar = st.one_of(
+    st.sampled_from([0, 1, 2, -1, 0.0, 1.0, -0.0, True, False, None, "0", "1",
+                     " 1", "x", 10 ** 400, -(10 ** 400), math.nan, math.inf,
+                     -math.inf, 1e308, 5e-324]),
+    st.integers(0, 10 ** 6),
+    st.floats(),
+)
+
+
+def _edit_cells(entries, edits):
+    """``entries`` after each edit in ``edits``: a shuffle, a drop, a
+    duplicate, an extra cell, or an extra key in one entry."""
+    for kind, i, j in edits:
+        if not entries:
+            break
+        i %= len(entries)
+        if kind == "swap":
+            j %= len(entries)
+            entries[i], entries[j] = entries[j], entries[i]
+        elif kind == "drop":
+            del entries[i]
+        elif kind == "duplicate":
+            entries.insert(j % len(entries), dict(entries[i]))
+        elif kind == "extra cell":
+            entries.append({"x": 1, "z": 1, "y": 1, "count": j})
+        else:
+            entries[i] = {**entries[i], "weight": j}
+    return entries
+
+
+def _changed_table(counts, hostile, levels, doc, edits):
+    """A canonical document with the counts ``hostile`` and the levels
+    ``levels`` (each by cell index), the keys ``doc`` and the cell list
+    edits ``edits``."""
+    return _json_table([hostile.get(i, c) for i, c in enumerate(counts)],
+                       levels, lambda entries: _edit_cells(entries, edits),
+                       **doc)
+
+
+#: canonical documents with a few counts, levels, labels or cells changed
+json_like = st.builds(
+    _changed_table,
+    st.lists(st.one_of(st.floats(0, 1e6), st.integers(0, 1000)),
+             min_size=8, max_size=8),
+    st.dictionaries(st.integers(0, 7), json_scalar, max_size=2),
+    st.dictionaries(st.integers(0, 7), st.tuples(
+        *[st.one_of(st.sampled_from([0, 1]), json_scalar)] * 3), max_size=2),
+    st.sampled_from([{}, {"labels": None}, {"labels": ["X", "Z", "Y"]},
+                     {"labels": ["X", "Z"]}, {"labels": "XZY"},
+                     {"labels": ["X", 1, "Y"]}]),
+    st.lists(st.tuples(st.sampled_from(["swap", "drop", "duplicate",
+                                        "extra cell", "extra key"]),
+                       st.integers(0, 7), st.integers(0, 7)), max_size=2),
+)
+
+
+class TestJsonOnePass:
+    """Object cells in the canonical shape are read in one pass, any others
+    entry by entry: both give the reference's table, labels included, or
+    its message."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(json_like)
+    @example(_json_table())
+    @example(_json_table(labels=["X", "Z", "Y"]))
+    def test_matches_the_reference(self, text):
+        assert (_table_outcome(lambda s: parse_table(s, "json"), text)
+                == _table_outcome(reference_parse_json, text))
+
+    @pytest.fixture
+    def cell_reads(self, monkeypatch):
+        calls = []
+        real = tables._parse_json_cells
+
+        def counting(cells, labels):
+            calls.append(1)
+            return real(cells, labels)
+
+        monkeypatch.setattr(tables, "_parse_json_cells", counting)
+        return calls
+
+    @pytest.mark.parametrize("text", [
+        _json_table(),
+        _json_table(labels=["X", "Z", "Y"]),
+        _json_table(labels=None),
+        serialize_table(ContingencyTable((42, 18, 25, 31, 17, 23, 12, 48),
+                                         ("X", "Z", "Y")), "json"),
+        _json_table((0.1, 1e-300, 2.5e-7, 1 / 3, 0.0, 7e12, 1.5e300, 5.0)),
+        _json_table((0, 18, 25, 31, 17, 23, 12, 48)),
+        '{"cells": [' + ", ".join(
+            f'{{"x": {x}, "z": {z}, "y": {y}, "count": {c}}}'
+            for (x, z, y), c in zip(CELLS, ["-0", "-0.0", *"1234567"[:6]]))
+        + "]}",
+        _json_table(labels=["X", 1, "Y"]),
+        _json_table(labels="XZY"),
+        _json_table((0,) * 8),
+        _json_table((1e308, 1e308, 1, 1, 1, 1, 1, 1)),
+        _json_table(cells=lambda e: [{**e[0], "weight": 2}, *e[1:]]),
+        _json_table(source="survey"),
+    ], ids=["readme", "labels", "null-labels", "serialized", "repr-floats",
+            "a-zero", "negative-zeros", "malformed-labels", "string-labels",
+            "zero-total", "overflowing-total", "extra-cell-key",
+            "extra-document-key"])
+    def test_canonical_cells_take_one_pass(self, cell_reads, text):
+        assert (_table_outcome(lambda s: parse_table(s, "json"), text)
+                == _table_outcome(reference_parse_json, text))
+        assert cell_reads == []
+
+    @pytest.mark.parametrize("text", [
+        _json_table(levels={6: (True, 1, 0)}),
+        _json_table(levels={4: (1, False, 0)}),
+        _json_table(levels={2: ("0", "1", "0")}),
+        _json_table(levels={5: (1.0, 0, 1)}),
+        _json_table(levels={0: (None, 0, 0)}),
+        _json_table(levels={3: (0, 1, 2)}),
+        _json_table((42, 18, "25", 31, 17, 23, 12, 48)),
+        _json_table((42, 18, 25, True, 17, 23, 12, 48)),
+        _json_table((42, 18, 25, 31, False, 23, 12, 48)),
+        _json_table((42, 18, 25, 31, 17, -23, 12, 48)),
+        _json_table((42, 18, 25, 31, 17, 23, 10 ** 400, 48)),
+        _json_table((42, 18, 25, 31, 17, 23, 12, math.nan)),
+        _json_table((42, math.inf, 25, 31, 17, 23, 12, 48)),
+        _json_table((42, 18, 25, 31, 17, 23, None, 48)),
+        _json_table(cells=lambda e: e[::-1]),
+        _json_table(cells=lambda e: [e[1], e[0], *e[2:]]),
+        _json_table(cells=lambda e: e[:7]),
+        _json_table(cells=lambda e: [*e[:7], dict(e[0])]),
+        _json_table(cells=lambda e: [*e, {"x": 1, "z": 1, "y": 1,
+                                          "count": 3}]),
+        _json_table(cells=lambda e: [*e[:7], {"x": 1, "z": 1, "y": 1}]),
+    ], ids=["bool-level", "false-level", "string-levels", "float-level",
+            "null-level", "level-2", "string-count", "true-count",
+            "false-count", "negative-count", "400-digit-count", "nan-count",
+            "inf-count", "null-count", "reversed", "swapped", "missing",
+            "duplicate", "extra-cell", "count-key-missing"])
+    def test_other_cells_are_read_by_entries_once(self, cell_reads, text):
+        assert (_table_outcome(lambda s: parse_table(s, "json"), text)
+                == _table_outcome(reference_parse_json, text))
+        assert cell_reads == [1]
+
+
 def _csv_error(text):
     """The ``csv`` module's own message for ``text``; it varies by Python."""
     try:
