@@ -133,15 +133,18 @@ class ContingencyTable(_Record):
             raise TableError(f"counts must be 8 numbers: {exc}") from None
         if len(counts) != 8:
             raise TableError(f"expected 8 cells, got {len(counts)}")
-        total = _left_sum(counts)
+        a, b, c, d, e, f, g, h = counts
+        total = 0.0 + a + b + c + d + e + f + g + h  # as _left_sum
         # a finite total of cells none below 0 has no nan or inf cell either;
-        # only a failing table is searched for the cell to name
-        if not (math.isfinite(total) and min(counts) >= 0):
-            for (x, z, y), c in zip(CELLS, counts):
-                if not math.isfinite(c) or c < 0:
+        # only a failing table is searched for its message
+        if not (0.0 <= a and 0.0 <= b and 0.0 <= c and 0.0 <= d and 0.0 <= e
+                and 0.0 <= f and 0.0 <= g and 0.0 <= h
+                and 0.0 < total < math.inf):
+            for (x, z, y), n in zip(CELLS, counts):
+                if not 0.0 <= n < math.inf:
                     raise TableError(f"negative or non-finite count at cell ({x},{z},{y})")
-            raise TableError("table total overflows")
-        if total <= 0:
+            if total == math.inf:
+                raise TableError("table total overflows")
             raise TableError("table total must be positive")
         if labels is not None:
             if not (isinstance(labels, (list, tuple)) and len(labels) == 3
@@ -421,33 +424,23 @@ _CANONICAL_CSV = re.compile("x,z,y,count" + "".join(
 
 
 def _parse_csv(text: str) -> ContingencyTable:
-    """The table of a CSV text: a text in the canonical layout whose counts
-    are all finite and >= 0 in one match, any other by ``_parse_csv_rows``.
+    """The table of a CSV text: a text in the canonical layout in one match,
+    whose eight count fields go to ``ContingencyTable``, any other by
+    ``_parse_csv_rows``.
 
     Both paths give the same counts, bit for bit, since the match finds the
-    fields the CSV reader would and converts them as ``_coerce_count`` does.
-    Having checked each count, the match path builds the table directly
-    when their total is finite and > 0, else calls ``ContingencyTable`` for
-    its error.  A text whose match path fails is read again by
-    ``_parse_csv_rows``, so every error is its error, or the constructor's.
+    fields the CSV reader would and the constructor converts them as
+    ``_coerce_count`` does.  A canonical text whose table the constructor
+    refuses is read again by ``_parse_csv_rows``, so every error is its
+    error, or the constructor's.
     """
     m = _CANONICAL_CSV.fullmatch(text)
     # longer text may hold a field the CSV reader refuses
     if m is not None and len(text) <= csv.field_size_limit():
         try:
-            a, b, c, d, e, f, g, h = counts = tuple(map(float, m.groups()))
-        except ValueError:
+            return ContingencyTable(m.groups())
+        except TableError:
             pass
-        else:
-            # per value: a nan passes min and max tests in some positions
-            inf = math.inf
-            if (0.0 <= a < inf and 0.0 <= b < inf and 0.0 <= c < inf
-                    and 0.0 <= d < inf and 0.0 <= e < inf and 0.0 <= f < inf
-                    and 0.0 <= g < inf and 0.0 <= h < inf):
-                total = 0.0 + a + b + c + d + e + f + g + h  # as _left_sum
-                if 0.0 < total < inf:
-                    return tuple.__new__(ContingencyTable, (counts, None))
-                return ContingencyTable(counts)  # raises its total's error
     return _parse_csv_rows(text)
 
 
@@ -483,29 +476,19 @@ def _canonical_json_counts(cells: list):
     """The eight counts of JSON ``cells`` in the canonical shape, else None.
 
     The canonical shape is the one ``serialize_table`` writes: eight objects
-    in ``CELLS`` order, whose levels are the ints 0 and 1 (not booleans) and
-    whose counts are ints or floats (not booleans), finite and >= 0 as
-    floats.  Its counts are those ``_parse_json_cells`` finds, bit for bit.
+    in ``CELLS`` order, whose levels are the ints 0 and 1 and whose counts
+    are ints or floats, none a boolean.  Only the shape is checked here; the
+    counts are the ``ContingencyTable`` constructor's to check.
     """
     counts = []
-    inf = math.inf
     for (x, z, y), entry in zip(CELLS, cells):
         if type(entry) is not dict:
             return None
         ex, ez, ey, c = (entry.get("x"), entry.get("z"), entry.get("y"),
                          entry.get("count"))
         if not (type(ex) is int and type(ez) is int and type(ey) is int
-                and ex == x and ez == z and ey == y):
-            return None
-        kind = type(c)
-        if kind is int:
-            try:
-                c = float(c)
-            except OverflowError:
-                return None
-        elif kind is not float:
-            return None
-        if not 0.0 <= c < inf:  # nan fails it too
+                and ex == x and ez == z and ey == y
+                and (type(c) is int or type(c) is float)):
             return None
         counts.append(c)
     return counts
@@ -513,7 +496,8 @@ def _canonical_json_counts(cells: list):
 
 def _parse_json(text: str) -> ContingencyTable:
     """The table of a JSON text: cells in the canonical shape read in one
-    pass (``_canonical_json_counts``), any others by ``_parse_json_cells``,
+    pass (``_canonical_json_counts``) into ``ContingencyTable``, any others,
+    or those whose table the constructor refuses, by ``_parse_json_cells``,
     so every error is that reader's, or the constructor's."""
     try:
         doc = json.loads(text)
@@ -525,7 +509,10 @@ def _parse_json(text: str) -> ContingencyTable:
     if len(cells) == 8:
         counts = _canonical_json_counts(cells)
         if counts is not None:
-            return ContingencyTable(counts, labels=doc.get("labels"))
+            try:
+                return ContingencyTable(counts, labels=doc.get("labels"))
+            except TableError:
+                pass
     return _parse_json_cells(cells, doc.get("labels"))
 
 
@@ -552,12 +539,9 @@ def _parse_json_cells(cells: list, labels) -> ContingencyTable:
 def serialize_table(table: ContingencyTable, fmt: str = "csv") -> str:
     """Serialize in canonical cell order; inverse of ``parse_table``."""
     if fmt == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["x", "z", "y", "count"])
-        for (x, z, y), c in zip(CELLS, table.counts):
-            writer.writerow([x, z, y, repr(c)])
-        return out.getvalue()
+        # a float's repr holds no comma, quote or line end to escape
+        return "x,z,y,count\n" + "".join(
+            f"{x},{z},{y},{c!r}\n" for (x, z, y), c in zip(CELLS, table.counts))
     if fmt == "json":
         doc: dict = {}
         if table.labels is not None:
