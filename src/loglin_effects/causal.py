@@ -65,25 +65,18 @@ class CausalParams(_Record):
     def to_dict(self) -> dict:
         cond = conditional_probabilities(self)
         y0 = cond.p_y0_given_xz
-        return {
-            "Xc": self.xc,
-            "Zc": self.zc,
-            "XZc": self.xzc,
-            "Y": self.y,
-            "XY": self.xy,
-            "ZY": self.zy,
-            "XZY": self.xzy,
-            "with_interaction": self.with_interaction,
-            "eta": {
-                "X": cond.p_x0,
-                "Z|X=0": cond.p_z0_given_x[0],
-                "Z|X=1": cond.p_z0_given_x[1],
-                "Y|X=0,Z=0": y0[0, 0],
-                "Y|X=1,Z=0": y0[1, 0],
-                "Y|X=0,Z=1": y0[0, 1],
-                "Y|X=1,Z=1": y0[1, 1],
-            },
+        doc = dict(zip(("Xc", "Zc", "XZc", "Y", "XY", "ZY", "XZY",
+                        "with_interaction"), self))
+        doc["eta"] = {
+            "X": cond.p_x0,
+            "Z|X=0": cond.p_z0_given_x[0],
+            "Z|X=1": cond.p_z0_given_x[1],
+            "Y|X=0,Z=0": y0[0, 0],
+            "Y|X=1,Z=0": y0[1, 0],
+            "Y|X=0,Z=1": y0[0, 1],
+            "Y|X=1,Z=1": y0[1, 1],
         }
+        return doc
 
 
 class ConditionalProbabilities(_Record):

@@ -193,12 +193,11 @@ class NoCausalParams(_Record):
 
     @property
     def multiplicative(self) -> dict:
-        return dict(zip(TERM_ORDER, (self.eta, self.x, self.z, self.y,
-                                     self.xz, self.xy, self.zy, self.xzy)))
+        return dict(zip(TERM_ORDER, self))
 
     @property
     def additive(self) -> dict:
-        return {k: math.log(v) for k, v in self.multiplicative.items()}
+        return dict(zip(TERM_ORDER, map(math.log, self)))
 
     def expected_counts(self) -> tuple:
         """Expected cell counts m(x,z,y) in canonical order.
@@ -302,10 +301,9 @@ class FitResult(_Record):
     def to_dict(self) -> dict:
         terms = self.spec.ordered_terms
         params = self.params
-        add, mult = params.additive, params.multiplicative
         return {
-            "additive": {t: add[t] for t in terms},
-            "multiplicative": {t: mult[t] for t in terms},
+            "additive": dict(zip(terms, map(math.log, params))),
+            "multiplicative": dict(zip(terms, params)),
             "fitted_counts": list(self.fitted_counts),
             "covariance": {
                 "terms": list(terms),

@@ -13,12 +13,16 @@ import io
 import json
 import math
 import re
+import sys
 from collections import _tuplegetter
 
 VARIABLES = ("X", "Z", "Y")
 
 #: canonical cell order: (x, z, y) lexicographic, x slowest
 CELLS = tuple((x, z, y) for x in (0, 1) for z in (0, 1) for y in (0, 1))
+
+#: the greatest finite float
+_FLOAT_MAX = sys.float_info.max
 
 
 class TableError(ValueError):
@@ -384,8 +388,6 @@ def parse_table(source, fmt: str = "csv") -> ContingencyTable:
 
 
 def _coerce_level(raw, what: str) -> int:
-    if type(raw) is int and (raw == 0 or raw == 1):  # not bool: true is no level
-        return raw
     try:
         v = int(str(raw).strip())
     except (TypeError, ValueError):
@@ -396,6 +398,10 @@ def _coerce_level(raw, what: str) -> int:
 
 
 def _coerce_count(raw) -> float:
+    """``raw`` as a count: a float, finite and >= 0.  A boolean is no
+    count, though to Python JSON's ``true`` and ``false`` are 1 and 0."""
+    if raw is True or raw is False:
+        raise TableError(f"malformed count {raw!r}")
     try:
         c = float(raw)
     except (TypeError, ValueError, OverflowError):
@@ -405,14 +411,6 @@ def _coerce_count(raw) -> float:
     if c < 0:
         raise TableError(f"negative count {raw!r}")
     return c
-
-
-def _json_count(raw) -> float:
-    """``_coerce_count`` of a JSON count, which is not a boolean: to Python
-    ``true`` and ``false`` are the ints 1 and 0."""
-    if raw is True or raw is False:
-        raise TableError(f"malformed count {raw!r}")
-    return _coerce_count(raw)
 
 
 #: the canonical CSV layout that ``serialize_table`` writes: the header, then
@@ -472,33 +470,16 @@ def _parse_csv_rows(text: str) -> ContingencyTable:
     return ContingencyTable(counts)
 
 
-def _canonical_json_counts(cells: list):
-    """The eight counts of JSON ``cells`` in the canonical shape, else None.
-
-    The canonical shape is the one ``serialize_table`` writes: eight objects
-    in ``CELLS`` order, whose levels are the ints 0 and 1 and whose counts
-    are ints or floats, none a boolean.  Only the shape is checked here; the
-    counts are the ``ContingencyTable`` constructor's to check.
-    """
-    counts = []
-    for (x, z, y), entry in zip(CELLS, cells):
-        if type(entry) is not dict:
-            return None
-        ex, ez, ey, c = (entry.get("x"), entry.get("z"), entry.get("y"),
-                         entry.get("count"))
-        if not (type(ex) is int and type(ez) is int and type(ey) is int
-                and ex == x and ez == z and ey == y
-                and (type(c) is int or type(c) is float)):
-            return None
-        counts.append(c)
-    return counts
-
-
 def _parse_json(text: str) -> ContingencyTable:
-    """The table of a JSON text: cells in the canonical shape read in one
-    pass (``_canonical_json_counts``) into ``ContingencyTable``, any others,
-    or those whose table the constructor refuses, by ``_parse_json_cells``,
-    so every error is that reader's, or the constructor's."""
+    """The table of a JSON text, its cells read entry by entry.
+
+    Eight cells none of which is an object are the flat layout, counts in
+    ``CELLS`` order; any other list holds object cells.  An ``int`` level
+    0 or 1 is taken as it is, and so is an ``int`` or ``float`` count from
+    0 to the greatest float, which ``ContingencyTable`` converts as
+    ``_coerce_count`` would; any other level or count goes to
+    ``_coerce_level`` or ``_coerce_count`` for its value or its error.
+    """
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:  # also too-long integers
@@ -506,34 +487,37 @@ def _parse_json(text: str) -> ContingencyTable:
     if not isinstance(doc, dict) or not isinstance(doc.get("cells"), list):
         raise TableError("JSON table must be an object with a 'cells' list")
     cells = doc["cells"]
-    if len(cells) == 8:
-        counts = _canonical_json_counts(cells)
-        if counts is not None:
-            try:
-                return ContingencyTable(counts, labels=doc.get("labels"))
-            except TableError:
-                pass
-    return _parse_json_cells(cells, doc.get("labels"))
-
-
-def _parse_json_cells(cells: list, labels) -> ContingencyTable:
-    """The table of any JSON ``cells`` list, read entry by entry."""
-    if len(cells) == 8 and not any(isinstance(c, dict) for c in cells):
-        return ContingencyTable(list(map(_json_count, cells)), labels=labels)
-    counts = [0.0] * 8
-    seen = 0  # bit i set once cell i has an entry
+    flat = len(cells) == 8 and dict not in map(type, cells)
+    counts = [None] * 8  # None until a cell has an entry
+    i = -1
     for entry in cells:
-        if not isinstance(entry, dict):
+        if flat:
+            c = entry
+            i += 1
+        elif type(entry) is dict:
+            try:
+                x, z, y = entry["x"], entry["z"], entry["y"]
+                c = entry["count"]
+            except KeyError:  # a missing key reads as null
+                x, z, y, c = map(entry.get, ("x", "z", "y", "count"))
+            # ints, none negative, with no bit set above bit 0
+            if (type(x) is int and type(z) is int and type(y) is int
+                    and 0 <= x | z | y <= 1):
+                i = 4 * x + 2 * z + y
+            else:
+                i = cell_index(_coerce_level(x, "x"), _coerce_level(z, "z"),
+                               _coerce_level(y, "y"))
+        else:
             raise TableError(f"malformed cell entry {entry!r}")
-        i = cell_index(_coerce_level(entry.get("x"), "x"),
-                       _coerce_level(entry.get("z"), "z"),
-                       _coerce_level(entry.get("y"), "y"))
-        c = _json_count(entry.get("count"))
-        if seen >> i & 1:
+        if not ((type(c) is int or type(c) is float)
+                and 0 <= c <= _FLOAT_MAX):  # also nan
+            c = _coerce_count(c)
+        if counts[i] is not None:
             raise TableError("duplicate cell ({},{},{})".format(*CELLS[i]))
-        seen |= 1 << i
         counts[i] = c
-    return ContingencyTable(counts, labels=labels)
+    if len(cells) < 8:  # eight or more entries without a duplicate fill all
+        counts = [0.0 if c is None else c for c in counts]
+    return ContingencyTable(counts, doc.get("labels"))
 
 
 def serialize_table(table: ContingencyTable, fmt: str = "csv") -> str:

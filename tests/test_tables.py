@@ -434,9 +434,9 @@ class TestOneMatchPath:
 def reference_parse_json(text):
     """The table of a JSON text, by the earlier entry-by-entry reader.
 
-    A transcription of that reader, kept as the reference the one-pass read
-    of canonical cells must agree with: the same table, labels included,
-    or the same ``TableError`` message.
+    A transcription of that reader, kept as the reference the JSON reader
+    must agree with on every input: the same table, labels included, or
+    the same ``TableError`` message.
     """
     try:
         doc = json.loads(text)
@@ -555,10 +555,42 @@ json_like = st.builds(
 )
 
 
-class TestJsonOnePass:
-    """Object cells in the canonical shape are read in one pass, any others
-    entry by entry: both give the reference's table, labels included, or
-    its message."""
+def _with_token(token, counts=(42, 18, 25, "@", 17, 23, 12, 48), levels=None,
+                flat=False):
+    """The README table as JSON text, object cells or ``flat``, with the raw
+    JSON ``token`` where ``counts`` or ``levels`` hold ``"@"``."""
+    if flat:
+        return json.dumps({"cells": list(counts)}).replace('"@"', token)
+    return _json_table(counts, levels).replace('"@"', token)
+
+
+#: the edges of the reader's guard, each in the README table: as a count, a
+#: zero of either sign, the least and the greatest float, the greatest float
+#: as an int, the least int that ``float`` overflows on, 2**1024, a literal
+#: that ``json`` reads as inf and a boolean, in both layouts; as each level,
+#: a boolean, a float and ints on either side of 0 and 1
+GUARD_EDGES = {
+    f"count-{name}-{layout}": _with_token(token, flat=layout == "flat")
+    for name, token in [("-0", "-0"), ("-0.0", "-0.0"), ("5e-324", "5e-324"),
+                        ("max-float", "1.7976931348623157e308"),
+                        ("max-float-int", str(2 ** 1024 - 2 ** 971)),
+                        ("overflowing-int", str(2 ** 1024 - 2 ** 970)),
+                        ("2**1024", str(2 ** 1024)), ("1e400", "1e400"),
+                        ("true", "true")]
+    for layout in ("objects", "flat")
+}
+GUARD_EDGES.update(
+    (f"level-{name}-{token}",
+     _with_token(token, (42, 18, 25, 31, 17, 23, 12, 48), {6: levels}))
+    for token in ("true", "1.0", "-1", "-2", "2", "3")
+    for name, levels in [("x", ("@", 1, 0)), ("z", (1, "@", 0)),
+                         ("y", (1, 1, "@"))]
+)
+
+
+class TestJsonReader:
+    """Every cells list is read entry by entry in one loop: the table of the
+    reference, labels included, or its message."""
 
     @settings(max_examples=200, deadline=None)
     @given(json_like)
@@ -567,18 +599,6 @@ class TestJsonOnePass:
     def test_matches_the_reference(self, text):
         assert (_table_outcome(lambda s: parse_table(s, "json"), text)
                 == _table_outcome(reference_parse_json, text))
-
-    @pytest.fixture
-    def cell_reads(self, monkeypatch):
-        calls = []
-        real = tables._parse_json_cells
-
-        def counting(cells, labels):
-            calls.append(1)
-            return real(cells, labels)
-
-        monkeypatch.setattr(tables, "_parse_json_cells", counting)
-        return calls
 
     @pytest.mark.parametrize("text", [
         _json_table(),
@@ -594,15 +614,6 @@ class TestJsonOnePass:
         + "]}",
         _json_table(cells=lambda e: [{**e[0], "weight": 2}, *e[1:]]),
         _json_table(source="survey"),
-    ], ids=["readme", "labels", "null-labels", "serialized", "repr-floats",
-            "a-zero", "negative-zeros", "extra-cell-key",
-            "extra-document-key"])
-    def test_canonical_cells_take_one_pass(self, cell_reads, text):
-        assert (_table_outcome(lambda s: parse_table(s, "json"), text)
-                == _table_outcome(reference_parse_json, text))
-        assert cell_reads == []
-
-    @pytest.mark.parametrize("text", [
         _json_table(levels={6: (True, 1, 0)}),
         _json_table(levels={4: (1, False, 0)}),
         _json_table(levels={2: ("0", "1", "0")}),
@@ -624,22 +635,26 @@ class TestJsonOnePass:
         _json_table(cells=lambda e: [*e, {"x": 1, "z": 1, "y": 1,
                                           "count": 3}]),
         _json_table(cells=lambda e: [*e[:7], {"x": 1, "z": 1, "y": 1}]),
-        # canonical cells whose table the constructor refuses
+        _json_table(cells=lambda e: [*e[:6], {"x": 1, "y": 0, "count": 3},
+                                     e[7]]),
         _json_table(labels=["X", 1, "Y"]),
         _json_table(labels="XZY"),
         _json_table((0,) * 8),
         _json_table((1e308, 1e308, 1, 1, 1, 1, 1, 1)),
-    ], ids=["bool-level", "false-level", "string-levels", "float-level",
-            "null-level", "level-2", "string-count", "true-count",
-            "false-count", "negative-count", "400-digit-count", "nan-count",
-            "inf-count", "null-count", "reversed", "swapped", "missing",
-            "duplicate", "extra-cell", "count-key-missing",
-            "malformed-labels", "string-labels", "zero-total",
-            "overflowing-total"])
-    def test_other_cells_are_read_by_entries_once(self, cell_reads, text):
+        *GUARD_EDGES.values(),
+    ], ids=["readme", "labels", "null-labels", "serialized", "repr-floats",
+            "a-zero", "negative-zeros", "extra-cell-key",
+            "extra-document-key", "bool-level", "false-level",
+            "string-levels", "float-level", "null-level", "level-2",
+            "string-count", "true-count", "false-count", "negative-count",
+            "400-digit-count", "nan-count", "inf-count", "null-count",
+            "reversed", "swapped", "missing", "duplicate", "extra-cell",
+            "count-key-missing", "level-key-missing", "malformed-labels",
+            "string-labels", "zero-total", "overflowing-total",
+            *GUARD_EDGES])
+    def test_outcome_is_the_reference(self, text):
         assert (_table_outcome(lambda s: parse_table(s, "json"), text)
                 == _table_outcome(reference_parse_json, text))
-        assert cell_reads == [1]
 
 
 def _csv_error(text):
