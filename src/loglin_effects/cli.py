@@ -2,8 +2,8 @@
 
 Subcommands, each computing only what it prints:
 
-- ``fit``: the loglinear fit (``fit_poisson``) with its deviance, and in
-  JSON its covariance, and the causal parameters;
+- ``fit``: the loglinear fit (``fit_poisson``) and its deviance, read
+  once, and in JSON its covariance, and the causal parameters;
 - ``effects``: the odds-ratio effect report from the causal parameters of
   the solve's Y-block alone (``fitting._fit``; no ``FitResult``, deviance
   or covariance), and with ``--verify`` the largest scaled discrepancy
@@ -129,10 +129,10 @@ def _report_lines(args, source, r):
 
 
 def _fit(table, model) -> tuple:
-    """The loglinear fit of ``table`` under ``model``, a ``FitResult`` with
-    its deviance, and then the causal parameters of the fit's Y-block on the
-    table's XZ margins: the one fit of ``fit``, which reads the
-    ``FitResult``.  ``effects`` and ``test`` read only the fitted counts and
+    """The loglinear fit of ``table`` under ``model``, a ``FitResult``, and
+    then the causal parameters of the fit's Y-block on the table's XZ
+    margins: the one fit of ``fit``, which reads the ``FitResult`` and its
+    deviance.  ``effects`` and ``test`` read only the fitted counts and
     the Y-block, so they take the same values from ``_solve`` instead."""
     saturated = model == "saturated"
     fit = fit_poisson(table, saturated_spec() if saturated else two_way_spec())

@@ -21,11 +21,11 @@ starts at the midpoint.  The saturated model reproduces the counts.
 returns the fitted counts, the Y-block, read off them with the same ratios
 in both models, and the Newton steps; its two-way branch is one straight
 line over eight local counts that scales, solves, reads the Y-block and
-unscales.  ``fit_poisson`` adds the deviance.
-Its ``FitResult`` reads the intercept and the X, Z and XZ terms off the
-fitted counts (``_cell_ratios``) each time ``params`` is read, so only a
-reader of ``params`` sees one of them leave the float range;
-``causal.fit_causal`` needs only the Y-block.
+unscales.  ``fit_poisson`` adds the counts it solved; its ``FitResult``
+computes the deviance each time it is read, and reads the intercept and
+the X, Z and XZ terms off the fitted counts (``_cell_ratios``) each time
+``params`` is read, so only a reader of ``params`` sees one of them leave
+the float range; ``causal.fit_causal`` needs only the Y-block.
 
 ``_fit`` keeps one entry: the counts tuple of its last successful two-way
 solve, and that solve's result.  A two-way call on that very tuple, by
@@ -226,9 +226,10 @@ class NoCausalParams(_Record):
 
 
 class FitResult(_Record):
-    """A maximum likelihood fit under ``spec``: its fitted counts, Y-block
-    ``(mu^Y, mu^XY, mu^ZY, mu^XZY)``, deviance and Newton steps, the record
-    of ``_fit``; ``params`` and ``covariance`` are computed on each read.
+    """A maximum likelihood fit under ``spec``: the record of ``_fit``, its
+    fitted counts, Y-block ``(mu^Y, mu^XY, mu^ZY, mu^XZY)`` and Newton
+    steps, with the observed ``counts`` it solved; ``deviance``, ``params``
+    and ``covariance`` are computed on each read.
     ``iterations`` counts the two-way solve's Newton steps in the log of
     ``t``'s distance from an end of its interval (about one on typical
     tables), a step that left the near half included, but not the log-free
@@ -236,12 +237,28 @@ class FitResult(_Record):
     0."""
 
     __slots__ = ()
-    _fields = ("fitted_counts", "y_block", "deviance", "iterations", "spec")
+    _fields = ("fitted_counts", "y_block", "counts", "iterations", "spec")
 
-    def __new__(cls, fitted_counts: tuple, y_block: tuple, deviance: float,
+    def __new__(cls, fitted_counts: tuple, y_block: tuple, counts: tuple,
                 iterations: int, spec: ModelSpec):
         return tuple.__new__(
-            cls, (fitted_counts, y_block, deviance, iterations, spec))
+            cls, (fitted_counts, y_block, counts, iterations, spec))
+
+    @property
+    def deviance(self) -> float:
+        """``2 sum c log(c / f) - (c - f)`` over the counts c and fitted
+        counts f, log(c / f) taken as log c - log f where c / f is not
+        normal; a zero count adds f, and the saturated fit's terms are 0.0."""
+        log, tiny, inf = math.log, _TINY, math.inf
+        total = 0.0
+        for c, f in zip(self.counts, self.fitted_counts):
+            if c > 0:
+                r = c / f
+                total += c * (log(r) if tiny <= r < inf
+                              else log(c) - log(f)) - (c - f)
+            else:
+                total += f
+        return 2.0 * total
 
     @property
     def params(self) -> NoCausalParams:
@@ -291,12 +308,12 @@ class FitResult(_Record):
         return tuple(map(tuple, cov))
 
     def _deviance(self) -> float:
-        """The deviance, for a report that prints it: ``FitError`` where
-        it leaves the float range.  ``fit_poisson`` still returns such a
-        fit, since the effects and the z-test do not read the deviance."""
-        if not math.isfinite(self.deviance):
+        """The deviance, for a report that prints it, read once: ``FitError``
+        where it leaves the float range, which only such a report sees."""
+        deviance = self.deviance
+        if not math.isfinite(deviance):
             raise FitError("the deviance leaves the float range")
-        return self.deviance
+        return deviance
 
     def to_dict(self) -> dict:
         terms = self.spec.ordered_terms
@@ -329,24 +346,14 @@ def fit_poisson(
     """Maximum likelihood fit of the two-way (default) or saturated model.
 
     Raises ``FitError`` as ``_fit`` does; a parameter out of the float
-    range raises only where ``FitResult.params`` is read.  The covariance
-    of the additive parameters is ``FitResult.covariance``.
+    range raises only where ``FitResult.params`` is read, and a deviance
+    only in ``FitResult._deviance``.  The covariance of the additive
+    parameters is ``FitResult.covariance``.  The counts are a checked
+    table's and the record checks nothing, so it is built directly.
     """
     n = table.counts
     m, y_block, iterations = _fit(n, spec.with_three_way)
-    # each term is c log(c / f) - (c - f), with log(c / f) taken as
-    # log c - log f when c / f leaves the normal float range; a zero count
-    # adds f.  The saturated fit reproduces n, so every term is 0.0
-    log, tiny, inf = math.log, _TINY, math.inf
-    total = 0.0
-    for c, f in zip(n, m):
-        if c > 0:
-            r = c / f
-            total += c * (log(r) if tiny <= r < inf
-                          else log(c) - log(f)) - (c - f)
-        else:
-            total += f
-    return FitResult(m, y_block, 2.0 * total, iterations, spec)
+    return tuple.__new__(FitResult, (m, y_block, n, iterations, spec))
 
 
 def _exact_ratio(num, den) -> float:

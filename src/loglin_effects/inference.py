@@ -110,8 +110,10 @@ def _additive_zero_test(fitted_counts, y_block) -> TestResult:
         raise TestError("covariance is not positive on the test contrast")
     se = math.sqrt(var)
     z = beta_hat / se
-    return TestResult(beta_hat, se, z, two_sided_p(z),
-                      "lambda^ZY + 2*lambda^Y + lambda^XY = 0")
+    # the record checks nothing, so it is built directly
+    return tuple.__new__(TestResult, (
+        beta_hat, se, z, two_sided_p(z),
+        "lambda^ZY + 2*lambda^Y + lambda^XY = 0"))
 
 
 def linearity_bonds(cp: CausalParams, fit=None) -> LinearityReport:
@@ -126,5 +128,5 @@ def linearity_bonds(cp: CausalParams, fit=None) -> LinearityReport:
     if cp.with_interaction:
         raise CausalModelError("linearity bonds defined without interaction")
     log_zc = math.log(cp.zc)
-    return LinearityReport(_bond1(cp.y, cp.xy, cp.zy),
-                           math.log(cp.xzc) + log_zc + log_zc)
+    return tuple.__new__(LinearityReport, (_bond1(cp.y, cp.xy, cp.zy),
+                                           math.log(cp.xzc) + log_zc + log_zc))

@@ -1,4 +1,4 @@
-"""The covariance against references that build it entry by entry.
+"""The covariance and the deviance against references.
 
 ``reference_covariance`` computes every entry of ``FitResult.covariance``
 on its own, row by row, each sum an explicit left fold, which is how
@@ -6,11 +6,14 @@ on its own, row by row, each sum an explicit left fold, which is how
 every supported version.  ``reference_covariance_terms`` builds the
 covariance's index tables by their definition, a comprehension over every
 entry of every vector, from this file's own inverse coding ``C[t][c]`` and
-``u(c)``, which name variables and not bit masks.
+``u(c)``, which name variables and not bit masks.  ``reference_deviance``
+is the loop that ``fit_poisson`` ran on every fit before the deviance
+became a ``FitResult`` property, kept verbatim.
 """
 
 import math
 import operator
+import sys
 from functools import reduce
 
 import pytest
@@ -25,6 +28,9 @@ from loglin_effects import (
     fit_poisson,
 )
 from loglin_effects.fitting import _PAIRS, TERM_ORDER, _covariance_terms
+from conftest import DEVIANCE_OVERFLOW
+
+_TINY = sys.float_info.min
 
 
 def _fold(values):
@@ -70,6 +76,24 @@ def reference_covariance(fit):
     if not all(math.isfinite(v) for row in cov for v in row):
         raise FitError("the covariance leaves the float range")
     return cov
+
+
+def reference_deviance(n, m):
+    """The deviance of the counts ``n`` against the fitted counts ``m`` as
+    ``fit_poisson`` computed it on every fit, before it was a property."""
+    # each term is c log(c / f) - (c - f), with log(c / f) taken as
+    # log c - log f when c / f leaves the normal float range; a zero count
+    # adds f.  The saturated fit reproduces n, so every term is 0.0
+    log, tiny, inf = math.log, _TINY, math.inf
+    total = 0.0
+    for c, f in zip(n, m):
+        if c > 0:
+            r = c / f
+            total += c * (log(r) if tiny <= r < inf
+                          else log(c) - log(f)) - (c - f)
+        else:
+            total += f
+    return 2.0 * total
 
 
 def reference_coding(term, cell):
@@ -137,3 +161,30 @@ class TestCovarianceAgainstReference:
         assert (_outcome(lambda: [_bits(row) for row in fit.covariance])
                 == _outcome(lambda: [_bits(row)
                                      for row in reference_covariance(fit)]))
+
+
+class TestDevianceAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(_tables(st.integers(0, 40).map(float)),
+                     _tables(_counts((-30, 30))),
+                     _tables(_counts((-300, 300)))),
+           st.booleans())
+    @example(list(DEVIANCE_OVERFLOW), False)
+    # n(0,0,0) / m(0,0,0) underflows to 0: log c - log f
+    @example([1e-300] + [1e30] * 7, False)
+    @example([42.0, 18.0, 25.0, 31.0, 17.0, 23.0, 12.0, 48.0], True)
+    def test_deviance_matches(self, counts, saturated):
+        assume(0.0 < sum(counts) < math.inf)
+        table = ContingencyTable(counts)
+        try:
+            fit = fit_poisson(table, ModelSpec(saturated))
+        except FitError:
+            return
+        assert _bits([fit.deviance]) == _bits(
+            [reference_deviance(table.counts, fit.fitted_counts)])
+
+    def test_the_underflow_example_takes_log_c_minus_log_f(self):
+        counts = (1e-300,) + (1e30,) * 7
+        fit = fit_poisson(ContingencyTable(counts))
+        assert counts[0] / fit.fitted_counts[0] == 0.0
+        assert math.isfinite(fit.deviance)

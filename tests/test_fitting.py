@@ -1,6 +1,8 @@
+import copy
 import decimal
 import itertools
 import math
+import pickle
 import sys
 import threading
 from fractions import Fraction
@@ -26,6 +28,7 @@ from loglin_effects import (
     saturated_spec,
     two_way_spec,
 )
+from loglin_effects import fitting
 from loglin_effects.fitting import TERM_ORDER
 from conftest import (
     DEVIANCE_OVERFLOW,
@@ -119,6 +122,16 @@ class TestFitPoisson:
         with pytest.raises(FitError) as exc:
             fit.to_dict()
         assert str(exc.value) == "the deviance leaves the float range"
+
+    def test_deviance_reads_equal_after_copies_and_is_read_only(self):
+        fit = fit_poisson(ContingencyTable(README_COUNTS))
+        deviance = fit.deviance
+        assert fit.deviance == deviance > 0.0
+        assert fit.counts == ContingencyTable(README_COUNTS).counts
+        for other in (pickle.loads(pickle.dumps(fit)), copy.deepcopy(fit)):
+            assert other.deviance == deviance
+        with pytest.raises(AttributeError):
+            fit.deviance = 0.0
 
     def test_divergence_detected(self):
         # a zero cell drives the three-way estimate to -inf
@@ -588,6 +601,65 @@ class TestScaleSafety:
             assert rb.additive_interaction == pytest.approx(
                 ra.additive_interaction, abs=1e-12
             )
+
+
+class _CountingMath:
+    """``math`` with its ``log`` calls counted."""
+
+    def __init__(self):
+        self.logs = 0
+
+    def log(self, *args):
+        self.logs += 1
+        return math.log(*args)
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+
+class TestDevianceOnRead:
+    """``fit_poisson`` takes the solve's logs and no more: the deviance's
+    eight logs are taken where it is read."""
+
+    @pytest.fixture
+    def counting(self, monkeypatch):
+        proxy = _CountingMath()
+        monkeypatch.setattr(fitting, "math", proxy)
+        return proxy
+
+    @staticmethod
+    def _logs(counting, compute):
+        before = counting.logs
+        result = compute()
+        return counting.logs - before, result
+
+    @pytest.mark.parametrize("counts", [README_COUNTS, FAR_TWO_WAY,
+                                        DEVIANCE_OVERFLOW])
+    @pytest.mark.parametrize("saturated", [False, True])
+    def test_fit_poisson_takes_the_solves_logs(self, counting, counts,
+                                               saturated):
+        table = ContingencyTable(counts)
+        spec = ModelSpec(saturated)
+        fit_logs, _ = self._logs(counting, lambda: fit_poisson(table, spec))
+        # an equal new tuple, so the solve is not the stored one
+        fresh = tuple(list(table.counts))
+        assert fresh is not table.counts
+        solve_logs, _ = self._logs(counting,
+                                   lambda: fitting._fit(fresh, saturated))
+        assert fit_logs == solve_logs
+        assert saturated or solve_logs > 0
+
+    def test_a_read_of_the_deviance_takes_eight(self, counting):
+        fit = fit_poisson(ContingencyTable(README_COUNTS))
+        assert self._logs(counting, lambda: fit.deviance)[0] == 8
+        assert self._logs(counting, lambda: fit.deviance)[0] == 8
+
+    def test_to_dict_reads_the_deviance_once(self, counting):
+        fit = fit_poisson(ContingencyTable(README_COUNTS))
+        logs, doc = self._logs(counting, fit.to_dict)
+        # seven for the additive block, eight for the deviance
+        assert len(doc["additive"]) == 7
+        assert logs == 7 + 8
 
 
 def _fit_causal_bits(table, with_interaction=False):

@@ -129,7 +129,8 @@ class TestAdditiveZeroTest:
     ])
     def test_unusable_variance_is_a_test_error(self, counts):
         # fitted counts of a hand-built fit
-        fit = FitResult(counts, (1.0, 1.0, 1.0, 1.0), 0.0, 1, two_way_spec())
+        fit = FitResult(counts, (1.0, 1.0, 1.0, 1.0), counts, 1,
+                        two_way_spec())
         with pytest.raises(TestError, match="^covariance is not positive "
                                             "on the test contrast$"):
             additive_zero_test(fit)
@@ -146,7 +147,7 @@ class TestAdditiveZeroTest:
     ])
     def test_fit_out_of_range_is_a_test_error(self, counts, y_block):
         # a hand-built fit that no solve returns
-        fit = FitResult(counts, y_block, 0.0, 1, two_way_spec())
+        fit = FitResult(counts, y_block, counts, 1, two_way_spec())
         with pytest.raises(TestError, match="^a fitted count is not finite "
                                             "and >= 0, or a Y-block "):
             additive_zero_test(fit)

@@ -56,7 +56,7 @@ def _records():
         "ModelSpec": (saturated_spec(), ("with_three_way",)),
         "NoCausalParams": (fit.params, ("eta", "x", "z", "y", "xz", "xy",
                                         "zy", "xzy")),
-        "FitResult": (fit, ("fitted_counts", "y_block", "deviance",
+        "FitResult": (fit, ("fitted_counts", "y_block", "counts",
                             "iterations", "spec")),
         "CausalParams": (cp, ("xc", "zc", "xzc", "y", "xy", "zy", "xzy",
                               "with_interaction")),
@@ -186,7 +186,8 @@ def test_repr_nests():
         "FitResult(fitted_counts=(42.0, 18.0, 25.0, 31.0, 17.0, 23.0, 12.0, "
         "48.0), y_block=(0.42857142857142855, ")
     assert repr(fit).endswith(
-        ", deviance=0.0, iterations=0, spec=ModelSpec(with_three_way=True))"
+        ", counts=(42.0, 18.0, 25.0, 31.0, 17.0, 23.0, 12.0, 48.0), "
+        "iterations=0, spec=ModelSpec(with_three_way=True))"
     )
 
 
@@ -241,7 +242,7 @@ def test_fit_result_has_no_converged_field():
 def test_constructors_take_fields_by_keyword():
     fit = fit_poisson(ContingencyTable(README_COUNTS))
     again = FitResult(fitted_counts=fit.fitted_counts, y_block=fit.y_block,
-                      deviance=fit.deviance, iterations=fit.iterations,
+                      counts=fit.counts, iterations=fit.iterations,
                       spec=fit.spec)
     assert again == fit
     params = NoCausalParams(eta=2.0, x=1.0, z=1.0, y=1.0, xz=1.0, xy=1.0,
