@@ -1,16 +1,16 @@
 """Command-line interface over table files.
 
-Subcommands, each computing only what it prints:
+Subcommands, each computing only what it prints.  Every command that fits
+reads one ``fit_poisson`` fit (``_fit``), whose deviance, parameters and
+covariance are computed only where they are read:
 
-- ``fit``: the loglinear fit (``fit_poisson``) and its deviance, read
-  once, and in JSON its covariance, and the causal parameters;
-- ``effects``: the odds-ratio effect report from the causal parameters of
-  the solve's Y-block alone (``fitting._fit``; no ``FitResult``, deviance
-  or covariance), and with ``--verify`` the largest scaled discrepancy
-  from the probability-space oracle on the solve's fitted counts, which
-  no causal parameter has touched, so it checks the causal layer too;
-- ``test``: the additive-interaction z-test on the two-way solve's fitted
-  counts and Y-block (``fitting._fit`` again), and the linearity bonds;
+- ``fit``: the loglinear parameters and deviance, in JSON the covariance,
+  and the causal parameters;
+- ``effects``: the odds-ratio effect report from the causal parameters,
+  and with ``--verify`` the largest scaled discrepancy from the
+  probability-space oracle on the fitted counts, which no causal parameter
+  has touched, so it checks the causal layer too;
+- ``test``: the additive-interaction z-test and the linearity bonds;
 - ``oracle``: the probability-space effects straight from the table.
 
 Each command's options are declared once, as data (``_COMMANDS`` and
@@ -32,11 +32,11 @@ import os
 import sys
 from types import SimpleNamespace
 
-from . import __version__, fitting
+from . import __version__
 from .causal import CausalModelError, _causal_params, _xz_margins
 from .effects import DegenerateProbabilityError, effects_report
 from .fitting import FitError, fit_poisson, saturated_spec, two_way_spec
-from .inference import TestError, _additive_zero_test, linearity_bonds
+from .inference import TestError, additive_zero_test, linearity_bonds
 from .oracle import OracleError, oracle_effects
 from .tables import (
     ContingencyTable,
@@ -131,23 +131,12 @@ def _report_lines(args, source, r):
 def _fit(table, model) -> tuple:
     """The loglinear fit of ``table`` under ``model``, a ``FitResult``, and
     then the causal parameters of the fit's Y-block on the table's XZ
-    margins: the one fit of ``fit``, which reads the ``FitResult`` and its
-    deviance.  ``effects`` and ``test`` read only the fitted counts and
-    the Y-block, so they take the same values from ``_solve`` instead."""
+    margins: the one fit of every command that fits.  It fits first, so a
+    fit error comes before a zero margin."""
     saturated = model == "saturated"
     fit = fit_poisson(table, saturated_spec() if saturated else two_way_spec())
     return fit, _causal_params(_xz_margins(table.counts), *fit.y_block,
                                saturated)
-
-
-def _solve(table, saturated: bool) -> tuple:
-    """The bare solve of ``table`` (``fitting._fit``), with no ``FitResult``:
-    its fitted counts and Y-block, then the causal parameters ``_fit``
-    gives.  It solves first, so a fit error comes before a zero margin."""
-    n = table.counts
-    fitted, y_block, _ = fitting._fit(n, saturated)
-    return fitted, y_block, _causal_params(_xz_margins(n), *y_block,
-                                           saturated)
 
 
 def cmd_fit(args) -> int:
@@ -181,15 +170,16 @@ def cmd_effects(args) -> int:
     table = _load_table(args)
     if args.from_level == args.to_level:
         raise TableError("--from and --to must differ")
-    fitted, _, cp = _solve(table, args.model == "saturated")
+    fit, cp = _fit(table, args.model)
     report = effects_report(cp, args.from_level, args.to_level)
 
     discrepancy = None
     if args.verify:
-        # the oracle reads the fitted counts, not ``cp``: the solve returns
+        # the oracle reads the fitted counts, not ``cp``: the fit returns
         # them positive and finite, and the oracle checks every slice and
         # effect itself
-        ora = oracle_effects(tuple.__new__(ContingencyTable, (fitted, None)),
+        ora = oracle_effects(tuple.__new__(ContingencyTable,
+                                           (fit.fitted_counts, None)),
                              args.from_level, args.to_level)
         te, (lde0, lde1), (cell0, cell1), ie, ie_rev, nde, add, mult = (
             report[:8])
@@ -229,9 +219,10 @@ def cmd_test(args) -> int:
     table = _load_table(args)
     if args.model != "two-way":
         raise TestError("test defined for two-way model")
-    # a fit error, then a zero margin, then the z-test's ``TestError``
-    fitted, y_block, cp = _solve(table, False)
-    result = _additive_zero_test(fitted, y_block)
+    # a fit error, then a causal parameter out of range, then the z-test's
+    # ``TestError``: after a fit no XZ margin is zero
+    fit, cp = _fit(table, args.model)
+    result = additive_zero_test(fit)
     bonds = linearity_bonds(cp)
 
     if args.output == "json":

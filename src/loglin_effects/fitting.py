@@ -110,8 +110,9 @@ class ModelSpec(_Record):
         return TERM_ORDER if self.with_three_way else TERM_ORDER[:-1]
 
 
-#: the two-way model; a ``ModelSpec`` is immutable, so one serves every fit
+#: the two models; a ``ModelSpec`` is immutable, so one serves every fit
 _TWO_WAY = ModelSpec()
+_SATURATED = ModelSpec(True)
 
 
 def two_way_spec() -> ModelSpec:
@@ -119,7 +120,7 @@ def two_way_spec() -> ModelSpec:
 
 
 def saturated_spec() -> ModelSpec:
-    return ModelSpec(with_three_way=True)
+    return _SATURATED
 
 
 #: the cell pairs c < d of the two-way covariance, in the order of its terms

@@ -73,22 +73,16 @@ def _bond1(y, xy, zy) -> float:
 
 def additive_zero_test(fit: FitResult) -> TestResult:
     """z-test of lambda^ZY + 2 lambda^Y + lambda^XY = 0 on a two-way fit,
-    from its Y-block and fitted counts alone.
+    from its Y-block and fitted counts alone: the test of the ``test``
+    command.
 
     A fit no solve returns, built by hand, raises ``TestError`` where a
     fitted count is negative, infinite or nan, or mu^Y, mu^XY or mu^ZY is
     not finite and > 0; a zero count leaves the contrast no variance."""
     if fit.spec.with_three_way:
         raise TestError("test defined for two-way model")
-    return _additive_zero_test(fit.fitted_counts, fit.y_block)
-
-
-def _additive_zero_test(fitted_counts, y_block) -> TestResult:
-    """The z-test of ``additive_zero_test``, on a two-way fit's fitted
-    counts and Y-block as ``fitting._fit`` returns them: the same checks and
-    errors, but for the model's, which the caller makes."""
-    y, xy, zy = y_block[:3]
-    m0, m1, m2, m3, m4, m5, m6, m7 = fitted_counts
+    y, xy, zy = fit.y_block[:3]
+    m0, m1, m2, m3, m4, m5, m6, m7 = fit.fitted_counts
     inf = math.inf
     # one chain, which nan fails too
     if not (0.0 <= m0 < inf > m1 >= 0.0 <= m2 < inf > m3 >= 0.0 <= m4 < inf

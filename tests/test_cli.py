@@ -462,28 +462,33 @@ def _old_discrepancy(report, ora):
 
 
 class TestEffectsReadsTheSolve:
-    """``effects`` and ``test`` take their values from the bare solve, with
-    no ``FitResult``; ``fit`` keeps ``fit_poisson``.  ``--verify`` checks
-    the effects against the oracle on the solve's fitted counts."""
+    """``effects`` and ``test`` read one ``fit_poisson`` fit, as ``fit``
+    does, and ``oracle`` fits nothing.  ``--verify`` checks the effects
+    against the oracle on the fit's fitted counts."""
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("case", [
-        c for c in GOLDEN if c["argv"][0] in ("effects", "test")
+        c for c in GOLDEN if c["argv"][0] in ("effects", "test", "oracle")
     ], ids=lambda c: " ".join(c["argv"]))
-    def test_effects_and_test_print_the_goldens_without_fit_poisson(
+    def test_goldens_print_with_one_fit_poisson_per_fitting_command(
             self, case, fmt, tmp_path, monkeypatch, capsys):
         import loglin_effects.cli as cli
 
-        def refusing(*args, **kwargs):
-            raise AssertionError(f"{case['argv'][0]} called fit_poisson")
+        calls = []
+        real = cli.fit_poisson
 
-        monkeypatch.setattr(cli, "fit_poisson", refusing)
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "fit_poisson", counting)
         path = tmp_path / f"readme.{fmt}"
         path.write_text(serialize_table(ContingencyTable(README_COUNTS), fmt))
         code = main([*case["argv"], "--input", str(path)])
         out, err = capsys.readouterr()
         assert (code, out, err) == (case["code"], case["stdout"],
                                     case["stderr"])
+        assert len(calls) == (0 if case["argv"][0] == "oracle" else 1)
 
     @pytest.mark.parametrize("argv", [
         ["fit"], ["fit", "--model", "saturated", "--output", "json"],
@@ -771,16 +776,15 @@ class TestTestCommand:
         import loglin_effects.inference
 
         calls = []
-        real = loglin_effects.inference._additive_zero_test
+        real = loglin_effects.inference.additive_zero_test
 
         def counting(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        # a z-test kernel run by ``cmd_test`` or by ``additive_zero_test``
-        # or ``linearity_bonds`` counts
+        # a z-test run by ``cmd_test`` or by ``linearity_bonds`` counts
         for module in (loglin_effects.cli, loglin_effects.inference):
-            monkeypatch.setattr(module, "_additive_zero_test", counting)
+            monkeypatch.setattr(module, "additive_zero_test", counting)
         assert main(["test", "--input", table5_csv, "--output", "json"]) == 0
         assert len(calls) == 1
         doc = json.loads(capsys.readouterr().out)

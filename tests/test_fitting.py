@@ -59,6 +59,9 @@ class TestDesignMatrix:
         assert saturated_spec() == ModelSpec(with_three_way=True)
         assert two_way_spec().ordered_terms == TERM_ORDER[:-1]
         assert saturated_spec().ordered_terms == TERM_ORDER
+        # one shared record per model, built once
+        assert two_way_spec() is two_way_spec()
+        assert saturated_spec() is saturated_spec()
         # a term set is not a model: it would read as a truthy flag
         with pytest.raises(ValueError, match="bool"):
             ModelSpec(frozenset({"X", "Z", "Y", "XZY"}))

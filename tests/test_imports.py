@@ -91,6 +91,57 @@ def test_no_module_imports_numpy():
                     if m.split(".")[0] == "numpy"], path.name
 
 
+#: the package's private names the CLI may import: the causal builder of
+#: its one fit route
+CLI_PRIVATE_IMPORTS = {("causal", "_causal_params"), ("causal", "_xz_margins")}
+
+
+def _private_routes(source):
+    """What a module's ``source`` imports from the package beyond its public
+    names and ``CLI_PRIVATE_IMPORTS``: each single-underscore name, as
+    ``(module, name)`` with ``module`` relative to the package, and the
+    ``fitting`` module itself, as ``("", "fitting")``."""
+    imports = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if not node.level:
+                package, _, module = module.partition(".")
+                if package != "loglin_effects":
+                    continue
+            imports += [(module, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            # ``import loglin_effects.fitting`` imports the module itself
+            imports += [tuple(rest.rpartition(".")[::2])
+                        for package, _, rest in (alias.name.partition(".")
+                                                 for alias in node.names)
+                        if package == "loglin_effects"]
+    return [(m, n) for m, n in imports
+            if (n.startswith("_") and not n.startswith("__")
+                and (m, n) not in CLI_PRIVATE_IMPORTS)
+            or (m, n) == ("", "fitting")]
+
+
+def test_cli_reaches_the_fit_by_public_names_only():
+    # every command fits through ``fit_poisson``: a private route into
+    # ``fitting`` or ``inference`` beside it is a second fit path
+    source = (SRC / "loglin_effects" / "cli.py").read_text()
+    assert _private_routes(source) == []
+
+
+@pytest.mark.parametrize("line", [
+    "from . import __version__, fitting",
+    "from loglin_effects import fitting",
+    "import loglin_effects.fitting",
+    "from .fitting import FitError, _fit",
+    "from .inference import TestError, _additive_zero_test",
+    "from loglin_effects.inference import _additive_zero_test",
+    "from .causal import _causal_params, _odds",
+])
+def test_the_route_check_sees_each_form(line):
+    assert _private_routes(line) != []
+
+
 def test_oracle_imports_neither_engine_module():
     # the oracle cross-checks the engine, so it must not share its code
     imported = _imported_modules(SRC / "loglin_effects" / "oracle.py")

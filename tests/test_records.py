@@ -53,7 +53,7 @@ def _records():
         "JointProbabilityTable": (joint, ("probs",)),
         "MarginalTable": (margin(joint, ["X", "Y"], ("Z", 1)),
                           ("variables", "probs", "condition")),
-        "ModelSpec": (saturated_spec(), ("with_three_way",)),
+        "ModelSpec": (ModelSpec(True), ("with_three_way",)),
         "NoCausalParams": (fit.params, ("eta", "x", "z", "y", "xz", "xy",
                                         "zy", "xzy")),
         "FitResult": (fit, ("fitted_counts", "y_block", "counts",
