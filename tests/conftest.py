@@ -1,9 +1,18 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from loglin_effects import CausalParams, ContingencyTable, NoCausalParams
+
+
+#: the version that ``pyproject.toml`` declares; a regex, not tomllib, which
+#: Python 3.10 lacks
+(DECLARED_VERSION,) = re.findall(
+    r'(?m)^version = "([^"]+)"$',
+    (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text())
 
 
 @pytest.fixture

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from loglin_effects import CELLS, NoCausalParams, serialize_table
 from loglin_effects.cli import _num, main
-from conftest import DEVIANCE_OVERFLOW, FAR_SATURATED, FAR_TWO_WAY, TABLE5
+from conftest import (DECLARED_VERSION, DEVIANCE_OVERFLOW, FAR_SATURATED,
+                      FAR_TWO_WAY, TABLE5)
 from loglin_effects.causal import conditional_probabilities
 from loglin_effects.fitting import fit_poisson, saturated_spec, two_way_spec
 from loglin_effects.tables import ContingencyTable
@@ -75,36 +76,6 @@ class TestInProcessMain:
         for command in ("fit", "effects", "test"):
             assert main([command, "--input", uniform_csv]) == 0
         assert len(calls) == 3
-
-    def test_plain_lines_import_no_argparse(self, uniform_csv):
-        # a fresh interpreter runs three plain lines without importing
-        # argparse or gettext; help still comes from argparse
-        program = (
-            "import contextlib, io, sys\n"
-            "from loglin_effects.cli import main\n"
-            f"path = {uniform_csv!r}\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    for argv in (['effects', '--verify', '--input', path],\n"
-            "                 ['test', '--input', path],\n"
-            "                 ['fit', '--input', path, '--output', 'json']):\n"
-            "        assert main(argv) == 0, argv\n"
-            "print(sorted({'argparse', 'gettext'} & set(sys.modules)))\n"
-            "try:\n"
-            "    main(['fit', '-h'])\n"
-            "except SystemExit as exc:\n"
-            "    print(exc.code)\n"
-        )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p]
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", program], env=env, capture_output=True,
-            text=True, timeout=60, check=True,
-        ).stdout.splitlines()
-        assert out[0] == "[]"
-        assert out[1].startswith("usage: loglin-effects fit [-h]")
-        assert out[-1] == "0"
 
     @pytest.mark.parametrize("command", ["effects --verify", "oracle"])
     def test_json_output_formats_no_text_lines(self, table5_csv, command,
@@ -365,24 +336,6 @@ class TestFit:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["fit", "--input", str(tmp_path / "nope.csv")]) == 1
         assert capsys.readouterr().err
-
-    def test_text_fit_imports_no_numpy(self, tmp_path):
-        # the package never imports numpy
-        path = tmp_path / "readme.csv"
-        path.write_text(_counts_csv((42, 18, 25, 31, 17, 23, 12, 48)))
-        program = ("import sys\n"
-                   "from loglin_effects.cli import main\n"
-                   f"assert main(['fit', '--input', {str(path)!r}]) == 0\n"
-                   "print('numpy' in sys.modules)\n")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p]
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", program], env=env, capture_output=True,
-            text=True, timeout=60, check=True,
-        ).stdout
-        assert out.splitlines()[-1] == "False"
 
     @pytest.mark.parametrize("command", ["fit", "test", "fit --output json"])
     def test_text_output_of_far_off_logits_exits_0(self, tmp_path, command,
@@ -939,12 +892,21 @@ class TestZeroCellsOption:
             ["fit", "--input", zero_cell_csv, "--zero-cells", "correct:abc"]
         ) == 1
 
-    @pytest.mark.parametrize(
-        "policy", ["error", "allow", "correct", "correct:2"]
-    )
-    def test_known_policies_accepted(self, uniform_csv, policy):
-        argv = ["fit", "--input", uniform_csv, "--zero-cells", policy]
+    @pytest.mark.parametrize("policy, counts", [
+        ("error", (10.0,) * 8),
+        ("allow", (10.0,) * 8),
+        ("correct", (10.0,) * 8),
+        ("correct:2", (10.0,) * 8),
+        # a zero count leaves the cubic no estimate: the two-way solve's
+        # first step starts at the midpoint
+        ("allow", (0, 5, 3, 7, 2, 4, 6, 1)),
+    ], ids=["error", "allow", "correct", "correct:2", "allow-a-zero-count"])
+    def test_known_policies_accepted(self, tmp_path, policy, counts, capsys):
+        path = tmp_path / "table.csv"
+        path.write_text(_counts_csv(counts))
+        argv = ["fit", "--input", str(path), "--zero-cells", policy]
         assert main(argv) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize(
         "amount", ["-5", "0", "nan", "inf", "-inf", "abc", ""]
@@ -1036,3 +998,29 @@ def test_main_returns_only_documented_codes(content, fmt, command):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([*command, "--input", str(path)])
     assert code in (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize("argv, counts, code, first_line", [
+    (["--version"], None, 0, DECLARED_VERSION),
+    (["fit", "--bogus"], README_COUNTS, 2,
+     "usage: loglin-effects [-h] [--version] {fit,effects,test,oracle} ..."),
+    (["effects"], (42, 18, 25, -31, 17, 23, 12, 48), 1,
+     "error: negative count '-31'"),
+    (["fit"], FAR_TWO_WAY, 2,
+     "fit error: multiplicative parameter x must be finite and > 0"),
+], ids=["version", "unknown-option", "negative-count", "unprinted-parameter"])
+def test_module_run_exits_with_the_code_of_main(tmp_path, argv, counts, code,
+                                                first_line):
+    # ``python -m loglin_effects.cli`` in a fresh interpreter: the exit code
+    # is main's, and the first line printed is main's, on stdout or stderr
+    if counts is not None:
+        path = tmp_path / "table.csv"
+        path.write_text(_counts_csv(counts))
+        argv = [*argv, "--input", str(path)]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "loglin_effects.cli", *argv], env=env,
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert (proc.stdout + proc.stderr).splitlines()[0] == first_line

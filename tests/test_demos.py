@@ -1,8 +1,9 @@
-"""Demos 02-04 print the same bytes as their committed outputs.
+"""Every demo runs clean, and demos 02-04 print their committed outputs.
 
-Each demo runs in a fresh interpreter with ``src`` on its path, and its
-stdout must equal ``tests/data/demo_NN.txt`` byte for byte.  Demo 01 is left
-out: it draws from numpy's ``default_rng``, whose stream numpy does not
+Each demo runs in a fresh interpreter under ``-W error``, with ``src`` on its
+path: it must exit 0 with nothing on stderr.  The stdout of demos 02-04 must
+equal ``tests/data/demo_NN.txt`` byte for byte.  Demo 01's stdout is not
+compared: it draws from numpy's ``default_rng``, whose stream numpy does not
 promise to keep across versions.
 """
 
@@ -16,10 +17,13 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("number", ["02", "03", "04"])
+@pytest.mark.parametrize("number", ["01", "02", "03", "04"])
 def test_demo_prints_its_committed_output(number):
     (demo,) = (ROOT / "demos").glob(f"{number}_*.py")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    out = subprocess.run([sys.executable, str(demo)], capture_output=True,
-                         env=env, check=True).stdout
-    assert out == (ROOT / "tests" / "data" / f"demo_{number}.txt").read_bytes()
+    proc = subprocess.run([sys.executable, "-W", "error", str(demo)],
+                          capture_output=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    if number != "01":
+        assert proc.stdout == (
+            ROOT / "tests" / "data" / f"demo_{number}.txt").read_bytes()

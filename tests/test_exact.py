@@ -613,7 +613,10 @@ class TestKnownDefects:
         assert worst_rel_err(effects_report(cp), want) <= 1e-12
 
     def test_silent_saturated_table(self):
-        cp = fit_causal(ContingencyTable(SILENT_SATURATED), True)
+        table = ContingencyTable(SILENT_SATURATED)
+        cp = fit_causal(table, True)
+        # the commands' route gives the same causal parameters
+        assert cli._fit(table, "saturated")[1] == cp
         want = exact_effects(SILENT_SATURATED)
         assert worst_rel_err(effects_report(cp), want) <= 1e-12
 

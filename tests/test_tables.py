@@ -420,6 +420,7 @@ class TestOneMatchPath:
 
     @pytest.mark.parametrize("count, message", [
         ("nan", "non-finite count 'nan'"),
+        ("1e400", "non-finite count '1e400'"),
         ("-1", "negative count '-1'"),
         ("", "malformed count ''"),
     ])
@@ -588,6 +589,10 @@ GUARD_EDGES.update(
 )
 
 
+#: every cell's levels as strings, ``"0"`` and ``"1"``
+STRING_LEVELS = {i: tuple(map(str, cell)) for i, cell in enumerate(CELLS)}
+
+
 class TestJsonReader:
     """Every cells list is read entry by entry in one loop: the table of the
     reference, labels included, or its message."""
@@ -641,6 +646,10 @@ class TestJsonReader:
         _json_table(labels="XZY"),
         _json_table((0,) * 8),
         _json_table((1e308, 1e308, 1, 1, 1, 1, 1, 1)),
+        # refused tables with every level a string
+        _json_table((42, 18, 25, -31, 17, 23, 12, 48), STRING_LEVELS),
+        _with_token("1e400", levels=STRING_LEVELS),
+        _json_table((0,) * 8, STRING_LEVELS),
         *GUARD_EDGES.values(),
     ], ids=["readme", "labels", "null-labels", "serialized", "repr-floats",
             "a-zero", "negative-zeros", "extra-cell-key",
@@ -651,7 +660,8 @@ class TestJsonReader:
             "reversed", "swapped", "missing", "duplicate", "extra-cell",
             "count-key-missing", "level-key-missing", "malformed-labels",
             "string-labels", "zero-total", "overflowing-total",
-            *GUARD_EDGES])
+            "string-levels-negative-count", "string-levels-1e400-count",
+            "string-levels-zero-total", *GUARD_EDGES])
     def test_outcome_is_the_reference(self, text):
         assert (_table_outcome(lambda s: parse_table(s, "json"), text)
                 == _table_outcome(reference_parse_json, text))
