@@ -12,20 +12,25 @@ MLE is the one among them with no three-way term, ``sum u log m = 0``
 tables ``n + t*u`` form an interval of ``t``, which is empty exactly when
 the MLE does not exist (Haberman, 1974); otherwise the equation has one root
 in it, found by Newton's method in the log of the root's distance from the
-nearer end.  Newton starts from an estimate that takes no log, three Newton
-steps on the equation's cubic form; where that estimate is unusable or a
-step leaves the near half of the interval, the next step of the same loop
-starts at the midpoint.  The saturated model reproduces the counts.
+nearer end.  A step takes one log, of the ratio of the equation's two
+products of four fitted counts, so no sum of logs cancels (Higham, 2002,
+ch. 3), from the factors' ``frexp`` parts where one of them, and not only
+a product, leaves 2^+-200.  Newton starts from an estimate that takes no
+log, three Newton steps on the equation's cubic in coefficient form; where
+that estimate is unusable or a step leaves the near half of the interval,
+the next step of the same loop starts at the midpoint.  The saturated
+model reproduces the counts.
 
 ``_fit`` is the one fit of both models: it checks that the MLE exists and
 returns the fitted counts, the Y-block, read off them with the same ratios
 in both models, and the Newton steps; its two-way branch is one straight
-line over eight local counts that scales, solves, reads the Y-block and
-unscales.  ``fit_poisson`` adds the counts it solved; its ``FitResult``
-computes the deviance each time it is read, and reads the intercept and
-the X, Z and XZ terms off the fitted counts (``_cell_ratios``) each time
-``params`` is read, so only a reader of ``params`` sees one of them leave
-the float range; ``causal.fit_causal`` needs only the Y-block.
+line over eight local counts that scales them where one leaves 2^+-200,
+solves, reads the Y-block and unscales.  ``fit_poisson`` adds the counts it
+solved; its ``FitResult`` computes the deviance each time it is read, and
+reads the intercept and the X, Z and XZ terms off the fitted counts
+(``_cell_ratios``) each time ``params`` is read, so only a reader of
+``params`` sees one of them leave the float range; ``causal.fit_causal``
+needs only the Y-block.
 
 ``_fit`` keeps one entry: the counts tuple of its last successful two-way
 solve, and that solve's result.  A two-way call on that very tuple, by
@@ -80,6 +85,9 @@ _MAX_ITER = 100
 
 #: the least and the greatest positive normal float
 _TINY, _HUGE = sys.float_info.min, sys.float_info.max
+#: the two-way fit scales counts outside [_LOW, _HIGH], and takes g from
+#: ``frexp`` parts where a Newton factor lies outside
+_LOW, _HIGH = 2.0 ** -200, 2.0 ** 200
 
 #: the last successful two-way solve, ``(counts, result of _fit)``
 _last_two_way = (None, None)
@@ -404,19 +412,17 @@ def _fit(n, with_three_way: bool) -> tuple:
     Raises ``FitError`` when the MLE does not exist, or when a two-way
     fitted count or Y-block parameter leaves the float range.
 
-    The two-way kernel scales the counts by the ``2^k`` that centres the
-    binary exponents of the greatest and the least positive count on 1, so
-    the logs stay small: up only while every count stays below 2^1020, so
-    no sum of two counts overflows, and down only as far as the centre, so
-    no positive count becomes 0.  The Y-block's ratios are scale-free, so
-    it reads them off the scaled fitted counts.
+    The two-way kernel scales counts not all in [2^-200, 2^200], which no
+    ratio it reads feels, by the ``2^k`` that centres the binary exponents
+    of the greatest and the least positive count on 1: up only while every
+    count stays below 2^1020, and down only as far as the centre.
 
     ``t`` is the root of ``sum_even log(n + t) = sum_odd log(n - t)`` in
     ``(-lo, hi)``, lo and hi the least even and odd counts, and ``s`` is
     its distance from one end: each fitted count is then a non-negative
     ``a + s`` or a ``b - s``, every ``b >= lo + hi = 2 mid``, so none
-    cancels while ``s <= mid``.  In v = log s, ``g = sum log(a + s) - sum
-    log(b - s)`` is convex and increasing, since its terms' slopes
+    cancels while ``s <= mid``.  In v = log s, ``g = log(prod (a + s) /
+    prod (b - s))`` is convex and increasing, since its terms' slopes
     ``s / (a + s)`` and ``s / (b - s)`` rise with s; one a is 0, so
     g' >= 1, and on ``(0, mid]`` each term's curvature is at most twice its
     slope, so g'' <= 2g'.  So a step from left of the root lands right of
@@ -424,19 +430,26 @@ def _fit(n, with_three_way: bool) -> tuple:
     the error in v is at most ``2 dv^2``, below round-off once
     ``|dv| <= _TOL``.
 
+    Each step takes g as one log of the ratio of the products.  Every factor
+    is in ``[s, 2 max n]``: where ``s >= 2^-200`` and no count exceeds
+    2^200, no partial product leaves the normal range (on the two products
+    alone, a subnormal partial one could make g stop depending on s);
+    elsewhere, or where the ratio does, g comes from the same roundings on
+    their ``frexp`` mantissas, which give the same bits where both apply.
+
     Newton starts at an estimate, three log-free Newton steps from ``t = 0``
-    on the cubic ``prod_even (n + t) - prod_odd (n - t)``; the even cells
-    rise when ``t + lo <= mid``.  A step whose ``s`` is outside
-    ``[_TINY, mid]`` starts at the midpoint instead: an estimate not finite
-    (a zero count, or products out of the float range) or out of range, or
-    a last step that left the near half or overflowed ``exp``.  The sign of
-    g at the midpoint picks the end from which the midpoint is right of the
-    root, so the steps from it descend and the loop restarts at most once.
-    A converged step ends the loop before the range is checked: it passes
-    mid only by round-off, at a root at the midpoint, where ``b >= 2 mid``
-    keeps every ``b - s`` positive.  All steps share ``_MAX_ITER``.  u = +1
-    at cells 0, 3, 5 and 6; ``r0..r3`` rise and ``f0..f3`` fall, in cell
-    order; every sum adds left to right.
+    on the cubic ``prod_even (n + t) - prod_odd (n - t)`` in Horner form,
+    its coefficients ``E4 - O4, E3 + O3, E2 - O2, E1 + O1`` from each
+    parity's elementary symmetric sums; the even cells rise when ``t + lo <=
+    mid``.  A step whose ``s`` is outside ``[_TINY, mid]`` (an unusable
+    estimate, or a last step that left the near half or overflowed ``exp``)
+    starts at the midpoint instead, from the end where it is right of the
+    root (the odd end where g >= 0 with the odd cells rising), so the steps
+    descend and the loop restarts at most once.  A converged step ends the
+    loop before the range is checked: it passes mid only by round-off, at a
+    root at the midpoint, where ``b >= 2 mid`` keeps every ``b - s``
+    positive.  All steps share ``_MAX_ITER``.  u = +1 at cells 0, 3, 5 and
+    6; ``r0..r3`` rise and ``f0..f3`` fall, in cell order.
 
     A two-way call whose ``n`` is the tuple of the last successful two-way
     solve, the same object and not merely equal counts, returns that
@@ -482,46 +495,57 @@ def _fit(n, with_three_way: bool) -> tuple:
             xzy = _exact_ratio((n7, n4, n2, n1), (n6, n5, n3, n0))
         return n, (y, (n5 / n4) * r, (n3 / n2) * r, xzy), 0
     ldexp, log, exp, tiny, inf = math.ldexp, math.log, math.exp, _TINY, math.inf
-    top = math.frexp(max(n))[1]
+    top = max(n)
     # the least count, or when it is 0 the least positive one
-    bottom = math.frexp(min(n) or min(c for c in n if c > 0))[1]
-    k = min(-((top + bottom) // 2), max(0, 1020 - top))
-    n0, n1, n2, n3 = ldexp(n0, k), ldexp(n1, k), ldexp(n2, k), ldexp(n3, k)
-    n4, n5, n6, n7 = ldexp(n4, k), ldexp(n5, k), ldexp(n6, k), ldexp(n7, k)
+    bottom = min(n) or min(c for c in n if c > 0)
+    k, low = 0, _LOW
+    if bottom < _LOW or top > _HIGH:
+        top, bottom = math.frexp(top)[1], math.frexp(bottom)[1]
+        k = min(-((top + bottom) // 2), max(0, 1020 - top))
+        low = _LOW if top + k <= 200 else inf  # inf: always frexp
+        n0, n1, n2, n3, n4, n5, n6, n7 = [ldexp(c, k) for c in n]
     lo, hi = min(n0, n3, n5, n6), min(n1, n2, n4, n7)
     mid = (lo + hi) / 2.0
     if not mid >= tiny:
         raise FitError("a fitted count underflows")
+    x0, x1, x2, x3 = n0 * n3, n5 * n6, n1 * n2, n4 * n7
+    w0, w1, w2, w3 = n0 + n3, n5 + n6, n1 + n2, n4 + n7
+    c0, c1 = x0 * x1 - x2 * x3, (x0 * w1 + x1 * w0) + (x2 * w3 + x3 * w2)
+    c2, c3 = (x0 + x1 + w0 * w1) - (x2 + x3 + w2 * w3), (w0 + w1) + (w2 + w3)
     t = 0.0
     try:
         for _ in range(3):
-            r0, r1, r2, r3 = n0 + t, n3 + t, n5 + t, n6 + t
-            f0, f1, f2, f3 = n1 - t, n2 - t, n4 - t, n7 - t
-            pr, pf = r0 * r1 * r2 * r3, f0 * f1 * f2 * f3
-            t -= (pr - pf) / (
-                pr * (1.0 / r0 + 1.0 / r1 + 1.0 / r2 + 1.0 / r3)
-                + pf * (1.0 / f0 + 1.0 / f1 + 1.0 / f2 + 1.0 / f3))
+            t -= ((((c3 * t + c2) * t + c1) * t + c0)
+                  / ((3.0 * c3 * t + 2.0 * c2) * t + c1))
     except ZeroDivisionError:
         t = math.nan
     even_rises = t + lo <= mid
     s = t + lo if even_rises else hi - t
-    for iterations in range(1, _MAX_ITER + 1):
+    iterations = 0
+    while iterations < _MAX_ITER:
         if not tiny <= s <= mid:  # nan fails it too
-            s = mid
-            even_rises = (log(n0 - lo + s) + log(n3 - lo + s)
-                          + log(n5 - lo + s) + log(n6 - lo + s)
-                          >= log(n1 - hi + s) + log(n2 - hi + s)
-                          + log(n4 - hi + s) + log(n7 - hi + s))
+            s, even_rises = mid, None
         if even_rises:  # t = s - lo: even (n - lo) + s, odd (n + lo) - s
             a0, a1, a2, a3 = n0 - lo, n3 - lo, n5 - lo, n6 - lo
             b0, b1, b2, b3 = n1 + lo, n2 + lo, n4 + lo, n7 + lo
-        else:  # t = hi - s: odd (n - hi) + s, even (n + hi) - s
+        else:  # or None; t = hi - s: odd (n - hi) + s, even (n + hi) - s
             a0, a1, a2, a3 = n1 - hi, n2 - hi, n4 - hi, n7 - hi
             b0, b1, b2, b3 = n0 + hi, n3 + hi, n5 + hi, n6 + hi
         r0, r1, r2, r3 = a0 + s, a1 + s, a2 + s, a3 + s
         f0, f1, f2, f3 = b0 - s, b1 - s, b2 - s, b3 - s
-        g = ((log(r0) + log(r1) + log(r2) + log(r3))
-             - (log(f0) + log(f1) + log(f2) + log(f3)))
+        q = (r0 * r1 * r2 * r3) / (f0 * f1 * f2 * f3) if s >= low else 0.0
+        if tiny <= q <= _HUGE:
+            g = log(q)
+        else:  # the same roundings on the factors' frexp parts: q = p 2^e
+            fr, ex = zip(*map(math.frexp, (r0, r1, r2, r3, f0, f1, f2, f3)))
+            p = math.prod(fr[:4]) / math.prod(fr[4:])
+            e = ex[0] + ex[1] + ex[2] + ex[3] - ex[4] - ex[5] - ex[6] - ex[7]
+            g = log(ldexp(p, e)) if -1000 < e < 1000 else log(p) + e * log(2)
+        if even_rises is None:  # at the midpoint: g < 0 picks the even end
+            even_rises = g < 0.0
+            if even_rises:
+                continue
+        iterations += 1
         dv = g / (s * (1.0 / r0 + 1.0 / r1 + 1.0 / r2 + 1.0 / r3
                        + 1.0 / f0 + 1.0 / f1 + 1.0 / f2 + 1.0 / f3))
         try:
@@ -545,10 +569,11 @@ def _fit(n, with_three_way: bool) -> tuple:
     y, xy, zy = m1 / m0, (m5 / m4) * r, (m3 / m2) * r
     if not (0.0 < y < inf and 0.0 < xy < inf and 0.0 < zy < inf):
         raise FitError("a loglinear Y-block parameter overflows or underflows")
-    m = (ldexp(m0, -k), ldexp(m1, -k), ldexp(m2, -k), ldexp(m3, -k),
-         ldexp(m4, -k), ldexp(m5, -k), ldexp(m6, -k), ldexp(m7, -k))
-    if min(m) < tiny:
-        raise FitError("a fitted count underflows")
+    m = m0, m1, m2, m3, m4, m5, m6, m7
+    if k:
+        m = tuple([ldexp(c, -k) for c in m])
+        if min(m) < tiny:
+            raise FitError("a fitted count underflows")
     result = m, (y, xy, zy, 1.0), iterations
     _last_two_way = n, result
     return result

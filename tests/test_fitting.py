@@ -607,28 +607,38 @@ class TestScaleSafety:
 
 
 class _CountingMath:
-    """``math`` with its ``log`` calls counted."""
+    """``math`` with its ``log``, ``exp`` and ``ldexp`` calls counted."""
 
     def __init__(self):
-        self.logs = 0
+        self.logs = self.exps = self.ldexps = 0
 
     def log(self, *args):
         self.logs += 1
         return math.log(*args)
 
+    def exp(self, x):
+        self.exps += 1
+        return math.exp(x)
+
+    def ldexp(self, x, i):
+        self.ldexps += 1
+        return math.ldexp(x, i)
+
     def __getattr__(self, name):
         return getattr(math, name)
+
+
+@pytest.fixture
+def counting(monkeypatch):
+    """``fitting``'s ``math`` replaced by a ``_CountingMath``."""
+    proxy = _CountingMath()
+    monkeypatch.setattr(fitting, "math", proxy)
+    return proxy
 
 
 class TestDevianceOnRead:
     """``fit_poisson`` takes the solve's logs and no more: the deviance's
     eight logs are taken where it is read."""
-
-    @pytest.fixture
-    def counting(self, monkeypatch):
-        proxy = _CountingMath()
-        monkeypatch.setattr(fitting, "math", proxy)
-        return proxy
 
     @staticmethod
     def _logs(counting, compute):
@@ -663,6 +673,22 @@ class TestDevianceOnRead:
         # seven for the additive block, eight for the deviance
         assert len(doc["additive"]) == 7
         assert logs == 7 + 8
+
+
+class TestTwoWaySolveCost:
+    """A typical two-way solve takes one ``log`` and one ``exp`` per Newton
+    step and scales nothing: counts, unlike wall time, do not depend on the
+    host."""
+
+    def test_readme_table_takes_one_log_one_exp_and_no_ldexp(self, counting):
+        _, _, iterations = fitting._fit(tuple(map(float, README_COUNTS)),
+                                        False)
+        assert iterations == 1
+        assert (counting.logs, counting.exps, counting.ldexps) == (1, 1, 0)
+
+    def test_counts_outside_2_to_the_200_are_scaled(self, counting):
+        fitting._fit((1e-300, 1e-300, 1.0, 1.0, 1e300, 1e300, 1.0, 1.0), False)
+        assert counting.ldexps > 0
 
 
 def _fit_causal_bits(table, with_interaction=False):

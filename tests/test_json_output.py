@@ -15,7 +15,11 @@ and what follows from them moved, the z-test's SE and z nearer their
 60-digit values (``test_fitting.py`` holds them within 2 ulps of those).
 The four ``effects --verify`` cases' discrepancy, in stdout and stderr,
 was re-recorded when ``--verify`` began to run the oracle on the solve's
-fitted counts instead of the causal parameters' joint table.
+fitted counts instead of the causal parameters' joint table.  The two-way
+``fit`` JSON case and the two two-way ``effects --verify`` cases were
+re-recorded when the solve began to take one log per step: m(1,1,0) moved
+one ulp, to the correctly rounded MLE, with the covariance and deviance
+read from it, and the discrepancy with it.
 Every byte is compared.
 """
 

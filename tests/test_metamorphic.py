@@ -116,6 +116,9 @@ def check_te_reversed(counts, saturated):
 @MODELS
 @settings(max_examples=150, deadline=None)
 @given(TABLES, POWERS)
+# the two-way solve's s is near 2^-200, where g is taken from the frexp
+# parts on one side of the scale and from the products on the other
+@example(counts=[1.0, 1.0, 1e-08, 1.0, 1e-11, 1e-14, 1e+16, 1e-15], k=-40)
 def test_scaling_by_a_power_of_two_changes_no_bit(saturated, counts, k):
     check_scaled(counts, saturated, k)
 
@@ -123,6 +126,10 @@ def test_scaling_by_a_power_of_two_changes_no_bit(saturated, counts, k):
 @MODELS
 @settings(max_examples=150, deadline=None)
 @given(TABLES)
+# a far-spread table that a draw once reached: its two-way relabelled TE
+# was 66 u off the inverse while the fit's g was a sum of eight logs
+@example(counts=[1.0, 10 ** 19.5, 1e-14, 1e-16, 1e-16, 10 ** 19.5, 1e-14,
+                 1.0])
 def test_relabelling_y_inverts_every_ratio_effect(saturated, counts):
     check_y_relabelled(counts, saturated)
 
@@ -169,23 +176,11 @@ def test_relabelling_z_swaps_the_z_effects_saturated(counts):
     check_z_relabelled(counts, True)
 
 
-# the two-way fit's error floor at 10^U(+-30) is hundreds of u: this table's
-# relabelled effects are 486 u off (ROADMAP item 11 would lower the floor)
-@pytest.mark.xfail(strict=True, reason="two-way fit error floor")
+# its relabelled effects were 486 u off while the two-way fit's g was a sum
+# of eight logs
 @settings(max_examples=150, deadline=None)
 @given(TABLES)
 @example([1.74e+24, 3.38e-24, 5.76e-27, 6.83e-11, 3.52e-20, 2.97e+16,
           7.14e-23, 5.13e-16])
 def test_relabelling_z_swaps_the_z_effects_two_way(counts):
     check_z_relabelled(counts, False)
-
-
-# a table that a draw of the two-way Y relabel above once reached: its
-# relabelled TE is 66 u off the inverse, past the 24 u bound, on every run.
-# ROADMAP item 11(a)'s frexp-carried products put its effects within 5.7 u
-# of exact, and the table then becomes an @example of that property
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="two-way fit error floor (ROADMAP item 11(a))")
-def test_relabelling_y_inverts_on_a_far_spread_table_two_way():
-    check_y_relabelled([1.0, 10 ** 19.5, 1e-14, 1e-16, 1e-16, 10 ** 19.5,
-                        1e-14, 1.0], False)
