@@ -42,8 +42,11 @@ failed solve and the saturated closed form are not stored.
 
 The covariance of the additive parameters, ``(D' diag(m) D)^-1`` over the
 dummy-coded design matrix ``D``, is computed each time it is read, in
-closed form, from index tables that are built on the first such read.  A
-cell's index 4x + 2z + y is the bit mask of its variables at level 1, and a
+closed form, by one straight-line function per model,
+``_covariance_kernel``, compiled from the model's index tables on the
+first such read; a record built by hand with a fitted count that is not
+finite and > 0 raises ``FitError`` before it.  A cell's index
+4x + 2z + y is the bit mask of its variables at level 1, and a
 term is the mask of its variables (``_MASKS``): term t is 1 at cell c when
 ``t & c == t``, and c lies under t when ``c | t == t``.  The inverse coding
 C[t][c], (-1)^(|t| - |c|) for c under t and 0 otherwise, maps the log counts
@@ -55,6 +58,8 @@ entry adds and subtracts the weights of the cells or pairs that
 ``_covariance_terms`` lists for it, and each variance is a sum of
 non-negative terms: no entry loses digits to cancellation, as an inverse of
 the information in floats does when the fitted counts span more than ~1e16.
+The kernel writes each list's sum as a left-to-right chain of ``+`` from
+0.0, so the entries are the same bits on every supported Python version.
 """
 
 from __future__ import annotations
@@ -64,12 +69,7 @@ import itertools
 import math
 import sys
 
-from .tables import (
-    CELLS,
-    ContingencyTable,
-    _left_sum,
-    _Record,
-)
+from .tables import CELLS, ContingencyTable, _Record
 
 #: term order shared by design matrices, parameter vectors, and covariances;
 #: each term but the intercept is named by its variables
@@ -167,6 +167,48 @@ def _covariance_terms(with_three_way: bool) -> tuple:
                 row[j][a * b < 0].append(k)
     return tuple(tuple((tuple(plus), tuple(minus)) for plus, minus in row)
                  for row in entries)
+
+
+@functools.cache
+def _covariance_kernel(with_three_way: bool):
+    """A model's covariance as one straight-line function of the fitted
+    counts, which returns the entries row by row as a flat tuple; compiled
+    from ``_covariance_terms`` on first use.
+
+    The function unpacks the counts into ``m0..m7`` and forms the weights
+    ``w0..``, the saturated 1/m_c or the two-way w_cd, as
+    ``(least / lo) / (hi * s)`` with lo <= hi the pair's counts and
+    s = sum(least / m) in [1, 8], a left-to-right chain: no factor leaves
+    the float range unless the whole weight does.  Each entry of the upper
+    triangle is ``(0.0 + w_i + ...) - (0.0 + w_j + ...)`` over its lists in
+    their order, so it rounds as a left-to-right sum of each list would;
+    entry (j, i) lists the same terms in the same order as (i, j), so the
+    lower triangle repeats the upper one.
+    """
+    terms = _covariance_terms(with_three_way)
+    size = len(terms)
+    lines = ["def kernel(m):", "    m0, m1, m2, m3, m4, m5, m6, m7 = m"]
+    if with_three_way:
+        lines += [f"    w{c} = 1.0 / m{c}" for c in range(8)]
+    else:
+        lines.append("    least = min(m)")
+        lines += [f"    r{c} = least / m{c}" for c in range(8)]
+        lines.append("    s = 0.0" + "".join(f" + r{c}" for c in range(8)))
+        lines += [f"    w{k} = r{c} / (m{d} * s) if m{c} <= m{d} "
+                  f"else r{d} / (m{c} * s)" for k, (c, d) in enumerate(_PAIRS)]
+    for i, row in enumerate(terms):
+        for j in range(i, size):
+            plus, minus = (
+                "(0.0" + "".join(f" + w{k}" for k in ks) + ")" for ks in row[j])
+            lines.append(f"    c{i}_{j} = {plus} - {minus}")
+    entries = (f"c{min(i, j)}_{max(i, j)}" for i in range(size)
+               for j in range(size))
+    lines.append(f"    return ({', '.join(entries)})")
+    name = "saturated" if with_three_way else "two-way"
+    namespace = {}
+    exec(compile("\n".join(lines), f"<{name} covariance kernel>", "exec"),
+         namespace)
+    return namespace["kernel"]
 
 
 def _check_positive(params, error=ValueError, names=_FIELDS,
@@ -281,40 +323,28 @@ class FitResult(_Record):
         """Inverse Fisher information ``(D' diag(m) D)^-1`` at the fitted counts.
 
         A tuple of rows over ``spec.ordered_terms``, in closed form (see the
-        module docstring).  An entry out of the float range raises
-        ``FitError``.
+        module docstring), cut from the flat entries of the model's
+        ``_covariance_kernel``.  A fitted count that is not finite and > 0,
+        which only a record built by hand holds, or an entry out of the
+        float range raises ``FitError``.
         """
+        size = len(self.spec.ordered_terms)
+        flat = self._covariance_values()
+        return tuple([flat[i:i + size] for i in range(0, size * size, size)])
+
+    def _covariance_values(self) -> tuple:
+        """The covariance's entries, row by row, as one flat tuple."""
         m = self.fitted_counts
-        terms = _covariance_terms(self.spec.with_three_way)
-        if self.spec.with_three_way:
-            weights = [1.0 / c for c in m]
-        else:
-            # w_cd = 1 / (m_c m_d sum(1/m)) as (least / lo) / (hi * s), with
-            # lo <= hi the pair's counts and s = sum(least / m) in [1, 8]: no
-            # factor leaves the float range unless the whole weight does
-            least = min(m)
-            ratios = [least / c for c in m]
-            s = _left_sum(ratios)
-            weights = [ratios[c] / (m[d] * s) if m[c] <= m[d]
-                       else ratios[d] / (m[c] * s) for c, d in _PAIRS]
-        # entry (j, i) sums the same terms in the same order as (i, j), so
-        # the lower triangle is a copy of the upper one; each sum adds left
-        # to right, as ``_left_sum`` does
-        size = len(terms)
-        cov = [[0.0] * size for _ in range(size)]
-        for i, row in enumerate(terms):
-            for j in range(i, size):
-                plus, minus = row[j]
-                a = 0.0
-                for k in plus:
-                    a += weights[k]
-                b = 0.0
-                for k in minus:
-                    b += weights[k]
-                cov[i][j] = cov[j][i] = a - b
-        if not all(math.isfinite(v) for row in cov for v in row):
+        m0, m1, m2, m3, m4, m5, m6, m7 = m
+        inf = math.inf
+        # one chain, which nan fails too
+        if not (0.0 < m0 < inf > m1 > 0.0 < m2 < inf > m3 > 0.0 < m4 < inf
+                > m5 > 0.0 < m6 < inf > m7 > 0.0):
+            raise FitError("a fitted count is not finite and > 0")
+        flat = _covariance_kernel(self.spec.with_three_way)(m)
+        if not all(map(math.isfinite, flat)):
             raise FitError("the covariance leaves the float range")
-        return tuple(map(tuple, cov))
+        return flat
 
     def _deviance(self) -> float:
         """The deviance, for a report that prints it, read once: ``FitError``
@@ -333,7 +363,7 @@ class FitResult(_Record):
             "fitted_counts": list(self.fitted_counts),
             "covariance": {
                 "terms": list(terms),
-                "values": [v for row in self.covariance for v in row],
+                "values": list(self._covariance_values()),
             },
             "deviance": self._deviance(),
             "iterations": self.iterations,

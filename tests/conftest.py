@@ -4,8 +4,40 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from loglin_effects import CausalParams, ContingencyTable, NoCausalParams
+
+
+#: tier-1's profile: each test draws from a random source seeded by a hash
+#: of the test, and replays no saved example, so every run of a commit
+#: draws the same examples
+settings.register_profile("tier1", derandomize=True)
+#: the search beside it (``--hypothesis-profile explore``): a random seed
+#: per run (``--hypothesis-seed`` fixes one), ``EXPLORE_FACTOR`` times each
+#: test's examples, and a failure printed with the blob that replays it
+settings.register_profile("explore", derandomize=False, print_blob=True)
+EXPLORE_FACTOR = 10
+# a profile named on the command line is loaded already, or is loaded
+# after this file
+if settings.get_current_profile_name() == "default":
+    settings.load_profile("tier1")
+
+
+def pytest_collection_modifyitems(items):
+    """Under the explore profile, each Hypothesis test draws
+    ``EXPLORE_FACTOR`` times the examples its settings give it."""
+    if settings.get_current_profile_name() != "explore":
+        return
+    scaled = set()
+    for item in items:
+        test = getattr(item, "function", None)
+        own = getattr(test, "_hypothesis_internal_use_settings", None)
+        # the parametrized cases of one test share its function
+        if own is not None and test not in scaled:
+            scaled.add(test)
+            test._hypothesis_internal_use_settings = settings(
+                own, max_examples=EXPLORE_FACTOR * own.max_examples)
 
 
 #: the version that ``pyproject.toml`` declares; a regex, not tomllib, which

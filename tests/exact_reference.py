@@ -14,8 +14,11 @@ the least even and odd counts.  Every float count is a dyadic rational, so
 ``exact_two_way_mle`` brackets the root by the exact sign of the cubic.
 ``exact_contrast_variance`` is the z-test's variance at a fitted table,
 from the inverse of the logistic information of Y on X and Z.
+``exact_deviance`` is the two-way deviance in ``decimal`` at 80 significant
+digits, from that MLE.
 """
 
+import decimal
 import math
 import struct
 from fractions import Fraction
@@ -190,3 +193,45 @@ def exact_two_way_mle(counts, extra_bits=12) -> list:
     t = 2 * end + sign * (below + above)  # over 2 * scale
     return [Fraction(2 * c + t if i in _EVEN else 2 * c - t, 2 * scale)
             for i, c in enumerate(big)]
+
+
+def exact_deviance(counts, digits=80) -> decimal.Decimal:
+    """The two-way deviance ``2 sum c log(c / f) - (c - f)`` of ``counts``,
+    f the two-way MLE, a zero count adding f, to ``digits`` significant
+    digits.
+
+    With f = c (1 + x) a term is c (x - log(1 + x)), about c x^2 / 2, and
+    every term is >= 0, so only the terms cancel: each is taken with as
+    many more digits as x - log(1 + x) loses.  The root t, f = n + t*u, is
+    bracketed to 2^-116 of itself: ``exact_two_way_mle`` brackets its
+    distance from an end of the interval, at most mid = (lo + hi) / 2, so
+    it takes as many more bits as mid / |t| has.
+    """
+    n = [Fraction(c) for c in counts]
+    fitted = exact_two_way_mle(counts, 64)
+    t = abs(fitted[0] - n[0])
+    mid = (min(n[i] for i in _EVEN) + min(n[i] for i in _ODD)) / 2
+    if t and mid > t:
+        fitted = exact_two_way_mle(counts, 64 + math.ceil(mid / t).bit_length())
+    total = decimal.Decimal(0)
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        for c, f in zip(n, fitted):
+            if c == 0:
+                total += _decimal(f)
+                continue
+            x = (f - c) / c
+            # 1 + x keeps ``prec`` digits, and the term is about x^2: twice
+            # the digits of 1 / |x|, about 3/10 of its bits, more
+            lost = x.denominator.bit_length() - x.numerator.bit_length()
+            with decimal.localcontext() as wide:
+                wide.prec = digits + 2 * max(0, lost * 3 // 10 + 1)
+                x = _decimal(x)
+                term = _decimal(c) * (x - (1 + x).ln())
+            total += term
+        return 2 * total
+
+
+def _decimal(q: Fraction) -> decimal.Decimal:
+    """``q`` rounded to the current context's precision."""
+    return decimal.Decimal(q.numerator) / decimal.Decimal(q.denominator)

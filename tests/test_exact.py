@@ -58,6 +58,7 @@ from exact_reference import (
     RATIO_FIELDS,
     exact_conditionals,
     exact_contrast_variance,
+    exact_deviance,
     exact_effects,
     exact_joint,
     exact_two_way_mle,
@@ -595,6 +596,14 @@ SILENT_SATURATED = (6.7511640127902735e-108, 1.2940180135811937e-89,
                     3.372621782897062e+151, 4.27178336139234e+124)
 
 
+#: the README table; its exact two-way deviance is 0.0013035532799708...
+README_COUNTS = (42, 18, 25, 31, 17, 23, 12, 48)
+#: a table at 10^U(+-30) whose two-way deviance, exactly 2.8759e-16, the
+#: engine gives as 3.7495e-16
+FAR_DEVIANCE = (4.373225173901251, 7.00833836396888e+26, 5.780957019597906,
+                7.065977738756808e-09, 3.226921576651466e-18,
+                75808.44903543772, 443483570880920.25, 1.6065527521398382)
+
 #: o(1,1) is 1e200, but y xy = 1e400 overflows on the way to it
 CHAINED = (1, 1, 1, 1e200, 1e200, 1e-200, 1)
 #: o(1,1) = 1e310 itself overflows; P(Y=0|1,1) is 1e-310, so the joint
@@ -641,6 +650,26 @@ class TestKnownDefects:
         joint = check_normal_joint_cells(CHAINED)
         cp = CausalParams(*CHAINED)
         assert worst_rel_err(effects_report(cp), exact_effects(joint)) <= 1e-12
+
+    def test_the_deviance_reference(self):
+        # the 80-digit reference, to the digits printed for it before
+        want = Fraction("0.00130355327997080338")
+        got = Fraction(exact_deviance(README_COUNTS))
+        assert abs(got - want) <= Fraction(1, 2 * 10 ** 20)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 19: each deviance term cancels "
+                              "(55 851 u off)")
+    def test_readme_deviance(self):
+        fit = fit_poisson(ContingencyTable(README_COUNTS))
+        _check(fit.deviance, Fraction(exact_deviance(README_COUNTS)), 2 * U)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 19: the deviance's terms and the "
+                              "root's distance from its end cancel (30% off)")
+    def test_far_deviance(self):
+        fit = fit_poisson(ContingencyTable(FAR_DEVIANCE))
+        _check(fit.deviance, Fraction(exact_deviance(FAR_DEVIANCE)), 64 * U)
 
     @pytest.mark.xfail(strict=True, raises=FitError,
                        reason="the fit's scale centres on the counts")

@@ -158,9 +158,17 @@ class TestCovarianceAgainstReference:
             fit = fit_poisson(ContingencyTable(counts), ModelSpec(saturated))
         except FitError:
             return
-        assert (_outcome(lambda: [_bits(row) for row in fit.covariance])
-                == _outcome(lambda: [_bits(row)
-                                     for row in reference_covariance(fit)]))
+        want = _outcome(lambda: [_bits(row)
+                                 for row in reference_covariance(fit)])
+        assert _outcome(lambda: [_bits(row) for row in fit.covariance]) == want
+        # the JSON document's flat values, which are not cut into rows; it
+        # reads the parameters first and the deviance after, so only an
+        # error it raises on the covariance is compared
+        got = _outcome(lambda: _bits(fit.to_dict()["covariance"]["values"]))
+        if got[0] == "ok" or "covariance" in got[1]:
+            if want[0] == "ok":
+                want = "ok", [b for row in want[1] for b in row]
+            assert got == want
 
 
 class TestDevianceAgainstReference:

@@ -558,6 +558,32 @@ class TestCovariance:
                 error = abs(float(Fraction(c) - e))
                 assert error <= 1e-14 * scale[i] * scale[j], (i, j, c, e)
 
+    @pytest.mark.parametrize("spec", [two_way_spec(), saturated_spec()],
+                             ids=["two-way", "saturated"])
+    @pytest.mark.parametrize("cell", [
+        0.0,  # raised an untyped ZeroDivisionError
+        -1.0,  # returned a negative variance
+        math.inf,
+        math.nan,
+    ])
+    @pytest.mark.parametrize("index", [0, 7])
+    def test_hand_built_fitted_count_out_of_range_is_a_fit_error(
+            self, spec, cell, index):
+        # fitted counts of a hand-built fit that no solve returns
+        counts = [1.0] * 8
+        counts[index] = cell
+        fit = fitting.FitResult(tuple(counts), (1.0, 1.0, 1.0, 1.0),
+                                (1.0,) * 8, 1, spec)
+        with pytest.raises(FitError,
+                           match="^a fitted count is not finite and > 0$"):
+            fit.covariance
+        # no parameter reads m(1,1,1), so the JSON document of such a fit
+        # reaches the covariance and raises there
+        if index == 7:
+            with pytest.raises(FitError,
+                               match="^a fitted count is not finite and > 0$"):
+                fit.to_dict()
+
 
 class TestScaleSafety:
     def test_mean_count_1e14_fits(self):

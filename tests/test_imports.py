@@ -20,6 +20,10 @@ HEAVY_MODULES = ("dataclasses", "inspect", "typing", "pathlib")
 #: which only a command line that is not plain needs
 COLD_UNUSED = ("numpy", *HEAVY_MODULES, "argparse", "gettext")
 
+#: the README table as a CSV file
+README_CSV = ("x,z,y,count\n0,0,0,42\n0,0,1,18\n0,1,0,25\n0,1,1,31\n"
+              "1,0,0,17\n1,0,1,23\n1,1,0,12\n1,1,1,48\n")
+
 COLD_PROGRAM = """
 import io, sys
 from loglin_effects import *
@@ -50,8 +54,7 @@ def test_cold_interpreter_imports_no_unused_module(tmp_path):
     # directory is on the path, so an import of numpy would succeed.  -W
     # error: the star import, or any call, may not warn
     path = tmp_path / "readme.csv"
-    path.write_text("x,z,y,count\n0,0,0,42\n0,0,1,18\n0,1,0,25\n0,1,1,31\n"
-                    "1,0,0,17\n1,0,1,23\n1,1,0,12\n1,1,1,48\n")
+    path.write_text(README_CSV)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC), str(Path(numpy.__file__).parent.parent)]))
     proc = subprocess.run(
@@ -61,6 +64,35 @@ def test_cold_interpreter_imports_no_unused_module(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: loglin-effects fit [-h]")
+
+
+KERNEL_PROGRAM = """
+import io, sys
+from loglin_effects.cli import main
+from loglin_effects.fitting import _covariance_kernel
+built = [_covariance_kernel.cache_info().currsize]
+sys.stdout = io.StringIO()
+for line in ("fit", "fit --output json", "fit --output json",
+             "fit --model saturated --output json"):
+    assert main([*line.split(), "--input", sys.argv[1]]) == 0, line
+    built.append(_covariance_kernel.cache_info().currsize)
+sys.stdout = sys.__stdout__
+print(*built)
+"""
+
+
+def test_the_covariance_kernel_is_built_on_first_read(tmp_path):
+    # the import builds no kernel, nor does a command that prints no
+    # covariance; the first JSON fit of a model builds that model's one
+    path = tmp_path / "readme.csv"
+    path.write_text(README_CSV)
+    proc = subprocess.run(
+        [sys.executable, "-c", KERNEL_PROGRAM, str(path)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
+        text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0", "1", "1", "2"]
 
 
 def test_no_module_imports_a_heavy_module():
