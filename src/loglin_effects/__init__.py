@@ -7,7 +7,7 @@ and interaction effects as odds ratios, with an independent
 probability-space oracle and a z-test for zero additive interaction.
 """
 
-__version__ = "0.6.0"
+__version__ = "0.6.1"
 
 from .causal import (
     CausalModelError,

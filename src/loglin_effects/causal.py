@@ -183,11 +183,22 @@ def _causal_params(
     """Causal parameters from the XZ margins ``m`` and a fit's Y-block.
 
     The X margin and XZ margin blocks are closed-form count ratios; the
-    Y-block parameters are shared with the loglinear fit.
+    Y-block parameters are shared with the loglinear fit.  The record is
+    built directly when ``CausalParams``' own test holds: all seven finite
+    and > 0, and the three-way parameter 1 without interaction.  The
+    Y-block is tested too, since the commands' saturated one comes from
+    ``fitting._fit`` unchecked.  Any other set goes to ``CausalParams`` for
+    its error.
     """
     m0, m1, m2, m3 = m
-    return CausalParams((m2 + m3) / (m0 + m1), m1 / m0, (m3 / m2) * (m0 / m1),
-                        y, xy, zy, xzy, with_interaction)
+    xc, zc, xzc = (m2 + m3) / (m0 + m1), m1 / m0, (m3 / m2) * (m0 / m1)
+    inf = math.inf
+    if (0.0 < xc < inf and 0.0 < zc < inf and 0.0 < xzc < inf
+            and 0.0 < y < inf and 0.0 < xy < inf and 0.0 < zy < inf
+            and 0.0 < xzy < inf and (with_interaction or xzy == 1.0)):
+        return tuple.__new__(
+            CausalParams, (xc, zc, xzc, y, xy, zy, xzy, with_interaction))
+    return CausalParams(xc, zc, xzc, y, xy, zy, xzy, with_interaction)
 
 
 def fit_causal(table: ContingencyTable, with_interaction: bool = False) -> CausalParams:
@@ -206,13 +217,15 @@ def fit_causal(table: ContingencyTable, with_interaction: bool = False) -> Causa
     The two-way route reuses the last successful two-way solve when it was
     of this table's very ``counts`` tuple, as after ``fit_poisson(table)``
     (see ``fitting._fit``); a table rebuilt from equal counts solves again.
+    Either route builds its record once, by ``_causal_params``.
     """
     n = table.counts
     m = _xz_margins(n)
     if with_interaction:
         p = saturated_closed_form(table)
         return _causal_params(m, p.y, p.xy, p.zy, p.xzy, True)
-    return _causal_params(m, *_fit(n, False)[1])
+    y, xy, zy, xzy = _fit(n, False)[1]
+    return _causal_params(m, y, xy, zy, xzy)
 
 
 def causal_from_nocausal(nc: NoCausalParams) -> CausalParams:

@@ -277,12 +277,22 @@ def validate(
     Under ``correct`` a table with a zero cell gets the correction amount
     added to every cell, not just the zero ones, so odds-ratio structure is
     shifted uniformly; a table without one is returned as it is.  The
-    amount must be finite and > 0 whether or not the table has a zero cell.
+    amount must be a number, finite and > 0 as a float, whether or not the
+    table has a zero cell; it is added as that float, so every count stays
+    a float.  The corrected table is built directly, with the table's
+    labels, when its total is finite: each cell is then a finite float
+    > 0.  Only one whose total overflows goes to ``ContingencyTable`` for
+    its error.
     """
     if policy not in ("error", "correct", "allow"):
         raise TableError(f"unknown zero-cell policy {policy!r}")
-    if policy == "correct" and not 0.0 < correction < math.inf:  # also nan
-        raise TableError("correction amount must be finite and > 0")
+    if policy == "correct":
+        try:  # text or None compares with no number
+            amount = float(correction) if 0.0 < correction else 0.0
+        except (TypeError, ArithmeticError):  # a Decimal nan, or an int or
+            amount = 0.0                      # Fraction beyond the floats
+        if not 0.0 < amount < math.inf:
+            raise TableError("correction amount must be finite and > 0")
     if 0.0 not in table.counts:
         return table
     if policy == "error":
@@ -290,9 +300,13 @@ def validate(
         raise TableError(f"zero count in cell {cell} (policy 'error')")
     if policy == "allow":
         return table
-    return ContingencyTable(
-        tuple(c + correction for c in table.counts), labels=table.labels
-    )
+    a, b, c, d, e, f, g, h = table.counts
+    counts = (a + amount, b + amount, c + amount, d + amount,
+              e + amount, f + amount, g + amount, h + amount)
+    a, b, c, d, e, f, g, h = counts
+    if 0.0 + a + b + c + d + e + f + g + h < math.inf:  # as _left_sum
+        return tuple.__new__(ContingencyTable, (counts, table.labels))
+    return ContingencyTable(counts, table.labels)
 
 
 def dichotomize(records, thresholds="mean") -> ContingencyTable:
@@ -362,23 +376,27 @@ def parse_table(source, fmt: str = "csv") -> ContingencyTable:
     CSV: header ``x,z,y,count``.  JSON: ``{"labels": [...], "cells": [...]}``
     where cells is either 8 objects ``{x,z,y,count}`` or a flat 8-array in
     canonical order.  Missing cells count 0; a leading BOM is ignored.
-    Any other source raises ``TableError``.
+    Any other source raises ``TableError``.  A ``str`` skips the stream
+    and bytes handling.  A CSV text in the canonical layout builds its
+    table directly, any other table goes through ``ContingencyTable``
+    (see ``_parse_csv``).
     """
-    if hasattr(source, "read"):
-        source = source.read()
-    if not isinstance(source, (str, bytes)):
-        try:
-            source = bytes(memoryview(source))
-        except TypeError:
-            raise TableError(
-                f"cannot read a table from {type(source).__name__}: expected "
-                "text, bytes or a readable stream"
-            ) from None
-    if isinstance(source, bytes):
-        try:
-            source = source.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise TableError(f"input is not UTF-8: {exc}") from None
+    if type(source) is not str:
+        if hasattr(source, "read"):
+            source = source.read()
+        if not isinstance(source, (str, bytes)):
+            try:
+                source = bytes(memoryview(source))
+            except TypeError:
+                raise TableError(
+                    f"cannot read a table from {type(source).__name__}: "
+                    "expected text, bytes or a readable stream"
+                ) from None
+        if isinstance(source, bytes):
+            try:
+                source = source.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise TableError(f"input is not UTF-8: {exc}") from None
     source = source.removeprefix("\ufeff")
     if fmt == "csv":
         return _parse_csv(source)
@@ -423,22 +441,32 @@ _CANONICAL_CSV = re.compile("x,z,y,count" + "".join(
 
 def _parse_csv(text: str) -> ContingencyTable:
     """The table of a CSV text: a text in the canonical layout in one match,
-    whose eight count fields go to ``ContingencyTable``, any other by
-    ``_parse_csv_rows``.
+    whose eight count fields are converted by ``float`` and the table built
+    directly, any other by ``_parse_csv_rows``.
 
     Both paths give the same counts, bit for bit, since the match finds the
-    fields the CSV reader would and the constructor converts them as
-    ``_coerce_count`` does.  A canonical text whose table the constructor
-    refuses is read again by ``_parse_csv_rows``, so every error is its
-    error, or the constructor's.
+    fields the CSV reader would and ``float`` converts them as
+    ``_coerce_count`` does.  The direct table passes ``ContingencyTable``'s
+    own test: no cell below 0, and a left-to-right total in (0, inf).  A
+    canonical text with a field ``float`` refuses, or whose counts fail that
+    test, is read again by ``_parse_csv_rows``, so every error is its error,
+    or the constructor's.
     """
     m = _CANONICAL_CSV.fullmatch(text)
     # longer text may hold a field the CSV reader refuses
     if m is not None and len(text) <= csv.field_size_limit():
         try:
-            return ContingencyTable(m.groups())
-        except TableError:
-            pass
+            counts = tuple(map(float, m.groups()))
+        except ValueError:
+            return _parse_csv_rows(text)
+        a, b, c, d, e, f, g, h = counts
+        total = 0.0 + a + b + c + d + e + f + g + h  # as _left_sum
+        # as in ContingencyTable: a finite total of cells none below 0
+        # has no nan or inf cell either
+        if (0.0 <= a and 0.0 <= b and 0.0 <= c and 0.0 <= d and 0.0 <= e
+                and 0.0 <= f and 0.0 <= g and 0.0 <= h
+                and 0.0 < total < math.inf):
+            return tuple.__new__(ContingencyTable, (counts, None))
     return _parse_csv_rows(text)
 
 

@@ -86,6 +86,21 @@ def table_from_params(nc: NoCausalParams) -> ContingencyTable:
     return nc.as_table()
 
 
+def record_outcome(make):
+    """``("ok", type, fields)`` of the record ``make()`` builds, each float
+    field, or float in a tuple field, as its bits and its type; or
+    ``("error", type, message)`` of what it raises."""
+    def bits(v):
+        return (float.hex(v), type(v)) if isinstance(v, float) else v
+    try:
+        record = make()
+    except Exception as exc:
+        return "error", type(exc), str(exc)
+    return "ok", type(record), [
+        [bits(v) for v in field] if type(field) is tuple else bits(field)
+        for field in record]
+
+
 # printed parameter values of the two worked empirical models
 
 TABLE5 = CausalParams(

@@ -25,7 +25,8 @@ from loglin_effects import (
 from loglin_effects import FitError, saturated_closed_form, saturated_spec
 from loglin_effects import causal, fitting
 from loglin_effects.causal import _causal_params, _xz_margins
-from conftest import FAR_SATURATED, random_causal, random_nocausal
+from conftest import (FAR_SATURATED, random_causal, random_nocausal,
+                      record_outcome)
 from exact_reference import exact_joint
 
 # single-letter-free aliases for the worked conversion values
@@ -205,6 +206,37 @@ class TestDirectJoint:
                 "^the joint probabilities sum to nan: the parameters leave "
                 "the float range$")):
             cond.joint()
+
+
+#: a parameter or a margin: any float, the ends of the float range often
+_any_param = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 1.0, 5e-324, 1.7976931348623157e308,
+                     math.inf, math.nan]),
+)
+
+
+class TestDirectCausalParams:
+    """``_causal_params`` builds its record without the constructor's
+    checks: the record ``CausalParams`` builds from the same seven values,
+    or its error."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.tuples(_any_param, _any_param, _any_param, _any_param),
+           _any_param, _any_param, _any_param, _any_param, st.booleans())
+    @example((1e-300, 1e-300, 1e300, 1e300), 1.0, 1.0, 1.0, 1.0, False)  # xc
+    @example((1.0, 2.0, 3.0, 4.0), math.inf, 1.0, 1.0, 1.0, True)  # y
+    @example((1.0, 2.0, 3.0, 4.0), 1.0, 1.0, 1.0, 2.0, False)  # xzy
+    @example((1.0, 2.0, 3.0, 4.0), 1.0, 1.0, 1.0, 2.0, True)
+    def test_the_record_is_the_constructors(self, m, y, xy, zy, xzy,
+                                            with_interaction):
+        m0, m1, m2, m3 = m
+        got = record_outcome(lambda: _causal_params(
+            m, y, xy, zy, xzy, with_interaction))
+        want = record_outcome(lambda: CausalParams(
+            (m2 + m3) / (m0 + m1), m1 / m0, (m3 / m2) * (m0 / m1),
+            y, xy, zy, xzy, with_interaction))
+        assert got == want
 
 
 class TestFitCausal:

@@ -806,6 +806,17 @@ class TestUnprintedParameters:
             f"fit error: multiplicative parameter {name} must be finite and "
             "> 0\n")
 
+    def test_effects_exits_2_on_the_saturated_y_block(self, tmp_path, capsys):
+        # the commands read the saturated Y-block unchecked: the causal
+        # parameters' check names it
+        path = tmp_path / "far.csv"
+        path.write_text(_counts_csv((1e-300, 1e300, 1, 1, 1, 1, 1, 1)))
+        assert main(["effects", "--model", "saturated",
+                     "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: parameter y must be finite and > 0\n"
+
 
 class TestOverflowedDeviance:
     """``fit`` prints the deviance, so it fails where the deviance leaves the

@@ -15,6 +15,8 @@ import unittest.mock
 import pytest
 
 from loglin_effects import (
+    CELLS,
+    CausalModelError,
     CausalParams,
     ConditionalProbabilities,
     ContingencyTable,
@@ -25,6 +27,7 @@ from loglin_effects import (
     MarginalTable,
     ModelSpec,
     NoCausalParams,
+    TableError,
     additive_zero_test,
     conditional_probabilities,
     effects_report,
@@ -33,8 +36,10 @@ from loglin_effects import (
     joint_probabilities,
     linearity_bonds,
     margin,
+    parse_table,
     saturated_spec,
     two_way_spec,
+    validate,
 )
 from loglin_effects.inference import TestResult
 
@@ -263,6 +268,74 @@ def test_constructors_take_fields_by_keyword():
     assert result.combination == "c"
     bonds = LinearityReport(bond1_residual=0.0, bond2_residual=1.0)
     assert bonds.bond2_residual == 1.0
+
+
+class TestDirectBuilds:
+    """The hot path, reading a canonical CSV, correcting its zero cell and
+    fitting, builds each table and causal record directly; a table that
+    fails the direct test still meets the checking constructor."""
+
+    ZERO_CELL_CSV = ("x,z,y,count\n0,0,0,0\n0,0,1,18\n0,1,0,25\n0,1,1,31\n"
+                     "1,0,0,17\n1,0,1,23\n1,1,0,12\n1,1,1,48\n")
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        calls = []
+        for cls in (ContingencyTable, CausalParams):
+            real = cls.__new__
+
+            def spy(cls_, *args, real=real, **kwargs):
+                calls.append(cls_.__name__)
+                return real(cls_, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__new__", spy)
+        return calls
+
+    @pytest.mark.parametrize("with_interaction", [False, True])
+    def test_the_hot_path_calls_no_constructor(self, built, with_interaction):
+        table = validate(parse_table(self.ZERO_CELL_CSV), "correct", 0.5)
+        cp = fit_causal(table, with_interaction)
+        assert built == []
+        assert table.counts[0] == 0.5
+        assert ContingencyTable(table.counts) == table
+        assert CausalParams(*cp) == cp
+
+    @pytest.mark.parametrize("cells, message", [
+        ({0: "0", 1: "0", 2: "0", 3: "0", 4: "0", 5: "0", 6: "0", 7: "0"},
+         "table total must be positive"),
+        ({0: "1e308", 1: "1e308"}, "table total overflows"),
+    ], ids=["all-zero", "overflow"])
+    def test_a_failing_table_meets_the_constructor(self, built, cells,
+                                                   message):
+        text = "x,z,y,count" + "".join(
+            f"\n{x},{z},{y},{cells.get(4 * x + 2 * z + y, '1')}"
+            for x, z, y in CELLS)
+        with pytest.raises(TableError) as exc:
+            parse_table(text)
+        assert str(exc.value) == message
+        assert built == ["ContingencyTable"]
+
+    def test_a_negative_count_is_the_row_readers_error(self, built):
+        text = self.ZERO_CELL_CSV.replace(",0\n", ",-1\n", 1)
+        with pytest.raises(TableError) as exc:
+            parse_table(text)
+        assert str(exc.value) == "negative count '-1'"
+        assert built == []
+
+    def test_a_total_that_overflows_meets_the_constructor(self, built):
+        table = ContingencyTable((8e307, 8e307) + (0.0,) * 6)
+        built.clear()
+        with pytest.raises(TableError) as exc:
+            validate(table, "correct", 1e307)
+        assert str(exc.value) == "table total overflows"
+        assert built == ["ContingencyTable"]
+
+    def test_a_parameter_out_of_range_meets_the_constructor(self, built):
+        with pytest.raises(CausalModelError) as exc:
+            fit_causal(ContingencyTable((1e-300, 1e-300, 1e300, 1e300,
+                                         1, 1, 1, 1)))
+        assert str(exc.value) == "parameter zc must be finite and > 0"
+        assert built == ["ContingencyTable", "CausalParams"]
 
 
 # ---------------------------------------------------------------------------

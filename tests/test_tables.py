@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from loglin_effects import (
     validate,
 )
 from loglin_effects import tables
+from conftest import record_outcome
 
 CSV_FULL = "x,z,y,count\n" + "".join(
     f"{x},{z},{y},{4*x+2*z+y+1}\n" for x, z, y in CELLS
@@ -358,15 +361,21 @@ class TestOneMatchPath:
     @example(_with_count(1, "1\r "))
     @example(README_CSV.rstrip("\n"))
     @example(_canonical_text(["0"] * 8, {}, "\n"))  # a total of 0
+    @example(_with_count(3, "-1"))
+    @example(_with_count(3, "inf"))
+    @example(_with_count(3, "1e400"))
+    @example(_with_count(3, "abc"))
     def test_canonical_layout_matches_the_reference(self, text):
         new = _outcome(lambda s: parse_table(s, "csv").counts, text)
         want = _outcome(reference_parse_csv, text)
         assert new == want
         if want[0] == "ok":
-            # the table built directly is the constructor's: its type, no labels
+            # the table built directly is the constructor's: its type, no
+            # labels, and every count an exact float
             table = parse_table(text, "csv")
             assert type(table) is ContingencyTable and table.labels is None
             assert table == ContingencyTable(reference_parse_csv(text))
+            assert all(type(c) is float for c in table.counts)
 
     def test_field_over_the_limit_is_refused(self):
         with pytest.raises(TableError) as got:
@@ -1035,9 +1044,11 @@ class TestDichotomize:
 
 
 class TestCorrectionAmount:
-    @pytest.mark.parametrize(
-        "amount", [-5.0, 0.0, -0.0, math.nan, math.inf, -math.inf]
-    )
+    @pytest.mark.parametrize("amount", [
+        -5.0, 0.0, -0.0, math.nan, math.inf, -math.inf,
+        # no number, or none that is a finite float
+        "0.5", None, Decimal("NaN"), Fraction(10 ** 400), Decimal("1e-400"),
+    ])
     @pytest.mark.parametrize(
         "counts", [(1, 2, 3, 4, 5, 6, 7, 8), (0, 2, 3, 4, 5, 6, 7, 8)]
     )
@@ -1045,6 +1056,52 @@ class TestCorrectionAmount:
         with pytest.raises(TableError) as exc:
             validate(ContingencyTable(counts), "correct", amount)
         assert str(exc.value) == "correction amount must be finite and > 0"
+
+    @pytest.mark.parametrize("amount", [
+        Decimal("0.5"), Fraction(1, 2), np.float64(0.5), 1,
+    ], ids=["decimal", "fraction", "numpy", "int"])
+    @pytest.mark.parametrize(
+        "counts", [(1, 2, 3, 4, 5, 6, 7, 8), (0, 2, 3, 4, 5, 6, 7, 8)],
+        ids=["no-zero", "zero"])
+    def test_any_number_is_added_as_its_float(self, counts, amount):
+        table = ContingencyTable(counts)
+        fixed = validate(table, "correct", amount)
+        want = tuple(c + float(amount) for c in counts) if 0 in counts else counts
+        assert fixed.counts == want
+        assert all(type(c) is float for c in fixed.counts)
+
+
+#: 2x2x2 tables with a zero cell and another above 0, with labels or none;
+#: no count is above 2e307, so every total is finite
+zero_cell_tables = st.tuples(
+    st.lists(st.one_of(st.floats(min_value=0.0, max_value=2e307),
+                       st.sampled_from([0.0, -0.0, 5e-324])),
+             min_size=8, max_size=8),
+    st.integers(0, 7),
+    st.one_of(st.none(), st.tuples(st.text(), st.text(), st.text())),
+).filter(lambda a: any(a[0][:a[1]] + a[0][a[1] + 1:])).map(
+    lambda a: ContingencyTable(a[0][:a[1]] + [0.0] + a[0][a[1] + 1:], a[2]))
+
+
+class TestDirectCorrection:
+    """``validate(t, "correct", a)`` builds its table without the
+    constructor's checks: the same table the constructor builds from the
+    corrected counts, or the constructor's error."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(zero_cell_tables,
+           st.floats(min_value=5e-324, max_value=tables._FLOAT_MAX))
+    # a cell plus the amount overflows, and only the total does
+    @example(ContingencyTable((1.7976931348623157e308,) + (0.0,) * 7), 1e300)
+    @example(ContingencyTable((8e307, 8e307) + (0.0,) * 6), 1e307)
+    @example(parse_table('{"labels": ["smoking", "tar", "cancer"], '
+                         '"cells": [0, 18, 25, 31, 17, 23, 12, 48]}', "json"),
+             0.5)
+    def test_the_correction_is_the_constructors(self, table, amount):
+        got = record_outcome(lambda: validate(table, "correct", amount))
+        want = record_outcome(lambda: ContingencyTable(
+            tuple(c + amount for c in table.counts), table.labels))
+        assert got == want
 
 
 class TestBooleanCounts:
