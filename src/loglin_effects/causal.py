@@ -21,6 +21,7 @@ from .fitting import (
     _check_positive,
     _exact_ratio,
     _fit,
+    _nocausal,
     saturated_closed_form,
 )
 from .tables import (
@@ -46,21 +47,15 @@ class CausalParams(_Record):
 
     def __new__(cls, xc: float, zc: float, xzc: float, y: float, xy: float,
                 zy: float, xzy: float = 1.0, with_interaction: bool = False):
-        # one chained test of all seven (nan fails it too); only a failing
-        # set is searched for the name to report
-        inf = math.inf
-        if not (0.0 < xc < inf and 0.0 < zc < inf and 0.0 < xzc < inf
-                and 0.0 < y < inf and 0.0 < xy < inf and 0.0 < zy < inf
-                and 0.0 < xzy < inf):
+        try:
+            xc, zc, xzc, y, xy, zy, xzy = map(
+                float, (xc, zc, xzc, y, xy, zy, xzy))
+        except (TypeError, ValueError, OverflowError):
             _check_positive((xc, zc, xzc, y, xy, zy, xzy), CausalModelError,
-                            ("xc", "zc", "xzc", "y", "xy", "zy", "xzy"),
-                            "parameter")
-        if not with_interaction and xzy != 1.0:
-            raise CausalModelError(
-                "three-way parameter must be 1 without interaction"
-            )
-        return tuple.__new__(
-            cls, (xc, zc, xzc, y, xy, zy, xzy, with_interaction))
+                            cls._fields, "parameter")
+        if not isinstance(with_interaction, bool):
+            raise CausalModelError("with_interaction must be a bool")
+        return _causal(xc, zc, xzc, y, xy, zy, xzy, with_interaction)
 
     def to_dict(self) -> dict:
         cond = conditional_probabilities(self)
@@ -77,6 +72,23 @@ class CausalParams(_Record):
             "Y|X=1,Z=1": y0[1, 1],
         }
         return doc
+
+
+def _causal(xc, zc, xzc, y, xy, zy, xzy, with_interaction) -> CausalParams:
+    """The parameters of seven floats and a bool, by one chained test that
+    all seven are finite and > 0 (nan fails it too), then that the three-way
+    parameter is 1 without interaction; only a failing set is searched."""
+    inf = math.inf
+    if not (0.0 < xc < inf and 0.0 < zc < inf and 0.0 < xzc < inf
+            and 0.0 < y < inf and 0.0 < xy < inf and 0.0 < zy < inf
+            and 0.0 < xzy < inf):
+        _check_positive((xc, zc, xzc, y, xy, zy, xzy), CausalModelError,
+                        CausalParams._fields, "parameter")
+    if not with_interaction and xzy != 1.0:
+        raise CausalModelError("three-way parameter must be 1 without "
+                               "interaction")
+    return tuple.__new__(CausalParams,
+                         (xc, zc, xzc, y, xy, zy, xzy, with_interaction))
 
 
 class ConditionalProbabilities(_Record):
@@ -176,29 +188,18 @@ def _xz_margins(n) -> tuple:
     return m
 
 
-def _causal_params(
-    m: tuple, y: float, xy: float, zy: float, xzy: float = 1.0,
-    with_interaction: bool = False,
-) -> CausalParams:
+def _causal_params(m: tuple, y: float, xy: float, zy: float, xzy: float = 1.0,
+                   with_interaction: bool = False) -> CausalParams:
     """Causal parameters from the XZ margins ``m`` and a fit's Y-block.
 
     The X margin and XZ margin blocks are closed-form count ratios; the
-    Y-block parameters are shared with the loglinear fit.  The record is
-    built directly when ``CausalParams``' own test holds: all seven finite
-    and > 0, and the three-way parameter 1 without interaction.  The
-    Y-block is tested too, since the commands' saturated one comes from
-    ``fitting._fit`` unchecked.  Any other set goes to ``CausalParams`` for
-    its error.
+    Y-block parameters are shared with the loglinear fit.  All seven go to
+    the builder ``_causal``, with no class call, so the Y-block is tested
+    too: the commands' saturated one comes from ``fitting._fit`` unchecked.
     """
     m0, m1, m2, m3 = m
-    xc, zc, xzc = (m2 + m3) / (m0 + m1), m1 / m0, (m3 / m2) * (m0 / m1)
-    inf = math.inf
-    if (0.0 < xc < inf and 0.0 < zc < inf and 0.0 < xzc < inf
-            and 0.0 < y < inf and 0.0 < xy < inf and 0.0 < zy < inf
-            and 0.0 < xzy < inf and (with_interaction or xzy == 1.0)):
-        return tuple.__new__(
-            CausalParams, (xc, zc, xzc, y, xy, zy, xzy, with_interaction))
-    return CausalParams(xc, zc, xzc, y, xy, zy, xzy, with_interaction)
+    return _causal((m2 + m3) / (m0 + m1), m1 / m0, (m3 / m2) * (m0 / m1),
+                   y, xy, zy, xzy, with_interaction)
 
 
 def fit_causal(table: ContingencyTable, with_interaction: bool = False) -> CausalParams:
@@ -243,8 +244,7 @@ def causal_from_nocausal(nc: NoCausalParams) -> CausalParams:
         raise CausalModelError(
             "causal conversion is defined only without the three-way term"
         )
-    counts = NoCausalParams(1.0, nc.x, nc.z, nc.y, nc.xz, nc.xy, nc.zy,
-                            nc.xzy).expected_counts()
+    counts = _nocausal(1.0, *nc[1:]).expected_counts()
     if min(counts) < sys.float_info.min:
         raise CausalModelError("an expected count underflows")
     return _causal_params(_xz_margins(counts), nc.y, nc.xy, nc.zy)

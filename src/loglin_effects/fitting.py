@@ -214,8 +214,12 @@ def _covariance_kernel(with_three_way: bool):
 def _check_positive(params, error=ValueError, names=_FIELDS,
                     what="multiplicative parameter") -> None:
     """Raise ``error`` naming the first of ``params``, in the order of
-    ``names``, that is not finite and > 0."""
+    ``names``, that ``float`` refuses, or that is not finite and > 0."""
     for name, value in zip(names, params):
+        try:
+            value = float(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise error(f"{what} {name} must be a number: {exc}") from None
         if not 0.0 < value < math.inf:  # also rejects nan
             raise error(f"{what} {name} must be finite and > 0")
 
@@ -233,14 +237,12 @@ class NoCausalParams(_Record):
 
     def __new__(cls, eta: float, x: float, z: float, y: float, xz: float,
                 xy: float, zy: float, xzy: float = 1.0):
-        # one chained test of all eight (nan fails it too); only a failing
-        # set is searched for the name to report
-        inf = math.inf
-        if not (0.0 < eta < inf and 0.0 < x < inf and 0.0 < z < inf
-                and 0.0 < y < inf and 0.0 < xz < inf and 0.0 < xy < inf
-                and 0.0 < zy < inf and 0.0 < xzy < inf):
+        try:
+            eta, x, z, y, xz, xy, zy, xzy = map(
+                float, (eta, x, z, y, xz, xy, zy, xzy))
+        except (TypeError, ValueError, OverflowError):
             _check_positive((eta, x, z, y, xz, xy, zy, xzy))
-        return tuple.__new__(cls, (eta, x, z, y, xz, xy, zy, xzy))
+        return _nocausal(eta, x, z, y, xz, xy, zy, xzy)
 
     @property
     def multiplicative(self) -> dict:
@@ -274,6 +276,17 @@ class NoCausalParams(_Record):
 
     def as_table(self) -> ContingencyTable:
         return ContingencyTable(self.expected_counts())
+
+
+def _nocausal(eta, x, z, y, xz, xy, zy, xzy) -> NoCausalParams:
+    """The parameters of eight floats, by one chained test that all are
+    finite and > 0 (nan fails it too); only a failing set is searched."""
+    inf = math.inf
+    if not (0.0 < eta < inf and 0.0 < x < inf and 0.0 < z < inf
+            and 0.0 < y < inf and 0.0 < xz < inf and 0.0 < xy < inf
+            and 0.0 < zy < inf and 0.0 < xzy < inf):
+        _check_positive((eta, x, z, y, xz, xy, zy, xzy))
+    return tuple.__new__(NoCausalParams, (eta, x, z, y, xz, xy, zy, xzy))
 
 
 class FitResult(_Record):
@@ -412,8 +425,8 @@ def _exact_ratio(num, den) -> float:
 
 
 def _cell_ratios(m, y, xy, zy, xzy=1.0) -> NoCausalParams:
-    """The multiplicative parameters with the Y-block ``y, xy, zy, xzy``
-    whose intercept and X, Z and XZ terms are read off the cells ``m``.
+    """The multiplicative parameters, built by ``_nocausal``, with the
+    Y-block ``y, xy, zy, xzy`` and the other four read off the cells ``m``.
 
     In dummy code m(0,0,0) is the intercept, m(1,0,0)/m(0,0,0) is mu^X,
     m(0,1,0)/m(0,0,0) is mu^Z, and mu^XZ is the cross ratio of the four
@@ -422,8 +435,8 @@ def _cell_ratios(m, y, xy, zy, xzy=1.0) -> NoCausalParams:
     raises ``FitError``: the counts are valid, the fit cannot represent it.
     """
     try:
-        return NoCausalParams(m[0], m[4] / m[0], m[2] / m[0], y,
-                              (m[6] / m[4]) * (m[0] / m[2]), xy, zy, xzy)
+        return _nocausal(m[0], m[4] / m[0], m[2] / m[0], y,
+                         (m[6] / m[4]) * (m[0] / m[2]), xy, zy, xzy)
     except ValueError as exc:
         raise FitError(str(exc)) from None
 

@@ -64,12 +64,28 @@ def _left_sum(values) -> float:
     return total
 
 
+def _eight_floats(values, what: str, unit: str) -> tuple:
+    """``values`` as a tuple of eight floats, or ``TableError`` calling them
+    ``what`` and counting them in ``unit``."""
+    # float would read each character or byte of a text as a number
+    if isinstance(values, (str, bytes, bytearray, memoryview)):
+        raise TableError(
+            f"{what} must be numbers, not {type(values).__name__}")
+    try:
+        values = tuple(map(float, values))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise TableError(f"{what} must be 8 numbers: {exc}") from None
+    if len(values) != 8:
+        raise TableError(f"expected 8 {unit}, got {len(values)}")
+    return values
+
+
 class _Record(tuple):
     """An immutable record: the tuple of its fields, named in ``_fields`` in
     constructor order, each read through a C accessor that
     ``__init_subclass__`` installs.  A record class declares
-    ``__slots__ = ()``, and its ``__new__`` validates the fields and ends in
-    one ``tuple.__new__``.
+    ``__slots__ = ()``; its ``__new__`` ends in one ``tuple.__new__``, or
+    converts the fields for a builder that holds the record's only test.
 
     Assignment and deletion raise ``AttributeError``.  Records of one class
     compare and hash by ``_key()``, their fields unless a class says
@@ -127,38 +143,7 @@ class ContingencyTable(_Record):
     _fields = ("counts", "labels")
 
     def __new__(cls, counts, labels: tuple | None = None):
-        # float would read each character or byte of a text as a count
-        if isinstance(counts, (str, bytes, bytearray, memoryview)):
-            raise TableError(
-                f"counts must be numbers, not {type(counts).__name__}")
-        try:
-            counts = tuple(map(float, counts))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise TableError(f"counts must be 8 numbers: {exc}") from None
-        if len(counts) != 8:
-            raise TableError(f"expected 8 cells, got {len(counts)}")
-        a, b, c, d, e, f, g, h = counts
-        total = 0.0 + a + b + c + d + e + f + g + h  # as _left_sum
-        # a finite total of cells none below 0 has no nan or inf cell either;
-        # only a failing table is searched for its message
-        if not (0.0 <= a and 0.0 <= b and 0.0 <= c and 0.0 <= d and 0.0 <= e
-                and 0.0 <= f and 0.0 <= g and 0.0 <= h
-                and 0.0 < total < math.inf):
-            for (x, z, y), n in zip(CELLS, counts):
-                if not 0.0 <= n < math.inf:
-                    raise TableError(f"negative or non-finite count at cell ({x},{z},{y})")
-            if total == math.inf:
-                raise TableError("table total overflows")
-            raise TableError("table total must be positive")
-        if labels is not None:
-            if not (isinstance(labels, (list, tuple)) and len(labels) == 3
-                    and isinstance(labels[0], str)
-                    and isinstance(labels[1], str)
-                    and isinstance(labels[2], str)):
-                raise TableError("labels must be a list or tuple of three "
-                                 "strings")
-            labels = tuple(labels)
-        return tuple.__new__(cls, (counts, labels))
+        return _table(_eight_floats(counts, "counts", "cells"), labels)
 
     @property
     def total(self) -> float:
@@ -168,6 +153,31 @@ class ContingencyTable(_Record):
         return self.counts[_at(_INDEX, VARIABLES, (x, z, y))]
 
 
+def _table(counts: tuple, labels) -> ContingencyTable:
+    """The table of eight float ``counts`` and ``labels``, by the one test
+    of a valid table: the counts', then the labels' (None or 3 strings)."""
+    a, b, c, d, e, f, g, h = counts
+    total = 0.0 + a + b + c + d + e + f + g + h  # as _left_sum
+    # a finite total of cells none below 0 has no nan or inf cell either;
+    # only a failing table is searched for its message
+    if not (0.0 <= a and 0.0 <= b and 0.0 <= c and 0.0 <= d and 0.0 <= e
+            and 0.0 <= f and 0.0 <= g and 0.0 <= h
+            and 0.0 < total < math.inf):
+        for (x, z, y), n in zip(CELLS, counts):
+            if not 0.0 <= n < math.inf:
+                raise TableError(f"negative or non-finite count at cell ({x},{z},{y})")
+        if total == math.inf:
+            raise TableError("table total overflows")
+        raise TableError("table total must be positive")
+    if labels is not None:
+        if not (isinstance(labels, (list, tuple)) and len(labels) == 3
+                and isinstance(labels[0], str) and isinstance(labels[1], str)
+                and isinstance(labels[2], str)):
+            raise TableError("labels must be a list or tuple of three strings")
+        labels = tuple(labels)
+    return tuple.__new__(ContingencyTable, (counts, labels))
+
+
 class JointProbabilityTable(_Record):
     """Joint probabilities pi(x, z, y), canonical cell order, summing to 1."""
 
@@ -175,16 +185,7 @@ class JointProbabilityTable(_Record):
     _fields = ("probs",)
 
     def __new__(cls, probs):
-        if isinstance(probs, (str, bytes, bytearray, memoryview)):
-            raise TableError(
-                f"probabilities must be numbers, not {type(probs).__name__}")
-        try:
-            probs = tuple(map(float, probs))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise TableError(
-                f"probabilities must be 8 numbers: {exc}") from None
-        if len(probs) != 8:
-            raise TableError(f"expected 8 probabilities, got {len(probs)}")
+        probs = _eight_floats(probs, "probabilities", "probabilities")
         if any(p < 0 for p in probs):
             raise TableError("negative probability")
         total = _left_sum(probs)
@@ -279,10 +280,9 @@ def validate(
     shifted uniformly; a table without one is returned as it is.  The
     amount must be a number, finite and > 0 as a float, whether or not the
     table has a zero cell; it is added as that float, so every count stays
-    a float.  The corrected table is built directly, with the table's
-    labels, when its total is finite: each cell is then a finite float
-    > 0.  Only one whose total overflows goes to ``ContingencyTable`` for
-    its error.
+    a float.  The corrected counts and the table's labels go to the
+    builder ``_table``, with no class call: each cell is then at least the
+    amount, so only one that overflows, or the total, fails its test.
     """
     if policy not in ("error", "correct", "allow"):
         raise TableError(f"unknown zero-cell policy {policy!r}")
@@ -301,12 +301,9 @@ def validate(
     if policy == "allow":
         return table
     a, b, c, d, e, f, g, h = table.counts
-    counts = (a + amount, b + amount, c + amount, d + amount,
-              e + amount, f + amount, g + amount, h + amount)
-    a, b, c, d, e, f, g, h = counts
-    if 0.0 + a + b + c + d + e + f + g + h < math.inf:  # as _left_sum
-        return tuple.__new__(ContingencyTable, (counts, table.labels))
-    return ContingencyTable(counts, table.labels)
+    return _table((a + amount, b + amount, c + amount, d + amount,
+                   e + amount, f + amount, g + amount, h + amount),
+                  table.labels)
 
 
 def dichotomize(records, thresholds="mean") -> ContingencyTable:
@@ -377,8 +374,8 @@ def parse_table(source, fmt: str = "csv") -> ContingencyTable:
     where cells is either 8 objects ``{x,z,y,count}`` or a flat 8-array in
     canonical order.  Missing cells count 0; a leading BOM is ignored.
     Any other source raises ``TableError``.  A ``str`` skips the stream
-    and bytes handling.  A CSV text in the canonical layout builds its
-    table directly, any other table goes through ``ContingencyTable``
+    and bytes handling.  A CSV text in the canonical layout goes straight
+    to the table's builder, any other table through ``ContingencyTable``
     (see ``_parse_csv``).
     """
     if type(source) is not str:
@@ -441,32 +438,22 @@ _CANONICAL_CSV = re.compile("x,z,y,count" + "".join(
 
 def _parse_csv(text: str) -> ContingencyTable:
     """The table of a CSV text: a text in the canonical layout in one match,
-    whose eight count fields are converted by ``float`` and the table built
-    directly, any other by ``_parse_csv_rows``.
+    whose eight count fields are converted by ``float`` and go to the
+    builder ``_table``, any other by ``_parse_csv_rows``.
 
     Both paths give the same counts, bit for bit, since the match finds the
     fields the CSV reader would and ``float`` converts them as
-    ``_coerce_count`` does.  The direct table passes ``ContingencyTable``'s
-    own test: no cell below 0, and a left-to-right total in (0, inf).  A
-    canonical text with a field ``float`` refuses, or whose counts fail that
-    test, is read again by ``_parse_csv_rows``, so every error is its error,
-    or the constructor's.
+    ``_coerce_count`` does.  A canonical text with a field ``float``
+    refuses, or whose counts fail ``_table``'s test, is read again by
+    ``_parse_csv_rows``, so every error is its error, or the builder's.
     """
     m = _CANONICAL_CSV.fullmatch(text)
     # longer text may hold a field the CSV reader refuses
     if m is not None and len(text) <= csv.field_size_limit():
         try:
-            counts = tuple(map(float, m.groups()))
-        except ValueError:
-            return _parse_csv_rows(text)
-        a, b, c, d, e, f, g, h = counts
-        total = 0.0 + a + b + c + d + e + f + g + h  # as _left_sum
-        # as in ContingencyTable: a finite total of cells none below 0
-        # has no nan or inf cell either
-        if (0.0 <= a and 0.0 <= b and 0.0 <= c and 0.0 <= d and 0.0 <= e
-                and 0.0 <= f and 0.0 <= g and 0.0 <= h
-                and 0.0 < total < math.inf):
-            return tuple.__new__(ContingencyTable, (counts, None))
+            return _table(tuple(map(float, m.groups())), None)
+        except ValueError:  # a field float refuses, or a failed test
+            pass
     return _parse_csv_rows(text)
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -65,6 +66,53 @@ class TestCausalParamsValidation:
     def test_three_way_term_needs_interaction(self):
         with pytest.raises(CausalModelError, match="three-way parameter"):
             CausalParams(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0)
+
+
+class TestParameterFieldsAreFloats:
+    """Both parameter records take each field as ``float(v)``: a value that
+    ``float`` refuses or overflows raises the record's error naming the
+    field, and ``with_interaction`` must be a bool."""
+
+    def test_an_int_beyond_the_floats_is_refused(self):
+        with pytest.raises(CausalModelError) as exc:
+            CausalParams(10**400, 1, 1, 1, 1, 1)
+        assert str(exc.value) == (
+            "parameter xc must be a number: int too large to convert to float")
+        with pytest.raises(ValueError) as exc:
+            NoCausalParams(10**400, 1, 1, 1, 1, 1, 1)
+        assert str(exc.value) == ("multiplicative parameter eta must be a "
+                                  "number: int too large to convert to float")
+
+    @pytest.mark.parametrize("bad", ["abc", None, 1j, [1.0]])
+    @pytest.mark.parametrize("index", range(7))
+    def test_the_first_field_float_refuses_is_named(self, bad, index):
+        names = ("xc", "zc", "xzc", "y", "xy", "zy", "xzy")
+        args = [1.0] * index + [bad] + ["abc"] * (6 - index)
+        with pytest.raises(CausalModelError) as exc:
+            CausalParams(*args, with_interaction=True)
+        assert str(exc.value).startswith(
+            f"parameter {names[index]} must be a number: ")
+        with pytest.raises(ValueError) as exc:
+            NoCausalParams(1.0, *args)
+        assert str(exc.value).startswith(
+            f"multiplicative parameter {fitting._FIELDS[index + 1]} must be "
+            "a number: ")
+
+    def test_a_decimal_is_taken_as_its_float(self):
+        cp = CausalParams(Decimal("0.5"), 1, 1, 1, 1, 1)
+        assert cp == CausalParams(0.5, 1.0, 1.0, 1.0, 1.0, 1.0)
+        assert [type(v) for v in cp] == [float] * 7 + [bool]
+        assert conditional_probabilities(cp).p_x0 == 1.0 / 1.5
+        nc = NoCausalParams(Decimal("2"), 1, 1, 1, 1, 1, 1)
+        assert [type(v) for v in nc] == [float] * 8
+        assert nc.expected_counts() == (2.0,) * 8
+
+    @pytest.mark.parametrize("flag", ["no", 1, 0, None, 1.0])
+    def test_with_interaction_must_be_a_bool(self, flag):
+        with pytest.raises(CausalModelError) as exc:
+            CausalParams(1, 1, 1, 1, 1, 1, 2.0, with_interaction=flag)
+        assert str(exc.value) == "with_interaction must be a bool"
+        assert CausalParams(1, 1, 1, 1, 1, 1, 2.0, True).with_interaction
 
 
 class TestEtaFactors:

@@ -21,6 +21,7 @@ from loglin_effects import (
     ConditionalProbabilities,
     ContingencyTable,
     EffectsReport,
+    FitError,
     FitResult,
     JointProbabilityTable,
     LinearityReport,
@@ -41,6 +42,7 @@ from loglin_effects import (
     two_way_spec,
     validate,
 )
+from loglin_effects import causal, fitting, tables
 from loglin_effects.inference import TestResult
 
 README_COUNTS = (42, 18, 25, 31, 17, 23, 12, 48)
@@ -272,30 +274,54 @@ def test_constructors_take_fields_by_keyword():
 
 class TestDirectBuilds:
     """The hot path, reading a canonical CSV, correcting its zero cell and
-    fitting, builds each table and causal record directly; a table that
-    fails the direct test still meets the checking constructor."""
+    fitting, calls no checking constructor, and each record's builder once
+    per record; a table or parameter set that fails raises the message of
+    its builder."""
 
     ZERO_CELL_CSV = ("x,z,y,count\n0,0,0,0\n0,0,1,18\n0,1,0,25\n0,1,1,31\n"
                      "1,0,0,17\n1,0,1,23\n1,1,0,12\n1,1,1,48\n")
 
     @pytest.fixture
     def built(self, monkeypatch):
-        calls = []
-        for cls in (ContingencyTable, CausalParams):
+        """The constructors called, by class name, and the builders called,
+        each as its name and the message it raised, or None."""
+        constructors, builders = [], []
+        for cls in (ContingencyTable, CausalParams, NoCausalParams):
             real = cls.__new__
 
             def spy(cls_, *args, real=real, **kwargs):
-                calls.append(cls_.__name__)
+                constructors.append(cls_.__name__)
                 return real(cls_, *args, **kwargs)
 
             monkeypatch.setattr(cls, "__new__", spy)
-        return calls
+        for module, name in ((tables, "_table"), (causal, "_causal"),
+                             (fitting, "_nocausal")):
+            real = getattr(module, name)
 
-    @pytest.mark.parametrize("with_interaction", [False, True])
-    def test_the_hot_path_calls_no_constructor(self, built, with_interaction):
+            def builder(*args, real=real, name=name):
+                try:
+                    record = real(*args)
+                except ValueError as exc:
+                    builders.append((name, str(exc)))
+                    raise
+                builders.append((name, None))
+                return record
+
+            monkeypatch.setattr(module, name, builder)
+        return constructors, builders
+
+    @pytest.mark.parametrize("with_interaction, records", [
+        (False, ["_table", "_table", "_causal"]),
+        # the saturated closed form's NoCausalParams
+        (True, ["_table", "_table", "_nocausal", "_causal"]),
+    ], ids=["two-way", "saturated"])
+    def test_the_hot_path_calls_no_constructor(self, built, with_interaction,
+                                               records):
+        constructors, builders = built
         table = validate(parse_table(self.ZERO_CELL_CSV), "correct", 0.5)
         cp = fit_causal(table, with_interaction)
-        assert built == []
+        assert constructors == []
+        assert builders == [(name, None) for name in records]
         assert table.counts[0] == 0.5
         assert ContingencyTable(table.counts) == table
         assert CausalParams(*cp) == cp
@@ -305,37 +331,57 @@ class TestDirectBuilds:
          "table total must be positive"),
         ({0: "1e308", 1: "1e308"}, "table total overflows"),
     ], ids=["all-zero", "overflow"])
-    def test_a_failing_table_meets_the_constructor(self, built, cells,
-                                                   message):
+    def test_a_failing_table_raises_the_builders_error(self, built, cells,
+                                                        message):
+        constructors, builders = built
         text = "x,z,y,count" + "".join(
             f"\n{x},{z},{y},{cells.get(4 * x + 2 * z + y, '1')}"
             for x, z, y in CELLS)
         with pytest.raises(TableError) as exc:
             parse_table(text)
         assert str(exc.value) == message
-        assert built == ["ContingencyTable"]
+        # the canonical match's build, then the row reader's
+        assert builders == [("_table", message), ("_table", message)]
+        assert constructors == ["ContingencyTable"]
 
     def test_a_negative_count_is_the_row_readers_error(self, built):
+        constructors, builders = built
         text = self.ZERO_CELL_CSV.replace(",0\n", ",-1\n", 1)
         with pytest.raises(TableError) as exc:
             parse_table(text)
         assert str(exc.value) == "negative count '-1'"
-        assert built == []
+        assert builders == [
+            ("_table", "negative or non-finite count at cell (0,0,0)")]
+        assert constructors == []
 
-    def test_a_total_that_overflows_meets_the_constructor(self, built):
-        table = ContingencyTable((8e307, 8e307) + (0.0,) * 6)
-        built.clear()
+    def test_a_total_that_overflows_is_the_builders_error(self, built):
+        constructors, builders = built
+        table = ContingencyTable((8e307, 8e307) + (0.0,) * 6,
+                                 labels=("X", "Z", "Y"))
+        constructors.clear()
+        builders.clear()
         with pytest.raises(TableError) as exc:
             validate(table, "correct", 1e307)
         assert str(exc.value) == "table total overflows"
-        assert built == ["ContingencyTable"]
+        assert builders == [("_table", "table total overflows")]
+        assert constructors == []
 
-    def test_a_parameter_out_of_range_meets_the_constructor(self, built):
+    def test_a_parameter_out_of_range_is_the_builders_error(self, built):
+        constructors, builders = built
+        table = ContingencyTable((1e-300, 1e-300, 1e300, 1e300, 1, 1, 1, 1))
         with pytest.raises(CausalModelError) as exc:
-            fit_causal(ContingencyTable((1e-300, 1e-300, 1e300, 1e300,
-                                         1, 1, 1, 1)))
-        assert str(exc.value) == "parameter zc must be finite and > 0"
-        assert built == ["ContingencyTable", "CausalParams"]
+            fit_causal(table)
+        message = "parameter zc must be finite and > 0"
+        assert str(exc.value) == message
+        assert builders == [("_table", None), ("_causal", message)]
+        # the saturated parameters' builder, through the fit's params
+        builders.clear()
+        with pytest.raises(FitError) as exc:
+            fit_poisson(table, saturated_spec()).params
+        message = "multiplicative parameter z must be finite and > 0"
+        assert str(exc.value) == message
+        assert builders == [("_nocausal", message)]
+        assert constructors == ["ContingencyTable"]
 
 
 # ---------------------------------------------------------------------------

@@ -1104,6 +1104,29 @@ class TestDirectCorrection:
         assert got == want
 
 
+class TestCountsBeforeLabels:
+    """The counts are tested before the labels, so a table with both wrong
+    raises the counts' error, by every route to the table's builder."""
+
+    def test_the_constructor(self):
+        with pytest.raises(TableError) as exc:
+            ContingencyTable((-1.0,) + 7 * (1.0,), labels=5)
+        assert str(exc.value) == "negative or non-finite count at cell (0,0,0)"
+
+    def test_a_json_table(self):
+        with pytest.raises(TableError) as exc:
+            parse_table('{"labels": 5, "cells": [0, 0, 0, 0, 0, 0, 0, 0]}',
+                        "json")
+        assert str(exc.value) == "table total must be positive"
+
+    def test_a_labelled_correction_whose_total_overflows(self):
+        table = ContingencyTable((8e307, 8e307) + (0.0,) * 6,
+                                 labels=("X", "Z", "Y"))
+        with pytest.raises(TableError) as exc:
+            validate(table, "correct", 1e307)
+        assert str(exc.value) == "table total overflows"
+
+
 class TestBooleanCounts:
     """JSON ``true`` and ``false`` are ints to Python, but not counts."""
 
