@@ -73,6 +73,28 @@ class CausalParams(_Record):
         }
         return doc
 
+    def _json(self) -> str:
+        """``to_dict()`` as ``cli._JSON`` writes it, in one pass: the model's
+        ``_JSON_TEMPLATES`` entry, filled in sorted key order.  Every float
+        in it is finite: the builder checks the seven fields, and the level-0
+        probabilities are in [0, 1].  So ``%r`` prints the bytes ``json``
+        prints, as ``float.__repr__``."""
+        cond = conditional_probabilities(self)
+        y0, z0 = cond.p_y0_given_xz, cond.p_z0_given_x
+        xc, zc, xzc, y, xy, zy, xzy, with_interaction = self
+        return _JSON_TEMPLATES[with_interaction] % (
+            xy, xzy, xzc, xc, y, zy, zc, cond.p_x0, y0[0, 0], y0[0, 1],
+            y0[1, 0], y0[1, 1], z0[0], z0[1])
+
+
+#: the ``CausalParams._json`` document without and with interaction: the
+#: keys of ``to_dict()`` in sorted order, with ``cli._JSON``'s separators
+_JSON_TEMPLATES = tuple(
+    '{"XY":%r,"XZY":%r,"XZc":%r,"Xc":%r,"Y":%r,"ZY":%r,"Zc":%r,"eta":{"X":%r,'
+    '"Y|X=0,Z=0":%r,"Y|X=0,Z=1":%r,"Y|X=1,Z=0":%r,"Y|X=1,Z=1":%r,'
+    '"Z|X=0":%r,"Z|X=1":%r},"with_interaction":' + flag + "}"
+    for flag in ("false", "true"))
+
 
 def _causal(xc, zc, xzc, y, xy, zy, xzy, with_interaction) -> CausalParams:
     """The parameters of seven floats and a bool, by one chained test that

@@ -143,9 +143,13 @@ def cmd_fit(args) -> int:
     fit, cp = _fit(_load_table(args), args.model)
 
     if args.output == "json":
-        # only the JSON document holds the covariance
-        _print_json({"model": args.model, "loglinear": fit.to_dict(),
-                     "causal": cp.to_dict()})
+        # only the JSON document holds the covariance.  The records' writers
+        # print what ``_JSON`` prints of ``{"model": args.model, "loglinear":
+        # fit.to_dict(), "causal": cp.to_dict()}``, the fit's checks first;
+        # the model is one of its two choices, which need no escape
+        loglinear = fit._json()
+        print('{"causal":%s,"loglinear":%s,"model":"%s"}'
+              % (cp._json(), loglinear, args.model))
         return EXIT_OK
     lines = []
     # the loglinear blocks print in sorted term order: X, XY, ..., eta

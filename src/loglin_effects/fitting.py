@@ -67,6 +67,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import sys
 
 from .tables import CELLS, ContingencyTable, _Record
@@ -172,8 +173,9 @@ def _covariance_terms(with_three_way: bool) -> tuple:
 @functools.cache
 def _covariance_kernel(with_three_way: bool):
     """A model's covariance as one straight-line function of the fitted
-    counts, which returns the entries row by row as a flat tuple; compiled
-    from ``_covariance_terms`` on first use.
+    counts, which returns the entries of the upper triangle row by row as a
+    flat tuple, and the getter that lays such a tuple out as the whole
+    matrix, row by row; compiled from ``_covariance_terms`` on first use.
 
     The function unpacks the counts into ``m0..m7`` and forms the weights
     ``w0..``, the saturated 1/m_c or the two-way w_cd, as
@@ -183,7 +185,7 @@ def _covariance_kernel(with_three_way: bool):
     triangle is ``(0.0 + w_i + ...) - (0.0 + w_j + ...)`` over its lists in
     their order, so it rounds as a left-to-right sum of each list would;
     entry (j, i) lists the same terms in the same order as (i, j), so the
-    lower triangle repeats the upper one.
+    getter fills the lower triangle with the upper one's entries.
     """
     terms = _covariance_terms(with_three_way)
     size = len(terms)
@@ -196,19 +198,20 @@ def _covariance_kernel(with_three_way: bool):
         lines.append("    s = 0.0" + "".join(f" + r{c}" for c in range(8)))
         lines += [f"    w{k} = r{c} / (m{d} * s) if m{c} <= m{d} "
                   f"else r{d} / (m{c} * s)" for k, (c, d) in enumerate(_PAIRS)]
-    for i, row in enumerate(terms):
-        for j in range(i, size):
-            plus, minus = (
-                "(0.0" + "".join(f" + w{k}" for k in ks) + ")" for ks in row[j])
-            lines.append(f"    c{i}_{j} = {plus} - {minus}")
-    entries = (f"c{min(i, j)}_{max(i, j)}" for i in range(size)
-               for j in range(size))
+    upper = [(i, j) for i in range(size) for j in range(i, size)]
+    entries = []
+    for i, j in upper:
+        plus, minus = (
+            "(0.0" + "".join(f" + w{k}" for k in ks) + ")" for ks in terms[i][j])
+        entries.append(f"{plus} - {minus}")
     lines.append(f"    return ({', '.join(entries)})")
     name = "saturated" if with_three_way else "two-way"
     namespace = {}
     exec(compile("\n".join(lines), f"<{name} covariance kernel>", "exec"),
          namespace)
-    return namespace["kernel"]
+    position = {entry: k for k, entry in enumerate(upper)}
+    return namespace["kernel"], operator.itemgetter(*(
+        position[min(i, j), max(i, j)] for i in range(size) for j in range(size)))
 
 
 def _check_positive(params, error=ValueError, names=_FIELDS,
@@ -347,6 +350,13 @@ class FitResult(_Record):
 
     def _covariance_values(self) -> tuple:
         """The covariance's entries, row by row, as one flat tuple."""
+        upper, layout = self._covariance_triangle()
+        return layout(upper)
+
+    def _covariance_triangle(self) -> tuple:
+        """The covariance's upper triangle, row by row, and the getter that
+        lays it out as the flat matrix, after the checks ``covariance``
+        states."""
         m = self.fitted_counts
         m0, m1, m2, m3, m4, m5, m6, m7 = m
         inf = math.inf
@@ -354,10 +364,11 @@ class FitResult(_Record):
         if not (0.0 < m0 < inf > m1 > 0.0 < m2 < inf > m3 > 0.0 < m4 < inf
                 > m5 > 0.0 < m6 < inf > m7 > 0.0):
             raise FitError("a fitted count is not finite and > 0")
-        flat = _covariance_kernel(self.spec.with_three_way)(m)
-        if not all(map(math.isfinite, flat)):
+        kernel, layout = _covariance_kernel(self.spec.with_three_way)
+        upper = kernel(m)
+        if not all(map(math.isfinite, upper)):
             raise FitError("the covariance leaves the float range")
-        return flat
+        return upper, layout
 
     def _deviance(self) -> float:
         """The deviance, for a report that prints it, read once: ``FitError``
@@ -383,6 +394,48 @@ class FitResult(_Record):
             # every fit that returns has converged; a failed one raises
             "converged": True,
         }
+
+    def _json(self) -> str:
+        """``to_dict()`` as ``cli._JSON`` writes it, in one pass: the
+        ``_json_template`` of the model, filled in sorted key order.
+
+        The checks run in ``to_dict``'s order, with its messages: ``params``,
+        then the fitted counts and the covariance, then the deviance.  After
+        them every float in the document is finite: the parameters are
+        finite and > 0 (``_nocausal``), so are their logs, the fitted counts
+        and the covariance entries are checked finite, and so is the
+        deviance.  ``json`` writes a finite float as ``float.__repr__``
+        does, so ``%r`` and ``repr`` print its bytes; each distinct
+        covariance entry goes through ``repr`` once, and the layout getter
+        repeats the upper triangle's text in the lower one.
+        """
+        eta, x, z, y, xz, xy, zy, xzy = self.params
+        upper, layout = self._covariance_triangle()
+        deviance = self._deviance()
+        with_three_way = self.spec.with_three_way
+        # the parameters in sorted term order: X, XY, XZ, (XZY,) Y, Z, ZY, eta
+        if with_three_way:
+            params = x, xy, xz, xzy, y, z, zy, eta
+        else:
+            params = x, xy, xz, y, z, zy, eta
+        return _json_template(with_three_way) % (
+            *map(math.log, params), *layout(tuple(map(repr, upper))),
+            deviance, *self.fitted_counts, self.iterations, *params)
+
+
+@functools.cache
+def _json_template(with_three_way: bool) -> str:
+    """The ``%``-template of ``FitResult._json`` under a model, built on
+    first use: the keys of ``to_dict()`` in sorted order, with the compact
+    separators of ``cli._JSON``; ``%r`` for each float and the iterations,
+    ``%s`` for each covariance entry's ``repr``."""
+    terms = TERM_ORDER if with_three_way else TERM_ORDER[:-1]
+    params = "{" + ",".join(f'"{t}":%r' for t in sorted(terms)) + "}"
+    return ('{"additive":' + params + ',"converged":true,"covariance":'
+            '{"terms":[' + ",".join(f'"{t}"' for t in terms) + '],"values":['
+            + ",".join(["%s"] * len(terms) ** 2) + ']},"deviance":%r,'
+            '"fitted_counts":[' + ",".join(["%r"] * 8) + '],"iterations":%r,'
+            '"multiplicative":' + params + "}")
 
 
 def design_matrix(spec: ModelSpec) -> tuple:
