@@ -27,6 +27,7 @@ from .fitting import (
 from .tables import (
     ContingencyTable,
     JointProbabilityTable,
+    _Document,
     _Record,
 )
 
@@ -35,7 +36,7 @@ class CausalModelError(ValueError):
     """Invalid causal parameterization or unsupported conversion."""
 
 
-class CausalParams(_Record):
+class CausalParams(_Document):
     """Causal-form parameters of the X -> Z -> Y model.
 
     ``xc``, ``zc``, ``xzc`` drive P(X) and P(Z|X); ``y``, ``xy``, ``zy``,

@@ -131,8 +131,16 @@ class _Record(tuple):
     def __reduce__(self):
         return type(self), tuple(self)
 
+
+class _Document(_Record):
+    """A record that ``to_dict`` turns into a JSON document: the records
+    that have ``to_dict`` derive from it, and only they have ``to_json``."""
+
+    __slots__ = ()
+    _fields = ()
+
     def to_json(self) -> str:
-        """``to_dict``, for the records that have one, as sorted-key JSON."""
+        """``to_dict()`` as sorted-key JSON."""
         return json.dumps(self.to_dict(), sort_keys=True)
 
 

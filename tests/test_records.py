@@ -7,6 +7,7 @@ fields, reprs as ``Name(field=value, ...)``, and round-trips through
 
 import copy
 import dataclasses
+import json
 import math
 import pickle
 import timeit
@@ -94,6 +95,16 @@ def test_every_record_is_covered():
     assert len(NAMES) == 11
     for name, (record, _) in _records().items():
         assert type(record).__name__ == name
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_only_a_record_with_to_dict_has_to_json(name):
+    # ``to_json`` calls ``to_dict``: a record without one has neither
+    record = _records()[name][0]
+    assert hasattr(record, "to_json") == hasattr(record, "to_dict")
+    if hasattr(record, "to_dict"):
+        assert json.loads(record.to_json()) == json.loads(
+            json.dumps(record.to_dict()))
 
 
 @pytest.mark.parametrize("name", NAMES)
