@@ -3,38 +3,42 @@
 Run with ``python3 demos/01_tables_and_fitting.py``.
 """
 
-import numpy as np
-
 from loglin_effects import (
     ContingencyTable,
-    dichotomize,
     fit_poisson,
     joint_probabilities,
-    margin,
+    parse_table,
     saturated_closed_form,
     saturated_spec,
+    serialize_table,
     two_way_spec,
+    validate,
 )
 
 # A table can come straight from counts.  Cells are ordered (x, z, y)
 # lexicographically with x slowest.
 table = ContingencyTable((42, 18, 25, 31, 17, 23, 12, 48))
 print("total count:", table.total)
+print("n(1, 1, 1) =", table.count(1, 1, 1))
 
-# ...or from raw numeric records via a mean split per variable.
-rng = np.random.default_rng(0)
-x = rng.normal(size=200)
-z = 0.8 * x + rng.normal(scale=0.6, size=200)
-y = x + z + rng.normal(scale=0.6, size=200)
-split = dichotomize(list(zip(x, z, y)))
-print("mean-split table:", split.counts)
+# ...or from CSV or JSON text, as the command line reads it.
+text = serialize_table(table, "csv")
+print("\nthe table as CSV:\n" + text, end="")
+print("read back equal:", parse_table(text, "csv") == table)
 
-# Probabilities and margins.
+# A zero cell stops the fit under the default policy; "correct" adds the
+# amount to every cell.
+sparse = ContingencyTable((0, 18, 25, 31, 17, 23, 12, 48))
+print("\ncorrected counts:", validate(sparse, "correct", 0.5).counts)
+
+# Probabilities, and a margin summed from them: Z summed out of P(X, Z, Y),
+# and the XY slice at Z=1 over its total.
 joint = joint_probabilities(table)
-xy_margin = margin(joint, ("X", "Y"))
-xy_given_z1 = margin(joint, ("X", "Y"), condition=("Z", 1))
-print("P(X=1, Y=1)        =", round(xy_margin.prob(1, 1), 4))
-print("P(X=1, Y=1 | Z=1)  =", round(xy_given_z1.prob(1, 1), 4))
+p = joint.prob
+xy11 = p(1, 0, 1) + p(1, 1, 1)
+z1 = p(0, 1, 0) + p(0, 1, 1) + p(1, 1, 0) + p(1, 1, 1)
+print("\nP(X=1, Y=1)        =", round(xy11, 4))
+print("P(X=1, Y=1 | Z=1)  =", round(p(1, 1, 1) / z1, 4))
 
 # Fit the model with all two-way associations (no three-way term).  Its
 # fitted table keeps the observed two-way margins, so it is the table plus

@@ -7,7 +7,7 @@ and interaction effects as odds ratios, with an independent
 probability-space oracle and a z-test for zero additive interaction.
 """
 
-__version__ = "0.6.3"
+__version__ = "0.7.0"
 
 from .causal import (
     CausalModelError,
@@ -48,11 +48,8 @@ from .tables import (
     CELLS,
     ContingencyTable,
     JointProbabilityTable,
-    MarginalTable,
     TableError,
-    dichotomize,
     joint_probabilities,
-    margin,
     parse_table,
     serialize_table,
     validate,
@@ -70,7 +67,6 @@ __all__ = [
     "FitResult",
     "JointProbabilityTable",
     "LinearityReport",
-    "MarginalTable",
     "ModelSpec",
     "NoCausalParams",
     "OracleError",
@@ -81,14 +77,12 @@ __all__ = [
     "causal_from_nocausal",
     "conditional_probabilities",
     "design_matrix",
-    "dichotomize",
     "effects_report",
     "fit_causal",
     "fit_poisson",
     "indirect_effect",
     "joint_probabilities",
     "linearity_bonds",
-    "margin",
     "nocausal_from_causal",
     "oracle_effects",
     "parse_table",

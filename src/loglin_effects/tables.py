@@ -1,4 +1,4 @@
-"""2x2x2 contingency tables: parsing, validation, probabilities, margins.
+"""2x2x2 contingency tables: parsing, validation, probabilities.
 
 Cells are ordered lexicographically by (x, z, y) with x slowest, so the
 flat index of cell (x, z, y) is ``4*x + 2*z + y``.  Every structure here
@@ -37,17 +37,13 @@ def cell_index(x: int, z: int, y: int) -> int:
 _INDEX = {cell: i for i, cell in enumerate(CELLS)}
 
 
-def _at(mapping: dict, variables: tuple, levels: tuple):
-    """``mapping[levels]``, where ``levels`` gives one level of each of
-    ``variables``; another number of levels, or a level that is not 0 or 1,
-    raises ``TableError``."""
-    if len(levels) != len(variables):
-        raise TableError(f"expected {len(variables)} levels "
-                         f"({', '.join(variables)}), got {len(levels)}")
-    for name, level in zip(variables, levels):
+def _index(x: int, z: int, y: int) -> int:
+    """The flat index of cell (x, z, y); a level that is not 0 or 1 raises
+    ``TableError``."""
+    for name, level in zip(VARIABLES, (x, z, y)):
         if not (level == 0 or level == 1):
             raise TableError(f"non-binary level for {name}: {level!r}")
-    return mapping[levels]
+    return _INDEX[x, z, y]
 
 
 def _left_sum(values) -> float:
@@ -88,10 +84,9 @@ class _Record(tuple):
     converts the fields for a builder that holds the record's only test.
 
     Assignment and deletion raise ``AttributeError``.  Records of one class
-    compare and hash by ``_key()``, their fields unless a class says
-    otherwise; a record equals no other tuple.  They repr as
-    ``Name(field=value, ...)``, and pickle and copy by calling the class
-    with their fields, so validation runs again.
+    compare and hash by their fields, as tuples do; a record equals no
+    other tuple.  They repr as ``Name(field=value, ...)``, and pickle and
+    copy by calling the class with their fields, so validation runs again.
     """
 
     __slots__ = ()
@@ -99,10 +94,6 @@ class _Record(tuple):
     def __init_subclass__(cls):
         for i, name in enumerate(cls._fields):
             setattr(cls, name, _tuplegetter(i, f"Alias for field number {i}"))
-
-    def _key(self) -> tuple:
-        """The values that equality and hashing compare."""
-        return tuple(self)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -112,16 +103,15 @@ class _Record(tuple):
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._key() == other._key()
+            return tuple.__eq__(self, other)
         return False if isinstance(other, tuple) else NotImplemented
 
     def __ne__(self, other):
         if other.__class__ is self.__class__:
-            return self._key() != other._key()
+            return tuple.__ne__(self, other)
         return True if isinstance(other, tuple) else NotImplemented
 
-    def __hash__(self):
-        return hash(self._key())
+    __hash__ = tuple.__hash__
 
     def __repr__(self):
         fields = ", ".join(f"{name}={value!r}"
@@ -158,7 +148,7 @@ class ContingencyTable(_Record):
         return _left_sum(self.counts)
 
     def count(self, x: int, z: int, y: int) -> float:
-        return self.counts[_at(_INDEX, VARIABLES, (x, z, y))]
+        return self.counts[_index(x, z, y)]
 
 
 def _table(counts: tuple, labels) -> ContingencyTable:
@@ -202,78 +192,13 @@ class JointProbabilityTable(_Record):
         return tuple.__new__(cls, (probs,))
 
     def prob(self, x: int, z: int, y: int) -> float:
-        return self.probs[_at(_INDEX, VARIABLES, (x, z, y))]
-
-
-class MarginalTable(_Record):
-    """Probabilities over a subset of {X, Z, Y}, optionally conditioned.
-
-    ``probs`` maps level tuples (ordered as ``variables``) to values, and
-    ``condition`` is a ``(variable, level)`` pair or None.  Equality and
-    hashing compare ``variables`` and ``condition`` only.
-    """
-
-    __slots__ = ()
-    _fields = ("variables", "probs", "condition")
-
-    def __new__(cls, variables: tuple, probs: dict,
-                condition: tuple | None = None):
-        return tuple.__new__(cls, (variables, probs, condition))
-
-    def _key(self) -> tuple:
-        return self.variables, self.condition
-
-    def prob(self, *levels: int) -> float:
-        return _at(self.probs, self.variables, levels)
+        return self.probs[_index(x, z, y)]
 
 
 def joint_probabilities(table: ContingencyTable) -> JointProbabilityTable:
     """Convert counts to the joint probability table (count / total)."""
     total = table.total
     return JointProbabilityTable(tuple(c / total for c in table.counts))
-
-
-def margin(
-    joint: JointProbabilityTable, keep, condition: tuple | None = None
-) -> MarginalTable:
-    """Marginalize the joint table onto ``keep``, optionally given ``condition``.
-
-    ``condition`` is a ``(variable, level)`` pair; the result is renormalized
-    over the conditioning slice.
-    """
-    keep = tuple(keep)
-    for v in keep:
-        if v not in VARIABLES:
-            raise TableError(f"unknown variable {v!r}")
-    keep = tuple(v for v in VARIABLES if v in keep)
-    if not keep:
-        raise TableError("keep must name at least one variable")
-    if condition is not None:
-        cond_var, cond_level = condition
-        if cond_var not in VARIABLES:
-            raise TableError(f"unknown conditioning variable {cond_var!r}")
-        if cond_var in keep:
-            raise TableError("conditioning variable cannot be kept")
-        if cond_level not in (0, 1):
-            raise TableError("conditioning level must be 0 or 1")
-
-    pos = {v: i for i, v in enumerate(VARIABLES)}
-    sums: dict = {}
-    slice_total = 0.0
-    for cell, p in zip(CELLS, joint.probs):
-        if condition is not None and cell[pos[condition[0]]] != condition[1]:
-            continue
-        slice_total += p
-        key = tuple(cell[pos[v]] for v in keep)
-        sums[key] = sums.get(key, 0.0) + p
-
-    if condition is not None:
-        if slice_total <= 0:
-            raise TableError("conditioning slice has zero probability")
-        sums = {k: v / slice_total for k, v in sums.items()}
-    # every level tuple of ``keep`` occurs in the slice, and in
-    # lexicographic order, as ``CELLS`` and ``VARIABLES`` are ordered
-    return MarginalTable(variables=keep, probs=sums, condition=condition)
 
 
 def validate(
@@ -312,62 +237,6 @@ def validate(
     return _table((a + amount, b + amount, c + amount, d + amount,
                    e + amount, f + amount, g + amount, h + amount),
                   table.labels)
-
-
-def dichotomize(records, thresholds="mean") -> ContingencyTable:
-    """Reduce numeric (x, z, y) records to a 2x2x2 table by thresholding.
-
-    ``thresholds`` is either ``"mean"`` (per-variable mean split) or a triple
-    of explicit cut points.  Values below the threshold map to 0, values at
-    or above it map to 1.  Every value and threshold must be finite: a nan
-    or inf has no level, and a nan would make its variable's mean nan.  A
-    column whose sum would overflow is summed scaled down by a power of two.
-    """
-    try:
-        records = [tuple(float(v) for v in r) for r in records]
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise TableError(f"records must hold numbers: {exc}") from None
-    if len(records) < 2:
-        raise TableError("need at least 2 records to dichotomize")
-    if any(len(r) != 3 for r in records):
-        raise TableError("each record must have exactly 3 values")
-    for i, r in enumerate(records):
-        for name, v in zip(VARIABLES, r):
-            if not math.isfinite(v):
-                raise TableError(f"non-finite value {v!r} for {name} in record {i}")
-
-    # an array of cut points == "mean" is an array, not False
-    if isinstance(thresholds, str) and thresholds == "mean":
-        cuts = []
-        for j in range(3):
-            col = [r[j] for r in records]
-            if max(col) == min(col):
-                raise TableError(
-                    f"variable {VARIABLES[j]} is constant; mean split undefined"
-                )
-            # 2^-k keeps each partial sum of the len(col) values below 2^1024;
-            # k is 0, and the mean the plain one, on every ordinary column
-            k = max(0, math.frexp(max(map(abs, col)))[1]
-                    + len(col).bit_length() - 1024)
-            cuts.append(math.ldexp(
-                _left_sum([math.ldexp(v, -k) for v in col]) / len(col), k))
-    else:
-        try:
-            cuts = [float(t) for t in thresholds]
-        except (TypeError, ValueError, OverflowError):
-            cuts = []
-        # a string other than "mean", even "123", gives no cut points
-        if len(cuts) != 3 or isinstance(thresholds, str):
-            raise TableError("thresholds must give one cut point per variable")
-        for name, t in zip(VARIABLES, cuts):
-            if not math.isfinite(t):
-                raise TableError(f"non-finite threshold {t!r} for {name}")
-
-    counts = [0.0] * 8
-    for r in records:
-        x, z, y = (0 if r[j] < cuts[j] else 1 for j in range(3))
-        counts[cell_index(x, z, y)] += 1.0
-    return ContingencyTable(tuple(counts))
 
 
 # ---------------------------------------------------------------------------

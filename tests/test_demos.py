@@ -1,10 +1,8 @@
-"""Every demo runs clean, and demos 02-04 print their committed outputs.
+"""Every demo runs clean and prints its committed output.
 
 Each demo runs in a fresh interpreter under ``-W error``, with ``src`` on its
-path: it must exit 0 with nothing on stderr.  The stdout of demos 02-04 must
-equal ``tests/data/demo_NN.txt`` byte for byte.  Demo 01's stdout is not
-compared: it draws from numpy's ``default_rng``, whose stream numpy does not
-promise to keep across versions.
+path: it must exit 0 with nothing on stderr, and its stdout must equal
+``tests/data/demo_NN.txt`` byte for byte.
 """
 
 import os
@@ -24,6 +22,5 @@ def test_demo_prints_its_committed_output(number):
     proc = subprocess.run([sys.executable, "-W", "error", str(demo)],
                           capture_output=True, env=env, timeout=60)
     assert (proc.returncode, proc.stderr) == (0, b"")
-    if number != "01":
-        assert proc.stdout == (
-            ROOT / "tests" / "data" / f"demo_{number}.txt").read_bytes()
+    assert proc.stdout == (
+        ROOT / "tests" / "data" / f"demo_{number}.txt").read_bytes()

@@ -15,9 +15,7 @@ from loglin_effects import (
     ContingencyTable,
     JointProbabilityTable,
     TableError,
-    dichotomize,
     joint_probabilities,
-    margin,
     parse_table,
     serialize_table,
     validate,
@@ -759,15 +757,6 @@ _README_JOINT = joint_probabilities(_README_TABLE)
     (lambda: _README_TABLE.count(0, 0, 2), "non-binary level for Y: 2"),
     (lambda: _README_JOINT.prob(1, 1, -1), "non-binary level for Y: -1"),
     (lambda: _README_TABLE.count(2, 0, 0), "non-binary level for X: 2"),
-    (lambda: margin(_README_JOINT, ("X", "Y")).prob(2, 0),
-     "non-binary level for X: 2"),
-    # one level for each variable of the margin, no more and no fewer
-    (lambda: margin(_README_JOINT, ("X", "Y")).prob(0),
-     "expected 2 levels (X, Y), got 1"),
-    (lambda: margin(_README_JOINT, ("X", "Y")).prob(0, 1, 1),
-     "expected 2 levels (X, Y), got 3"),
-    (lambda: margin(_README_JOINT, ("X", "Y")).prob(),
-     "expected 2 levels (X, Y), got 0"),
     # labels are None or a list or tuple of three strings
     (lambda: ContingencyTable(_README_TABLE.counts, labels=5),
      "labels must be a list or tuple of three strings"),
@@ -884,47 +873,6 @@ class TestProbabilities:
         j = joint_probabilities(ContingencyTable(tuple(counts)))
         assert math.isclose(sum(j.probs), 1.0, abs_tol=1e-12)
 
-    @given(positive_counts())
-    def test_margin_matches_brute_force(self, counts):
-        j = joint_probabilities(ContingencyTable(tuple(counts)))
-        m = margin(j, ("X", "Y"))
-        for x in (0, 1):
-            for y in (0, 1):
-                expected = sum(j.prob(x, z, y) for z in (0, 1))
-                assert math.isclose(m.prob(x, y), expected, abs_tol=1e-12)
-
-    @given(positive_counts())
-    def test_conditional_margin_per_cell(self, counts):
-        j = joint_probabilities(ContingencyTable(tuple(counts)))
-        pz1 = sum(j.prob(x, 1, y) for x in (0, 1) for y in (0, 1))
-        m = margin(j, ("X", "Y"), condition=("Z", 1))
-        for x in (0, 1):
-            for y in (0, 1):
-                assert math.isclose(
-                    m.prob(x, y), j.prob(x, 1, y) / pz1, abs_tol=1e-12
-                )
-
-    def test_full_margin_reproduces_joint(self, rng):
-        j = joint_probabilities(ContingencyTable(tuple(rng.uniform(1, 9, 8))))
-        m = margin(j, ("X", "Z", "Y"))
-        for cell, p in zip(CELLS, j.probs):
-            assert m.prob(*cell) == p
-
-    def test_uniform_margin_given_z(self):
-        j = joint_probabilities(ContingencyTable((5,) * 8))
-        m = margin(j, ("X", "Y"), condition=("Z", 1))
-        assert all(math.isclose(v, 0.25) for v in m.probs.values())
-
-    def test_keep_conditioning_variable_rejected(self):
-        j = joint_probabilities(ContingencyTable((1,) * 8))
-        with pytest.raises(TableError):
-            margin(j, ("X", "Z"), condition=("Z", 0))
-
-    def test_zero_probability_slice_rejected(self):
-        j = joint_probabilities(ContingencyTable((1, 1, 0, 0, 1, 1, 0, 0)))
-        with pytest.raises(TableError, match="zero probability"):
-            margin(j, ("X", "Y"), condition=("Z", 1))
-
     @pytest.mark.parametrize("index", range(8))
     def test_nan_probability_rejected(self, index):
         probs = [0.5, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
@@ -948,99 +896,6 @@ class TestProbabilities:
         else:
             with pytest.raises(TableError, match=message):
                 JointProbabilityTable(probs)
-
-
-class TestDichotomize:
-    def test_two_point_split(self):
-        t = dichotomize([(0, 0, 0), (2, 2, 2)])
-        assert t.count(0, 0, 0) == 1
-        assert t.count(1, 1, 1) == 1
-        assert t.total == 2
-
-    def test_constant_variable_rejected(self):
-        with pytest.raises(TableError, match="constant"):
-            dichotomize([(1, 0, 0), (1, 1, 1)])
-
-    def test_boundary_maps_to_one(self):
-        # means are (1, 1, 1); the exactly-at-mean record goes to cell (1,1,1)
-        t = dichotomize([(0, 0, 0), (1, 1, 1), (2, 2, 2)])
-        assert t.count(1, 1, 1) == 2
-
-    @pytest.mark.parametrize("xs, counts", [
-        # the mean is 1.2333e308, though the plain sum overflows to inf
-        ((1e308, 1.5e308, 1.2e308), (1, 1, 0, 0, 0, 0, 0, 1)),
-        # the mean is -0.5e308, though the plain sum overflows to -inf
-        ((-1e308, -1.5e308, 1e308), (1, 0, 0, 1, 0, 1, 0, 0)),
-    ])
-    def test_mean_split_of_a_column_whose_sum_overflows(self, xs, counts):
-        records = [(x, z, y) for x, z, y in zip(xs, (0, 1, 0), (0, 1, 1))]
-        assert dichotomize(records).counts == counts
-
-    def test_explicit_thresholds(self):
-        t = dichotomize([(5, 5, 5), (1, 1, 1)], thresholds=(3, 3, 3))
-        assert t.count(1, 1, 1) == 1
-        assert t.count(0, 0, 0) == 1
-
-    def test_array_thresholds(self):
-        # an array is never compared with "mean", which would not be a bool
-        t = dichotomize([(5, 5, 5), (1, 1, 1)], thresholds=np.array([3.0] * 3))
-        assert t.count(1, 1, 1) == 1
-        assert t.count(0, 0, 0) == 1
-
-    @pytest.mark.parametrize("records, message", [
-        ([(1, 0, 0), (2, 1, 1), (math.nan, 0, 1), (0, 1, 0)],
-         "non-finite value nan for X in record 2"),
-        ([(1, 0, 0), (2, 1, math.inf), (0, 1, 0)],
-         "non-finite value inf for Y in record 1"),
-        ([(1, -math.inf, 0), (2, 1, 1)], "non-finite value -inf for Z in record 0"),
-    ])
-    def test_non_finite_value_rejected(self, records, message):
-        for thresholds in ("mean", (1, 1, 1)):
-            with pytest.raises(TableError) as got:
-                dichotomize(records, thresholds)
-            assert str(got.value) == message
-
-    @pytest.mark.parametrize("thresholds, message", [
-        ((math.nan, 1, 1), "non-finite threshold nan for X"),
-        ((1, 1, math.inf), "non-finite threshold inf for Y"),
-    ])
-    def test_non_finite_threshold_rejected(self, thresholds, message):
-        with pytest.raises(TableError) as got:
-            dichotomize([(0, 0, 0), (2, 2, 2)], thresholds)
-        assert str(got.value) == message
-
-    @pytest.mark.parametrize("records, thresholds, message", [
-        ([(0, 0, 0), (2, 2, 2)], "median",
-         "thresholds must give one cut point per variable"),
-        ([(0, 0, 0), (2, 2, 2)], "123",
-         "thresholds must give one cut point per variable"),
-        ([(0, 0, 0), (2, 2, 2)], None,
-         "thresholds must give one cut point per variable"),
-        ([(0, 0, 0), (2, 2, 2)], (1, "a", 1),
-         "thresholds must give one cut point per variable"),
-        ([(0, 0, 0), (2, "q", 2)], "mean",
-         "records must hold numbers: could not convert string to float: 'q'"),
-        ([(0, 0, 0), 2], "mean",
-         "records must hold numbers: 'int' object is not iterable"),
-        ([(0, 0, 0)], "mean", "need at least 2 records to dichotomize"),
-        ([(0, 0, 0), (2, 2)], "mean",
-         "each record must have exactly 3 values"),
-    ], ids=["median", "digit-string", "none", "cut-point-a", "value-q",
-            "record-not-a-tuple", "one-record", "two-values"])
-    def test_unusable_input_is_a_table_error(self, records, thresholds,
-                                             message):
-        with pytest.raises(TableError) as got:
-            dichotomize(records, thresholds)
-        assert str(got.value) == message
-
-    def test_linear_relation_concentrates_concordant_cells(self):
-        rng = np.random.default_rng(7)
-        x = rng.normal(size=100)
-        z = 1.5 * x + rng.normal(scale=0.4, size=100)
-        y = 2.0 * x + z + rng.normal(scale=0.4, size=100)
-        t = dichotomize(list(zip(x, z, y)))
-        concordant = t.count(0, 0, 0) + t.count(1, 1, 1)
-        assert concordant > 0.6 * t.total
 
 
 class TestCorrectionAmount:
@@ -1144,30 +999,3 @@ class TestBooleanCounts:
         with pytest.raises(TableError) as exc:
             parse_table(json.dumps({"cells": cells}), "json")
         assert str(exc.value) == f"malformed count {flag!r}"
-
-
-class TestMarginVariables:
-    JOINT = joint_probabilities(ContingencyTable((1, 2, 3, 4, 5, 6, 7, 8)))
-
-    @pytest.mark.parametrize("keep, name", [
-        (["X", "Q"], "Q"), ("Xy", "y"), (("x",), "x"), (["Q", "R"], "Q"),
-    ])
-    def test_unknown_variable_named(self, keep, name):
-        with pytest.raises(TableError) as exc:
-            margin(self.JOINT, keep)
-        assert str(exc.value) == f"unknown variable {name!r}"
-
-    def test_string_keep(self):
-        m = margin(self.JOINT, "YX")
-        assert m.variables == ("X", "Y")
-        assert m.probs == margin(self.JOINT, ("X", "Y")).probs
-
-    @pytest.mark.parametrize("keep, condition, message", [
-        ((), None, "keep must name at least one variable"),
-        (("X",), ("Q", 0), "unknown conditioning variable 'Q'"),
-        (("X",), ("Z", 2), "conditioning level must be 0 or 1"),
-    ], ids=["empty-keep", "unknown-condition", "level-2"])
-    def test_bad_request_rejected(self, keep, condition, message):
-        with pytest.raises(TableError) as exc:
-            margin(self.JOINT, keep, condition)
-        assert str(exc.value) == message
