@@ -773,6 +773,77 @@ def test_table_error_messages(make, message):
     assert str(exc.value) == message
 
 
+def _reference_at(mapping, levels):
+    """``mapping[levels]``, by the earlier lookup over any number of
+    variables, here the three of a table: a plain transcription, kept as
+    the reference that ``count`` and ``prob`` must agree with."""
+    variables = ("X", "Z", "Y")
+    if len(levels) != len(variables):
+        raise TableError(f"expected {len(variables)} levels "
+                         f"({', '.join(variables)}), got {len(levels)}")
+    for name, level in zip(variables, levels):
+        if not (level == 0 or level == 1):
+            raise TableError(f"non-binary level for {name}: {level!r}")
+    return mapping[levels]
+
+
+def _lookup_outcome(read, *levels):
+    """``("ok", value)`` or ``("error", message)`` of one cell read."""
+    try:
+        return "ok", read(*levels)
+    except TableError as exc:
+        return "error", str(exc)
+
+
+class TestCellLookup:
+    """``count`` and ``prob`` read the cell their three levels name, as the
+    earlier lookup did, and name the first level that is not 0 or 1."""
+
+    TABLE = ContingencyTable((42, 18, 25, 31, 17, 23, 12, 48))
+    JOINT = joint_probabilities(TABLE)
+    READS = {
+        "count": (TABLE.count, dict(zip(CELLS, TABLE.counts))),
+        "prob": (JOINT.prob, dict(zip(CELLS, JOINT.probs))),
+    }
+
+    @pytest.mark.parametrize("cell", CELLS, ids=str)
+    def test_each_cell_reads_its_own_count(self, cell):
+        assert self.TABLE.count(*cell) == self.TABLE.counts[
+            tables.cell_index(*cell)]
+
+    @pytest.mark.parametrize("cell", CELLS, ids=str)
+    def test_each_cell_reads_its_own_probability(self, cell):
+        assert self.JOINT.prob(*cell) == self.JOINT.probs[
+            tables.cell_index(*cell)]
+
+    @pytest.mark.parametrize("read", ["count", "prob"])
+    @pytest.mark.parametrize("position", range(3), ids=["X", "Z", "Y"])
+    @pytest.mark.parametrize("level", [2, -1, 0.5, math.nan, "1", None],
+                             ids=repr)
+    def test_a_non_binary_level_is_named(self, read, position, level):
+        method, mapping = self.READS[read]
+        levels = [1, 0, 1]
+        levels[position] = level
+        outcome = _lookup_outcome(method, *levels)
+        assert outcome == _lookup_outcome(
+            lambda *ls: _reference_at(mapping, ls), *levels)
+        assert outcome == (
+            "error", f"non-binary level for {'XZY'[position]}: {level!r}")
+
+    @pytest.mark.parametrize("read", ["count", "prob"])
+    @pytest.mark.parametrize("one, zero", [
+        (True, False), (1.0, 0.0), (np.int64(1), np.int64(0)),
+        (Fraction(1), Decimal(0)),
+    ], ids=["bool", "float", "numpy-int", "fraction-decimal"])
+    def test_a_level_equal_to_zero_or_one_reads_that_cell(self, read, one,
+                                                          zero):
+        method, mapping = self.READS[read]
+        for x, z, y in CELLS:
+            levels = [one if v else zero for v in (x, z, y)]
+            assert method(*levels) == method(x, z, y)
+            assert method(*levels) == _reference_at(mapping, tuple(levels))
+
+
 class TestTextIsNoCounts:
     """Text or bytes are not eight numbers, though ``float`` reads each of
     their characters or bytes as one."""
