@@ -202,25 +202,16 @@ def conditional_probabilities(cp: CausalParams) -> ConditionalProbabilities:
     ))
 
 
-def _xz_margins(n) -> tuple:
-    """n(x,z,+) for (x,z) = 00, 01, 10, 11 of counts ``n`` in canonical
-    order; raises on a zero margin."""
-    m = (n[0] + n[1], n[2] + n[3], n[4] + n[5], n[6] + n[7])
-    if min(m) <= 0:
-        raise CausalModelError("zero margin; causal blocks are not estimable")
-    return m
-
-
-def _causal_params(m: tuple, y: float, xy: float, zy: float, xzy: float = 1.0,
+def _causal_params(n: tuple, y: float, xy: float, zy: float, xzy: float = 1.0,
                    with_interaction: bool = False) -> CausalParams:
-    """Causal parameters from the XZ margins ``m`` and a fit's Y-block.
+    """Causal parameters from counts ``n`` and a fit's Y-block.
 
-    The X margin and XZ margin blocks are closed-form count ratios; the
-    Y-block parameters are shared with the loglinear fit.  All seven go to
-    the builder ``_causal``, with no class call, so the Y-block is tested
-    too: the commands' saturated one comes from ``fitting._fit`` unchecked.
-    """
-    m0, m1, m2, m3 = m
+    The X and Z blocks are closed-form ratios of the XZ margins n(x,z,+),
+    none zero after a fit or ``causal_from_nocausal``'s underflow check.
+    All seven go to the builder ``_causal``, with no class call, so the
+    Y-block is tested too: the commands' saturated one comes from
+    ``fitting._fit`` unchecked."""
+    m0, m1, m2, m3 = n[0] + n[1], n[2] + n[3], n[4] + n[5], n[6] + n[7]
     return _causal((m2 + m3) / (m0 + m1), m1 / m0, (m3 / m2) * (m0 / m1),
                    y, xy, zy, xzy, with_interaction)
 
@@ -241,15 +232,15 @@ def fit_causal(table: ContingencyTable, with_interaction: bool = False) -> Causa
     The two-way route reuses the last successful two-way solve when it was
     of this table's very ``counts`` tuple, as after ``fit_poisson(table)``
     (see ``fitting._fit``); a table rebuilt from equal counts solves again.
-    Either route builds its record once, by ``_causal_params``.
+    Either route fits first, as the commands do (so a zero XZ margin raises
+    the fit's ``FitError``), and builds its record by ``_causal_params``.
     """
     n = table.counts
-    m = _xz_margins(n)
     if with_interaction:
         p = saturated_closed_form(table)
-        return _causal_params(m, p.y, p.xy, p.zy, p.xzy, True)
+        return _causal_params(n, p.y, p.xy, p.zy, p.xzy, True)
     y, xy, zy, xzy = _fit(n, False)[1]
-    return _causal_params(m, y, xy, zy, xzy)
+    return _causal_params(n, y, xy, zy, xzy)
 
 
 def causal_from_nocausal(nc: NoCausalParams) -> CausalParams:
@@ -270,7 +261,7 @@ def causal_from_nocausal(nc: NoCausalParams) -> CausalParams:
     counts = _nocausal(1.0, *nc[1:]).expected_counts()
     if min(counts) < sys.float_info.min:
         raise CausalModelError("an expected count underflows")
-    return _causal_params(_xz_margins(counts), nc.y, nc.xy, nc.zy)
+    return _causal_params(counts, nc.y, nc.xy, nc.zy)
 
 
 def nocausal_from_causal(cp: CausalParams) -> NoCausalParams:

@@ -33,7 +33,7 @@ import sys
 from types import SimpleNamespace
 
 from . import __version__
-from .causal import CausalModelError, _causal_params, _xz_margins
+from .causal import CausalModelError, _causal_params
 from .effects import DegenerateProbabilityError, effects_report
 from .fitting import FitError, fit_poisson, saturated_spec, two_way_spec
 from .inference import TestError, additive_zero_test, linearity_bonds
@@ -101,10 +101,6 @@ def _load_table(args):
 _JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
-def _print_json(doc: dict):
-    print(_JSON.encode(doc))
-
-
 def _param_lines(title, mapping):
     return [title, *(f"  {k:<6} {v:.6g}" for k, v in mapping.items())]
 
@@ -130,13 +126,11 @@ def _report_lines(args, source, r):
 
 def _fit(table, model) -> tuple:
     """The loglinear fit of ``table`` under ``model``, a ``FitResult``, and
-    then the causal parameters of the fit's Y-block on the table's XZ
-    margins: the one fit of every command that fits.  It fits first, so a
-    fit error comes before a zero margin."""
+    the causal parameters of its Y-block on the table's XZ margins: the one
+    fit of every command that fits; it fits first, as ``fit_causal`` does."""
     saturated = model == "saturated"
     fit = fit_poisson(table, saturated_spec() if saturated else two_way_spec())
-    return fit, _causal_params(_xz_margins(table.counts), *fit.y_block,
-                               saturated)
+    return fit, _causal_params(table.counts, *fit.y_block, saturated)
 
 
 def cmd_fit(args) -> int:
@@ -210,7 +204,7 @@ def cmd_effects(args) -> int:
         doc = report.to_dict()
         if discrepancy is not None:
             doc["verify_max_discrepancy"] = discrepancy
-        _print_json(doc)
+        print(_JSON.encode(doc))
     else:
         print(*_report_lines(args, f"model {args.model}", report), sep="\n")
     if discrepancy is not None and discrepancy > VERIFY_TOL:
@@ -230,10 +224,10 @@ def cmd_test(args) -> int:
     bonds = linearity_bonds(cp)
 
     if args.output == "json":
-        _print_json({
+        print(_JSON.encode({
             "additive_zero_test": result.to_dict(),
             "linearity": bonds.to_dict(),
-        })
+        }))
         return EXIT_OK
     print(
         f"H0: {result.combination}",
@@ -253,7 +247,7 @@ def cmd_oracle(args) -> int:
     joint = joint_probabilities(table)
     report = oracle_effects(joint, args.from_level, args.to_level)
     if args.output == "json":
-        _print_json(report.to_dict())
+        print(_JSON.encode(report.to_dict()))
     else:
         print(*_report_lines(args, "oracle", report), sep="\n")
     return EXIT_OK

@@ -339,19 +339,15 @@ class FitResult(_Document):
         """Inverse Fisher information ``(D' diag(m) D)^-1`` at the fitted counts.
 
         A tuple of rows over ``spec.ordered_terms``, in closed form (see the
-        module docstring), cut from the flat entries of the model's
-        ``_covariance_kernel``.  A fitted count that is not finite and > 0,
-        which only a record built by hand holds, or an entry out of the
-        float range raises ``FitError``.
+        module docstring), cut from the upper triangle of the model's
+        ``_covariance_kernel`` laid out as the flat matrix.  A fitted count
+        that is not finite and > 0, which only a record built by hand holds,
+        or an entry out of the float range raises ``FitError``.
         """
         size = len(self.spec.ordered_terms)
-        flat = self._covariance_values()
-        return tuple([flat[i:i + size] for i in range(0, size * size, size)])
-
-    def _covariance_values(self) -> tuple:
-        """The covariance's entries, row by row, as one flat tuple."""
         upper, layout = self._covariance_triangle()
-        return layout(upper)
+        flat = layout(upper)
+        return tuple([flat[i:i + size] for i in range(0, size * size, size)])
 
     def _covariance_triangle(self) -> tuple:
         """The covariance's upper triangle, row by row, and the getter that
@@ -381,13 +377,14 @@ class FitResult(_Document):
     def to_dict(self) -> dict:
         terms = self.spec.ordered_terms
         params = self.params
+        upper, layout = self._covariance_triangle()
         return {
             "additive": dict(zip(terms, map(math.log, params))),
             "multiplicative": dict(zip(terms, params)),
             "fitted_counts": list(self.fitted_counts),
             "covariance": {
                 "terms": list(terms),
-                "values": list(self._covariance_values()),
+                "values": list(layout(upper)),
             },
             "deviance": self._deviance(),
             "iterations": self.iterations,

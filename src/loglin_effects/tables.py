@@ -29,10 +29,6 @@ class TableError(ValueError):
     """Malformed, inconsistent, or otherwise unusable table input."""
 
 
-def cell_index(x: int, z: int, y: int) -> int:
-    return 4 * x + 2 * z + y
-
-
 #: the flat index of each cell, keyed by its levels
 _INDEX = {cell: i for i, cell in enumerate(CELLS)}
 
@@ -352,8 +348,8 @@ def _parse_csv_rows(text: str) -> ContingencyTable:
         if len(row) != 4:
             raise TableError(f"malformed record {row!r}")
         x, z, y, raw = row
-        i = cell_index(_coerce_level(x, "x"), _coerce_level(z, "z"),
-                       _coerce_level(y, "y"))
+        i = _INDEX[_coerce_level(x, "x"), _coerce_level(z, "z"),
+                   _coerce_level(y, "y")]
         c = _coerce_count(raw)
         if seen >> i & 1:
             raise TableError("duplicate cell ({},{},{})".format(*CELLS[i]))
@@ -397,8 +393,8 @@ def _parse_json(text: str) -> ContingencyTable:
                     and 0 <= x | z | y <= 1):
                 i = 4 * x + 2 * z + y
             else:
-                i = cell_index(_coerce_level(x, "x"), _coerce_level(z, "z"),
-                               _coerce_level(y, "y"))
+                i = _INDEX[_coerce_level(x, "x"), _coerce_level(z, "z"),
+                           _coerce_level(y, "y")]
         else:
             raise TableError(f"malformed cell entry {entry!r}")
         if not ((type(c) is int or type(c) is float)

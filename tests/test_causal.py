@@ -24,8 +24,8 @@ from loglin_effects import (
     two_way_spec,
 )
 from loglin_effects import FitError, saturated_closed_form, saturated_spec
-from loglin_effects import causal, fitting
-from loglin_effects.causal import _causal_params, _xz_margins
+from loglin_effects import causal, cli, fitting
+from loglin_effects.causal import _causal_params
 from conftest import (FAR_SATURATED, random_causal, random_nocausal,
                       record_outcome)
 from exact_reference import exact_joint
@@ -279,8 +279,10 @@ class TestDirectCausalParams:
     def test_the_record_is_the_constructors(self, m, y, xy, zy, xzy,
                                             with_interaction):
         m0, m1, m2, m3 = m
+        # counts whose XZ margins n(x,z,+) are the drawn ``m``
+        n = (m0, 0.0, m1, 0.0, m2, 0.0, m3, 0.0)
         got = record_outcome(lambda: _causal_params(
-            m, y, xy, zy, xzy, with_interaction))
+            n, y, xy, zy, xzy, with_interaction))
         want = record_outcome(lambda: CausalParams(
             (m2 + m3) / (m0 + m1), m1 / m0, (m3 / m2) * (m0 / m1),
             y, xy, zy, xzy, with_interaction))
@@ -333,9 +335,14 @@ class TestFitCausal:
             )
 
     def test_zero_margin_rejected(self):
+        # the fit comes first, as in the commands, and refuses the table
         t = ContingencyTable((1, 1, 0, 0, 1, 1, 1, 1))
-        with pytest.raises(CausalModelError, match="zero margin"):
+        with pytest.raises(FitError) as exc:
             fit_causal(t)
+        assert str(exc.value) == (
+            "the two-way MLE does not exist: the zero counts at cells "
+            "[(0, 1, 0), (0, 1, 1)] make a zero margin n(x,z,+) or separate "
+            "Y=1 from Y=0")
 
     def test_json_keys(self):
         doc = json.loads(fit_causal(ContingencyTable((10,) * 8)).to_json())
@@ -344,6 +351,35 @@ class TestFitCausal:
             "with_interaction", "eta",
         }
         assert len(doc["eta"]) == 7
+
+
+README_COUNTS = (42, 18, 25, 31, 17, 23, 12, 48)
+ONE_PARITY_ZEROS = (0, 5, 3, 0, 2, 7, 0, 1)
+ZERO_MARGINS = ((1, 1, 0, 0, 1, 1, 1, 1), (0, 0, 3, 4, 2, 7, 6, 1))
+#: the far x, z and xz tables of ``test_exact.TWO_WAY_EXAMPLES``
+FAR_BLOCKS = ((1e-300, 1e-300, 1, 1, 1e300, 1e300, 1, 1),
+              (1e-300, 1e-300, 1e300, 1e300, 1, 1, 1, 1),
+              (1, 1, 1e-300, 1e-300, 1e-300, 1e-300, 1e300, 1e300))
+
+
+@pytest.mark.parametrize("model, counts", [
+    *(("two-way", n) for n in (README_COUNTS, ONE_PARITY_ZEROS,
+                               *ZERO_MARGINS, *FAR_BLOCKS)),
+    *(("saturated", n) for n in (README_COUNTS, ONE_PARITY_ZEROS,
+                                 *ZERO_MARGINS)),
+], ids=str)
+def test_fit_causal_is_the_commands_route(model, counts):
+    # the same record, or the same error and message, from the library and
+    # from the commands' fit; each route gets its own table, so neither
+    # reads the other's solve
+    library = record_outcome(lambda: fit_causal(
+        ContingencyTable(counts), model == "saturated"))
+    commands = record_outcome(lambda: cli._fit(
+        ContingencyTable(counts), model)[1])
+    assert library == commands
+    # a zero count leaves no saturated MLE, a zero margin no two-way one
+    if model == "saturated" and 0 in counts or counts in ZERO_MARGINS:
+        assert library[:2] == ("error", FitError)
 
 
 class TestConversions:
@@ -523,5 +559,5 @@ def test_saturated_fit_causal_checks_only_its_y_block():
     y_block = ((n[1] / n[0]), (n[5] / n[4]) * (n[0] / n[1]),
                (n[3] / n[2]) * (n[0] / n[1]),
                ((n[7] / n[6]) * (n[4] / n[5])) * ((n[2] / n[3]) * (n[1] / n[0])))
-    want = _causal_params(_xz_margins(n), *y_block, True)
+    want = _causal_params(n, *y_block, True)
     assert fit_causal(ContingencyTable(n), True) == want

@@ -119,7 +119,7 @@ def test_no_module_imports_numpy():
 
 #: the package's private names the CLI may import: the causal builder of
 #: its one fit route
-CLI_PRIVATE_IMPORTS = {("causal", "_causal_params"), ("causal", "_xz_margins")}
+CLI_PRIVATE_IMPORTS = {("causal", "_causal_params")}
 
 
 def _private_routes(source):

@@ -809,12 +809,12 @@ class TestCellLookup:
     @pytest.mark.parametrize("cell", CELLS, ids=str)
     def test_each_cell_reads_its_own_count(self, cell):
         assert self.TABLE.count(*cell) == self.TABLE.counts[
-            tables.cell_index(*cell)]
+            CELLS.index(cell)]
 
     @pytest.mark.parametrize("cell", CELLS, ids=str)
     def test_each_cell_reads_its_own_probability(self, cell):
         assert self.JOINT.prob(*cell) == self.JOINT.probs[
-            tables.cell_index(*cell)]
+            CELLS.index(cell)]
 
     @pytest.mark.parametrize("read", ["count", "prob"])
     @pytest.mark.parametrize("position", range(3), ids=["X", "Z", "Y"])
