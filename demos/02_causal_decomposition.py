@@ -33,8 +33,8 @@ print("indirect effect =", round(effects_report(cp_off).ie, 6))
 # The normalization factors, the level-0 probabilities, make each
 # conditional block sum to one.
 cond = conditional_probabilities(cp)
-for (x, z), factor in sorted(cond.p_y0_given_xz.items()):
-    p1 = cond.p_y1_given_xz[(x, z)]
+for x, z in ((0, 0), (0, 1), (1, 0), (1, 1)):
+    factor, p1 = cond.p_y0_given_xz[x][z], cond.p_y1_given_xz[x][z]
     print(f"eta(Y|X={x},Z={z}) = {factor:.4f}   "
           f"P(Y=1|{x},{z}) + P(Y=0|{x},{z}) = {p1 + factor:.6f}")
 

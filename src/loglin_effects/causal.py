@@ -24,19 +24,14 @@ from .fitting import (
     _nocausal,
     saturated_closed_form,
 )
-from .tables import (
-    ContingencyTable,
-    JointProbabilityTable,
-    _Document,
-    _Record,
-)
+from .tables import ContingencyTable, JointProbabilityTable, _Record
 
 
 class CausalModelError(ValueError):
     """Invalid causal parameterization or unsupported conversion."""
 
 
-class CausalParams(_Document):
+class CausalParams(_Record):
     """Causal-form parameters of the X -> Z -> Y model.
 
     ``xc``, ``zc``, ``xzc`` drive P(X) and P(Z|X); ``y``, ``xy``, ``zy``,
@@ -67,10 +62,10 @@ class CausalParams(_Document):
             "X": cond.p_x0,
             "Z|X=0": cond.p_z0_given_x[0],
             "Z|X=1": cond.p_z0_given_x[1],
-            "Y|X=0,Z=0": y0[0, 0],
-            "Y|X=1,Z=0": y0[1, 0],
-            "Y|X=0,Z=1": y0[0, 1],
-            "Y|X=1,Z=1": y0[1, 1],
+            "Y|X=0,Z=0": y0[0][0],
+            "Y|X=1,Z=0": y0[1][0],
+            "Y|X=0,Z=1": y0[0][1],
+            "Y|X=1,Z=1": y0[1][1],
         }
         return doc
 
@@ -84,8 +79,8 @@ class CausalParams(_Document):
         y0, z0 = cond.p_y0_given_xz, cond.p_z0_given_x
         xc, zc, xzc, y, xy, zy, xzy, with_interaction = self
         return _JSON_TEMPLATES[with_interaction] % (
-            xy, xzy, xzc, xc, y, zy, zc, cond.p_x0, y0[0, 0], y0[0, 1],
-            y0[1, 0], y0[1, 1], z0[0], z0[1])
+            xy, xzy, xzc, xc, y, zy, zc, cond.p_x0, y0[0][0], y0[0][1],
+            y0[1][0], y0[1][1], z0[0], z0[1])
 
 
 #: the ``CausalParams._json`` document without and with interaction: the
@@ -118,8 +113,9 @@ class ConditionalProbabilities(_Record):
     """P(X=1), P(Z=1|X=x), P(Y=1|X=x,Z=z), their level-0 complements, and
     the joint reconstruction.
 
-    The ``p_z*`` tuples are indexed by x and the ``p_y*`` dicts keyed by
-    (x, z).  The level-0 probabilities are the normalization factors
+    The ``p_z*`` tuples are indexed by x and the ``p_y*`` tuples read as
+    ``[x][z]``, so the record, like every record, is immutable and hashes
+    as its fields.  The level-0 probabilities are the normalization factors
     themselves, not ``1 - p``, so a near-certain level keeps the relative
     accuracy of its complement.
     """
@@ -128,22 +124,20 @@ class ConditionalProbabilities(_Record):
     _fields = ("p_x1", "p_z1_given_x", "p_y1_given_xz", "p_x0",
                "p_z0_given_x", "p_y0_given_xz")
 
-    def __new__(cls, p_x1: float, p_z1_given_x: tuple, p_y1_given_xz: dict,
-                p_x0: float, p_z0_given_x: tuple, p_y0_given_xz: dict):
+    def __new__(cls, p_x1: float, p_z1_given_x: tuple, p_y1_given_xz: tuple,
+                p_x0: float, p_z0_given_x: tuple, p_y0_given_xz: tuple):
         return tuple.__new__(cls, (p_x1, p_z1_given_x, p_y1_given_xz, p_x0,
                                    p_z0_given_x, p_y0_given_xz))
 
     def joint(self) -> JointProbabilityTable:
         """The cell products over their finite, positive sum; built directly."""
-        y0, y1 = self.p_y0_given_xz, self.p_y1_given_xz
-        p00 = self.p_x0 * self.p_z0_given_x[0]
-        p01 = self.p_x0 * self.p_z1_given_x[0]
-        p10 = self.p_x1 * self.p_z0_given_x[1]
-        p11 = self.p_x1 * self.p_z1_given_x[1]
-        c0, c1, c2, c3 = (p00 * y0[0, 0], p00 * y1[0, 0],
-                          p01 * y0[0, 1], p01 * y1[0, 1])
-        c4, c5, c6, c7 = (p10 * y0[1, 0], p10 * y1[1, 0],
-                          p11 * y0[1, 1], p11 * y1[1, 1])
+        p_x1, (z1_0, z1_1), y1, p_x0, (z0_0, z0_1), y0 = self
+        (y0_00, y0_01), (y0_10, y0_11) = y0
+        (y1_00, y1_01), (y1_10, y1_11) = y1
+        p00, p01 = p_x0 * z0_0, p_x0 * z1_0
+        p10, p11 = p_x1 * z0_1, p_x1 * z1_1
+        c0, c1, c2, c3 = p00 * y0_00, p00 * y1_00, p01 * y0_01, p01 * y1_01
+        c4, c5, c6, c7 = p10 * y0_10, p10 * y1_10, p11 * y0_11, p11 * y1_11
         total = 0.0 + c0 + c1 + c2 + c3 + c4 + c5 + c6 + c7  # as _left_sum
         if not 0.0 < total < math.inf:  # also a nan probability
             raise CausalModelError(
@@ -177,7 +171,8 @@ def _odds(cp: CausalParams) -> tuple:
 
 def conditional_probabilities(cp: CausalParams) -> ConditionalProbabilities:
     """Evaluate the three conditional blocks at both levels; each level-0
-    probability is the reciprocal of one plus its block's odds.
+    probability is the reciprocal of one plus its block's odds.  The Z
+    blocks are tuples by x, the Y blocks tuples of tuples by ``[x][z]``.
 
     The odds come from ``_odds``.  Where one overflows, its level-0
     probability is 0.0 and the level-1 one 1.0.
@@ -186,19 +181,17 @@ def conditional_probabilities(cp: CausalParams) -> ConditionalProbabilities:
     ((o00, o01), (o10, o11)), (w0, w1) = _odds(cp)
     x0 = 1.0 / (1.0 + xc)
     z0_0, z0_1 = 1.0 / (1.0 + w0), 1.0 / (1.0 + w1)  # by x
-    y0_00, y0_10 = 1.0 / (1.0 + o00), 1.0 / (1.0 + o10)  # by (x, z)
-    y0_01, y0_11 = 1.0 / (1.0 + o01), 1.0 / (1.0 + o11)
+    y0_00, y0_01 = 1.0 / (1.0 + o00), 1.0 / (1.0 + o01)  # by [x][z]
+    y0_10, y0_11 = 1.0 / (1.0 + o10), 1.0 / (1.0 + o11)
     # built directly: ``ConditionalProbabilities`` checks nothing
     return tuple.__new__(ConditionalProbabilities, (
         x0 * xc,
         (z0_0 * zc, z0_1 * zc * xzc if z0_1 else 1.0),
-        {(0, 0): y0_00 * y,
-         (1, 0): y0_10 * y * xy if y0_10 else 1.0,
-         (0, 1): y0_01 * y * zy if y0_01 else 1.0,
-         (1, 1): y0_11 * o11 if y0_11 else 1.0},
+        ((y0_00 * y, y0_01 * y * zy if y0_01 else 1.0),
+         (y0_10 * y * xy if y0_10 else 1.0, y0_11 * o11 if y0_11 else 1.0)),
         x0,
         (z0_0, z0_1),
-        {(0, 0): y0_00, (1, 0): y0_10, (0, 1): y0_01, (1, 1): y0_11},
+        ((y0_00, y0_01), (y0_10, y0_11)),
     ))
 
 

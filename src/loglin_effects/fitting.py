@@ -70,7 +70,7 @@ import math
 import operator
 import sys
 
-from .tables import CELLS, ContingencyTable, _Document, _Record
+from .tables import CELLS, ContingencyTable, _Record
 
 #: term order shared by design matrices, parameter vectors, and covariances;
 #: each term but the intercept is named by its variables
@@ -292,7 +292,7 @@ def _nocausal(eta, x, z, y, xz, xy, zy, xzy) -> NoCausalParams:
     return tuple.__new__(NoCausalParams, (eta, x, z, y, xz, xy, zy, xzy))
 
 
-class FitResult(_Document):
+class FitResult(_Record):
     """A maximum likelihood fit under ``spec``: the record of ``_fit``, its
     fitted counts, Y-block ``(mu^Y, mu^XY, mu^ZY, mu^XZY)`` and Newton
     steps, with the observed ``counts`` it solved; ``deviance``, ``params``

@@ -17,7 +17,7 @@ import math
 
 from .causal import CausalParams, CausalModelError
 from .fitting import FitResult
-from .tables import _Document
+from .tables import _Record
 
 
 class TestError(ValueError):
@@ -29,7 +29,7 @@ def two_sided_p(z: float) -> float:
     return math.erfc(abs(z) / math.sqrt(2.0))
 
 
-class TestResult(_Document):
+class TestResult(_Record):
     """A z-test of the linear ``combination`` of parameters being 0."""
 
     __test__ = False  # not a pytest test class
@@ -50,7 +50,7 @@ class TestResult(_Document):
         }
 
 
-class LinearityReport(_Document):
+class LinearityReport(_Record):
     """The log-scale residuals of the two linearity bonds."""
 
     __slots__ = ()

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import operator
 
-from .tables import _Document
+from .tables import _Record
 
 
 def _direction(x, xp) -> tuple:
@@ -20,7 +20,7 @@ def _direction(x, xp) -> tuple:
     return x, xp
 
 
-class EffectsReport(_Document):
+class EffectsReport(_Record):
     """All odds-ratio effects for one direction of change in X.
 
     ``lde`` and ``cell`` are indexed by z.  ``source`` names who computed

@@ -79,10 +79,13 @@ class _Record(tuple):
     ``__slots__ = ()``; its ``__new__`` ends in one ``tuple.__new__``, or
     converts the fields for a builder that holds the record's only test.
 
-    Assignment and deletion raise ``AttributeError``.  Records of one class
-    compare and hash by their fields, as tuples do; a record equals no
-    other tuple.  They repr as ``Name(field=value, ...)``, and pickle and
-    copy by calling the class with their fields, so validation runs again.
+    Every field is immutable too: a float, int, bool, string, None, or a
+    tuple or record of these, never a dict or list, so every record
+    hashes.  Assignment and deletion raise ``AttributeError``.  Records of
+    one class compare and hash by their fields, as tuples do; a record
+    equals no other tuple.  They repr as ``Name(field=value, ...)``, and
+    pickle and copy by calling the class with their fields, so validation
+    runs again.
     """
 
     __slots__ = ()
@@ -116,18 +119,6 @@ class _Record(tuple):
 
     def __reduce__(self):
         return type(self), tuple(self)
-
-
-class _Document(_Record):
-    """A record that ``to_dict`` turns into a JSON document: the records
-    that have ``to_dict`` derive from it, and only they have ``to_json``."""
-
-    __slots__ = ()
-    _fields = ()
-
-    def to_json(self) -> str:
-        """``to_dict()`` as sorted-key JSON."""
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 class ContingencyTable(_Record):

@@ -50,8 +50,6 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from loglin_effects.cli import main
-
 TESTS = Path(__file__).resolve().parent
 ROOT = TESTS.parent
 DATA = TESTS / "data"
@@ -114,6 +112,9 @@ def calls(directory):
     by group, its input files written to ``directory``: each group's key,
     command line and tail, and its calls' ``(file name, stdout, stderr,
     exit code)`` in corpus order."""
+    # imported here, so that ``export`` needs no package on the path
+    from loglin_effects.cli import main
+
     directory = Path(directory)
     for stratum, tables in corpus().items():
         for fmt, write in WRITERS.items():
@@ -260,23 +261,31 @@ def _run(src: Path, directory) -> subprocess.Popen:
         stdout=subprocess.PIPE, text=True, env=env, cwd=directory)
 
 
+def export(rev: str, directory) -> bool:
+    """Extract ``src`` of ``rev`` into ``directory`` by a plain local
+    ``git archive``; False, after printing git's message, if that fails."""
+    try:
+        archive = subprocess.run(
+            ["git", "-C", str(ROOT), "archive", rev, "src"],
+            capture_output=True, check=True).stdout
+    except (OSError, subprocess.CalledProcessError) as exc:
+        detail = getattr(exc, "stderr", None)
+        print(f"git archive {rev} src failed: "
+              f"{detail.decode().strip() if detail else exc}",
+              file=sys.stderr)
+        return False
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        if hasattr(tarfile, "data_filter"):
+            tar.extractall(directory, filter="data")
+        else:
+            tar.extractall(directory)
+    return True
+
+
 def _diff(rev: str) -> int:
     with tempfile.TemporaryDirectory() as directory:
-        try:
-            archive = subprocess.run(
-                ["git", "-C", str(ROOT), "archive", rev, "src"],
-                capture_output=True, check=True).stdout
-        except (OSError, subprocess.CalledProcessError) as exc:
-            detail = getattr(exc, "stderr", None)
-            print(f"git archive {rev} src failed: "
-                  f"{detail.decode().strip() if detail else exc}",
-                  file=sys.stderr)
+        if not export(rev, directory):
             return 2
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            if hasattr(tarfile, "data_filter"):
-                tar.extractall(directory, filter="data")
-            else:
-                tar.extractall(directory)
         children = [_run(src, directory)
                     for src in (Path(directory) / "src", ROOT / "src")]
         failure = None

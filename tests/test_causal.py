@@ -1,4 +1,3 @@
-import json
 import math
 import sys
 from decimal import Decimal
@@ -122,23 +121,24 @@ class TestEtaFactors:
         cond = conditional_probabilities(cp)
         assert cond.p_x0 == 0.5
         assert cond.p_z0_given_x == (0.5, 0.5)
-        assert all(v == 0.5 for v in cond.p_y0_given_xz.values())
+        assert cond.p_y0_given_xz == ((0.5, 0.5), (0.5, 0.5))
 
     def test_closed_form_values(self):
         cp = CausalParams(1.5, 2.0, 1.0, 0.2, 0.02, 0.01)
         y0 = conditional_probabilities(cp).p_y0_given_xz
-        assert y0[(0, 0)] == pytest.approx(1 / 1.2)
-        assert y0[(1, 0)] == pytest.approx(1 / 1.004)
-        assert y0[(0, 1)] == pytest.approx(1 / 1.002)
-        assert y0[(1, 1)] == pytest.approx(1 / 1.00004)
+        assert y0[0][0] == pytest.approx(1 / 1.2)
+        assert y0[1][0] == pytest.approx(1 / 1.004)
+        assert y0[0][1] == pytest.approx(1 / 1.002)
+        assert y0[1][1] == pytest.approx(1 / 1.00004)
 
     def test_normalization_identity(self, rng):
         for _ in range(50):
             cp = random_causal(rng, with_interaction=bool(rng.integers(2)))
             cond = conditional_probabilities(cp)
-            for (x, z), p1 in cond.p_y1_given_xz.items():
+            for x, z in ((0, 0), (0, 1), (1, 0), (1, 1)):
                 # P(Y=0|x,z) is the bare factor; the two levels sum to 1
-                assert p1 + cond.p_y0_given_xz[(x, z)] == pytest.approx(
+                p1 = cond.p_y1_given_xz[x][z]
+                assert p1 + cond.p_y0_given_xz[x][z] == pytest.approx(
                     1.0, abs=1e-12
                 )
 
@@ -147,9 +147,9 @@ class TestEtaFactors:
         yes = CausalParams(1, 1, 1, 0.5, 2.0, 3.0, 2.0, with_interaction=True)
         eno = conditional_probabilities(no).p_y0_given_xz
         eyes = conditional_probabilities(yes).p_y0_given_xz
-        assert eno[(1, 0)] == eyes[(1, 0)]
-        assert eno[(0, 1)] == eyes[(0, 1)]
-        assert eyes[(1, 1)] == pytest.approx(1 / (1 + 0.5 * 2 * 3 * 2))
+        assert eno[1][0] == eyes[1][0]
+        assert eno[0][1] == eyes[0][1]
+        assert eyes[1][1] == pytest.approx(1 / (1 + 0.5 * 2 * 3 * 2))
 
 
 class TestConditionalProbabilities:
@@ -162,7 +162,7 @@ class TestConditionalProbabilities:
         cp = CausalParams(1.7132, 0.4659, 3.3059, 0.4881, 1.9240, 2.4038)
         cond = conditional_probabilities(cp)
         prod = 0.4881 * 1.9240 * 2.4038
-        assert cond.p_y1_given_xz[(1, 1)] == pytest.approx(prod / (1 + prod))
+        assert cond.p_y1_given_xz[1][1] == pytest.approx(prod / (1 + prod))
 
     def test_joint_sums_to_one(self, rng):
         for _ in range(50):
@@ -247,7 +247,7 @@ class TestDirectJoint:
 
     def test_nan_probability_is_rejected(self):
         # a hand-built record: a nan P(X=1) makes the sum nan
-        halves = {(x, z): 0.5 for x in (0, 1) for z in (0, 1)}
+        halves = ((0.5, 0.5), (0.5, 0.5))
         cond = ConditionalProbabilities(math.nan, (0.5, 0.5), halves, 0.5,
                                         (0.5, 0.5), halves)
         with pytest.raises(CausalModelError, match=(
@@ -345,7 +345,7 @@ class TestFitCausal:
             "Y=1 from Y=0")
 
     def test_json_keys(self):
-        doc = json.loads(fit_causal(ContingencyTable((10,) * 8)).to_json())
+        doc = fit_causal(ContingencyTable((10,) * 8)).to_dict()
         assert set(doc) == {
             "Xc", "Zc", "XZc", "Y", "XY", "ZY", "XZY",
             "with_interaction", "eta",
@@ -483,10 +483,10 @@ def test_mediator_block_log_residual_helper():
     nc = SEC3_NC
     cp = causal_from_nocausal(nc)
     e = conditional_probabilities(cp).p_y0_given_xz
-    assert cp.zc == pytest.approx(nc.z * e[(0, 0)] / e[(0, 1)], rel=1e-12)
+    assert cp.zc == pytest.approx(nc.z * e[0][0] / e[0][1], rel=1e-12)
     assert math.isclose(
         cp.xzc,
-        nc.xz * e[(1, 0)] * e[(0, 1)] / (e[(0, 0)] * e[(1, 1)]),
+        nc.xz * e[1][0] * e[0][1] / (e[0][0] * e[1][1]),
         rel_tol=1e-12,
     )
 

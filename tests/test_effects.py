@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction
 
 import pytest
@@ -99,10 +98,10 @@ class TestCellEffect:
         cp = random_causal(rng)
         e = conditional_probabilities(cp).p_y0_given_xz
         expected = (
-            (e[(0, 0)] + e[(0, 1)] * cp.zc)
-            / (e[(0, 0)] + e[(0, 1)] * cp.zc * cp.zy)
-            * (e[(1, 0)] + e[(1, 1)] * cp.zc * cp.zy)
-            / (e[(1, 0)] + e[(1, 1)] * cp.zc)
+            (e[0][0] + e[0][1] * cp.zc)
+            / (e[0][0] + e[0][1] * cp.zc * cp.zy)
+            * (e[1][0] + e[1][1] * cp.zc * cp.zy)
+            / (e[1][0] + e[1][1] * cp.zc)
         )
         assert effects_report(cp).cell[0] == pytest.approx(expected,
                                                            rel=1e-10)
@@ -261,10 +260,10 @@ class TestEffectsReport:
         rep = effects_report(TABLE5, x, xp)
         assert rep == effects_report(TABLE5, 1, 0)
         assert [type(v) for v in rep.direction] == [int, int]
-        assert json.loads(rep.to_json())["direction"] == [1, 0]
+        assert rep.to_dict()["direction"] == [1, 0]
 
     def test_json_keys(self):
-        doc = json.loads(effects_report(TABLE5).to_json())
+        doc = effects_report(TABLE5).to_dict()
         assert set(doc) == {
             "TE", "LDE", "cell", "IE", "IE_reverse", "NDE",
             "additive_interaction", "multiplicative_interaction",

@@ -339,8 +339,10 @@ class TestCausalLayer:
             pairs = [(cond.p_x1, p_x1), (cond.p_x0, 1 - p_x1)]
             pairs += [(cond.p_z1_given_x[x], p_z1[x]) for x in (0, 1)]
             pairs += [(cond.p_z0_given_x[x], 1 - p_z1[x]) for x in (0, 1)]
-            pairs += [(cond.p_y1_given_xz[k], p) for k, p in p_y1.items()]
-            pairs += [(cond.p_y0_given_xz[k], 1 - p) for k, p in p_y1.items()]
+            pairs += [(cond.p_y1_given_xz[x][z], p)
+                      for (x, z), p in p_y1.items()]
+            pairs += [(cond.p_y0_given_xz[x][z], 1 - p)
+                      for (x, z), p in p_y1.items()]
             for got, want in pairs:
                 _check(got, want, bound)
             joint = exact_joint(*values)

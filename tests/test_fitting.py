@@ -192,12 +192,10 @@ class TestFitPoisson:
         assert np.max(np.abs(fd_cov - fit.covariance) / np.abs(fit.covariance)) < 1e-4
 
     def test_json_serialization_shape(self, rng):
-        import json
-
         fit = fit_poisson(
             ContingencyTable(tuple(rng.uniform(3, 40, 8))), two_way_spec()
         )
-        doc = json.loads(fit.to_json())
+        doc = fit.to_dict()
         assert set(doc["additive"]) == {"eta", "X", "Z", "Y", "XZ", "XY", "ZY"}
         assert len(doc["covariance"]["values"]) == 49
         assert doc["converged"] is True

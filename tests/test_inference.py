@@ -205,15 +205,13 @@ class TestLinearityBonds:
 
 
 def test_json_shapes():
-    import json
-
     fit = fit_poisson(balanced_table(), two_way_spec())
     res = additive_zero_test(fit)
     assert isinstance(res, TestResult)
-    assert set(json.loads(res.to_json())) == {
+    assert set(res.to_dict()) == {
         "beta_hat", "se", "z", "p", "constraint"
     }
     rep = linearity_bonds(causal_from_nocausal(fit.params))
-    assert set(json.loads(rep.to_json())) == {
+    assert set(rep.to_dict()) == {
         "bond1_residual", "bond2_residual"
     }

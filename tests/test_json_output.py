@@ -80,12 +80,6 @@ def _results():
 
 
 @pytest.mark.parametrize("name", list(_results()))
-def test_to_json_is_to_dict_dumped(name):
-    result = _results()[name]
-    assert result.to_json() == json.dumps(result.to_dict(), sort_keys=True)
-
-
-@pytest.mark.parametrize("name", list(_results()))
 def test_to_dict_is_fresh_plain_data(name):
     # the CLI adds keys to the dict it gets; a dict must not be shared
     result = _results()[name]

@@ -1,4 +1,3 @@
-import json
 import math
 
 import pytest
@@ -148,9 +147,9 @@ def test_integer_levels_give_a_plain_int_direction(x, xp):
     rep = oracle_effects(joint, x, xp)
     assert rep == oracle_effects(joint, 1, 0)
     assert [type(v) for v in rep.direction] == [int, int]
-    assert json.loads(rep.to_json())["direction"] == [1, 0]
+    assert rep.to_dict()["direction"] == [1, 0]
 
 
 def test_json_flags_source():
     rep = oracle_effects(joint_probabilities(ContingencyTable((3,) * 8)))
-    assert json.loads(rep.to_json())["source"] == "oracle"
+    assert rep.to_dict()["source"] == "oracle"
