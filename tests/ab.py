@@ -37,6 +37,8 @@ from output_manifest import export
 
 TESTS = Path(__file__).resolve().parent
 ROOT = TESTS.parent
+#: the two trees, in the order of the even pairs' runs
+SIDES = ("base", "change")
 #: what no tree gets: bytecode, and the harness's own run records
 _SKIP = shutil.ignore_patterns("__pycache__", "out")
 
@@ -149,16 +151,14 @@ def main(argv=None) -> int:
 
     runs, bad = [], 0
     with tempfile.TemporaryDirectory() as directory:
-        trees = {"base": Path(directory) / "base",
-                 "change": Path(directory) / "change"}
+        trees = {side: Path(directory) / side for side in SIDES}
         if not (_tree(trees["base"], args.base)
                 and _tree(trees["change"], args.change)):
             return 2
         for workload in args.workload:
             for i in range(args.pairs):
                 seed = args.seed + i
-                order = ("base", "change") if i % 2 == 0 else ("change", "base")
-                for side in order:
+                for side in SIDES if i % 2 == 0 else SIDES[::-1]:
                     line = _run(trees[side], workload, seed, args.seconds)
                     if line is None:
                         return 2
@@ -179,7 +179,7 @@ def main(argv=None) -> int:
         for name, m in metrics.items():
             values = {side: [r["metrics"][name]["value"] for r in runs
                              if r["workload"] == workload
-                             and r["side"] == side] for side in trees}
+                             and r["side"] == side] for side in SIDES}
             row = verdict(values["base"], values["change"], m["better"],
                           m["bound"], args.claim == (workload, name))
             summary.append({"workload": workload, "metric": name, **row})
